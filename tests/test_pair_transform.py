@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pairspec.eigenstates import EigenstateSpec, psi_p_theta, residual
 from pairspec.fock_ladder import LadderState
+from pairspec.hypergeom import transported_state
 from pairspec.lattice import ModelParams, alpha_c, ytilde_from_y
 from pairspec.pair_transform import (
     DomainVerdict,
@@ -63,6 +67,127 @@ class TestApplyExpPair:
                     moved = apply_exp_pair(st, -ac)
                     e_ab = (1 - 2 * ac * y) * (p / 2 + n) - ac * y
                     assert residual(moved, y, y, e_ab) <= 1e-8 * moved.norm()
+
+
+EPS = 2.0**-53
+# every floating-point warning inside the transform fails these tests
+RAISE = dict(over="raise", invalid="raise", divide="raise")
+
+
+def loop_reference(C, t):
+    """The former math.comb double loop, kept as the accuracy baseline."""
+    n = len(C)
+    out = np.zeros(n, dtype=complex)
+    for m in range(n):
+        for s in np.flatnonzero(C[: m + 1]):
+            out[m] += C[s] * math.comb(m, int(s)) * t ** (m - int(s))
+    return out
+
+
+def mp_reference(C, t):
+    """Exact-enough shift and the sum of term magnitudes, per m, in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(C)
+    with mpmath.workdps(60):
+        fact = [mpmath.factorial(k) for k in range(n)]
+        tpow = [mpmath.mpf(t) ** k for k in range(n)]
+        exact = [mpmath.mpc(0)] * n
+        absum = [mpmath.mpf(0)] * n
+        for s in np.flatnonzero(C):
+            cs = mpmath.mpc(complex(C[s]))
+            for m in range(s, n):
+                term = cs * fact[m] / (fact[s] * fact[m - s]) * tpow[m - s]
+                exact[m] += term
+                absum[m] += abs(term)
+        return np.array([complex(v) for v in exact]), np.array([float(v) for v in absum])
+
+
+def assert_within_bound(got, exact, absum):
+    """|error_m| <= 4 (m+1) eps sum_s |C_s C(m,s) t^(m-s)| for every m."""
+    bound = 4.0 * (np.arange(len(got)) + 1.0) * EPS * absum
+    assert np.all(np.abs(got - exact) <= bound)
+
+
+class TestBinomialShiftReferees:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        hs.lists(hs.integers(-(2**20), 2**20), min_size=1, max_size=40),
+        hs.integers(-15, 15),
+        hs.integers(0, 12),
+    )
+    def test_exact_fraction_shift(self, numerators, t_num, scale):
+        # dyadic inputs and t: every term is exact in Fraction, and the double
+        # inputs carry no rounding of their own
+        t = Fraction(t_num, 16)
+        C = [Fraction(k, 2**scale) for k in numerators]
+        n = len(C)
+        with np.errstate(**RAISE):
+            got = apply_exp_pair(state(0, [float(c) for c in C]), float(t)).coeffs
+        exact = np.zeros(n)
+        absum = np.zeros(n)
+        for m in range(n):
+            terms = [C[s] * math.comb(m, s) * t ** (m - s) for s in range(m + 1)]
+            exact[m] = float(sum(terms))
+            absum[m] = float(sum(abs(v) for v in terms))
+        assert_within_bound(got, exact, absum)
+
+    @pytest.mark.parametrize(("n", "support", "t", "seed"), [
+        (150, 150, -0.9, 1),
+        (300, 25, 0.6, 2),
+        (600, 30, -0.3, 3),
+    ])
+    def test_mpmath_random_states(self, n, support, t, seed):
+        rng = np.random.default_rng(seed)
+        C = np.zeros(n, dtype=complex)
+        idx = rng.choice(n, size=support, replace=False)
+        C[idx] = (rng.standard_normal(support) + 1j * rng.standard_normal(support)) * 0.97**idx
+        with np.errstate(**RAISE):
+            got = apply_exp_pair(state(0, C), t).coeffs
+        assert_within_bound(got, *mp_reference(C, t))
+
+    def test_mpmath_cancelling_transported_state(self):
+        # y = 0.3, N = 40: the alternating sums cancel by about eight digits
+        y, N, smax = 0.3, 40, 599
+        base = psi_p_theta(EigenstateSpec(0, N, ytilde_from_y(y), N)).padded(smax).coeffs
+        t = -alpha_c(y)
+        with np.errstate(**RAISE):
+            got = transported_state(0, N, y, smax).coeffs
+        exact, absum = mp_reference(base, t)
+        assert_within_bound(got, exact, absum)
+        rel = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+        rel_loop = np.linalg.norm(loop_reference(base, t) - exact) / np.linalg.norm(exact)
+        assert rel <= rel_loop
+
+    def test_large_binomials_closed_form(self):
+        # binom(1100, 550) ~ 1e329 is beyond double range, its terms are not
+        s0, n, t = 550, 1101, -0.5
+        c = np.zeros(n, dtype=complex)
+        c[s0] = 1.0
+        with np.errstate(**RAISE):
+            out = apply_exp_pair(LadderState(0, c), t).coeffs
+        assert np.all(out[:s0] == 0)
+        m = np.arange(s0, n)
+        lg = np.vectorize(math.lgamma)
+        want = np.exp(
+            lg(m + 1.0) - lg(s0 + 1.0) - lg(m - s0 + 1.0) + (m - s0) * math.log(-t)
+        ) * (-1.0) ** (m - s0)
+        np.testing.assert_allclose(out[s0:], want, rtol=1e-11, atol=0)
+
+    def test_far_apart_coefficients_keep_their_range(self):
+        # the intermediate binomials reach 1e557, every output stays below 1e4
+        c = np.zeros(2001, dtype=complex)
+        c[0] = c[1999] = 1.0
+        with np.errstate(**RAISE):
+            out = apply_exp_pair(LadderState(0, c), -0.9).coeffs
+        assert out[1999] == pytest.approx(1.0, rel=1e-12)
+        assert out[2000] == pytest.approx(-1800.0, rel=1e-12)
+
+    def test_unrepresentable_image_refused(self):
+        # true image of e_1500 reaches ~1e833
+        c = np.zeros(3001, dtype=complex)
+        c[1500] = 1.0
+        with np.errstate(**RAISE), pytest.raises(ValueError, match="beyond double range"):
+            apply_exp_pair(LadderState(0, c), -0.9)
 
 
 class TestDomainCheck:
