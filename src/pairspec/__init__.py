@@ -19,7 +19,6 @@ from .lattice import (
     full_lattice,
     half_lattice,
     mode_params,
-    pair_amplitude,
     y12,
     ytilde_from_y,
 )

@@ -80,14 +80,12 @@ def contiguous_residual(m: int, N: int, p: int, z: complex) -> complex:
     return lhs - rhs
 
 
-def derivative_residual(a: int, b: float, c: float, z: complex = 0.0) -> float:
+def derivative_residual(a: int, b: float, c: float) -> float:
     """Laurent-coefficient mismatch in d/dz z^m F(-m, b, c; 1/z) = m z^(m-1) F(-m+1, b, c; 1/z).
 
     Here m = -a > 0.  Both sides are finite sums in powers of z; comparing
     the coefficient of z^(m-1-s) reduces the identity to
     (m - s)(-m)_s = m (-m+1)_s, which must hold to rounding for every s.
-    The argument ``z`` is accepted for interface parity but the comparison is
-    coefficientwise and exact, independent of it.
     """
     if a >= 0 or not float(a).is_integer():
         raise ValueError(f"a must be a negative integer, got {a}")

@@ -22,7 +22,6 @@ __all__ = [
     "alpha_c",
     "y12",
     "alpha_sum",
-    "pair_amplitude",
     "ytilde_from_y",
 ]
 
@@ -135,6 +134,12 @@ def _cube(nmax: int) -> Iterator[tuple[int, int, int]]:
                     yield (n1, n2, n3)
 
 
+def _half_indices(nmax: int) -> list[tuple[int, int, int]]:
+    picked = [n for n in _cube(nmax) if _half_space_key(n)]
+    picked.sort(key=lambda n: (n[0] ** 2 + n[1] ** 2 + n[2] ** 2, n))
+    return picked
+
+
 def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
     """One representative k per (k, -k) pair of the cutoff cube lattice.
 
@@ -149,16 +154,12 @@ def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
     if L <= 0:
         raise ValueError(f"box side must be > 0, got {L}")
     scale = 2.0 * math.pi / L
-    picked = [n for n in _cube(nmax) if _half_space_key(n)]
-    picked.sort(key=lambda n: (n[0] ** 2 + n[1] ** 2 + n[2] ** 2, n))
-    return [(scale * n[0], scale * n[1], scale * n[2]) for n in picked]
+    return [(scale * n[0], scale * n[1], scale * n[2]) for n in _half_indices(nmax)]
 
 
 def half_lattice_indices(nmax: int) -> list[tuple[int, int, int]]:
     """Integer triples of :func:`half_lattice`, in the same order."""
-    picked = [n for n in _cube(nmax) if _half_space_key(n)]
-    picked.sort(key=lambda n: (n[0] ** 2 + n[1] ** 2 + n[2] ** 2, n))
-    return picked
+    return _half_indices(nmax)
 
 
 def full_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
@@ -219,22 +220,6 @@ def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
         # large-k cancellation (ksq + g) - eps never happens; equals alpha_c(y(k))
         alpha = g / ((ksq + g) + eps)
     return ModeParams(k=k, n=n, ksq=ksq, y=y, ytilde=ytil, alpha=alpha, epsilon=eps)
-
-
-def pair_amplitude(mp: ModelParams, k: tuple[float, float, float], plus_branch: bool = False) -> float:
-    """alpha(k) from the quadratic, minus branch unless explicitly asked otherwise.
-
-    Everything in the library is wired to the minus branch (the one with a
-    positive transformed spectrum and alpha in [0, 1)); the plus branch is
-    exposed for exploration only and is never consumed internally.
-    """
-    mode = mode_params(mp, k)
-    if not plus_branch:
-        return mode.alpha
-    g = mp.gas_scale
-    if g == 0.0:
-        raise ValueError("the plus branch diverges in the free limit a = 0")
-    return ((mode.ksq + g) + mode.epsilon) / g
 
 
 def alpha_sum(mp: ModelParams, nmax: int) -> AlphaSum:

@@ -102,8 +102,11 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     The combinatorial weight differs from a naive reading of the sector
     formula exactly by the binom(Ntot-p, 2s) factor, which carries the
     depletion of the finite condensate; the sector operator is the ground
-    truth that fixes it.  In the free limit the eigenvectors are the basis
-    vectors themselves.
+    truth that fixes it.  The weights are assembled in log space, in
+    ``np.longdouble``, from one log-factorial table (binom(Ntot-p, 2s) (2s)!
+    = (Ntot-p)! / (Ntot-p-2s)!), so the vector stays finite for sectors whose
+    factorials exceed double range.  In the free limit the eigenvectors are
+    the basis vectors themselves.
     """
     dim = sector.dim
     if not 0 <= n_index < dim:
@@ -112,18 +115,18 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     if mp.a == 0.0:
         v[n_index] = 1.0
         return v
-    ytil = wu_ytilde(sector.mode, mp)
-    mtot = sector.Ntot - sector.p
-    binom_n = 1.0
-    for s in range(n_index + 1):
-        if s > 0:
-            binom_n *= (n_index - s + 1) / s
-        weight = (
-            math.comb(sector.p + s, s)
-            * math.comb(mtot, 2 * s)
-            * math.factorial(2 * s)
-        )
-        v[s] = (ytil / 2.0) ** (-s) * binom_n / math.sqrt(weight)
+    n, p, mtot = n_index, sector.p, sector.Ntot - sector.p
+    log_fact = np.concatenate(
+        ([0.0], np.cumsum(np.log(np.arange(1, sector.Ntot + 1, dtype=np.longdouble))))
+    )
+    # log c_s for s = 0..n up to s-independent terms, which the normalization
+    # drops; the slices read log_fact at mtot-2s, s, p+s and n-s
+    log_w = (
+        0.5 * (log_fact[mtot::-2][: n + 1] - log_fact[: n + 1] - log_fact[p : p + n + 1])
+        - log_fact[n::-1]
+        - np.arange(n + 1) * np.log(np.longdouble(wu_ytilde(sector.mode, mp)) / 2)
+    )
+    v[: n + 1] = np.exp(log_w - log_w.max())
     return v / np.linalg.norm(v)
 
 

@@ -1,282 +1,69 @@
 """Acceptance gate: one test per criterion, at the stated tolerances/budgets.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to get one printed
-PASS/FAIL line per criterion alongside the pytest verdicts.
+Every criterion is a row of measurements from ``pairspec.checks`` -- the same
+functions ``pairspec verify`` runs -- called on the criterion's strict grid;
+the tolerances are the checks' own.  Run with
+``pytest tests/test_acceptance.py -v -s`` to get one printed PASS/FAIL line
+per criterion alongside the pytest verdicts.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
-from pairspec.eigenstates import (
-    EigenstateSpec,
-    partial_norms,
-    psi_p_theta,
-    residual,
-    stirling_tail_limit,
-    tail_constant,
-)
-from pairspec.fock_ladder import LadderState
-from pairspec.genfunc import from_state, mobius, q_invariant
-from pairspec.hamiltonians import bog_energy_ab, build_tridiagonal
-from pairspec.hypergeom import contiguous_residual, derivative_residual, gram_witness, hyp_f
-from pairspec.lattice import ModelParams, alpha_c, half_lattice, mode_params, ytilde_from_y
-from pairspec.oracle import sym_tridiag_eig
-from pairspec.pair_transform import (
-    apply_exp_pair,
-    depletion_report,
-    mode_ground_state,
-    pair_occupancy,
-)
-from pairspec.wu_sector import WuSector, apply_exp_w, build_transformed_wu, wu_eigenstate
+from pairspec import checks
+
+# criterion: (runtime budget in s, seed, [(measurement, strict grid), ...])
+CRITERIA = {
+    "A1 bogoliubov-spectrum-vs-oracle": (5.0, 0, [(checks._oracle_spectrum, dict(smax=300, levels=6))]),
+    "A2 exact-finite-eigenstates": (1.0, 0, [(checks._finite_eigenstates, dict(ps=range(21), ns=range(21)))]),
+    "A3 eigenstate-transport": (10.0, 0, [
+        (checks._transport, dict(ps=range(4), ns=range(6), pad=400)),
+        (checks._transport_energy, dict(ps=range(4), ns=range(6))),
+    ]),
+    "A4 dispersion-and-branch-identities": (1.0, 0, [(checks._dispersion, dict(nmax=4))]),
+    "A5 mobius-exponential-agreement": (
+        2.0, 202, [(checks._mobius_vs_exponential, dict(alpha_range=(0.01, 0.9)))]
+    ),
+    "A6 q-invariant": (1.0, 0, [(checks._q_invariant, {})]),
+    "A7 normalizability-dichotomy": (5.0, 0, [
+        (checks._divergence_witness, {}),
+        (checks._cauchy_tail, dict(smax=400, tail_from=300)),
+        (checks._tail_constants, {}),
+    ]),
+    "A8 hypergeometric-identities": (1.0, 0, [(checks._contiguous, {}), (checks._derivative, {})]),
+    "A9 completeness-witness": (10.0, 0, [
+        (checks._gram_floor, dict(ps=(0, 1), y=0.45, nmax=8, smax=80)),
+        (checks._gram_drift, dict(ps=(0, 1), y=0.45, nmax=8, smax=80)),
+    ]),
+    "A10 wu-sector": (5.0, 11, [(checks._wu_sector, dict(ntots=range(2, 17), ps=range(5)))]),
+    "A11 ground-state-depletion": (
+        2.0, 0, [(checks._ground_occupancy, {}), (checks._depletion, dict(nmax=3))]
+    ),
+}
 
 
-def _report(name: str, ok: bool, detail: str, elapsed: float, budget: float) -> None:
+def measure(criterion: str) -> tuple[list[checks.CheckResult], float]:
+    """Run one criterion's row; returns its check results and elapsed seconds."""
+    _, seed, calls = CRITERIA[criterion]
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(seed)
+    results = [r for check, grid in calls for r in check(rng, **grid)]
+    return results, time.perf_counter() - t0
+
+
+def _gate(criterion: str) -> None:
+    budget = CRITERIA[criterion][0]
+    results, elapsed = measure(criterion)
+    ok = all(r.passed for r in results)
     verdict = "PASS" if ok and elapsed < budget else "FAIL"
-    print(f"{name} {verdict} {detail} [{elapsed:.2f}s / {budget:.0f}s]")
-    assert ok, f"{name}: {detail}"
-    assert elapsed < budget, f"{name}: runtime {elapsed:.2f}s exceeds {budget}s"
+    detail = "; ".join(f"{r.name}: {r.deviation:.3e} (tol {r.tolerance:.0e})" for r in results)
+    print(f"{criterion} {verdict} {detail} [{elapsed:.2f}s / {budget:.0f}s]")
+    assert ok, f"{criterion}: {detail}"
+    assert elapsed < budget, f"{criterion}: runtime {elapsed:.2f}s exceeds {budget}s"
 
 
-def test_a1_bogoliubov_spectrum_vs_oracle():
-    t0 = time.perf_counter()
-    y, smax = 0.3, 300
-    block = build_tridiagonal(0, y, y, smax)
-    values = sym_tridiag_eig(block.diag, block.super_)
-    worst = max(abs(values[n] - bog_energy_ab(y, 0, n)) for n in range(6))
-    _report(
-        "A1 bogoliubov-spectrum-vs-oracle",
-        worst <= 1e-8,
-        f"max|dE|={worst:.3e} (tol 1e-08)",
-        time.perf_counter() - t0,
-        5.0,
-    )
-
-
-def test_a2_exact_finite_eigenstates():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for ytil in (0.5, 1.0, 2.0):
-        for p in range(21):
-            for n in range(21):
-                st = psi_p_theta(EigenstateSpec(p, n, ytil, n + 2))
-                worst = max(worst, residual(st, ytil, 0.0, p / 2.0 + n) / st.norm())
-    _report(
-        "A2 exact-finite-eigenstates",
-        worst <= 1e-12,
-        f"max residual/norm={worst:.3e} (tol 1e-12)",
-        time.perf_counter() - t0,
-        1.0,
-    )
-
-
-def test_a3_eigenstate_transport():
-    t0 = time.perf_counter()
-    worst_res = 0.0
-    worst_energy = 0.0
-    for y in (0.3, 0.45):
-        ac = alpha_c(y)
-        ytil = ytilde_from_y(y)
-        for p in range(4):
-            for n in range(6):
-                st = psi_p_theta(EigenstateSpec(p, n, ytil, n)).padded(400)
-                moved = apply_exp_pair(st, -ac)
-                e_ab = (1.0 - 2.0 * ac * y) * (p / 2.0 + n) - ac * y
-                worst_res = max(worst_res, residual(moved, y, y, e_ab) / moved.norm())
-                worst_energy = max(worst_energy, abs(e_ab - bog_energy_ab(y, p, n)))
-    _report(
-        "A3 eigenstate-transport",
-        worst_res <= 1e-8 and worst_energy <= 1e-10,
-        f"max residual/norm={worst_res:.3e} (tol 1e-08), max|dE|={worst_energy:.3e} (tol 1e-10)",
-        time.perf_counter() - t0,
-        10.0,
-    )
-
-
-def test_a4_dispersion_and_branch_identities():
-    t0 = time.perf_counter()
-    mp = ModelParams(a=1.0 / (16.0 * math.pi), rho=1.0, L=2.0 * math.pi)
-    g = mp.gas_scale
-    worst = 0.0
-    for k in half_lattice(mp.L, 4):
-        m = mode_params(mp, k)
-        worst = max(
-            worst,
-            abs(m.epsilon**2 - m.ksq * (m.ksq + 2.0 * g)) / m.epsilon**2,
-            abs(m.epsilon - (m.ksq + g) * math.sqrt(1.0 - 4.0 * m.y**2)) / m.epsilon,
-            abs(m.alpha - alpha_c(m.y)) / max(m.alpha, 1e-30),
-        )
-    _report(
-        "A4 dispersion-and-branch-identities",
-        worst <= 1e-12,
-        f"max rel dev={worst:.3e} (tol 1e-12) over {len(half_lattice(mp.L, 4))} modes",
-        time.perf_counter() - t0,
-        1.0,
-    )
-
-
-def test_a5_mobius_exponential_agreement():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(100):
-        p = int(rng.integers(0, 4))
-        alpha = rng.uniform(0.01, 0.9)
-        n = int(rng.integers(2, 11))
-        st = LadderState(p, rng.standard_normal(n) + 1j * rng.standard_normal(n)).padded(60)
-        via_series = mobius(from_state(st), alpha).C
-        via_conv = from_state(apply_exp_pair(st, -alpha)).C
-        scale = max(1.0, float(np.max(np.abs(via_conv))))
-        worst = max(worst, float(np.max(np.abs(via_series - via_conv))) / scale)
-    _report(
-        "A5 mobius-exponential-agreement",
-        worst <= 1e-11,
-        f"max scaled coeff dev={worst:.3e} (tol 1e-11)",
-        time.perf_counter() - t0,
-        2.0,
-    )
-
-
-def test_a6_q_invariant():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for y in (0.1, 0.3, 0.45):
-        closed = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * y * y))
-        qs = [q_invariant(y, a) for a in np.linspace(0.0, alpha_c(y), 20)]
-        worst = max(worst, max(qs) - min(qs), max(abs(q - closed) for q in qs))
-    _report(
-        "A6 q-invariant",
-        worst <= 1e-12,
-        f"max spread={worst:.3e} (tol 1e-12)",
-        time.perf_counter() - t0,
-        1.0,
-    )
-
-
-def test_a7_normalizability_dichotomy():
-    t0 = time.perf_counter()
-    diverging = partial_norms(0.5, 0.5, 0, 200)
-    witness = diverging.max() > 1e6
-    converging = partial_norms(1.5, 0.5, 0, 400)
-    cauchy = (converging[-1] - converging[300]) < 1e-10
-    tail_ok = True
-    detail_tail = []
-    for theta, p in ((0.5, 0), (0.5, 2), (-0.5, 0)):
-        ratio = tail_constant(1.0, theta, p, np.array([4000]))[0]
-        limit = stirling_tail_limit(theta, p)
-        rel = abs(ratio - limit) / limit
-        tail_ok = tail_ok and rel <= 0.05
-        detail_tail.append(f"{rel:.1e}")
-    _report(
-        "A7 normalizability-dichotomy",
-        witness and cauchy and tail_ok,
-        f"divergence max={diverging.max():.2e} (>1e6), tail increments={converging[-1] - converging[300]:.1e} "
-        f"(<1e-10), tail-constant rel devs={detail_tail} (tol 5e-02)",
-        time.perf_counter() - t0,
-        5.0,
-    )
-
-
-def test_a8_hypergeometric_identities():
-    t0 = time.perf_counter()
-    worst_c = 0.0
-    for m in range(7):
-        for n in range(7):
-            for p in range(7):
-                for z in (0.3, 0.7, 1.5, -0.4, 0.2 + 0.5j):
-                    r = contiguous_residual(m, n, p, z)
-                    scale = max(1.0, abs(m * z * hyp_f(-m + 1, -n, p + 1, z)))
-                    worst_c = max(worst_c, abs(r) / scale)
-    worst_d = 0.0
-    for a in range(-5, 0):
-        for b in (0.0, -1.0, -2.0):
-            for c in (1.0, 2.0, 3.5):
-                worst_d = max(worst_d, derivative_residual(a, b, c))
-    _report(
-        "A8 hypergeometric-identities",
-        worst_c <= 1e-12 and worst_d <= 1e-13,
-        f"contiguous={worst_c:.3e} (tol 1e-12), derivative={worst_d:.3e} (tol 1e-13)",
-        time.perf_counter() - t0,
-        1.0,
-    )
-
-
-def test_a9_completeness_witness():
-    t0 = time.perf_counter()
-    ok = True
-    details = []
-    for p in (0, 1):
-        sv80 = gram_witness(p, 0.45, 8, 80)
-        sv160 = gram_witness(p, 0.45, 8, 160)
-        floor_ok = sv80[-1] > 1e-8 * sv80[0]
-        stable = abs(sv80[-1] - sv160[-1]) < 0.01 * sv80[-1]
-        ok = ok and floor_ok and stable
-        details.append(
-            f"p={p}: min/max={sv80[-1] / sv80[0]:.3e} (>1e-08), "
-            f"drift={abs(sv80[-1] - sv160[-1]) / sv80[-1]:.2e} (<1e-02)"
-        )
-    _report(
-        "A9 completeness-witness",
-        ok,
-        "; ".join(details),
-        time.perf_counter() - t0,
-        10.0,
-    )
-
-
-def test_a10_wu_sector():
-    t0 = time.perf_counter()
-    mp = ModelParams(a=1.0 / (16.0 * math.pi), rho=1.0, L=2.0 * math.pi)
-    modes = [mode_params(mp, k) for k in half_lattice(mp.L, 1)[:3]]
-    rng = np.random.default_rng(11)
-    worst_tri = worst_diag = worst_res = worst_inv = 0.0
-    for mode in modes:
-        for ntot in range(2, 17):
-            for p in range(0, min(4, ntot) + 1):
-                sector = WuSector(ntot, p, mode)
-                matrix = build_transformed_wu(sector, mp)
-                worst_tri = max(worst_tri, float(np.max(np.abs(np.tril(matrix, -1)))))
-                expected = mode.epsilon * (2 * np.arange(sector.dim) + p)
-                worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(matrix) - expected))))
-                for n in range(sector.dim):
-                    vec = wu_eigenstate(sector, mp, n)
-                    lam = mode.epsilon * (2 * n + p)
-                    worst_res = max(worst_res, float(np.linalg.norm(matrix @ vec - lam * vec)))
-                x = rng.standard_normal(sector.dim)
-                y = apply_exp_w(apply_exp_w(x, sector, mp, 1.0), sector, mp, -1.0)
-                worst_inv = max(worst_inv, float(np.max(np.abs(y - x)) / np.max(np.abs(x))))
-    ok = (
-        worst_tri == 0.0
-        and worst_diag <= 1e-12
-        and worst_res <= 1e-10
-        and worst_inv <= 1e-13
-    )
-    _report(
-        "A10 wu-sector",
-        ok,
-        f"subdiag={worst_tri:.1e} (=0), diag dev={worst_diag:.1e} (tol 1e-12), "
-        f"residual={worst_res:.3e} (tol 1e-10), exp(W) inverse={worst_inv:.3e} (tol 1e-13)",
-        time.perf_counter() - t0,
-        5.0,
-    )
-
-
-def test_a11_ground_state_depletion():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for alpha in (0.1, 0.5, 0.9):
-        st = mode_ground_state(alpha, 600)
-        worst = max(worst, abs(pair_occupancy(st) - alpha**2 / (1.0 - alpha**2)))
-    mp = ModelParams(a=1.0 / (16.0 * math.pi), rho=1.0, L=2.0 * math.pi)
-    report = depletion_report(mp, 3)
-    generated = report["depletion"] > 0 and 0 < report["depletion_fraction"] < 1
-    _report(
-        "A11 ground-state-depletion",
-        worst <= 1e-10 and generated,
-        f"max occupancy dev={worst:.3e} (tol 1e-10), "
-        f"depletion/N={report['depletion_fraction']:.4f}",
-        time.perf_counter() - t0,
-        2.0,
-    )
+# one test per row, named after its criterion (A1 -> test_a1_bogoliubov_...)
+for _criterion in CRITERIA:
+    _name = "test_" + _criterion.lower().replace(" ", "_").replace("-", "_")
+    globals()[_name] = lambda criterion=_criterion: _gate(criterion)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pairspec.checks
+import test_acceptance
 from pairspec.cli import main
 
 REF_ARGS = ["--a", str(1.0 / (16.0 * math.pi)), "--rho", "1", "--L", str(2.0 * math.pi)]
@@ -140,7 +141,8 @@ class TestVerify:
         assert out1 == out2
 
     def test_injected_fault_fails(self, capsys, monkeypatch):
-        # flipped sign in the closed-form spectrum must trip the referee check
+        # flipped sign in the closed-form spectrum must trip the referee check,
+        # both in verify and in the acceptance row that shares its definition
         def broken(y, p, n):
             root = math.sqrt(1 - 4 * y * y)
             return root * (n + p / 2.0 + 0.5) + 0.5  # wrong sign on the shift
@@ -150,6 +152,8 @@ class TestVerify:
         assert code == 2
         payload = json.loads(out)
         assert not payload["passed"]
+        results, _ = test_acceptance.measure("A1 bogoliubov-spectrum-vs-oracle")
+        assert not all(r.passed for r in results)
 
 
 class TestGram:
@@ -184,3 +188,11 @@ class TestWu:
         residuals = [float(r.split(",")[2]) for r in rows]
         np.testing.assert_allclose(energies, math.sqrt(2.0) * np.array([0.0, 2.0, 4.0]), rtol=1e-12)
         assert max(residuals) <= 1e-10
+
+    def test_large_sector_is_finite(self, capsys):
+        # the exact factorial weights of this sector lie beyond double range
+        code, out = run(capsys, ["wu", *REF_ARGS, "--N", "400", "--p", "0", "--kn", "0,0,1"])
+        assert code == 0
+        rows = [[float(x) for x in l.split(",")] for l in out.splitlines() if re.match(r"^\d+,", l)]
+        assert len(rows) == 201
+        assert np.all(np.isfinite(rows))

@@ -77,8 +77,8 @@ class TestDerivative:
         assert derivative_residual(-1, 0.0, 1.0) <= 1e-15
 
     def test_hand_cases(self):
-        assert derivative_residual(-1, -1.0, 1.0, 2.0) <= 1e-13
-        assert derivative_residual(-3, -2.0, 2.0, 1.5) <= 1e-13
+        assert derivative_residual(-1, -1.0, 1.0) <= 1e-13
+        assert derivative_residual(-3, -2.0, 2.0) <= 1e-13
 
     def test_grid(self):
         for a in range(-5, 0):

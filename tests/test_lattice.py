@@ -11,7 +11,6 @@ from pairspec.lattice import (
     half_lattice,
     half_lattice_indices,
     mode_params,
-    pair_amplitude,
     y12,
     ytilde_from_y,
 )
@@ -168,29 +167,6 @@ class TestY12:
         y = 0.3
         y1, _ = y12(y, alpha_c(y))
         assert y1 == pytest.approx(ytilde_from_y(y), rel=1e-14)
-
-
-class TestPairAmplitude:
-    def test_default_is_minus_branch(self):
-        mp = ModelParams(**REF)
-        k = (0.0, 0.0, 1.0)
-        assert pair_amplitude(mp, k) == mode_params(mp, k).alpha
-
-    def test_branches_multiply_to_unity(self):
-        # the two quadratic roots satisfy alpha_- * alpha_+ = 1
-        mp = ModelParams(**REF)
-        k = (0.0, 1.0, 1.0)
-        prod = pair_amplitude(mp, k) * pair_amplitude(mp, k, plus_branch=True)
-        assert prod == pytest.approx(1.0, rel=1e-12)
-
-    def test_plus_branch_outside_unit_interval(self):
-        mp = ModelParams(**REF)
-        assert pair_amplitude(mp, (0.0, 0.0, 1.0), plus_branch=True) > 1.0
-
-    def test_plus_branch_free_limit_rejected(self):
-        mp = ModelParams(a=0.0, rho=1.0, L=2 * math.pi)
-        with pytest.raises(ValueError):
-            pair_amplitude(mp, (0.0, 0.0, 1.0), plus_branch=True)
 
 
 class TestAlphaSum:

@@ -145,6 +145,16 @@ class TestWuEigenstate:
         assert v[1] / v[2] == pytest.approx(ytil * math.sqrt(2.0), rel=1e-12)
         assert v[0] / v[2] == pytest.approx(ytil**2 * math.sqrt(6.0) / 2.0, rel=1e-12)
 
+    def test_large_sector_top_index(self):
+        # C(Ntot, 2s) (2s)! overflows a double from Ntot = 180 on
+        sector, mp, mode = make(180, 0)
+        n = sector.dim - 1
+        v = wu_eigenstate(sector, mp, n)
+        m = build_transformed_wu(sector, mp)
+        lam = mode.epsilon * 2 * n
+        assert np.all(np.isfinite(v))
+        assert np.linalg.norm(m @ v - lam * v) <= 1e-10 * lam
+
     def test_bad_index_rejected(self):
         sector, mp, _ = make(4, 0)
         with pytest.raises(ValueError):
