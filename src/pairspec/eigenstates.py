@@ -78,6 +78,14 @@ def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:
     is accumulated separately, giving arithmetic independent of the energy
     recurrence route.  The internal convention is c_0 = 1; ``normalize``
     rescales to unit norm and is refused for non-square-summable labels.
+
+    From the first s at which the product leaves double range (ytilde^(-s)
+    overflows, or a factor or the coefficient over- or underflows) the
+    remaining coefficients are formed in log space instead: the magnitude
+    from :func:`coeff_log_magnitudes`' running log-sum, the phase as the
+    running product of (theta-j)/|theta-j|.  A coefficient that is itself
+    beyond double range raises ``ValueError`` naming the largest
+    representable ``smax``.
     """
     if spec.ytilde <= 0:
         raise ValueError(f"ytilde must be > 0, got {spec.ytilde}")
@@ -91,13 +99,40 @@ def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:
     for s in range(1, top + 1):
         binom_theta *= (theta - (s - 1)) / s
         binom_ps *= (spec.p + s) / s
-        c[s] = spec.ytilde ** (-s) * binom_theta / math.sqrt(binom_ps)
+        try:
+            c[s] = spec.ytilde ** (-s) * binom_theta / math.sqrt(binom_ps)
+        except OverflowError:
+            break  # c[s] stays zero and is caught below
+    # no factor vanishes before top, so a zero is an underflow
+    left = np.flatnonzero((c[1 : top + 1] == 0) | ~np.isfinite(c[1 : top + 1]))
+    if left.size:
+        start = 1 + int(left[0])
+        c[start : top + 1] = _log_space_coeffs(spec, start, top)
     st = LadderState(spec.p, c, spec.mirror)
     if normalize:
         if classify_normalizable(spec.ytilde, theta, spec.p) is Normalizability.NOT_NORMALIZABLE:
             raise ValueError("state is not square-summable; refusing to normalize")
         st = LadderState(spec.p, c / st.norm(), spec.mirror)
     return st
+
+
+def _log_space_coeffs(spec: EigenstateSpec, start: int, top: int) -> np.ndarray:
+    """Coefficients c_start..c_top of :func:`psi_p_theta` assembled in log space."""
+    theta = complex(spec.theta)
+    j = np.arange(top, dtype=float)
+    step = theta - j
+    phase = np.concatenate(([1.0 + 0.0j], np.cumprod(step / np.abs(step))))
+    with np.errstate(over="ignore"):
+        mag = np.exp(_log_magnitudes(spec.ytilde, theta, spec.p, top))
+    beyond = np.flatnonzero(~np.isfinite(mag[start:]))
+    if beyond.size:
+        s = start + int(beyond[0])
+        raise ValueError(
+            f"eigenstate coefficient c_{s} (p={spec.p}, theta={spec.theta}, "
+            f"ytilde={spec.ytilde}) is beyond double range; the largest "
+            f"representable smax is {s - 1}"
+        )
+    return (phase * mag)[start:]
 
 
 def recurrence_coeffs(energy: complex, p: int, ytilde: float, smax: int) -> LadderState:
@@ -148,6 +183,11 @@ def coeff_log_magnitudes(ytilde: float, theta: float, p: int, smax: int) -> np.n
         raise ValueError(f"ytilde must be > 0, got {ytilde}")
     if _integer_theta(complex(theta)) is not None:
         raise ValueError("theta is a nonnegative integer; the expansion terminates")
+    return _log_magnitudes(ytilde, theta, p, smax)
+
+
+def _log_magnitudes(ytilde: float, theta: complex, p: int, smax: int) -> np.ndarray:
+    """log |c_s|, s = 0..smax, for any theta that does not terminate before smax."""
     s = np.arange(smax + 1, dtype=float)
     j = np.arange(smax, dtype=float)
     log_binom_theta = np.concatenate(

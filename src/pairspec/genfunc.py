@@ -127,27 +127,45 @@ def e_from_b(B: complex, p: int, y: float, alpha: float) -> complex:
 def mobius(g: GenFn, alpha: float) -> GenFn:
     """Series of (1 + alpha z)^(-1) G(z / (1 + alpha z)) through order smax.
 
-    Computed by honest power-series composition (Horner over truncated
-    polynomial products), deliberately a different arithmetic route from the
-    binomial convolution of the exponential pair transform; the two must
-    agree coefficientwise.
+    Power-series composition by Horner's rule in u = z / (1 + alpha z),
+    carried out one output order at a time.  The closing factor is folded in:
+    (1 + alpha z)^(-1) G(u) = H(u) / z with H(w) = w G(w), so the result is
+    H(u) shifted down by one order.  Let W_i be the Horner state after i
+    coefficients of H.  Multiplying by u is the first-order recurrence
+    (u W)[k] = W[k-1] - alpha (u W)[k-1], hence W_i[k] = W_{i-1}[k-1] -
+    alpha W_i[k-1]: the column of order k, taken over all i, is one shift and
+    one axpy of the column of order k-1, and its last entry is the
+    coefficient of order k.  Only the rows that still reach that last entry
+    are kept, one fewer per order, so the cost is n^2/2 complex axpys in n
+    numpy steps with O(n) extra memory and no n x n array.  A result (or
+    Horner state) beyond double range is refused with ``ValueError``.
+
+    This is the in-package referee of the exponential pair transform and is
+    deliberately a different arithmetic route: repeated float64 differencing
+    in the Moebius picture, sharing no code with the binomial columns
+    (longdouble running products of C(m, s) t^(m-s)) of
+    :mod:`pairspec.pair_transform`; the two must agree coefficientwise.
     """
     n = len(g.C)
     if n == 0:
         return g
-    # u(z) = z / (1 + alpha z) as a truncated series
-    u = np.zeros(n, dtype=complex)
-    u[1:] = (-alpha) ** np.arange(n - 1, dtype=float)
-    comp = np.zeros(n, dtype=complex)
-    for cs in g.C[::-1]:  # Horner: comp <- comp * u + c_s
-        comp = _series_mul(comp, u, n)
-        comp[0] += cs
-    inv = (-alpha) ** np.arange(n, dtype=float) + 0.0j  # 1/(1 + alpha z)
-    return GenFn(g.p, _series_mul(comp, inv, n), g.mirror)
-
-
-def _series_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    return np.convolve(a, b)[:n]
+    out = np.empty(n, dtype=complex)
+    # the order-1 column of H's Horner states is its order-0 column shifted:
+    # over the rows that reach the result, the coefficients of G in reverse
+    col = g.C[::-1].copy()
+    out[0] = col[-1]
+    # overflow becomes inf or nan here and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            col[:-1] -= alpha * col[1:]
+            col = col[:-1]
+            out[k] = col[-1]
+    if not np.all(np.isfinite(out)):
+        raise ValueError(
+            f"Moebius image at alpha={alpha!r} of this length-{n} series has coefficients "
+            "beyond double range"
+        )
+    return GenFn(g.p, out, g.mirror)
 
 
 def q_invariant(y: float, alpha: float) -> float:

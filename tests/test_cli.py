@@ -121,6 +121,13 @@ class TestEigenstate:
         rows = [l for l in out.splitlines() if re.match(r"^\d+,", l)]
         assert float(rows[1].split(",")[1]) == pytest.approx(1 / ytil, rel=1e-10)
 
+    def test_unrepresentable_expansion_is_one_line_error(self, capsys):
+        code = main(["eigenstate", "--y", "0.2", "--theta", "0.5", "--smax", "2000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and err.rstrip().endswith("smax is 473")
+
     def test_missing_coupling_is_invalid(self, capsys):
         code = main(["eigenstate", "--theta", "1"])
         capsys.readouterr()

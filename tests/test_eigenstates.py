@@ -47,6 +47,22 @@ class TestPsiPTheta:
         with pytest.raises(ValueError):
             psi_p_theta(EigenstateSpec(0, 0.5, 0.5, 8), normalize=True)
 
+    @pytest.mark.parametrize(("ytil", "smax", "largest"), [(0.01, 200, 156), (0.5, 2000, 1040)])
+    def test_beyond_double_range(self, ytil, smax, largest):
+        # ytilde^(-s) alone overflows from s = 155 (ytilde = 0.01) and s = 1024
+        # (ytilde = 0.5); the coefficients themselves a few orders later
+        with pytest.raises(ValueError, match=f"largest representable smax is {largest}$"):
+            psi_p_theta(EigenstateSpec(0, 0.5, ytil, smax))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            c = psi_p_theta(EigenstateSpec(0, 0.5, ytil, largest)).coeffs
+        # binom(1/2, s) = Gamma(3/2) / (s! Gamma(3/2 - s)), of sign (-1)^(s-1)
+        s = np.arange(1, largest + 1)
+        lg = np.vectorize(math.lgamma)
+        want = -s * math.log(ytil) + math.lgamma(1.5) - lg(s + 1.0) - lg(1.5 - s)
+        np.testing.assert_allclose(np.log(np.abs(c[1:])), want, rtol=0, atol=1e-10)
+        assert np.all(np.sign(c[1:].real) == (-1.0) ** (s - 1))
+        assert np.all(c.imag == 0)
+
 
 class TestRecurrence:
     def test_terminating_energy(self):

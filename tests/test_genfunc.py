@@ -1,7 +1,11 @@
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pairspec.eigenstates import EigenstateSpec, psi_p_theta
 from pairspec.fock_ladder import LadderState
@@ -21,10 +25,16 @@ from pairspec.genfunc import (
 from pairspec.hamiltonians import bog_energy_ab
 from pairspec.lattice import alpha_c, y12, ytilde_from_y
 from pairspec.pair_transform import apply_exp_pair
+from test_pair_transform import EPS, RAISE, assert_within_bound
 
 
 def state(p, coeffs):
     return LadderState(p, np.array(coeffs, dtype=complex))
+
+
+def dense_series(n, ratio, seed):
+    rng = np.random.default_rng(seed)
+    return GenFn(0, ratio ** np.arange(n) * np.exp(2j * math.pi * rng.random(n)))
 
 
 class TestRescaling:
@@ -167,6 +177,70 @@ class TestMobius:
             via_conv = from_state(apply_exp_pair(st, -alpha)).C
             scale = max(1.0, float(np.max(np.abs(via_conv))))
             assert float(np.max(np.abs(via_series - via_conv))) <= 1e-11 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        hs.lists(
+            hs.tuples(hs.integers(-(2**20), 2**20), hs.integers(-(2**20), 2**20)),
+            min_size=1,
+            max_size=40,
+        ),
+        hs.integers(-15, 15),
+        hs.integers(0, 12),
+    )
+    def test_exact_fraction_composition(self, numerators, a_num, scale):
+        # dyadic C and alpha: [z^k] = sum_{s<=k} C_s C(k,s) (-alpha)^(k-s) is
+        # exact in Fraction, and the double inputs carry no rounding of their own
+        alpha = Fraction(a_num, 16)
+        C = [(Fraction(re, 2**scale), Fraction(im, 2**scale)) for re, im in numerators]
+        n = len(C)
+        with np.errstate(**RAISE):
+            got = mobius(GenFn(0, [complex(re, im) for re, im in C]), float(alpha)).C
+        exact = np.zeros(n, dtype=complex)
+        absum = np.zeros(n)
+        for k in range(n):
+            weights = [math.comb(k, s) * (-alpha) ** (k - s) for s in range(k + 1)]
+            re = sum(w * C[s][0] for s, w in enumerate(weights))
+            im = sum(w * C[s][1] for s, w in enumerate(weights))
+            exact[k] = complex(float(re), float(im))
+            absum[k] = sum(abs(complex(C[s][0], C[s][1])) * float(abs(w)) for s, w in enumerate(weights))
+        assert_within_bound(got, exact, absum)
+
+    def test_mpmath_dense_state(self):
+        # the dense benchmark size; orders sampled to keep the reference cheap
+        mpmath = pytest.importorskip("mpmath")
+        n, alpha = 1600, 0.1
+        g = dense_series(n, 0.8, 5)
+        with np.errstate(**RAISE):
+            got = mobius(g, alpha).C
+        orders = [*range(0, n, 100), n - 1]
+        exact = np.zeros(len(orders), dtype=complex)
+        absum = np.zeros(len(orders))
+        with mpmath.workdps(40):
+            for i, k in enumerate(orders):
+                weight = mpmath.mpf(-alpha) ** k  # C(k,s) (-alpha)^(k-s) at s = 0
+                total, size = mpmath.mpc(0), mpmath.mpf(0)
+                for s in range(k + 1):
+                    term = mpmath.mpc(complex(g.C[s])) * weight
+                    total += term
+                    size += abs(term)
+                    weight *= mpmath.mpf(k - s) / ((s + 1) * mpmath.mpf(-alpha))
+                exact[i], absum[i] = complex(total), float(size)
+        bound = 4.0 * (np.array(orders) + 1.0) * EPS * absum
+        assert np.all(np.abs(got[orders] - exact) <= bound)
+
+    def test_dense_runtime_budget(self):
+        # the O(n^2) route takes milliseconds at this size, an O(n^3) one seconds
+        g = dense_series(1600, 0.8, 6)
+        start = time.perf_counter()
+        mobius(g, 0.1)
+        assert time.perf_counter() - start <= 1.0
+
+    def test_unrepresentable_image_refused(self):
+        # (1 + 2z)^(-1) 1e300 = 1e300 sum_k (-2z)^k passes 1e308 at k = 27
+        g = GenFn(0, np.concatenate(([1e300], np.zeros(63))))
+        with np.errstate(**RAISE), pytest.raises(ValueError, match="beyond double range"):
+            mobius(g, 2.0)
 
 
 class TestQInvariant:
