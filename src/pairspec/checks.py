@@ -272,6 +272,20 @@ def _depletion(rng, nmax=1):
     return [_result("eigen", "ground-state depletion lies strictly between 0 and N", dev, 0.0)]
 
 
+def _transformed_block_spectrum(rng, fractions=(0.5,), ps=(0, 1), smax=60):
+    dev = 0.0
+    for y in (0.3, 0.45):
+        for frac in fractions:
+            alpha = frac * alpha_c(y)
+            for p in ps:
+                block = build_tridiagonal(p, *y12(y, alpha), smax)
+                diag, off, _ = oracle.symmetrize_tridiag(block)
+                vals = oracle.sym_tridiag_eig(diag, off)
+                for n in range(3):
+                    dev = max(dev, abs(vals[n] - genfunc.e_from_b(n + p, p, y, alpha)))
+    return [_result("eigen", "symmetrized transformed block reproduces e_from_b", dev, 1e-10)]
+
+
 # ------------------------------------------------------------------ genfunc
 
 def _rescaling_round_trip(rng):
@@ -509,6 +523,7 @@ _SUITES = {
         _transport_energy,
         _cauchy_tail,
         _depletion,
+        _transformed_block_spectrum,
     ),
     "genfunc": (
         _rescaling_round_trip,

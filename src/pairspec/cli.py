@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, checks, hypergeom, wu_sector
-from .eigenstates import EigenstateSpec, classify_normalizable, psi_p_theta
+from .eigenstates import EigenstateSpec, _log_coeffs, classify_normalizable, psi_p_theta
 from .lattice import ModelParams, alpha_sum, half_lattice, mode_params, ytilde_from_y
 from .pair_transform import DomainVerdict, apply_exp_pair, domain_check
 
@@ -154,8 +154,8 @@ def cmd_eigenstate(args: argparse.Namespace) -> int:
     code = 0
     if args.transform is not None:
         alpha = args.transform
-        rule = _coeff_rule(spec)
-        dverdict = domain_check(rule, alpha, args.p, max(200, args.smax))
+        horizon = max(200, args.smax)
+        dverdict = domain_check(_log_coeffs(ytil, theta, args.p, horizon), alpha, args.p, horizon)
         lines.append(f"transform_domain = {dverdict.value}")
         if dverdict is DomainVerdict.NOT_IN_DOMAIN:
             code = 2
@@ -171,20 +171,6 @@ def cmd_eigenstate(args: argparse.Namespace) -> int:
                 lines.append(f"{s},{fmt(c.real)},{fmt(c.imag)}")
     _write_output("\n".join(lines) + "\n", args.out)
     return code
-
-
-def _coeff_rule(spec: EigenstateSpec):
-    cache: dict[int, np.ndarray] = {}
-
-    def rule(s: int) -> complex:
-        n = max(spec.smax, s)
-        if n not in cache:
-            cache[n] = psi_p_theta(
-                EigenstateSpec(spec.p, spec.theta, spec.ytilde, n, spec.mirror)
-            ).coeffs
-        return complex(cache[n][s])
-
-    return rule
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -119,11 +119,9 @@ def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:
 def _log_space_coeffs(spec: EigenstateSpec, start: int, top: int) -> np.ndarray:
     """Coefficients c_start..c_top of :func:`psi_p_theta` assembled in log space."""
     theta = complex(spec.theta)
-    j = np.arange(top, dtype=float)
-    step = theta - j
-    phase = np.concatenate(([1.0 + 0.0j], np.cumprod(step / np.abs(step))))
     with np.errstate(over="ignore"):
-        mag = np.exp(_log_magnitudes(spec.ytilde, theta, spec.p, top))
+        mag = np.exp(_log_coeffs(spec.ytilde, theta, spec.p, top).real)
+    phase = _unit_phases(theta, top)
     beyond = np.flatnonzero(~np.isfinite(mag[start:]))
     if beyond.size:
         s = start + int(beyond[0])
@@ -183,20 +181,34 @@ def coeff_log_magnitudes(ytilde: float, theta: float, p: int, smax: int) -> np.n
         raise ValueError(f"ytilde must be > 0, got {ytilde}")
     if _integer_theta(complex(theta)) is not None:
         raise ValueError("theta is a nonnegative integer; the expansion terminates")
-    return _log_magnitudes(ytilde, theta, p, smax)
+    return _log_coeffs(ytilde, theta, p, smax).real
 
 
-def _log_magnitudes(ytilde: float, theta: complex, p: int, smax: int) -> np.ndarray:
-    """log |c_s|, s = 0..smax, for any theta that does not terminate before smax."""
+def _log_coeffs(ytilde: float, theta: complex, p: int, smax: int) -> np.ndarray:
+    """log c_s = log|c_s| + i arg c_s for s = 0..smax.
+
+    The real part is -inf past a terminating theta; arg c_s lies in (-pi, pi]
+    and is exactly 0 or pi for real theta.
+    """
     s = np.arange(smax + 1, dtype=float)
     j = np.arange(smax, dtype=float)
-    log_binom_theta = np.concatenate(
-        ([0.0], np.cumsum(np.log(np.abs(theta - j))))
-    ) - np.array([math.lgamma(v + 1.0) for v in s])
+    with np.errstate(divide="ignore"):  # theta - j = 0 terminates the expansion
+        log_binom_theta = np.concatenate(
+            ([0.0], np.cumsum(np.log(np.abs(theta - j))))
+        ) - np.array([math.lgamma(v + 1.0) for v in s])
     log_binom_ps = np.array(
         [math.lgamma(p + v + 1.0) - math.lgamma(v + 1.0) - math.lgamma(p + 1.0) for v in s]
     )
-    return -s * math.log(ytilde) + log_binom_theta - 0.5 * log_binom_ps
+    arg = np.angle(_unit_phases(theta, smax))
+    return -s * math.log(ytilde) + log_binom_theta - 0.5 * log_binom_ps + 1j * arg
+
+
+def _unit_phases(theta: complex, smax: int) -> np.ndarray:
+    """prod_{j<s} (theta-j)/|theta-j| for s = 0..smax: exactly +-1 for real
+    theta, and 0 past a terminating one."""
+    step = theta - np.arange(smax, dtype=float)
+    unit = np.divide(step, np.abs(step), out=np.zeros_like(step), where=step != 0)
+    return np.concatenate(([1.0 + 0.0j], np.cumprod(unit)))
 
 
 def partial_norms(ytilde: float, theta: float, p: int, smax: int) -> np.ndarray:

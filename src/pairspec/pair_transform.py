@@ -7,7 +7,8 @@ binomial convolution
 
 with t = -alpha for the forward map and +alpha for its inverse: a Taylor
 shift, computed as one extended-precision running product per nonzero C_s
-(see apply_exp_pair).  The module also provides a numerical domain test for
+(_binomial_columns, the one kernel behind apply_exp_pair, domain_check and
+conjugation_check).  The module also provides a numerical domain test for
 the transform, an operational check of the conjugation identity
 exp(-P) a exp(P) = a - alpha a*_{-k} (exact because the commutator series
 terminates), and the per-mode ground state.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -35,6 +35,10 @@ __all__ = [
     "rescale_to_genfn_coords",
     "rescale_from_genfn_coords",
 ]
+
+
+_TINY = np.finfo(float).tiny  # smallest normal double
+_LOG_SUBNORMAL = math.log(np.finfo(float).smallest_subnormal)
 
 
 def _log_rescale(p: int, n: int) -> np.ndarray:
@@ -77,7 +81,10 @@ def _binomial_shift(C: np.ndarray, t: float) -> np.ndarray:
     mag = np.abs(C)
     out = np.zeros(len(C), dtype=complex)
     for s, col in _binomial_columns(t, mag):
-        out[s:] += (C[s] / mag[s]) * col.astype(float)
+        # the division multiplies by 1/|C_s|, which overflows for a subnormal
+        # |C_s|; scaling both by a power of two first is exact
+        scale = 1.0 if mag[s] >= _TINY else 2.0**64
+        out[s:] += (C[s] * scale / (mag[s] * scale)) * col.astype(float)
     return out
 
 
@@ -122,89 +129,75 @@ class DomainVerdict(enum.Enum):
 
 
 def domain_check(
-    coeff_rule: Callable[[int], complex],
+    log_coeffs: np.ndarray,
     alpha: float,
     p: int,
     horizon: int,
 ) -> DomainVerdict:
     """Numerically probe whether exp(-alpha a*b*) keeps a state square-summable.
 
-    The transformed rescaled coefficients are formed up to the horizon with a
-    shifted-exponent accumulation (signed sums of exp(log-terms), so neither
-    huge binomials nor tiny couplings overflow).  Because the convolutions
+    ``log_coeffs`` holds the complex logarithms log|c_s| + i arg c_s of the
+    state's coefficients for s = 0..horizon (a real part of -inf marks a
+    zero), so a state may be given far beyond double range.  A coefficient
+    below double's subnormal range counts as zero.  The transformed rescaled
+    coefficients are formed up to the horizon from the binomial columns of
+    the Taylor shift in np.longdouble; a state whose terms leave that range
+    (about 1e4932) is refused with ``ValueError``.  Because the convolutions
     alternate in sign, every coefficient carries a noise ceiling set by its
     largest term; only coefficients safely above that ceiling are treated as
     known, the rest only as bounded by it.  The verdict is ``NOT_IN_DOMAIN``
     when the certified tail grows geometrically, ``IN_DOMAIN`` when the
     partial norms of the certified-or-bounded sequence are Cauchy (the last
     window adds under 1e-10 of the head), and ``INCONCLUSIVE`` otherwise --
-    including when double precision genuinely cannot tell, e.g. for strongly
-    cancelling rules whose noise ceiling itself diverges.  Evidence, not
+    including when the arithmetic genuinely cannot tell, e.g. for strongly
+    cancelling states whose noise ceiling itself diverges.  Evidence, not
     proof.
     """
     if horizon < 100:
         raise ValueError(f"horizon must be >= 100, got {horizon}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    c = np.array([complex(coeff_rule(s)) for s in range(horizon + 1)])
-    logr = _log_rescale(p, horizon + 1)
-    mag = np.abs(c)
-    with np.errstate(divide="ignore"):
-        log_resc = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)) + logr, -np.inf)
-    phase = np.where(mag > 0, c / np.where(mag > 0, mag, 1.0), 0.0)
-    log_alpha = math.log(alpha)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, horizon + 1)))))
-
-    log_out = np.full(horizon + 1, -np.inf)
-    log_noise = np.full(horizon + 1, -np.inf)
-    support = np.nonzero(mag > 0)[0]
-    for m in range(horizon + 1):
-        s_idx = support[support <= m]
-        if len(s_idx) == 0:
-            continue
-        log_terms = (
-            log_resc[s_idx]
-            + (m - s_idx) * log_alpha
-            + log_fact[m]
-            - log_fact[s_idx]
-            - log_fact[m - s_idx]
-        )
-        top = float(log_terms.max())
-        if top == -np.inf:
-            continue
-        signed = phase[s_idx] * (-1.0) ** (m - s_idx)
-        total = np.sum(signed * np.exp(log_terms - top))
-        log_noise[m] = top + math.log(1e-15 * max(len(s_idx), 4))
-        if abs(total) > 0:
-            log_out[m] = top + math.log(abs(total))
-
-    if not np.isfinite(log_noise).any():
+    log_c = np.asarray(log_coeffs, dtype=complex)
+    if log_c.ndim != 1 or len(log_c) <= horizon:
+        raise ValueError(f"log_coeffs must hold c_0..c_{horizon}, got shape {log_c.shape}")
+    log_c = log_c[: horizon + 1]
+    if np.isnan(log_c).any():
+        raise ValueError("log_coeffs contains NaN")
+    live = log_c.real >= _LOG_SUBNORMAL
+    leads = np.zeros(horizon + 1, dtype=np.longdouble)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_lead = log_c.real[live] + _log_rescale(p, horizon + 1)[live]
+        leads[live] = np.exp(log_lead.astype(np.longdouble))
+        # the columns C(m, s) alpha^(m-s) are positive: the sign (-1)^(m-s) is
+        # (-1)^s in each column's weight times a (-1)^m that |C'_m| ignores
+        weight = np.exp(1j * log_c.imag) * (-1.0) ** np.arange(horizon + 1)
+        w_re, w_im = weight.real.astype(np.longdouble), weight.imag.astype(np.longdouble)
+        re, im, top = np.zeros((3, horizon + 1), dtype=np.longdouble)
+        for s, col in _binomial_columns(alpha, leads):
+            re[s:] += w_re[s] * col
+            im[s:] += w_im[s] * col
+            np.maximum(top[s:], col, out=top[s:])
+        out = np.hypot(re, im)
+    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(top))):
+        raise ValueError("terms of the transformed state are beyond extended range (1e4932)")
+    if not top.any():
         return DomainVerdict.IN_DOMAIN  # zero state
-    certified = log_out > log_noise + math.log(10.0)
-    cert_idx = np.nonzero(certified)[0]
+    noise = top * (1e-15 * np.maximum(np.cumsum(live), 4))
+    cert_idx = np.flatnonzero(out > 10.0 * noise)
     if len(cert_idx) >= 16:
         window = cert_idx[len(cert_idx) // 2 :]
-        slope = np.polyfit(window.astype(float), log_out[window], 1)[0]
+        slope = np.polyfit(window.astype(float), np.log(out[window]).astype(float), 1)[0]
         if slope > 5e-3:
             return DomainVerdict.NOT_IN_DOMAIN
-    # Cauchy probe on partial norms of the known-or-bounded magnitudes
-    log_bound = np.maximum(log_out, log_noise)
-    idx = np.arange(horizon + 1)[np.isfinite(log_bound)]
-    log_sq = 2.0 * log_bound[idx]
-    head = _sumexp(log_sq[idx <= horizon // 2])
-    inc = _sumexp(log_sq[idx > horizon // 2])
-    if inc <= 1e-10 * max(head, 1.0):
+    # Cauchy probe on partial norms of the known-or-bounded magnitudes, in log space
+    with np.errstate(divide="ignore"):
+        log_sq = 2.0 * np.log(np.maximum(out, noise))
+    half = horizon // 2 + 1
+    head = np.logaddexp.reduce(log_sq[:half], initial=-np.inf)
+    inc = np.logaddexp.reduce(log_sq[half:], initial=-np.inf)
+    if inc <= math.log(1e-10) + max(head, 0.0):
         return DomainVerdict.IN_DOMAIN
     return DomainVerdict.INCONCLUSIVE
-
-
-def _sumexp(log_terms: np.ndarray) -> float:
-    if len(log_terms) == 0:
-        return 0.0
-    top = log_terms.max()
-    if top == -np.inf:
-        return 0.0
-    return float(np.exp(top) * np.sum(np.exp(log_terms - top)))
 
 
 def conjugation_check(alpha: float, smax: int) -> float:

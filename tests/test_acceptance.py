@@ -15,7 +15,10 @@ from pairspec import checks
 
 # criterion: (runtime budget in s, seed, [(measurement, strict grid), ...])
 CRITERIA = {
-    "A1 bogoliubov-spectrum-vs-oracle": (5.0, 0, [(checks._oracle_spectrum, dict(smax=300, levels=6))]),
+    "A1 bogoliubov-spectrum-vs-oracle": (5.0, 0, [
+        (checks._oracle_spectrum, dict(smax=300, levels=6)),
+        (checks._transformed_block_spectrum, dict(fractions=(0.25, 0.5, 0.9), ps=range(3), smax=80)),
+    ]),
     "A2 exact-finite-eigenstates": (1.0, 0, [(checks._finite_eigenstates, dict(ps=range(21), ns=range(21)))]),
     "A3 eigenstate-transport": (10.0, 0, [
         (checks._transport, dict(ps=range(4), ns=range(6), pad=400)),

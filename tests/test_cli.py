@@ -111,6 +111,24 @@ class TestEigenstate:
         assert code == 2
         assert "transform_domain = NotInDomain" in out
 
+    def test_subnormal_coefficient_transforms(self, capsys):
+        argv = ["eigenstate", "--y", "0.49", "--theta", "0.5", "--smax", "800", "--transform", "0.1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "transform_domain = InDomain" in captured.out
+        block = captured.out.split("s,transformed_re,transformed_im\n")[1].splitlines()
+        values = [float(x) for row in block for x in row.split(",")[1:]]
+        assert len(block) == 801 and all(map(math.isfinite, values))
+
+    def test_domain_verdict_beyond_double_range(self, capsys):
+        # c_200 of this state is beyond double range; only smax = 100 is printed
+        argv = ["eigenstate", "--y", "0.01", "--theta", "0.5", "--smax", "100", "--transform", "0.001"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert "transform_domain = NotInDomain" in captured.out
+
     def test_k_mode_source(self, capsys):
         code, out = run(
             capsys,

@@ -182,6 +182,10 @@ class TestBinomialShiftReferees:
         assert out[1999] == pytest.approx(1.0, rel=1e-12)
         assert out[2000] == pytest.approx(-1800.0, rel=1e-12)
 
+    def test_subnormal_coefficient_keeps_its_phase(self):
+        out = apply_exp_pair(state(0, [1, 1e-320, 0, 0]), -0.1).coeffs
+        np.testing.assert_allclose(out, [1, -0.1, 0.01, -0.001], rtol=1e-15, atol=0)
+
     def test_unrepresentable_image_refused(self):
         # true image of e_1500 reaches ~1e833
         c = np.zeros(3001, dtype=complex)
@@ -190,28 +194,43 @@ class TestBinomialShiftReferees:
             apply_exp_pair(LadderState(0, c), -0.9)
 
 
+def log_coeffs(coeffs, n):
+    """Complex logs of coeffs padded with zeros (real part -inf) to n entries."""
+    out = np.full(n, -np.inf, dtype=complex)
+    with np.errstate(divide="ignore"):
+        out[: len(coeffs)] = np.log(np.asarray(coeffs, dtype=complex))
+    return out
+
+
 class TestDomainCheck:
     def test_finite_states_in_domain(self):
         coeffs = psi_p_theta(EigenstateSpec(0, 3, 1.0, 3)).coeffs
-
-        def rule(s):
-            return coeffs[s] if s < len(coeffs) else 0.0
-
-        assert domain_check(rule, 0.7, 0, 200) is DomainVerdict.IN_DOMAIN
+        assert domain_check(log_coeffs(coeffs, 201), 0.7, 0, 200) is DomainVerdict.IN_DOMAIN
 
     def test_geometric_growth_rejected(self):
-        assert domain_check(lambda s: 2.0**s, 0.9, 0, 200) is DomainVerdict.NOT_IN_DOMAIN
+        for phase in (0.0, math.pi / 2):  # a global phase leaves the verdict alone
+            log_c = np.arange(201) * math.log(2.0) + 1j * phase
+            assert domain_check(log_c, 0.9, 0, 200) is DomainVerdict.NOT_IN_DOMAIN
 
     def test_geometric_decay_accepted(self):
-        assert domain_check(lambda s: 0.5**s, 0.3, 0, 200) is DomainVerdict.IN_DOMAIN
+        log_c = np.arange(201) * math.log(0.5)
+        assert domain_check(log_c, 0.3, 0, 200) is DomainVerdict.IN_DOMAIN
 
     def test_deep_cancellation_is_inconclusive(self):
         # true transform decays, but the alternating sums cancel far below
         # double precision; the honest verdict is "cannot certify"
-        assert domain_check(lambda s: 0.5**s, 0.9, 0, 200) is DomainVerdict.INCONCLUSIVE
+        log_c = np.arange(201) * math.log(0.5)
+        assert domain_check(log_c, 0.9, 0, 200) is DomainVerdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("ratio, alpha, horizon", [(0.7, 0.9, 400), (0.7, 0.9, 2000), (0.6, 0.95, 1800)])
+    def test_cancellation_stays_inconclusive_at_long_horizons(self, ratio, alpha, horizon):
+        # at the two long horizons the noise ceiling passes 1e154, so the
+        # squared partial norms must be summed in log space
+        log_c = np.arange(horizon + 1) * math.log(ratio)
+        assert domain_check(log_c, alpha, 0, horizon) is DomainVerdict.INCONCLUSIVE
 
     def test_zero_state_in_domain(self):
-        assert domain_check(lambda s: 0.0 if s else 1.0, 0.5, 0, 150) is DomainVerdict.IN_DOMAIN
+        assert domain_check(log_coeffs([1.0], 151), 0.5, 0, 150) is DomainVerdict.IN_DOMAIN
 
     def test_normalizable_noninteger_label_still_excluded(self):
         # above unit coupling the state is square-summable, yet its branch
@@ -219,18 +238,32 @@ class TestDomainCheck:
         ytil = 1.5
         y = math.sqrt(ytil**2 / (1.0 + 4.0 * ytil**2))
         coeffs = psi_p_theta(EigenstateSpec(0, 0.5, ytil, 400)).coeffs
-        verdict = domain_check(lambda s: coeffs[s], alpha_c(y), 0, 400)
+        verdict = domain_check(np.log(coeffs), alpha_c(y), 0, 400)
         assert verdict is DomainVerdict.NOT_IN_DOMAIN
+
+    def test_growth_beyond_double_range_rejected(self):
+        # c_200 = 1e400 has no double, its logarithm does
+        log_c = np.arange(201) * math.log(100.0)
+        assert domain_check(log_c, 0.5, 0, 200) is DomainVerdict.NOT_IN_DOMAIN
+
+    def test_beyond_extended_range_refused(self):
+        log_c = np.arange(201) * math.log(1e30)  # c_200 = 1e6000
+        with pytest.raises(ValueError, match="beyond extended range"):
+            domain_check(log_c, 0.5, 0, 200)
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError):
-            domain_check(lambda s: 0.0, 0.5, 0, 50)
+            domain_check(np.full(51, -np.inf), 0.5, 0, 50)
+
+    def test_short_input_rejected(self):
+        with pytest.raises(ValueError, match="c_0..c_150"):
+            domain_check(np.zeros(150), 0.5, 0, 150)
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
-            domain_check(lambda s: 0.0, 0.0, 0, 150)
+            domain_check(np.full(151, -np.inf), 0.0, 0, 150)
         with pytest.raises(ValueError):
-            domain_check(lambda s: 0.0, 1.0, 0, 150)
+            domain_check(np.full(151, -np.inf), 1.0, 0, 150)
 
 
 class TestConjugation:
