@@ -16,7 +16,6 @@ from .lattice import (
     ModeParams,
     alpha_c,
     alpha_sum,
-    full_lattice,
     half_lattice,
     mode_params,
     y12,
@@ -27,7 +26,6 @@ from .eigenstates import (
     EigenstateSpec,
     Normalizability,
     classify_normalizable,
-    enumerate_degenerate,
     psi_p_theta,
     recurrence_coeffs,
     residual,

@@ -24,7 +24,14 @@ import numpy as np
 
 from . import __version__, checks, hypergeom, wu_sector
 from .eigenstates import EigenstateSpec, _log_coeffs, classify_normalizable, psi_p_theta
-from .lattice import ModelParams, alpha_sum, half_lattice, mode_params, ytilde_from_y
+from .lattice import (
+    ModelParams,
+    ModeParams,
+    _alpha_total,
+    half_lattice,
+    mode_params,
+    ytilde_from_y,
+)
 from .pair_transform import DomainVerdict, apply_exp_pair, domain_check
 
 __all__ = ["main"]
@@ -46,65 +53,34 @@ def _model_from_args(args: argparse.Namespace) -> ModelParams:
     return ModelParams(a=args.a, rho=args.rho, L=args.L, N=args.N)
 
 
-def _spectrum_rows(mp: ModelParams, nmax: int) -> list[dict]:
-    rows = []
-    for k in half_lattice(mp.L, nmax):
-        m = mode_params(mp, k)
-        rows.append(
-            {
-                "n1": m.n[0],
-                "n2": m.n[1],
-                "n3": m.n[2],
-                "k_abs": math.sqrt(m.ksq),
-                "y": m.y,
-                "ytilde": m.ytilde,
-                "alpha": m.alpha,
-                "epsilon": m.epsilon,
-            }
-        )
-    return rows
+_SPECTRUM_KEYS = ("n1", "n2", "n3", "k_abs", "y", "ytilde", "alpha", "epsilon")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     mp = _model_from_args(args)
-    rows = _spectrum_rows(mp, args.nmax)
-    asum = alpha_sum(mp, args.nmax)
-    footer = {
-        "four_pi_a_rho_N": mp.mean_field_energy,
-        "alpha_sum": asum.value,
-        "alpha_sum_grows_with_cutoff": asum.grows_with_cutoff,
-    }
+    modes = (mode_params(mp, k) for k in half_lattice(mp.L, args.nmax))
+    rows = [(*m.n, math.sqrt(m.ksq), m.y, m.ytilde, m.alpha, m.epsilon) for m in modes]
+    asum = _alpha_total(mp, (row[6] for row in rows))  # the alpha column
+    cells = ((*row[:3], *map(fmt, row[3:])) for row in rows)  # each row rendered once
     if args.format == "json":
         payload = {
             "model": {"a": fmt(mp.a), "rho": fmt(mp.rho), "L": fmt(mp.L), "N": fmt(mp.N)},
-            "modes": [
-                {key: (val if isinstance(val, int) else fmt(val)) for key, val in row.items()}
-                for row in rows
-            ],
+            "modes": [dict(zip(_SPECTRUM_KEYS, row)) for row in cells],
             "footer": {
-                "four_pi_a_rho_N": fmt(footer["four_pi_a_rho_N"]),
-                "alpha_sum": fmt(footer["alpha_sum"]),
-                "alpha_sum_grows_with_cutoff": footer["alpha_sum_grows_with_cutoff"],
+                "four_pi_a_rho_N": fmt(mp.mean_field_energy),
+                "alpha_sum": fmt(asum.value),
+                "alpha_sum_grows_with_cutoff": asum.grows_with_cutoff,
             },
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [
             f"# model,a={fmt(mp.a)},rho={fmt(mp.rho)},L={fmt(mp.L)},N={fmt(mp.N)}",
-            "n1,n2,n3,k_abs,y,ytilde,alpha,epsilon",
+            ",".join(_SPECTRUM_KEYS),
+            *(",".join(map(str, row)) for row in cells),
+            f"# four_pi_a_rho_N,{fmt(mp.mean_field_energy)}",
+            f"# alpha_sum,{fmt(asum.value)},grows_with_cutoff={asum.grows_with_cutoff}",
         ]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [str(row["n1"]), str(row["n2"]), str(row["n3"])]
-                    + [fmt(row[key]) for key in ("k_abs", "y", "ytilde", "alpha", "epsilon")]
-                )
-            )
-        lines.append(f"# four_pi_a_rho_N,{fmt(footer['four_pi_a_rho_N'])}")
-        lines.append(
-            f"# alpha_sum,{fmt(footer['alpha_sum'])},"
-            f"grows_with_cutoff={footer['alpha_sum_grows_with_cutoff']}"
-        )
         text = "\n".join(lines) + "\n"
     _write_output(text, args.out)
     return 0
@@ -119,18 +95,31 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"complex values are 're' or 're,im', got {text!r}")
 
 
+def _mode_at(mp: ModelParams, text: str, flag: str) -> ModeParams:
+    """Mode parameters at the lattice index "n1,n2,n3" given to ``flag``."""
+    n = tuple(int(v) for v in text.split(","))
+    if len(n) != 3:
+        raise ValueError(f"{flag} wants three comma-separated integers")
+    scale = 2.0 * math.pi / mp.L
+    return mode_params(mp, (scale * n[0], scale * n[1], scale * n[2]))
+
+
+def _complex_text(z: complex) -> str:
+    return fmt(z.real) + ("" if z.imag == 0 else f" + {fmt(z.imag)} i")
+
+
+def _coeff_block(header: str, coeffs: np.ndarray) -> list[str]:
+    return [header] + [f"{s},{fmt(c.real)},{fmt(c.imag)}" for s, c in enumerate(coeffs)]
+
+
 def cmd_eigenstate(args: argparse.Namespace) -> int:
     if args.y is not None:
         y = args.y
     elif args.k_mode is not None:
         if args.a is None or args.rho is None or args.L is None:
             raise ValueError("--k-mode requires --a, --rho and --L")
-        n = tuple(int(v) for v in args.k_mode.split(","))
-        if len(n) != 3:
-            raise ValueError("--k-mode wants three comma-separated integers")
         mp = ModelParams(a=args.a, rho=args.rho, L=args.L)
-        scale = 2.0 * math.pi / mp.L
-        y = mode_params(mp, (scale * n[0], scale * n[1], scale * n[2])).y
+        y = _mode_at(mp, args.k_mode, "--k-mode").y
     else:
         raise ValueError("one of --y or --k-mode is required")
     theta = _parse_complex(args.theta)
@@ -144,12 +133,9 @@ def cmd_eigenstate(args: argparse.Namespace) -> int:
         f"p = {args.p}  theta = {fmt(theta.real)}{'' if theta.imag == 0 else ',' + fmt(theta.imag)}",
         f"y = {fmt(y)}  ytilde = {fmt(ytil)}",
         f"classification = {verdict.value}",
-        f"energy = {fmt(energy.real)}"
-        + ("" if energy.imag == 0 else f" + {fmt(energy.imag)} i"),
-        "s,coeff_re,coeff_im",
+        f"energy = {_complex_text(energy)}",
+        *_coeff_block("s,coeff_re,coeff_im", st.coeffs),
     ]
-    for s, c in enumerate(st.coeffs):
-        lines.append(f"{s},{fmt(c.real)},{fmt(c.imag)}")
 
     code = 0
     if args.transform is not None:
@@ -162,13 +148,8 @@ def cmd_eigenstate(args: argparse.Namespace) -> int:
         else:
             moved = apply_exp_pair(st, -alpha)
             e_ab = (1.0 - 2.0 * alpha * y) * energy - alpha * y
-            lines.append(
-                f"transformed_energy = {fmt(e_ab.real)}"
-                + ("" if e_ab.imag == 0 else f" + {fmt(e_ab.imag)} i")
-            )
-            lines.append("s,transformed_re,transformed_im")
-            for s, c in enumerate(moved.coeffs):
-                lines.append(f"{s},{fmt(c.real)},{fmt(c.imag)}")
+            lines.append(f"transformed_energy = {_complex_text(e_ab)}")
+            lines.extend(_coeff_block("s,transformed_re,transformed_im", moved.coeffs))
     _write_output("\n".join(lines) + "\n", args.out)
     return code
 
@@ -206,11 +187,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
 def cmd_wu(args: argparse.Namespace) -> int:
     # the sector count N is independent of the nominal model N = rho L^3
     mp = ModelParams(a=args.a, rho=args.rho, L=args.L)
-    n = tuple(int(v) for v in args.kn.split(","))
-    if len(n) != 3:
-        raise ValueError("--kn wants three comma-separated integers")
-    scale = 2.0 * math.pi / mp.L
-    mode = mode_params(mp, (scale * n[0], scale * n[1], scale * n[2]))
+    mode = _mode_at(mp, args.kn, "--kn")
     sector = wu_sector.WuSector(args.N, args.p, mode)
     matrix = wu_sector.build_transformed_wu(sector, mp)
     # the sector matrix is upper bidiagonal: each residual is O(dim)

@@ -9,7 +9,7 @@ with energy p/2 + theta.  The label terminates the sum exactly when theta is
 a nonnegative integer; otherwise square-summability is decided by ytilde and
 the Stirling tail exponent.  This module builds the states two independent
 ways (product formula and energy recurrence), classifies normalizability,
-measures eigen-residuals, and enumerates degeneracies.
+and measures eigen-residuals.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "coeff_log_magnitudes",
     "partial_norms",
     "residual",
-    "enumerate_degenerate",
 ]
 
 
@@ -263,24 +262,3 @@ def residual(st: LadderState, y1: float, y2: float, energy: complex) -> float:
     top = st.smax  # rows 0 .. smax-1 are fully determined by the stored data
     diff = image.coeffs[:top] - energy * st.coeffs[:top]
     return float(np.linalg.norm(diff))
-
-
-def enumerate_degenerate(energy: float, max_p: int | None = None) -> list[tuple[int, int, bool]]:
-    """All (p, n, mirror) ladder labels with p/2 + n equal to the given energy.
-
-    Each p > 0 solution appears in both mirror branches; p = 0 appears once.
-    ``2*energy`` must be a nonnegative integer.
-    """
-    two_e = 2.0 * energy
-    if two_e < 0 or abs(two_e - round(two_e)) > 1e-12:
-        raise ValueError(f"energy must be a half-integer >= 0, got {energy}")
-    two_e = int(round(two_e))
-    out: list[tuple[int, int, bool]] = []
-    for n in range(two_e // 2 + 1):
-        p = two_e - 2 * n
-        if max_p is not None and p > max_p:
-            continue
-        out.append((p, n, False))
-        if p > 0:
-            out.append((p, n, True))
-    return out

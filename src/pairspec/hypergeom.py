@@ -194,6 +194,8 @@ def gram_witness(p: int, y: float, Nmax: int, smax: int) -> np.ndarray:
     ladder's low sector; these states are eigenstates of a Hermitian block at
     distinct energies, so the Gram is near-diagonal by construction.
     """
+    if Nmax > 63:
+        raise ValueError(f"Nmax must be <= 63 (svd_small takes at most 64 states), got {Nmax}")
     if smax < 10 * Nmax:
         raise ValueError(f"smax must be >= 10*Nmax for a trustworthy Gram, got {smax}")
     cols = []

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "ModelParams",
     "ModeParams",
     "AlphaSum",
     "half_lattice",
-    "full_lattice",
     "mode_params",
     "alpha_c",
     "y12",
@@ -115,29 +116,14 @@ class AlphaSum:
     grows_with_cutoff: bool
 
 
-def _half_space_key(n: tuple[int, int, int]) -> bool:
-    """True when n lies in the lexicographic-positive half of Z^3 \\ {0}."""
-    n1, n2, n3 = n
-    if n3 != 0:
-        return n3 > 0
-    if n2 != 0:
-        return n2 > 0
-    return n1 > 0
-
-
-def _cube(nmax: int) -> Iterator[tuple[int, int, int]]:
-    rng = range(-nmax, nmax + 1)
-    for n1 in rng:
-        for n2 in rng:
-            for n3 in rng:
-                if n1 or n2 or n3:
-                    yield (n1, n2, n3)
-
-
-def _half_indices(nmax: int) -> list[tuple[int, int, int]]:
-    picked = [n for n in _cube(nmax) if _half_space_key(n)]
-    picked.sort(key=lambda n: (n[0] ** 2 + n[1] ** 2 + n[2] ** 2, n))
-    return picked
+def _half_indices(nmax: int) -> np.ndarray:
+    """(M, 3) integer table of the half lattice, sorted by (|n|^2, n1, n2, n3)."""
+    r = np.arange(-nmax, nmax + 1)
+    n1, n2, n3 = (g.ravel() for g in np.meshgrid(r, r, r, indexing="ij"))
+    half = (n3 > 0) | ((n3 == 0) & ((n2 > 0) | ((n2 == 0) & (n1 > 0))))
+    n1, n2, n3 = n1[half], n2[half], n3[half]
+    order = np.lexsort((n3, n2, n1, n1 * n1 + n2 * n2 + n3 * n3))
+    return np.stack((n1, n2, n3), axis=1)[order]
 
 
 def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
@@ -154,18 +140,12 @@ def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
     if L <= 0:
         raise ValueError(f"box side must be > 0, got {L}")
     scale = 2.0 * math.pi / L
-    return [(scale * n[0], scale * n[1], scale * n[2]) for n in _half_indices(nmax)]
+    return list(map(tuple, (scale * _half_indices(nmax)).tolist()))
 
 
 def half_lattice_indices(nmax: int) -> list[tuple[int, int, int]]:
     """Integer triples of :func:`half_lattice`, in the same order."""
-    return _half_indices(nmax)
-
-
-def full_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
-    """All nonzero k of the cutoff cube (both halves)."""
-    half = half_lattice(L, nmax)
-    return half + [(-k1, -k2, -k3) for (k1, k2, k3) in half]
+    return list(map(tuple, _half_indices(nmax).tolist()))
 
 
 def ytilde_from_y(y: float) -> float:
@@ -222,15 +202,21 @@ def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
     return ModeParams(k=k, n=n, ksq=ksq, y=y, ytilde=ytil, alpha=alpha, epsilon=eps)
 
 
+def _alpha_total(mp: ModelParams, alphas: Iterable[float]) -> AlphaSum:
+    """4*pi*a*rho * sum of 2*alpha over half-lattice amplitudes, in their order."""
+    if mp.a == 0.0:
+        return AlphaSum(value=0.0, grows_with_cutoff=False)
+    total = 0.0
+    for alpha in alphas:
+        total += 2.0 * alpha
+    return AlphaSum(value=4.0 * math.pi * mp.a * mp.rho * total, grows_with_cutoff=True)
+
+
 def alpha_sum(mp: ModelParams, nmax: int) -> AlphaSum:
     """4*pi*a*rho * sum of alpha(k) over the full truncated lattice.
 
     The sum is taken in the deterministic half-lattice order (each term
     counted twice, alpha(-k) = alpha(k)) so repeated runs are bit-identical.
     """
-    if mp.a == 0.0:
-        return AlphaSum(value=0.0, grows_with_cutoff=False)
-    total = 0.0
-    for k in half_lattice(mp.L, nmax):
-        total += 2.0 * mode_params(mp, k).alpha
-    return AlphaSum(value=4.0 * math.pi * mp.a * mp.rho * total, grows_with_cutoff=True)
+    modes = half_lattice(mp.L, nmax) if mp.a else []  # the free gas sums nothing
+    return _alpha_total(mp, (mode_params(mp, k).alpha for k in modes))

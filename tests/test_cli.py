@@ -190,6 +190,13 @@ class TestGram:
         assert len(values) == 5
         assert all(v > 0 for v in values)
 
+    def test_beyond_64_states_is_one_line_error(self, capsys):
+        code = main(["gram", "--nmax", "64", "--smax", "640"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: Nmax must be <= 63")
+
 
 class TestWu:
     def test_free_gas_diagonal_spectrum(self, capsys):

@@ -8,7 +8,6 @@ from pairspec.eigenstates import (
     Normalizability,
     classify_normalizable,
     coeff_log_magnitudes,
-    enumerate_degenerate,
     partial_norms,
     psi_p_theta,
     recurrence_coeffs,
@@ -158,29 +157,6 @@ class TestResidual:
         # a truncated infinite state looks exact away from the boundary
         st = psi_p_theta(EigenstateSpec(0, 2.5, 1.5, 40))
         assert residual(st, 1.5, 0.0, 2.5) <= 1e-12 * st.norm()
-
-
-class TestDegeneracy:
-    def test_integer_energy(self):
-        assert set(enumerate_degenerate(1.0)) == {(0, 1, False), (2, 0, False), (2, 0, True)}
-
-    def test_half_integer_energy(self):
-        assert set(enumerate_degenerate(0.5)) == {(1, 0, False), (1, 0, True)}
-
-    def test_vacuum(self):
-        assert enumerate_degenerate(0.0) == [(0, 0, False)]
-
-    def test_count_grows_linearly(self):
-        # energy E has 2*floor(2E/2)+1 = 2E+1 states for integer E
-        for e in range(1, 8):
-            assert len(enumerate_degenerate(float(e))) == 2 * e + 1
-
-    def test_max_p_cutoff(self):
-        assert set(enumerate_degenerate(2.0, max_p=1)) == {(0, 2, False)}
-
-    def test_invalid_energy(self):
-        with pytest.raises(ValueError):
-            enumerate_degenerate(0.3)
 
 
 class TestCollapseLimit:

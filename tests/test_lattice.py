@@ -7,7 +7,6 @@ from pairspec.lattice import (
     ModelParams,
     alpha_c,
     alpha_sum,
-    full_lattice,
     half_lattice,
     half_lattice_indices,
     mode_params,
@@ -55,27 +54,23 @@ class TestHalfLattice:
             half_lattice(-1.0, 2)
 
     def test_partitions_cube(self):
-        nmax = 2
-        half = set(half_lattice_indices(nmax))
-        mirror = {(-a, -b, -c) for (a, b, c) in half}
-        assert not half & mirror
-        cube = {
-            (i, j, k)
-            for i in range(-nmax, nmax + 1)
-            for j in range(-nmax, nmax + 1)
-            for k in range(-nmax, nmax + 1)
-        } - {(0, 0, 0)}
-        assert half | mirror == cube
+        for nmax in (1, 2, 5):
+            half = set(half_lattice_indices(nmax))
+            mirror = {(-a, -b, -c) for (a, b, c) in half}
+            assert not half & mirror
+            cube = {
+                (i, j, k)
+                for i in range(-nmax, nmax + 1)
+                for j in range(-nmax, nmax + 1)
+                for k in range(-nmax, nmax + 1)
+            } - {(0, 0, 0)}
+            assert half | mirror == cube
 
     def test_sorted_by_norm_then_lex(self):
-        idx = half_lattice_indices(2)
-        keys = [(a * a + b * b + c * c, (a, b, c)) for (a, b, c) in idx]
-        assert keys == sorted(keys)
-
-    def test_full_lattice_doubles_half(self):
-        full = full_lattice(2.0 * math.pi, 1)
-        assert len(full) == 26
-        assert len({tuple(round(v, 12) for v in k) for k in full}) == 26
+        for nmax in (1, 2, 5):
+            idx = half_lattice_indices(nmax)
+            keys = [(a * a + b * b + c * c, (a, b, c)) for (a, b, c) in idx]
+            assert keys == sorted(keys)
 
 
 class TestModeParams:

@@ -241,6 +241,17 @@ class TestDomainCheck:
         verdict = domain_check(np.log(coeffs), alpha_c(y), 0, 400)
         assert verdict is DomainVerdict.NOT_IN_DOMAIN
 
+    @pytest.mark.parametrize("horizon", [300, 400])
+    def test_undone_pair_transform_never_rejected(self, horizon):
+        # c_s = alpha^s is exp(alpha a*b*)|vac>, so exp(-alpha a*b*) maps it
+        # back to the vacuum; every transformed c_m (m > 0) is pure
+        # cancellation noise, and a noise ceiling set too low would read that
+        # noise as geometric growth
+        for alpha in [i / 100 for i in range(55, 71)]:
+            log_c = np.arange(horizon + 1) * math.log(alpha)
+            verdict = domain_check(log_c, alpha, 0, horizon)
+            assert verdict is not DomainVerdict.NOT_IN_DOMAIN, alpha
+
     def test_growth_beyond_double_range_rejected(self):
         # c_200 = 1e400 has no double, its logarithm does
         log_c = np.arange(201) * math.log(100.0)
