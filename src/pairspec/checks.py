@@ -13,7 +13,7 @@ from a seeded generator so a report is reproducible from its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +52,6 @@ class CheckResult:
     deviation: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _result(suite: str, name: str, deviation: float, tolerance: float) -> CheckResult:

@@ -124,8 +124,8 @@ def cmd_eigenstate(args: argparse.Namespace) -> int:
         raise ValueError("one of --y or --k-mode is required")
     theta = _parse_complex(args.theta)
     ytil = ytilde_from_y(y)
-    verdict = classify_normalizable(ytil, theta, args.p)
     spec = EigenstateSpec(p=args.p, theta=theta, ytilde=ytil, smax=args.smax)
+    verdict = classify_normalizable(ytil, theta, args.p)
     st = psi_p_theta(spec)
     energy = args.p / 2.0 + theta
 
@@ -189,9 +189,8 @@ def cmd_wu(args: argparse.Namespace) -> int:
     mp = ModelParams(a=args.a, rho=args.rho, L=args.L)
     mode = _mode_at(mp, args.kn, "--kn")
     sector = wu_sector.WuSector(args.N, args.p, mode)
-    matrix = wu_sector.build_transformed_wu(sector, mp)
     # the sector matrix is upper bidiagonal: each residual is O(dim)
-    diag, upper = np.diag(matrix), np.diag(matrix, 1)
+    diag, upper = wu_sector._bands(sector, mp)
     lines = ["n_index,energy,residual"]
     worst = 0.0
     for idx in range(sector.dim):

@@ -47,9 +47,9 @@ class Normalizability(enum.Enum):
 class EigenstateSpec:
     """Construction inputs for one ladder eigenstate.
 
-    ``theta`` may be any complex number; ``smax`` caps the stored expansion
-    (the sum itself terminates at s = theta when theta is a nonnegative
-    integer).
+    ``theta`` may be any finite complex number; ``smax`` >= 0 caps the stored
+    expansion (the sum itself terminates at s = theta when theta is a
+    nonnegative integer), and ``p`` >= 0.
     """
 
     p: int
@@ -58,15 +58,19 @@ class EigenstateSpec:
     smax: int
     mirror: bool = False
 
+    def __post_init__(self) -> None:
+        if self.p < 0:
+            raise ValueError(f"p must be >= 0, got {self.p}")
+        if self.smax < 0:
+            raise ValueError(f"smax must be >= 0, got {self.smax}")
+        if not np.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+
 
 def _integer_theta(theta: complex) -> int | None:
     """The nonnegative integer value of theta, or None."""
-    if theta.imag != 0.0:
-        return None
     r = theta.real
-    if r >= 0 and r == int(r):
-        return int(r)
-    return None
+    return int(r) if theta.imag == 0.0 and r >= 0 and r.is_integer() else None
 
 
 def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:

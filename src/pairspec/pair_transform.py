@@ -7,8 +7,9 @@ binomial convolution
 
 with t = -alpha for the forward map and +alpha for its inverse: a Taylor
 shift, computed as one extended-precision running product per nonzero C_s
-(_binomial_columns, the one kernel behind apply_exp_pair, domain_check and
-conjugation_check).  The module also provides a numerical domain test for
+(_binomial_columns with numerators t m, the one kernel behind apply_exp_pair,
+domain_check, conjugation_check and wu_sector.apply_exp_w, whose numerators
+are the subdiagonal of W).  The module also provides a numerical domain test for
 the transform, an operational check of the conjugation identity
 exp(-P) a exp(P) = a - alpha a*_{-k} (exact because the commutator series
 terminates), and the per-mode ground state.
@@ -57,21 +58,25 @@ def rescale_from_genfn_coords(rescaled: np.ndarray, p: int) -> np.ndarray:
     return rescaled * np.exp(-_log_rescale(p, len(rescaled)))
 
 
-def _binomial_columns(t: float, leads: np.ndarray):
-    """Yield (s, lead_s C(m, s) t^(m-s) for m = s..n-1) for every nonzero lead_s.
+def _taylor_numerators(t: float, n: int) -> np.ndarray:
+    """Numerators t m, m < n: column s is then lead_s C(m, s) t^(m-s)."""
+    return np.longdouble(t) * np.arange(n, dtype=np.longdouble)
 
-    Each column is one running product of the ratios t m / (m - s) in
+
+def _binomial_columns(num: np.ndarray, leads: np.ndarray):
+    """Yield (s, lead_s prod_{j=s+1}^{m} num_j / (j-s), m = s..n-1) per nonzero lead_s.
+
+    Each column is one running product of the ratios num_m / (m - s) in
     np.longdouble, started at lead_s, so every entry is only as large as the
-    term it stands for: no binomial is formed on its own, and a column leaves
-    extended range only where the term itself does.
+    term it stands for: no binomial or factorial is formed on its own, and a
+    column leaves extended range only where the term itself does.
     """
     n = len(leads)
     m = np.arange(n, dtype=np.longdouble)
-    tm = np.longdouble(t) * m
     for s in np.flatnonzero(leads):
         col = np.empty(n - s, dtype=np.longdouble)
         col[0] = leads[s]
-        np.divide(tm[s + 1 :], m[1 : n - s], out=col[1:])
+        np.divide(num[s + 1 :], m[1 : n - s], out=col[1:])
         yield s, np.cumprod(col, out=col)
 
 
@@ -80,7 +85,7 @@ def _binomial_shift(C: np.ndarray, t: float) -> np.ndarray:
     rounded once to float64 and added times the phase C_s/|C_s|."""
     mag = np.abs(C)
     out = np.zeros(len(C), dtype=complex)
-    for s, col in _binomial_columns(t, mag):
+    for s, col in _binomial_columns(_taylor_numerators(t, len(C)), mag):
         # the division multiplies by 1/|C_s|, which overflows for a subnormal
         # |C_s|; scaling both by a power of two first is exact
         scale = 1.0 if mag[s] >= _TINY else 2.0**64
@@ -173,7 +178,7 @@ def domain_check(
         weight = np.exp(1j * log_c.imag) * (-1.0) ** np.arange(horizon + 1)
         w_re, w_im = weight.real.astype(np.longdouble), weight.imag.astype(np.longdouble)
         re, im, top = np.zeros((3, horizon + 1), dtype=np.longdouble)
-        for s, col in _binomial_columns(alpha, leads):
+        for s, col in _binomial_columns(_taylor_numerators(alpha, horizon + 1), leads):
             re[s:] += w_re[s] * col
             im[s:] += w_im[s] * col
             np.maximum(top[s:], col, out=top[s:])
@@ -218,25 +223,18 @@ def conjugation_check(alpha: float, smax: int) -> float:
     n = smax + 1
     e_minus, e_plus = np.zeros((n, n), dtype=dt), np.zeros((n, n), dtype=dt)
     for kern, t in ((e_minus, -alpha), (e_plus, alpha)):
-        for s, col in _binomial_columns(t, np.ones(n)):
+        for s, col in _binomial_columns(_taylor_numerators(t, n), np.ones(n)):
             kern[s:, s] = col
     worst = 0.0
     for p in (0, 1):
         # rescaled-coordinate generators on the source ladder p, target p-1
         # (p = 0 targets the mirror p = 1 ladder; factors below are exact
         # integers in these coordinates)
-        a_op = np.zeros((n, n), dtype=dt)
-        bdag_op = np.zeros((n, n), dtype=dt)
         if p == 1:
-            for s in range(n):
-                a_op[s, s] = p + s
-            for s in range(n - 1):
-                bdag_op[s + 1, s] = s + 1
+            a_op = np.diag(np.arange(p, n + p, dtype=dt))
+            bdag_op = np.diag(np.arange(1, n, dtype=dt), -1)
         else:
-            for s in range(1, n):
-                a_op[s - 1, s] = 1.0
-            for s in range(n):
-                bdag_op[s, s] = 1.0
+            a_op, bdag_op = np.eye(n, k=1, dtype=dt), np.eye(n, dtype=dt)
         lhs = e_plus @ (a_op @ e_minus)
         rhs = a_op - dt(alpha) * bdag_op
         dev = np.abs(lhs - rhs)[: smax - 1, :]

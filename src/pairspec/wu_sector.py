@@ -4,8 +4,11 @@ The transformed particle-conserving Hamiltonian acts on the basis
 |n_k = p+s, n_{-k} = s, n_0 = Ntot - p - 2s> as an upper-bidiagonal matrix:
 its spectrum reads off the diagonal eps_k (2s + p) with no numerics, and the
 eigenvectors have an exact closed form in the sector coupling
-ytilde(k) = 8 pi a / (|B| eps_k).  exp(W) with the nilpotent pair operator W
-then maps them to eigenstates of the untransformed model.
+ytilde(k) = 8 pi a / (|B| eps_k).  Only this transformed side is checked,
+with exp(W) exp(-W) = I for the nilpotent pair operator W.  Whether exp(W)
+maps the eigenvectors to eigenstates of the untransformed sector operator is
+open (ROADMAP item 2(c)): no code builds that operator, and U Lambda U^-1
+with U = [exp(W) v_n] is not symmetric.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ModelParams, ModeParams
+from .pair_transform import _binomial_columns
 
 __all__ = [
     "WuSector",
@@ -62,9 +66,15 @@ def wu_ytilde(mode: ModeParams, mp: ModelParams) -> float:
     return 8.0 * math.pi * mp.a / (mp.volume * mode.epsilon)
 
 
-def _beta(mp: ModelParams) -> float:
-    """Off-diagonal coupling strength 8 pi a / |B| (k and -k terms summed)."""
-    return 8.0 * math.pi * mp.a / mp.volume
+def _bands(sector: WuSector, mp: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (s, s), s = 0..dim-1, and superdiagonal (s-1, s), s = 1..dim-1,
+    of the transformed sector matrix (see :func:`build_transformed_wu`)."""
+    s = np.arange(sector.dim)
+    n0 = sector.Ntot - sector.p - 2 * s[1:]
+    beta = 8.0 * math.pi * mp.a / mp.volume  # k and -k terms summed
+    diag = sector.mode.epsilon * (2 * s + sector.p)
+    upper = beta * np.sqrt((sector.p + s[1:]) * s[1:]) * np.sqrt((n0 + 2) * (n0 + 1))
+    return diag, upper
 
 
 def build_transformed_wu(sector: WuSector, mp: ModelParams) -> np.ndarray:
@@ -74,19 +84,11 @@ def build_transformed_wu(sector: WuSector, mp: ModelParams) -> np.ndarray:
     a_k a_{-k} (a_0*)^2 with amplitude
     beta sqrt((p+s) s) sqrt((N0+2)(N0+1)), N0 = Ntot - p - 2s.  The
     sub-diagonal is identically zero and constant offsets are excluded
-    (energies are relative to the sector ground).
+    (energies are relative to the sector ground).  Dense view of the bands.
     """
-    dim = sector.dim
-    eps = sector.mode.epsilon
-    beta = _beta(mp)
-    m = np.zeros((dim, dim))
-    for s in range(dim):
-        m[s, s] = eps * (2 * s + sector.p)
-        if s >= 1:
-            n0 = sector.Ntot - sector.p - 2 * s
-            m[s - 1, s] = beta * math.sqrt((sector.p + s) * s) * math.sqrt(
-                (n0 + 2) * (n0 + 1)
-            )
+    diag, upper = _bands(sector, mp)
+    m = np.diag(diag)
+    np.fill_diagonal(m[:, 1:], upper)
     return m
 
 
@@ -130,41 +132,38 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     return v / np.linalg.norm(v)
 
 
-def _w_matrix(sector: WuSector, mp: ModelParams, sign: float) -> np.ndarray:
-    """Strictly lower-triangular sector matrix of sign * W, W = P a_0^2 / Ntot."""
-    dim = sector.dim
-    alpha = sector.mode.alpha
-    w = np.zeros((dim, dim))
-    for s in range(dim - 1):
-        n0 = sector.Ntot - sector.p - 2 * s
-        w[s + 1, s] = (
-            -sign
-            * alpha
-            / sector.Ntot
-            * math.sqrt((sector.p + s + 1) * (s + 1))
-            * math.sqrt(n0 * (n0 - 1))
-        )
-    return w
-
-
 def apply_exp_w(
     state: np.ndarray, sector: WuSector, mp: ModelParams, sign: float = 1.0
 ) -> np.ndarray:
     """Apply exp(sign * W) to a sector vector; exact, the series terminates.
 
-    W is strictly lower triangular and therefore nilpotent on the sector, so
-    the exponential is the finite polynomial sum_{j<dim} W^j / j! with no
-    truncation error.
+    W is strictly lower bidiagonal, so exp(W)[m, s] = prod_{j=s}^{m-1} w_j /
+    (m-s)! with w_j its subdiagonal.  Each nonzero input entry leads one such
+    column, a running product summed in np.longdouble and rounded to double
+    once: O(dim |support|) time, O(dim) memory.  Raises ValueError when an
+    entry of the image is beyond double range.
     """
     state = np.asarray(state, dtype=float)
     if state.shape != (sector.dim,):
         raise ValueError(f"state must have shape ({sector.dim},)")
-    w = _w_matrix(sector, mp, sign)
-    out = state.copy()
-    term = state.copy()
-    for j in range(1, sector.dim):
-        term = w @ term / j
-        if not term.any():
-            break
-        out += term
-    return out
+    if not np.all(np.isfinite(state)):
+        raise ValueError("state must be finite")
+    # w_j, the entry (j+1, j) of sign * W with W = P a_0^2 / Ntot, is the
+    # kernel's numerator of row j+1
+    j = np.arange(sector.dim - 1)
+    n0 = sector.Ntot - sector.p - 2 * j
+    w = -sign * sector.mode.alpha / sector.Ntot * np.sqrt((sector.p + j + 1) * (j + 1))
+    num = np.zeros(sector.dim, dtype=np.longdouble)
+    num[1:] = w * np.sqrt(n0 * (n0 - 1))
+    out = np.zeros(sector.dim, dtype=np.longdouble)
+    # overflow becomes inf or nan here and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, col in _binomial_columns(num, state):
+            out[s:] += col
+        image = out.astype(float)
+    if not np.all(np.isfinite(image)):
+        raise ValueError(
+            f"exp({sign!r} W) of this length-{sector.dim} sector vector has entries "
+            "beyond double range"
+        )
+    return image

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +230,38 @@ class TestWu:
         rows = [[float(x) for x in l.split(",")] for l in out.splitlines() if re.match(r"^\d+,", l)]
         assert len(rows) == 201
         assert np.all(np.isfinite(rows))
+
+
+@pytest.mark.parametrize(
+    "argv, topic",
+    [
+        (["eigenstate", "--y", "0.3", "--theta", "1", "--smax", "-1"], "smax"),
+        (["eigenstate", "--y", "0.3", "--theta", "1", "--p", "-1"], "p must"),
+        (["eigenstate", "--y", "0.3", "--theta", "inf"], "theta"),
+        (["eigenstate", "--y", "0.3", "--theta", "nan"], "theta"),
+        (["gram", "--nmax", "-1"], "Nmax"),
+    ],
+    ids=["smax-negative", "p-negative", "theta-inf", "theta-nan", "gram-nmax-negative"],
+)
+def test_out_of_domain_input_is_one_line_error(capsys, argv, topic):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and topic in captured.err
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
+    return [line for line in lines if line.startswith("pairspec ")]
+
+
+def test_readme_cli_block_runs(capsys):
+    lines = _readme_cli_lines()
+    assert len(lines) == 6
+    for line in lines:
+        code = main(shlex.split(line)[1:])
+        out = capsys.readouterr().out
+        assert code == 0 and out, line

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pairspec.cli import main
 from pairspec.lattice import ModelParams, mode_params
 from pairspec.wu_sector import (
     WuSector,
@@ -161,14 +163,6 @@ class TestApplyExpW:
             out, [1.0, -mode.alpha / 2.0 * math.sqrt(2.0)], rtol=1e-14
         )
 
-    def test_nilpotency(self):
-        # W^dim vanishes, so the exponential series terminates exactly
-        sector, mp, _ = make(10, 2)
-        from pairspec.wu_sector import _w_matrix
-
-        w = _w_matrix(sector, mp, 1.0)
-        assert np.all(np.linalg.matrix_power(w, sector.dim) == 0.0)
-
     def test_inverse_pair(self):
         rng = np.random.default_rng(8)
         for ntot, p in ((5, 1), (16, 0), (12, 4)):
@@ -181,3 +175,58 @@ class TestApplyExpW:
         sector, mp, _ = make(4, 0)
         with pytest.raises(ValueError):
             apply_exp_w(np.ones(5), sector, mp)
+
+    @pytest.mark.parametrize("ntot, every", [(50, 1), (200, 10)])
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_matches_mpmath_columns(self, ntot, every, p):
+        # exp(W)[m, s] = prod_{j=s}^{m-1} w_j / (m-s)! from the closed-form
+        # couplings, summed at 40 digits over the eigenvectors' entries
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        mp = ModelParams(a=0.0198944, rho=1.0, L=2.0 * math.pi)
+        sector = WuSector(ntot, p, mode_params(mp, (1.0, 0.0, 0.0)))
+        alpha = mpmath.mpf(sector.mode.alpha)
+        w = [
+            -alpha / ntot * mpmath.sqrt((p + s + 1) * (s + 1)) * mpmath.sqrt(n0 * (n0 - 1))
+            for s in range(sector.dim - 1)
+            for n0 in [ntot - p - 2 * s]
+        ]
+        for n in range(0, sector.dim, every):
+            v = wu_eigenstate(sector, mp, n)
+            ref = [mpmath.mpf(0)] * sector.dim
+            for s in np.flatnonzero(v):
+                term = mpmath.mpf(v[s])
+                ref[s] += term
+                for m in range(s + 1, sector.dim):
+                    term *= w[m - 1] / (m - s)
+                    ref[m] += term
+            ref = np.array([float(x) for x in ref])
+            err = np.linalg.norm(apply_exp_w(v, sector, mp) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-12, (n, err)
+
+    def test_image_beyond_double_range_refused(self):
+        mp = ModelParams(a=0.3, rho=1.0, L=2.0 * math.pi)
+        sector = WuSector(12000, 0, mode_params(mp, (1.0, 0.0, 0.0)))
+        with pytest.raises(ValueError, match="beyond double range"):
+            apply_exp_w(np.ones(sector.dim), sector, mp)
+
+    def test_non_finite_state_refused(self):
+        sector, mp, _ = make(6, 0)
+        with pytest.raises(ValueError, match="finite"):
+            apply_exp_w(np.array([1.0, math.nan, 0.0, 0.0]), sector, mp)
+
+
+class TestWuCliMemory:
+    def test_report_is_linear_in_memory(self, capsys):
+        # the banded route holds O(dim) numbers; a dense dim x dim sector
+        # matrix at N = 2000 alone is 8 MB
+        tracemalloc.start()
+        try:
+            code = main(["wu", "--a", "0.0198944", "--rho", "1", "--L", "6.2831853",
+                         "--N", "2000", "--p", "0", "--kn", "0,0,1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 2 * 2**20, peak
