@@ -470,9 +470,7 @@ def _wu_sector(rng, ntots=(2, 7, 16), ps=range(0, 5, 2)):
                     lam = mode.epsilon * (2 * n + p)
                     dev_res = max(dev_res, float(np.linalg.norm(m @ v - lam * v)))
                 x = rng.standard_normal(sector.dim)
-                y_ = wu_sector.apply_exp_w(
-                    wu_sector.apply_exp_w(x, sector, mp, 1.0), sector, mp, -1.0
-                )
+                y_ = wu_sector.apply_exp_w(wu_sector.apply_exp_w(x, sector, 1.0), sector, -1.0)
                 dev_inv = max(dev_inv, float(np.max(np.abs(y_ - x))) / float(np.max(np.abs(x))))
     return [
         _result("wu", "sector matrix is strictly upper triangular", dev_tri, 0.0),

@@ -10,7 +10,10 @@ wu         particle-conserving sector spectrum and residuals
 
 Numbers are always rendered with 17 significant digits, so csv and json
 outputs of the same run carry bitwise-identical decimal values.  Exit codes:
-0 success, 1 invalid input, 2 verification or domain failure.
+0 success, 1 invalid input, 2 verification or domain failure, or a
+numerical method that gave up (such as a QL iteration that did not
+converge).  Invalid input and a method that gave up print one ``error:``
+line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -272,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RuntimeError, ArithmeticError) as exc:  # a numerical method gave up
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -96,12 +96,19 @@ def bog_energy_ab(y: float, p: int, n: int) -> float:
     ladder energy n + p/2.  This is the closed form the dense-diagonalization
     referee must reproduce.
     """
+    return float(_bog_energies(y, p, n))
+
+
+def _bog_energies(y: float, p: int, n: int | np.ndarray, dtype=float) -> np.ndarray:
+    """:func:`bog_energy_ab` at every n of an array, evaluated in ``dtype``."""
     if not 0 <= y < 0.5:
         raise ValueError(f"coupling must lie in [0, 1/2), got {y}")
-    if p < 0 or n < 0:
+    n = np.asarray(n)
+    if p < 0 or np.any(n < 0):
         raise ValueError("quantum numbers must be >= 0")
+    y = dtype(y)
     root = np.sqrt(1.0 - 4.0 * y * y)
-    return float(root * (n + p / 2.0 + 0.5) - 0.5)
+    return root * (n + p / 2.0 + 0.5) - 0.5
 
 
 def lhy_block(mode: ModeParams, p: int, n: int) -> float:

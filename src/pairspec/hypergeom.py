@@ -16,6 +16,7 @@ import numpy as np
 
 from .eigenstates import EigenstateSpec, psi_p_theta
 from .fock_ladder import LadderState
+from .hamiltonians import _bog_energies, build_tridiagonal
 from .lattice import alpha_c, ytilde_from_y
 from .pair_transform import apply_exp_pair
 from . import oracle
@@ -178,10 +179,75 @@ def _polyval(coeffs: np.ndarray, z: complex) -> complex:
     return complex(total)
 
 
+# decay, in e-folds past the turning point, after which a state's tail is below
+# double rounding
+_TAIL_EFOLDS = 40.0
+
+
+def _block_rows(p: int, y: float, lam: float, smax: int) -> int:
+    """Last row of a Hermitian block that holds the states up to energy ``lam``.
+
+    Past its turning point a state of the block decays by exp(-arccosh x_t)
+    per row, x_t = (t + p/2 - lam) / (y (2t + p + 1)), which tends to alpha_c
+    per row.  The block runs until that decay reaches ``_TAIL_EFOLDS``, so the
+    dropped tail is below double rounding, and at least
+    ln(eps) / (2 ln alpha_c) rows past ``smax``, over which the error of its
+    Dirichlet end shrinks below rounding too (by alpha_c^2 per row).
+    """
+    t = max(0, math.floor((lam - p / 2.0 + y * (p + 1)) / (1.0 - 2.0 * y)))  # x_t = 1
+    decay = 0.0
+    while decay < _TAIL_EFOLDS:
+        t += 1
+        decay += math.acosh(max(1.0, (t + p / 2.0 - lam) / (y * (2 * t + p + 1))))
+    pad = math.ceil(math.log(np.finfo(float).eps) / (2.0 * math.log(alpha_c(y))))
+    return max(t, smax + pad)
+
+
+def _transported_columns(p: int, y: float, ns: np.ndarray, smax: int) -> np.ndarray:
+    """Rows exp(-alpha_c a*b*) Psi_(p,N), N in ``ns``, through index smax, c_0 = 1.
+
+    Each is the eigenvector of the Hermitian block build_tridiagonal(p, y, y)
+    at its closed-form energy bog_energy_ab(y, p, N), and its c_0 is the
+    Meixner value M_N(0) = 1.  One twisted factorization over all N, run in
+    np.longdouble on a block padded by :func:`_block_rows`, gives them to
+    rounding: the binomial shift's alternating sums are never formed.
+    """
+    if not 0 < y < 0.5:
+        raise ValueError(f"coupling must lie in (0, 1/2), got {y}")
+    if smax < 0:
+        raise ValueError(f"smax must be >= 0, got {smax}")
+    lams = _bog_energies(y, p, ns, np.longdouble)
+    block = build_tridiagonal(p, y, y, _block_rows(p, y, float(np.max(lams)), smax))
+    z = oracle._twisted_vectors(block.diag, block.super_, lams)[: smax + 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z /= z[0]
+        cols = z.T.astype(float)
+    if not np.all(np.isfinite(cols)):
+        raise ValueError("transported state has coefficients beyond double range")
+    return cols
+
+
 def transported_state(p: int, N: int, y: float, smax: int) -> LadderState:
-    """exp(-alpha_c a*b*) applied to the finite (p, N) eigenstate, length smax+1."""
-    ytil = ytilde_from_y(y)
-    base = psi_p_theta(EigenstateSpec(p=p, theta=N, ytilde=ytil, smax=N))
+    """exp(-alpha_c a*b*) Psi_(p,N) through index smax, with c_0 = 1.
+
+    The transported state is the eigenvector of the Hermitian block
+    build_tridiagonal(p, y, y, .) at the energy bog_energy_ab(y, p, N): in
+    m it is the Meixner function (-alpha_c)^m sqrt((p+1)_m / m!)
+    F(-N, -m; p+1; 1 - 1/alpha_c^2).  It is computed to rounding at every N
+    by a twisted factorization (see :func:`_transported_columns`), not by the
+    binomial shift, whose alternating sums lose every digit by N ~ 60.
+    """
+    return LadderState(p, _transported_columns(p, y, np.array([N]), smax)[0])
+
+
+def _shifted_state(p: int, N: int, y: float, smax: int) -> LadderState:
+    """The same state by the binomial shift of Psi_(p,N) (smax >= N).
+
+    Exact in exact arithmetic, but its alternating sums cancel more digits
+    as N and y grow; it stays as the independent referee of
+    :func:`transported_state` at N <= 16 and y <= 1/4, where it holds 1e-12.
+    """
+    base = psi_p_theta(EigenstateSpec(p=p, theta=N, ytilde=ytilde_from_y(y), smax=N))
     return apply_exp_pair(base.padded(smax), -alpha_c(y))
 
 
@@ -191,8 +257,9 @@ def gram_witness(p: int, y: float, Nmax: int, smax: int) -> np.ndarray:
     Columns are exp(-alpha_c a*b*) Psi_(p,N) for N = 0..Nmax, unit-normalized
     after truncation at smax.  A smallest singular value bounded away from
     zero, stable under doubling smax, witnesses that the family spans the
-    ladder's low sector; these states are eigenstates of a Hermitian block at
-    distinct energies, so the Gram is near-diagonal by construction.
+    ladder's low sector.  The states are eigenvectors of one Hermitian block
+    at distinct energies, computed to rounding (:func:`transported_state`),
+    so the Gram is the identity up to rounding and to the truncated tails.
     """
     if Nmax < 0:
         raise ValueError(f"Nmax must be >= 0, got {Nmax}")
@@ -200,13 +267,9 @@ def gram_witness(p: int, y: float, Nmax: int, smax: int) -> np.ndarray:
         raise ValueError(f"Nmax must be <= 63 (svd_small takes at most 64 states), got {Nmax}")
     if smax < 10 * Nmax:
         raise ValueError(f"smax must be >= 10*Nmax for a trustworthy Gram, got {smax}")
-    cols = []
-    for N in range(Nmax + 1):
-        v = transported_state(p, N, y, smax).coeffs.real
-        cols.append(v / np.linalg.norm(v))
-    V = np.array(cols)
-    gram = V @ V.T
-    return oracle.svd_small(gram)
+    V = _transported_columns(p, y, np.arange(Nmax + 1), smax)
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    return oracle.svd_small(V @ V.T)
 
 
 def projection_sweep(
@@ -214,17 +277,13 @@ def projection_sweep(
 ) -> np.ndarray:
     """Squared projection norms of a state onto span{v_0..v_N}, N = 0..Nmax.
 
-    The v_N (transported finite eigenstates) are mutually orthogonal, so each
-    increment is just |<v_N, x>|^2; the sequence is nondecreasing and tends
-    to ||x||^2 as the family is completed.
+    The v_N (transported finite eigenstates, truncated at smax) are
+    orthogonal to rounding and to their truncated tails, so each increment
+    is just |<v_N, x>|^2; the sequence is nondecreasing and tends to ||x||^2
+    as the family is completed.
     """
     x = state.coeffs.real
     x = x / np.linalg.norm(x)
-    out = np.zeros(Nmax + 1)
-    total = 0.0
-    for N in range(Nmax + 1):
-        v = transported_state(state.p, N, y, smax).coeffs.real
-        v = v / np.linalg.norm(v)
-        total += float(v[: len(x)] @ x) ** 2
-        out[N] = total
-    return out
+    V = _transported_columns(state.p, y, np.arange(Nmax + 1), smax)
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    return np.cumsum((V[:, : len(x)] @ x) ** 2)

@@ -1,7 +1,8 @@
 """Independent dense linear algebra used to referee the analytic formulas.
 
 Self-contained implementations (no LAPACK behind them): an implicit-shift QL
-eigensolver for real symmetric tridiagonal matrices, a diagonal similarity
+eigensolver for real symmetric tridiagonal matrices, with eigenvectors by
+twisted factorization at the computed eigenvalues, a diagonal similarity
 transform that symmetrizes the nonsymmetric ladder blocks (valid whenever
 both couplings are positive), and a one-sided Jacobi SVD for the small Gram
 matrices.  Being independent of the closed forms they certify is the whole
@@ -23,6 +24,10 @@ __all__ = [
 ]
 
 _MAX_QL_SWEEPS = 50
+# eigenvalue gaps, relative to ||T||_1: below the first the twist cannot tell two
+# vectors apart; within the second the twisted vectors get a Gram-Schmidt pass
+_DEGENERATE_GAP = 1e-8
+_CLOSE_GAP = 1e-2
 
 
 def sym_tridiag_eig(
@@ -33,16 +38,22 @@ def sym_tridiag_eig(
     """Eigenvalues (ascending) of a real symmetric tridiagonal matrix.
 
     Implicit-shift QL iteration with Givens rotations; ``offdiag[i]`` couples
-    rows i and i+1.  With ``vectors=True`` the accumulated rotations are
-    returned as columns of an orthogonal matrix alongside the values, with
-    residuals ||M v - lambda v|| at the backward-stable level.
+    rows i and i+1.  With ``vectors=True`` the unit eigenvectors are returned
+    as columns alongside the same values, bit for bit.  They come from one
+    twisted factorization per eigenvalue (:func:`_twisted_vectors`), O(n) each,
+    followed by one Gram-Schmidt pass over every group of eigenvalues closer
+    than 1e-2 ||T||_1, which restores orthogonality to rounding without
+    moving the residuals off the backward-stable level.  When two eigenvalues
+    are closer than 1e-8 ||T||_1 (a numerically degenerate pair, which the
+    twist cannot separate) the rotations of the QL sweeps are accumulated
+    instead, at O(n^3).
 
     Parameters
     ----------
     diag, offdiag : array_like
         Diagonal (length n >= 1) and off-diagonal (length n-1) entries.
     vectors : bool
-        Also accumulate eigenvectors (adds an O(n^3) accumulation cost).
+        Also return the eigenvectors, as the columns of an orthogonal matrix.
     """
     d = [float(x) for x in np.asarray(diag, dtype=float)]
     n = len(d)
@@ -51,9 +62,36 @@ def sym_tridiag_eig(
     e = [float(x) for x in np.asarray(offdiag, dtype=float)]
     if len(e) != n - 1:
         raise ValueError(f"offdiag must have length {n - 1}, got {len(e)}")
-    e = e + [0.0]
-    z = np.eye(n) if vectors else None
+    values = np.sort(_ql_values(list(d), e + [0.0]), kind="stable")
+    if not vectors:
+        return values
+    a, b = np.array(d), np.array(e)
+    norm = _norm_one(a, b)
+    if n > 1 and np.min(np.diff(values)) < _DEGENERATE_GAP * norm:
+        z = np.eye(n)
+        raw = _ql_values(list(d), e + [0.0], z)
+        return values, z[:, np.argsort(raw, kind="stable")]
+    z = _twisted_vectors(a, b, values)
+    z /= np.linalg.norm(z, axis=0)
+    _gram_schmidt_close(z, values, _CLOSE_GAP * norm)
+    return values, z
 
+
+def _norm_one(a: np.ndarray, b: np.ndarray) -> float:
+    """1-norm of the symmetric tridiagonal matrix with diagonal a, off-diagonal b."""
+    col = np.abs(a)
+    col[:-1] += np.abs(b)
+    col[1:] += np.abs(b)
+    return float(np.max(col))
+
+
+def _ql_values(d: list[float], e: list[float], z: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues, unsorted, by implicit-shift QL sweeps run in place on d and e.
+
+    ``e`` carries one trailing zero.  When ``z`` is given, every Givens
+    rotation is also applied to its columns; the values do not depend on it.
+    """
+    n = len(d)
     for low in range(n):
         sweeps = 0
         while True:
@@ -97,12 +135,73 @@ def sym_tridiag_eig(
                 d[low] -= p
                 e[low] = g
                 e[m] = 0.0
+    return np.array(d)
 
-    values = np.array(d)
-    order = np.argsort(values, kind="stable")
-    if z is not None:
-        return values[order], z[:, order]
-    return values[order]
+
+def _twisted_vectors(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Null vectors of T - lambda, one column per lambda, by twisted factorization.
+
+    For each lambda the forward pivots D+ of T - lambda = L+ D+ L+^T and the
+    backward pivots D- of U- D- U-^T meet at the twist index r that minimizes
+    |gamma_r|, gamma_r = D+_r + D-_r - (a_r - lambda); the column solves
+    (T - lambda) z = gamma_r e_r with z_r = 1, outward from r by the ratios
+    z_i = -b_i / D+_i z_{i+1} (i < r) and z_i = -b_{i-1} / D-_i z_{i-1} (i > r)
+    (Parlett & Dhillon, LAA 1997).  At an eigenvalue accurate to rounding the
+    residual is at the backward-stable level.  All lambdas run at once: each
+    pivot step is one vector operation over them, and the outward solve is
+    two masked cumulative products.  Pivots below eps ||T||_1 are replaced by
+    that floor, so nothing divides by zero.  The arithmetic is done in the
+    widest dtype of the inputs.
+    """
+    dtype = np.result_type(diag, off, lams, float)
+    a = np.asarray(diag, dtype=dtype)
+    b = np.asarray(off, dtype=dtype)
+    lam = np.asarray(lams, dtype=dtype)
+    n = len(a)
+    floor = np.finfo(dtype).eps * max(_norm_one(a, b), np.finfo(dtype).tiny)
+    b2 = b * b
+    # two (n, len(lam)) arrays in all: the pivots, then in place the ratios
+    # and the vectors
+    dplus = np.empty((n, len(lam)), dtype=dtype)
+    dminus = np.empty_like(dplus)
+    for i in range(n):
+        piv = a[i] - lam if i == 0 else (a[i] - lam) - b2[i - 1] / dplus[i - 1]
+        dplus[i] = np.where(np.abs(piv) < floor, floor, piv)
+    best = np.full(len(lam), np.inf, dtype=dtype)  # min |gamma_r| so far
+    twist = np.zeros(len(lam), dtype=int)
+    for i in range(n - 1, -1, -1):
+        shift = a[i] - lam
+        piv = shift if i == n - 1 else shift - b2[i] / dminus[i + 1]
+        dminus[i] = np.where(np.abs(piv) < floor, floor, piv)
+        gamma = np.abs(dplus[i] + dminus[i] - shift)
+        closer = gamma <= best  # ties go to the lowest r
+        best = np.where(closer, gamma, best)
+        twist = np.where(closer, i, twist)
+    rows = np.arange(n)[:, None]
+    up = np.divide(-b[:, None], dplus[:-1], out=dplus[:-1])
+    up[rows[:-1] >= twist] = 1
+    down = np.divide(-b[:, None], dminus[1:], out=dminus[1:])
+    down[rows[1:] <= twist] = 1
+    np.cumprod(up[::-1], axis=0, out=up[::-1])
+    np.cumprod(down, axis=0, out=down)
+    z = dminus
+    z[0] = 1
+    z[:-1] *= up
+    return z
+
+
+def _gram_schmidt_close(z: np.ndarray, values: np.ndarray, window: float) -> None:
+    """One Gram-Schmidt pass, in place, of each unit column against the columns
+    before it whose eigenvalue lies within ``window`` (values ascending)."""
+    low = 0
+    for j in range(1, len(values)):
+        while values[j] - values[low] >= window:
+            low += 1
+        if low < j:
+            q = z[:, low:j]
+            col = z[:, j]
+            col -= q @ (q.T @ col)
+            col /= np.linalg.norm(col)
 
 
 def symmetrize_tridiag(m: HabMatrix) -> tuple[np.ndarray, np.ndarray, dict]:

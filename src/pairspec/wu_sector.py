@@ -13,6 +13,7 @@ with U = [exp(W) v_n] is not symmetric.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,6 +93,17 @@ def build_transformed_wu(sector: WuSector, mp: ModelParams) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=8)
+def _log_factorials(ntot: int) -> np.ndarray:
+    """Read-only table of log k!, k = 0..ntot, in np.longdouble; built once per
+    sector size, since a report asks for every eigenvector of one sector."""
+    table = np.concatenate(
+        ([0.0], np.cumsum(np.log(np.arange(1, ntot + 1, dtype=np.longdouble))))
+    )
+    table.flags.writeable = False
+    return table
+
+
 def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray:
     """Unit eigenvector of the sector matrix at eigenvalue eps_k (2 n_index + p).
 
@@ -107,7 +119,8 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     truth that fixes it.  The weights are assembled in log space, in
     ``np.longdouble``, from one log-factorial table (binom(Ntot-p, 2s) (2s)!
     = (Ntot-p)! / (Ntot-p-2s)!), so the vector stays finite for sectors whose
-    factorials exceed double range.  In the free limit the eigenvectors are
+    factorials exceed double range.  The table is built once per Ntot and
+    shared by every n_index.  In the free limit the eigenvectors are
     the basis vectors themselves.
     """
     dim = sector.dim
@@ -118,9 +131,7 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
         v[n_index] = 1.0
         return v
     n, p, mtot = n_index, sector.p, sector.Ntot - sector.p
-    log_fact = np.concatenate(
-        ([0.0], np.cumsum(np.log(np.arange(1, sector.Ntot + 1, dtype=np.longdouble))))
-    )
+    log_fact = _log_factorials(sector.Ntot)
     # log c_s for s = 0..n up to s-independent terms, which the normalization
     # drops; the slices read log_fact at mtot-2s, s, p+s and n-s
     log_w = (
@@ -132,9 +143,7 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     return v / np.linalg.norm(v)
 
 
-def apply_exp_w(
-    state: np.ndarray, sector: WuSector, mp: ModelParams, sign: float = 1.0
-) -> np.ndarray:
+def apply_exp_w(state: np.ndarray, sector: WuSector, sign: float = 1.0) -> np.ndarray:
     """Apply exp(sign * W) to a sector vector; exact, the series terminates.
 
     W is strictly lower bidiagonal, so exp(W)[m, s] = prod_{j=s}^{m-1} w_j /

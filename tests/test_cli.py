@@ -192,6 +192,13 @@ class TestGram:
         assert len(values) == 5
         assert all(v > 0 for v in values)
 
+    def test_64_states_are_orthonormal(self, capsys):
+        # the binomial shift gave 0.0026 here: cancellation noise, not the Gram
+        code, out = run(capsys, ["gram", "--nmax", "63", "--smax", "640"])
+        assert code == 0
+        ratio = float(out.strip().splitlines()[-1].split(",")[1])
+        assert ratio >= 1 - 1e-10
+
     def test_beyond_64_states_is_one_line_error(self, capsys):
         code = main(["gram", "--nmax", "64", "--smax", "640"])
         captured = capsys.readouterr()
@@ -249,6 +256,19 @@ def test_out_of_domain_input_is_one_line_error(capsys, argv, topic):
     assert code == 1 and captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and topic in captured.err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("QL iteration failed to converge"),
+                                 ZeroDivisionError("float division by zero")])
+def test_numerical_failure_is_one_line_exit_2(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(pairspec.checks, "run_suite", fail)
+    code = main(["verify", "--suite", "eigen"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {exc}\n"
 
 
 def _readme_cli_lines():

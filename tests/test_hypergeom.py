@@ -5,6 +5,7 @@ import pytest
 
 from pairspec.fock_ladder import LadderState, inner
 from pairspec.hypergeom import (
+    _shifted_state,
     contiguous_residual,
     derivative_residual,
     f_family,
@@ -145,6 +146,73 @@ class TestGramWitness:
         sv80 = gram_witness(1, 0.45, 4, 80)
         sv160 = gram_witness(1, 0.45, 4, 160)
         assert abs(sv80[-1] - sv160[-1]) < 0.01 * sv80[-1]
+
+
+def meixner_reference(p, N, y, smax, dps=40):
+    """(-alpha_c)^m sqrt((p+1)_m / m!) F(-N, -m; p+1; 1 - 1/alpha_c^2) in mpmath.
+
+    The terminating sum runs as a Horner scheme in the falling factorials
+    (-m)_k: acc <- c_k + (k - m) acc, with c_k = (-N)_k z^k / ((p+1)_k k!).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        y = mpmath.mpf(y)
+        ac = 2 * y / (1 + mpmath.sqrt(1 - 4 * y * y))
+        z = 1 - 1 / (ac * ac)
+        c = [mpmath.mpf(1)]
+        for k in range(N):
+            c.append(c[-1] * (k - N) * z / ((p + 1 + k) * (k + 1)))
+        out = np.empty(smax + 1)
+        pref = mpmath.mpf(1)
+        for m in range(smax + 1):
+            if m:
+                pref *= -ac * mpmath.sqrt(mpmath.mpf(p + m) / m)
+            acc = c[N]
+            for k in range(N - 1, -1, -1):
+                acc = c[k] + (k - m) * acc
+            out[m] = float(pref * acc)
+    return out
+
+
+class TestTransportedState:
+    @pytest.mark.parametrize("y", [0.01, 0.1, 0.3, 0.45, 0.49])
+    def test_mpmath_meixner_at_n63(self, y):
+        # the binomial shift has lost every digit here; smax = 1280 holds the
+        # whole y = 0.49 state, whose mass reaches m ~ 800
+        want = meixner_reference(0, 63, y, 1280)
+        got = transported_state(0, 63, y, 1280).coeffs
+        assert np.all(got.imag == 0)
+        assert np.linalg.norm(got.real - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_mpmath_meixner_higher_ladder(self):
+        want = meixner_reference(2, 30, 0.45, 400)
+        got = transported_state(2, 30, 0.45, 400).coeffs.real
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_binomial_shift_referee(self):
+        # the binomial route's own cancellation grows with y and N; on this
+        # grid it still holds 1e-12 (at y = 0.3, p = 1 it does not by N = 16)
+        for y in (0.1, 0.2, 0.25):
+            for p in range(3):
+                for N in range(17):
+                    want = _shifted_state(p, N, y, 200).coeffs
+                    got = transported_state(p, N, y, 200).coeffs
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (y, p, N)
+
+    def test_truncation_below_n(self):
+        # the first smax + 1 coefficients, also when smax < N
+        full = transported_state(1, 12, 0.3, 200).coeffs
+        np.testing.assert_allclose(transported_state(1, 12, 0.3, 5).coeffs, full[:6], rtol=1e-14)
+
+    def test_unrepresentable_state_refused(self):
+        # c_200 / c_0 ~ ytilde^-200 ~ 1e1200 at y = 1e-6
+        with pytest.raises(ValueError, match="beyond double range"):
+            transported_state(0, 200, 1e-6, 300)
+
+    @pytest.mark.parametrize("y", [0.0, 0.5, -0.1])
+    def test_coupling_outside_range_rejected(self, y):
+        with pytest.raises(ValueError, match="coupling"):
+            transported_state(0, 2, y, 40)
 
 
 class TestProjectionSweep:

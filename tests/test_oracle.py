@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,58 @@ class TestSymTridiagEig:
             assert res <= 1e-10 * scale
         # orthonormality of the accumulated rotations
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
+
+    @staticmethod
+    def assert_eigenpairs(d, e, vals, vecs):
+        # the gates the referee-verify benchmark holds every eigensolve to
+        m = dense_tridiag(d, e)
+        scale = np.abs(m).sum(axis=1).max()
+        res = np.max(np.linalg.norm(m @ vecs - vecs * vals, axis=0))
+        assert res <= 1e-10 * scale
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(len(vals)))) <= 1e-12
+
+    @pytest.mark.parametrize("n, p, y", [(200, 0, 0.3), (300, 1, 0.27), (1000, 0, 0.34)])
+    def test_ladder_block_vectors(self, n, p, y):
+        block = build_tridiagonal(p, y, y, n - 1)
+        t0 = time.process_time()  # CPU time: other processes on the host do not count
+        vals, vecs = sym_tridiag_eig(block.diag, block.super_, vectors=True)
+        elapsed = time.process_time() - t0
+        self.assert_eigenpairs(block.diag, block.super_, vals, vecs)
+        if n == 1000:
+            assert elapsed < 1.0  # O(n^2) twisted vectors; Givens accumulation took ~11 s
+        else:
+            assert np.array_equal(vals, sym_tridiag_eig(block.diag, block.super_))
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(53)
+        for trial in range(24):
+            n = int(rng.integers(1, 201))
+            d = rng.standard_normal(n) * 3
+            e = rng.standard_normal(n - 1)
+            if trial % 4 == 1:
+                e[rng.random(n - 1) < 0.2] = 0.0  # split into independent blocks
+            if trial % 4 == 2:
+                e *= 1e-9  # nearly diagonal: localized vectors, close eigenvalues
+            vals, vecs = sym_tridiag_eig(d, e, vectors=True)
+            self.assert_eigenpairs(d, e, vals, vecs)
+            assert np.array_equal(vals, sym_tridiag_eig(d, e))
+
+    def test_degenerate_pairs_fall_back_to_rotations(self):
+        # Wilkinson-type: the top eigenvalue pairs agree to rounding, which
+        # one twist per eigenvalue cannot separate
+        n = 301
+        d = np.abs(np.arange(n) - 150.0)
+        e = np.ones(n - 1)
+        vals, vecs = sym_tridiag_eig(d, e, vectors=True)
+        assert np.min(np.diff(vals)) < 1e-8 * (np.max(d) + 2)
+        self.assert_eigenpairs(d, e, vals, vecs)
+        assert np.array_equal(vals, sym_tridiag_eig(d, e))
+
+    def test_single_entry_and_diagonal_vectors(self):
+        vals, vecs = sym_tridiag_eig([2.5], [], vectors=True)
+        assert vals.tolist() == [2.5] and vecs.tolist() == [[1.0]]
+        vals, vecs = sym_tridiag_eig([3.0, -1.0, 2.0], [0.0, 0.0], vectors=True)
+        np.testing.assert_array_equal(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
     def test_large_block_fast(self):
         block = build_tridiagonal(0, 0.3, 0.3, 300)

@@ -154,11 +154,11 @@ class TestApplyExpW:
     def test_free_limit_identity(self):
         sector, mp, _ = make(6, 0, a=0.0)
         x = np.arange(1.0, sector.dim + 1)
-        np.testing.assert_allclose(apply_exp_w(x, sector, mp), x)
+        np.testing.assert_allclose(apply_exp_w(x, sector), x)
 
     def test_single_application(self):
         sector, mp, mode = make(2, 0)
-        out = apply_exp_w(np.array([1.0, 0.0]), sector, mp)
+        out = apply_exp_w(np.array([1.0, 0.0]), sector)
         np.testing.assert_allclose(
             out, [1.0, -mode.alpha / 2.0 * math.sqrt(2.0)], rtol=1e-14
         )
@@ -168,13 +168,13 @@ class TestApplyExpW:
         for ntot, p in ((5, 1), (16, 0), (12, 4)):
             sector, mp, _ = make(ntot, p)
             x = rng.standard_normal(sector.dim)
-            y = apply_exp_w(apply_exp_w(x, sector, mp, 1.0), sector, mp, -1.0)
+            y = apply_exp_w(apply_exp_w(x, sector, 1.0), sector, -1.0)
             assert np.max(np.abs(y - x)) <= 1e-13 * np.max(np.abs(x))
 
     def test_shape_checked(self):
         sector, mp, _ = make(4, 0)
         with pytest.raises(ValueError):
-            apply_exp_w(np.ones(5), sector, mp)
+            apply_exp_w(np.ones(5), sector)
 
     @pytest.mark.parametrize("ntot, every", [(50, 1), (200, 10)])
     @pytest.mark.parametrize("p", [0, 1])
@@ -201,19 +201,19 @@ class TestApplyExpW:
                     term *= w[m - 1] / (m - s)
                     ref[m] += term
             ref = np.array([float(x) for x in ref])
-            err = np.linalg.norm(apply_exp_w(v, sector, mp) - ref) / np.linalg.norm(ref)
+            err = np.linalg.norm(apply_exp_w(v, sector) - ref) / np.linalg.norm(ref)
             assert err <= 1e-12, (n, err)
 
     def test_image_beyond_double_range_refused(self):
         mp = ModelParams(a=0.3, rho=1.0, L=2.0 * math.pi)
         sector = WuSector(12000, 0, mode_params(mp, (1.0, 0.0, 0.0)))
         with pytest.raises(ValueError, match="beyond double range"):
-            apply_exp_w(np.ones(sector.dim), sector, mp)
+            apply_exp_w(np.ones(sector.dim), sector)
 
     def test_non_finite_state_refused(self):
         sector, mp, _ = make(6, 0)
         with pytest.raises(ValueError, match="finite"):
-            apply_exp_w(np.array([1.0, math.nan, 0.0, 0.0]), sector, mp)
+            apply_exp_w(np.array([1.0, math.nan, 0.0, 0.0]), sector)
 
 
 class TestWuCliMemory:
