@@ -57,6 +57,21 @@ def _model_from_args(args: argparse.Namespace) -> ModelParams:
 
 
 _SPECTRUM_KEYS = ("n1", "n2", "n3", "k_abs", "y", "ytilde", "alpha", "epsilon")
+# One %-template per format renders a whole row; %.17g is the conversion fmt makes.
+_CSV_ROW = "%d,%d,%d" + ",%.17g" * 5
+_JSON_ROW = (  # one mode object, laid out as json.dumps(..., indent=2) nests it
+    "    {\n"
+    + ",\n".join(
+        f'      "{key}": {conv}'
+        for key, conv in zip(_SPECTRUM_KEYS, ("%d",) * 3 + ('"%.17g"',) * 5)
+    )
+    + "\n    }"
+)
+
+
+def _json_member(obj: dict) -> str:
+    """``obj`` as ``json.dumps(..., indent=2)`` renders it one level deep."""
+    return json.dumps(obj, indent=2).replace("\n", "\n  ")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -64,23 +79,23 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     modes = (mode_params(mp, k) for k in half_lattice(mp.L, args.nmax))
     rows = [(*m.n, math.sqrt(m.ksq), m.y, m.ytilde, m.alpha, m.epsilon) for m in modes]
     asum = _alpha_total(mp, (row[6] for row in rows))  # the alpha column
-    cells = ((*row[:3], *map(fmt, row[3:])) for row in rows)  # each row rendered once
     if args.format == "json":
-        payload = {
-            "model": {"a": fmt(mp.a), "rho": fmt(mp.rho), "L": fmt(mp.L), "N": fmt(mp.N)},
-            "modes": [dict(zip(_SPECTRUM_KEYS, row)) for row in cells],
-            "footer": {
-                "four_pi_a_rho_N": fmt(mp.mean_field_energy),
-                "alpha_sum": fmt(asum.value),
-                "alpha_sum_grows_with_cutoff": asum.grows_with_cutoff,
-            },
+        model = {"a": fmt(mp.a), "rho": fmt(mp.rho), "L": fmt(mp.L), "N": fmt(mp.N)}
+        footer = {
+            "four_pi_a_rho_N": fmt(mp.mean_field_energy),
+            "alpha_sum": fmt(asum.value),
+            "alpha_sum_grows_with_cutoff": asum.grows_with_cutoff,
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = "".join((
+            '{\n  "model": ', _json_member(model), ',\n  "modes": [\n',
+            ",\n".join([_JSON_ROW % row for row in rows]),
+            '\n  ],\n  "footer": ', _json_member(footer), "\n}\n",
+        ))
     else:
         lines = [
             f"# model,a={fmt(mp.a)},rho={fmt(mp.rho)},L={fmt(mp.L)},N={fmt(mp.N)}",
             ",".join(_SPECTRUM_KEYS),
-            *(",".join(map(str, row)) for row in cells),
+            *[_CSV_ROW % row for row in rows],
             f"# four_pi_a_rho_N,{fmt(mp.mean_field_energy)}",
             f"# alpha_sum,{fmt(asum.value)},grows_with_cutoff={asum.grows_with_cutoff}",
         ]

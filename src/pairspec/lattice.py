@@ -3,14 +3,15 @@
 Units are chosen so that hbar = 2m = 1.  The gas lives in a periodic box of
 side L, so momenta are k = 2*pi*n/L with integer 3-vectors n.  Everything
 below is a pure function of the physical inputs (scattering length a, density
-rho, box side L); per-mode derived quantities are collected in ``ModeParams``.
+rho, box side L); per-mode derived quantities are collected in ``ModeParams``,
+an immutable named tuple built once per half-lattice mode by ``mode_params``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,11 @@ class ModelParams:
     N: float | None = None
 
     def __post_init__(self) -> None:
+        for name, label in (("a", "scattering length"), ("rho", "density"),
+                            ("L", "box side"), ("N", "particle count")):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{label} {name} must be finite, got {value}")
         if self.a < 0:
             raise ValueError(f"scattering length must be >= 0, got {self.a}")
         if self.rho <= 0:
@@ -85,14 +91,15 @@ class ModelParams:
         return 4.0 * math.pi * self.a * self.rho * self.N
 
 
-@dataclass(frozen=True)
-class ModeParams:
+class ModeParams(NamedTuple):
     """Derived constants for one momentum mode k != 0.
 
-    ``y`` is the dimensionless coupling of the two-mode block, ``ytilde`` its
-    critical-transform image y/sqrt(1-4y^2), ``alpha`` the pair-excitation
-    amplitude (lower branch of the quadratic, always in [0, 1)), and
-    ``epsilon`` the quasiparticle energy |k|*sqrt(k^2 + 16*pi*a*rho).
+    An immutable, hashable named tuple, since one is built per half-lattice
+    mode: a field cannot be assigned.  ``y`` is the dimensionless coupling of
+    the two-mode block, ``ytilde`` its critical-transform image
+    y/sqrt(1-4y^2), ``alpha`` the pair-excitation amplitude (lower branch of
+    the quadratic, always in [0, 1)), and ``epsilon`` the quasiparticle
+    energy |k|*sqrt(k^2 + 16*pi*a*rho).
     """
 
     k: tuple[float, float, float]
@@ -140,12 +147,12 @@ def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
     if L <= 0:
         raise ValueError(f"box side must be > 0, got {L}")
     scale = 2.0 * math.pi / L
-    return list(map(tuple, (scale * _half_indices(nmax)).tolist()))
+    return list(zip(*(scale * _half_indices(nmax)).T.tolist()))
 
 
 def half_lattice_indices(nmax: int) -> list[tuple[int, int, int]]:
     """Integer triples of :func:`half_lattice`, in the same order."""
-    return list(map(tuple, _half_indices(nmax).tolist()))
+    return list(zip(*_half_indices(nmax).T.tolist()))
 
 
 def ytilde_from_y(y: float) -> float:
@@ -188,7 +195,7 @@ def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
     if ksq == 0.0:
         raise ValueError("k = 0 has no mode parameters")
     scale = mp.L / (2.0 * math.pi)
-    n = tuple(int(round(ki * scale)) for ki in k)
+    n = (round(k[0] * scale), round(k[1] * scale), round(k[2] * scale))
     g = mp.gas_scale  # 8*pi*a*rho
     eps = math.sqrt(ksq) * math.sqrt(ksq + 2.0 * g)
     if g == 0.0:
@@ -199,7 +206,7 @@ def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
         # minus branch of the quadratic for alpha(k), rationalized so the
         # large-k cancellation (ksq + g) - eps never happens; equals alpha_c(y(k))
         alpha = g / ((ksq + g) + eps)
-    return ModeParams(k=k, n=n, ksq=ksq, y=y, ytilde=ytil, alpha=alpha, epsilon=eps)
+    return ModeParams(k, n, ksq, y, ytil, alpha, eps)
 
 
 def _alpha_total(mp: ModelParams, alphas: Iterable[float]) -> AlphaSum:

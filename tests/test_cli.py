@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -9,9 +10,28 @@ import pytest
 
 import pairspec.checks
 import test_acceptance
-from pairspec.cli import main
+from pairspec.cli import fmt, main
+from pairspec.lattice import ModelParams, _alpha_total, half_lattice, mode_params
 
 REF_ARGS = ["--a", str(1.0 / (16.0 * math.pi)), "--rho", "1", "--L", str(2.0 * math.pi)]
+FREE_ARGS = ["--a", "0", *REF_ARGS[2:]]
+
+# SHA-256 of `spectrum` stdout, recorded from the json.dumps / fmt writer that
+# the row templates replaced: (model, nmax, format) -> digest.
+SPECTRUM_SHA256 = {
+    ("ref", 1, "csv"): "1d6183b89d598d6356bf49c99ca094a7989ad121c355a4b110e2e43395fb0068",
+    ("ref", 1, "json"): "aa8916f88e6ae75126761917b10b0179aa0ead80f4f22384042c229e5efb1587",
+    ("ref", 2, "csv"): "85cca8ce9d1c7229e5977a24ae04749bf84f9b2645323ef3166fe203f7b1d3c7",
+    ("ref", 2, "json"): "705c1da9cac6592b470c8dde81b38027a12c12525feb37661aba4cd232724e58",
+    ("ref", 5, "csv"): "4d51e881def3b8465aac308eca3b2586f22ebe5cef0a19dc45ce3d862fe5a588",
+    ("ref", 5, "json"): "d290f92313fdfdcfd343ee866e272b59fa707f39c8f2103f149068a223489126",
+    ("free", 1, "csv"): "5f561417f6d49bade3870af6f69169c5907cc79fec8371448140261273f411a1",
+    ("free", 1, "json"): "c2ffc696fd680573939c97de4fb2b05c5fe97ff5c78b3511f2ed02d0c06cba78",
+    ("free", 2, "csv"): "5383cb2486fc487793ff5eacb53d0446ca8dd9aea6dff9b58f94e20a9213c836",
+    ("free", 2, "json"): "13b4cb1cca20de08b98ec387f43b5fa92c91d2ac64b6f1cfec3815065e078c58",
+    ("free", 5, "csv"): "47c21aec9ef5793c4f94473e106c8fa58011317aca37164ef531b3dbcc8fe17e",
+    ("free", 5, "json"): "6e13359649d08fa1168b86a60c746ea417f708cdac9de17490b2cba30b8b2c88",
+}
 
 
 def run(capsys, argv):
@@ -60,6 +80,37 @@ class TestSpectrum:
         code = main(["spectrum", "--a", "-1", "--rho", "1", "--L", "1"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("key", sorted(SPECTRUM_SHA256), ids=lambda key: "-".join(map(str, key)))
+    def test_output_bytes_are_pinned(self, capsys, key):
+        model, nmax, form = key
+        model_args = REF_ARGS if model == "ref" else FREE_ARGS
+        code, out = run(capsys, ["spectrum", *model_args, "--nmax", str(nmax), "--format", form])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_SHA256[key]
+
+    @pytest.mark.parametrize("model_args", [REF_ARGS, FREE_ARGS], ids=["ref", "free"])
+    def test_json_rows_match_stdlib_encoder(self, capsys, model_args):
+        # the stdlib encoder is the referee of the row template
+        code, out = run(capsys, ["spectrum", *model_args, "--nmax", "2", "--format", "json"])
+        assert code == 0
+        mp = ModelParams(a=float(model_args[1]), rho=float(model_args[3]), L=float(model_args[5]))
+        modes = [mode_params(mp, k) for k in half_lattice(mp.L, 2)]
+        asum = _alpha_total(mp, (m.alpha for m in modes))
+        keys = ("n1", "n2", "n3", "k_abs", "y", "ytilde", "alpha", "epsilon")
+        payload = {
+            "model": {"a": fmt(mp.a), "rho": fmt(mp.rho), "L": fmt(mp.L), "N": fmt(mp.N)},
+            "modes": [
+                dict(zip(keys, (*m.n, *map(fmt, (math.sqrt(m.ksq), m.y, m.ytilde, m.alpha, m.epsilon)))))
+                for m in modes
+            ],
+            "footer": {
+                "four_pi_a_rho_N": fmt(mp.mean_field_energy),
+                "alpha_sum": fmt(asum.value),
+                "alpha_sum_grows_with_cutoff": asum.grows_with_cutoff,
+            },
+        }
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "spec.csv"
@@ -247,8 +298,32 @@ class TestWu:
         (["eigenstate", "--y", "0.3", "--theta", "inf"], "theta"),
         (["eigenstate", "--y", "0.3", "--theta", "nan"], "theta"),
         (["gram", "--nmax", "-1"], "Nmax"),
+        *(
+            ([command, *args, *extra], topic)
+            for command, extra in (("spectrum", []), ("wu", ["--N", "4", "--kn", "0,0,1"]))
+            for args, topic in (
+                (["--a", "inf", "--rho", "1", "--L", "7"], "scattering length a must be finite"),
+                (["--a", "nan", "--rho", "1", "--L", "7"], "scattering length a must be finite"),
+                (["--a", "0.02", "--rho", "inf", "--L", "7"], "density rho must be finite"),
+                (["--a", "0.02", "--rho", "nan", "--L", "7"], "density rho must be finite"),
+                (["--a", "0.02", "--rho", "1", "--L", "inf"], "box side L must be finite"),
+                (["--a", "0.02", "--rho", "1", "--L", "nan"], "box side L must be finite"),
+            )
+        ),
+        (["spectrum", "--a", "0.02", "--rho", "1", "--L", "7", "--N", "nan"],
+         "particle count N must be finite"),
+        (["spectrum", "--a", "0.02", "--rho", "1", "--L", "7", "--N", "inf"],
+         "particle count N must be finite"),
     ],
-    ids=["smax-negative", "p-negative", "theta-inf", "theta-nan", "gram-nmax-negative"],
+    ids=[
+        "smax-negative", "p-negative", "theta-inf", "theta-nan", "gram-nmax-negative",
+        *(
+            f"{command}-{name}"
+            for command in ("spectrum", "wu")
+            for name in ("a-inf", "a-nan", "rho-inf", "rho-nan", "L-inf", "L-nan")
+        ),
+        "spectrum-N-nan", "spectrum-N-inf",
+    ],
 )
 def test_out_of_domain_input_is_one_line_error(capsys, argv, topic):
     code = main(argv)

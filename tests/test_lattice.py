@@ -13,6 +13,7 @@ from pairspec.lattice import (
     y12,
     ytilde_from_y,
 )
+from pairspec.wu_sector import WuSector
 
 REF = dict(a=1.0 / (16.0 * math.pi), rho=1.0, L=2.0 * math.pi)
 
@@ -33,11 +34,22 @@ class TestModelParams:
         mp = ModelParams(a=0.0, rho=1.0, L=1.0)
         assert mp.gas_scale == 0.0
 
-    @pytest.mark.parametrize("bad", [dict(a=-1.0), dict(rho=0.0), dict(L=-2.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(a=-1.0),
+            dict(rho=0.0),
+            dict(L=-2.0),
+            *(dict([(name, value)]) for name in ("a", "rho", "L", "N")
+              for value in (math.inf, -math.inf, math.nan)),
+        ],
+    )
     def test_invalid_inputs(self, bad):
         kwargs = dict(a=0.01, rho=1.0, L=2.0)
         kwargs.update(bad)
-        with pytest.raises(ValueError):
+        ((name, value),) = bad.items()
+        topic = None if math.isfinite(value) else f"{name} must be finite"  # names the input
+        with pytest.raises(ValueError, match=topic):
             ModelParams(**kwargs)
 
 
@@ -74,6 +86,16 @@ class TestHalfLattice:
 
 
 class TestModeParams:
+    def test_value_type(self):
+        mp = ModelParams(**REF)
+        m = mode_params(mp, (0.0, 0.0, 1.0))
+        with pytest.raises(AttributeError):
+            m.alpha = 0.5
+        twin = mode_params(mp, (0.0, 0.0, 1.0))
+        assert twin == m and hash(twin) == hash(m)
+        assert hash(WuSector(4, 0, m)) == hash(WuSector(4, 0, twin))
+        assert repr(m).startswith("ModeParams(k=(0.0, 0.0, 1.0), n=(0, 0, 1), ksq=1.0, y=")
+
     def test_free_limit(self):
         mp = ModelParams(a=0.0, rho=1.0, L=2.0 * math.pi)
         m = mode_params(mp, (0.0, 1.0, 1.0))
