@@ -194,21 +194,16 @@ def _oracle_spectrum(rng, smax=80, levels=3):
     return [_result("eigen", "dense referee reproduces the closed spectrum", dev, 1e-10)]
 
 
-def _block_energy(y: float, p: int, n: int) -> float:
-    """Energy of |p, n> transported to the Hermitian block at alpha_c(y)."""
-    ac = alpha_c(y)
-    return (1.0 - 2.0 * ac * y) * (p / 2.0 + n) - ac * y
-
-
 def _transport(rng, ps=range(3), ns=range(3), pad=200):
     dev = 0.0
     for y in (0.3, 0.45):
-        ytil = ytilde_from_y(y)
+        ytil, ac = ytilde_from_y(y), alpha_c(y)
         for p in ps:
             for n in ns:
                 st = psi_p_theta(EigenstateSpec(p, n, ytil, n)).padded(pad)
-                moved = pair_transform.apply_exp_pair(st, -alpha_c(y))
-                dev = max(dev, residual(moved, y, y, _block_energy(y, p, n)) / moved.norm())
+                moved = pair_transform.apply_exp_pair(st, -ac)
+                energy = pair_transform._transported_energy(p / 2.0 + n, y, ac)
+                dev = max(dev, residual(moved, y, y, energy) / moved.norm())
     return [_result("eigen", "transported states solve the Hermitian block", dev, 1e-8)]
 
 
@@ -250,7 +245,7 @@ def _tail_constants(rng):
 
 def _transport_energy(rng, ps=range(3), ns=range(3)):
     dev = max(
-        abs(_block_energy(y, p, n) - bog_energy_ab(y, p, n))
+        abs(pair_transform._transported_energy(p / 2.0 + n, y, alpha_c(y)) - bog_energy_ab(y, p, n))
         for y in (0.3, 0.45)
         for p in ps
         for n in ns

@@ -35,7 +35,7 @@ from .lattice import (
     mode_params,
     ytilde_from_y,
 )
-from .pair_transform import DomainVerdict, apply_exp_pair, domain_check
+from .pair_transform import DomainVerdict, _transported_energy, apply_exp_pair, domain_check
 
 __all__ = ["main"]
 
@@ -50,10 +50,6 @@ def _write_output(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-
-
-def _model_from_args(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(a=args.a, rho=args.rho, L=args.L, N=args.N)
 
 
 _SPECTRUM_KEYS = ("n1", "n2", "n3", "k_abs", "y", "ytilde", "alpha", "epsilon")
@@ -75,7 +71,7 @@ def _json_member(obj: dict) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    mp = _model_from_args(args)
+    mp = ModelParams(a=args.a, rho=args.rho, L=args.L, N=args.N)
     modes = (mode_params(mp, k) for k in half_lattice(mp.L, args.nmax))
     rows = [(*m.n, math.sqrt(m.ksq), m.y, m.ytilde, m.alpha, m.epsilon) for m in modes]
     asum = _alpha_total(mp, (row[6] for row in rows))  # the alpha column
@@ -165,7 +161,7 @@ def cmd_eigenstate(args: argparse.Namespace) -> int:
             code = 2
         else:
             moved = apply_exp_pair(st, -alpha)
-            e_ab = (1.0 - 2.0 * alpha * y) * energy - alpha * y
+            e_ab = _transported_energy(energy, y, alpha)
             lines.append(f"transformed_energy = {_complex_text(e_ab)}")
             lines.extend(_coeff_block("s,transformed_re,transformed_im", moved.coeffs))
     _write_output("\n".join(lines) + "\n", args.out)
@@ -213,7 +209,7 @@ def cmd_wu(args: argparse.Namespace) -> int:
     worst = 0.0
     for idx in range(sector.dim):
         vec = wu_sector.wu_eigenstate(sector, mp, idx)
-        lam = mode.epsilon * (2 * idx + args.p)
+        lam = diag[idx]
         image = (diag - lam) * vec
         image[:-1] += upper * vec[1:]
         res = float(np.linalg.norm(image))

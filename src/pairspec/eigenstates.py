@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_ladder import LadderState
+from .fock_ladder import LadderState, _log_factorials
 from .hamiltonians import apply_hab_alpha
 
 __all__ = [
@@ -56,7 +56,6 @@ class EigenstateSpec:
     theta: complex
     ytilde: float
     smax: int
-    mirror: bool = False
 
     def __post_init__(self) -> None:
         if self.p < 0:
@@ -111,11 +110,11 @@ def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:
     if left.size:
         start = 1 + int(left[0])
         c[start : top + 1] = _log_space_coeffs(spec, start, top)
-    st = LadderState(spec.p, c, spec.mirror)
+    st = LadderState(spec.p, c)
     if normalize:
         if classify_normalizable(spec.ytilde, theta, spec.p) is Normalizability.NOT_NORMALIZABLE:
             raise ValueError("state is not square-summable; refusing to normalize")
-        st = LadderState(spec.p, c / st.norm(), spec.mirror)
+        st = LadderState(spec.p, c / st.norm())
     return st
 
 
@@ -195,13 +194,12 @@ def _log_coeffs(ytilde: float, theta: complex, p: int, smax: int) -> np.ndarray:
     """
     s = np.arange(smax + 1, dtype=float)
     j = np.arange(smax, dtype=float)
+    log_fact = _log_factorials(p + smax + 1)
     with np.errstate(divide="ignore"):  # theta - j = 0 terminates the expansion
         log_binom_theta = np.concatenate(
             ([0.0], np.cumsum(np.log(np.abs(theta - j))))
-        ) - np.array([math.lgamma(v + 1.0) for v in s])
-    log_binom_ps = np.array(
-        [math.lgamma(p + v + 1.0) - math.lgamma(v + 1.0) - math.lgamma(p + 1.0) for v in s]
-    )
+        ) - log_fact[: smax + 1]
+    log_binom_ps = log_fact[p:] - log_fact[: smax + 1] - log_fact[p]
     arg = np.angle(_unit_phases(theta, smax))
     return -s * math.log(ytilde) + log_binom_theta - 0.5 * log_binom_ps + 1j * arg
 

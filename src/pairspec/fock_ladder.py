@@ -1,13 +1,15 @@
 """States on a fixed-imbalance pair ladder and the elementary operator actions.
 
 A ladder state is a finite coefficient sequence c_s over the occupation pairs
-|p+s, s> for fixed integer imbalance p >= 0 (mirror=True means the swapped
-|s, p+s> family).  Operators never mix ladders with different p or mirror
-flag, so each state carries both labels.
+|p+s, s> for fixed integer imbalance p >= 0.  The swapped family |s, p+s> is
+the same ladder with k and -k relabelled, and the half lattice keeps one k
+per (k, -k) pair, so the imbalance p is the only label a state carries.
+Operators never mix ladders with different p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +25,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LadderState:
-    """Coefficients c_s of sum_s c_s |p+s, s> (or |s, p+s> when mirror)."""
+    """Coefficients c_s of sum_s c_s |p+s, s>."""
 
     p: int
     coeffs: np.ndarray = field(repr=False)
-    mirror: bool = False
 
     def __post_init__(self) -> None:
         if self.p < 0:
@@ -48,7 +49,12 @@ class LadderState:
             raise ValueError("padding cannot shrink the state")
         out = np.zeros(smax + 1, dtype=complex)
         out[: len(self.coeffs)] = self.coeffs
-        return LadderState(self.p, out, self.mirror)
+        return LadderState(self.p, out)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log s! for s = 0..n-1, the one table the ladder-coordinate factors slice."""
+    return np.array([math.lgamma(s + 1.0) for s in range(n)])
 
 
 def apply_ab(st: LadderState) -> LadderState:
@@ -58,10 +64,10 @@ def apply_ab(st: LadderState) -> LadderState:
     """
     c = st.coeffs
     if len(c) <= 1:
-        return LadderState(st.p, np.zeros(0, dtype=complex), st.mirror)
+        return LadderState(st.p, np.zeros(0, dtype=complex))
     s = np.arange(len(c) - 1)
     out = np.sqrt((st.p + s + 1.0) * (s + 1.0)) * c[1:]
-    return LadderState(st.p, out, st.mirror)
+    return LadderState(st.p, out)
 
 
 def apply_adbd(st: LadderState) -> LadderState:
@@ -72,21 +78,21 @@ def apply_adbd(st: LadderState) -> LadderState:
     s = np.arange(1, len(c) + 1)
     out = np.zeros(len(c) + 1, dtype=complex)
     out[1:] = np.sqrt((st.p + s) * s.astype(float)) * c
-    return LadderState(st.p, out, st.mirror)
+    return LadderState(st.p, out)
 
 
 def apply_halfnumber(st: LadderState) -> LadderState:
     """Half total number operator: c'_s = (p/2 + s) c_s."""
     s = np.arange(len(st.coeffs))
-    return LadderState(st.p, (st.p / 2.0 + s) * st.coeffs, st.mirror)
+    return LadderState(st.p, (st.p / 2.0 + s) * st.coeffs)
 
 
 def inner(x: LadderState, y: LadderState) -> complex:
     """l2 pairing, conjugate-linear in the first slot.
 
-    States on different ladders (p or mirror flag differ) are orthogonal.
+    States on different ladders (p differs) are orthogonal.
     """
-    if x.p != y.p or x.mirror != y.mirror:
+    if x.p != y.p:
         return 0.0 + 0.0j
     n = min(len(x.coeffs), len(y.coeffs))
     if n == 0:

@@ -1,11 +1,12 @@
 """Generating functions of ladder states and their analytic structure.
 
 A ladder state maps to the power series G(z) = sum_s C_s z^s with rescaled
-coefficients C_s = sqrt(s!/(p+s)!) c_s.  Eigenstates of the two-mode block
-solve a first-order ODE whose leading polynomial has roots z+ and z-; the
-exponent B at z+ carries the energy, and the pair transform acts on G as the
-Moebius substitution (1 + alpha z)^(-1) G(z / (1 + alpha z)).  Everything here
-is coefficient arithmetic: the ODE is verified order by order, never
+coefficients C_s = sqrt(s!/(p+s)!) c_s; like the state, the series carries
+only its imbalance p.  Eigenstates of the two-mode block solve a first-order
+ODE whose leading polynomial has roots z+ and z-; the exponent B at z+
+carries the energy, and the pair transform acts on G as the Moebius
+substitution (1 + alpha z)^(-1) G(z / (1 + alpha z)).  Everything here is
+coefficient arithmetic: the ODE is verified order by order, never
 integrated, and radii come from ratio/root tests on the tail.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .fock_ladder import LadderState
 from .lattice import alpha_c, y12
-from .pair_transform import rescale_from_genfn_coords, rescale_to_genfn_coords
+from .pair_transform import _log_rescale
 
 __all__ = [
     "GenFn",
@@ -42,7 +43,6 @@ class GenFn:
 
     p: int
     C: np.ndarray = field(repr=False)
-    mirror: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "C", np.asarray(self.C, dtype=complex))
@@ -54,11 +54,11 @@ class GenFn:
 
 def from_state(st: LadderState) -> GenFn:
     """C_s = sqrt(s!/(p+s)!) c_s; exact inverse of :func:`to_state`."""
-    return GenFn(st.p, rescale_to_genfn_coords(st.coeffs, st.p), st.mirror)
+    return GenFn(st.p, st.coeffs * np.exp(_log_rescale(st.p, len(st.coeffs))))
 
 
 def to_state(g: GenFn) -> LadderState:
-    return LadderState(g.p, rescale_from_genfn_coords(g.C, g.p), g.mirror)
+    return LadderState(g.p, g.C * np.exp(-_log_rescale(g.p, len(g.C))))
 
 
 def ode_residual(g: GenFn, energy: complex, y1: float, y2: float) -> float:
@@ -165,7 +165,7 @@ def mobius(g: GenFn, alpha: float) -> GenFn:
             f"Moebius image at alpha={alpha!r} of this length-{n} series has coefficients "
             "beyond double range"
         )
-    return GenFn(g.p, out, g.mirror)
+    return GenFn(g.p, out)
 
 
 def q_invariant(y: float, alpha: float) -> float:

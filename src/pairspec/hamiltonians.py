@@ -73,7 +73,7 @@ def apply_hab_alpha(st: LadderState, y1: float, y2: float) -> LadderState:
     if y2 != 0.0:
         up = apply_adbd(st)
         out[: len(up.coeffs)] += y2 * up.coeffs
-    return LadderState(st.p, out, st.mirror)
+    return LadderState(st.p, out)
 
 
 def build_tridiagonal(p: int, y1: float, y2: float, smax: int) -> HabMatrix:

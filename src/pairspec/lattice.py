@@ -65,16 +65,23 @@ class ModelParams:
             raise ValueError(f"density must be > 0, got {self.rho}")
         if self.L <= 0:
             raise ValueError(f"box side must be > 0, got {self.L}")
-        volume = self.L**3
-        if self.N is None:
+        given_n = self.N is not None
+        if given_n and self.N <= 0:
+            raise ValueError(f"particle count must be > 0, got {self.N}")
+        try:
+            volume = self.L**3
+        except OverflowError:  # above double range; below it, L^3 rounds to 0
+            volume = math.inf
+        if not given_n:
             object.__setattr__(self, "N", self.rho * volume)
-        else:
-            if self.N <= 0:
-                raise ValueError(f"particle count must be > 0, got {self.N}")
-            if abs(self.rho - self.N / volume) > _RHO_RTOL * self.rho:
-                raise ValueError(
-                    f"inconsistent inputs: rho={self.rho} but N/L^3={self.N / volume}"
-                )
+        if not (0.0 < volume < math.inf and 0.0 < self.N < math.inf
+                and math.isfinite(self.gas_scale) and math.isfinite(self.mean_field_energy)):
+            raise ValueError(
+                f"a={self.a!r}, rho={self.rho!r}, L={self.L!r} put a derived scale beyond double "
+                f"range: L^3={volume!r}, N={self.N!r}, 8*pi*a*rho={self.gas_scale!r}, "
+                f"4*pi*a*rho*N={self.mean_field_energy!r}")
+        if given_n and abs(self.rho - self.N / volume) > _RHO_RTOL * self.rho:
+            raise ValueError(f"inconsistent inputs: rho={self.rho} but N/L^3={self.N / volume}")
 
     @property
     def volume(self) -> float:
@@ -202,7 +209,11 @@ def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
         y = ytil = alpha = 0.0
     else:
         y = 0.5 * g / (ksq + g)
-        ytil = ytilde_from_y(y)
+        try:
+            ytil = ytilde_from_y(y)
+        except ValueError:  # only y = 1/2 reaches here: ksq + g rounded to g
+            raise ValueError(f"mode n={n} is too soft: k^2={ksq!r} is below the rounding "
+                             f"of 8*pi*a*rho={g!r}, so y = g/(2(k^2 + g)) rounds to 1/2") from None
         # minus branch of the quadratic for alpha(k), rationalized so the
         # large-k cancellation (ksq + g) - eps never happens; equals alpha_c(y(k))
         alpha = g / ((ksq + g) + eps)
@@ -225,5 +236,4 @@ def alpha_sum(mp: ModelParams, nmax: int) -> AlphaSum:
     The sum is taken in the deterministic half-lattice order (each term
     counted twice, alpha(-k) = alpha(k)) so repeated runs are bit-identical.
     """
-    modes = half_lattice(mp.L, nmax) if mp.a else []  # the free gas sums nothing
-    return _alpha_total(mp, (mode_params(mp, k).alpha for k in modes))
+    return _alpha_total(mp, (mode_params(mp, k).alpha for k in half_lattice(mp.L, nmax)))

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .fock_ladder import LadderState
+from .fock_ladder import LadderState, _log_factorials
 from .lattice import ModelParams, half_lattice, mode_params
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "mode_ground_state",
     "pair_occupancy",
     "depletion_report",
-    "rescale_to_genfn_coords",
-    "rescale_from_genfn_coords",
 ]
 
 
@@ -43,19 +41,9 @@ _LOG_SUBNORMAL = math.log(np.finfo(float).smallest_subnormal)
 
 
 def _log_rescale(p: int, n: int) -> np.ndarray:
-    """log sqrt(s!/(p+s)!) for s = 0..n-1."""
-    s = np.arange(n, dtype=float)
-    return 0.5 * np.array([math.lgamma(v + 1.0) - math.lgamma(p + v + 1.0) for v in s])
-
-
-def rescale_to_genfn_coords(coeffs: np.ndarray, p: int) -> np.ndarray:
-    """c_s -> C_s = sqrt(s!/(p+s)!) c_s (log-factorial based, overflow safe)."""
-    return coeffs * np.exp(_log_rescale(p, len(coeffs)))
-
-
-def rescale_from_genfn_coords(rescaled: np.ndarray, p: int) -> np.ndarray:
-    """C_s -> c_s = sqrt((p+s)!/s!) C_s."""
-    return rescaled * np.exp(-_log_rescale(p, len(rescaled)))
+    """log sqrt(s!/(p+s)!) for s = 0..n-1: C_s = exp(this) c_s."""
+    log_fact = _log_factorials(p + n)
+    return 0.5 * (log_fact[:n] - log_fact[p:])
 
 
 def _taylor_numerators(t: float, n: int) -> np.ndarray:
@@ -124,7 +112,7 @@ def apply_exp_pair(st: LadderState, alpha_signed: float) -> LadderState:
             f"exp({alpha_signed!r} a*b*) of this length-{n} state has coefficients "
             "beyond double range"
         )
-    return LadderState(st.p, out, st.mirror)
+    return LadderState(st.p, out)
 
 
 class DomainVerdict(enum.Enum):
@@ -228,7 +216,8 @@ def conjugation_check(alpha: float, smax: int) -> float:
     worst = 0.0
     for p in (0, 1):
         # rescaled-coordinate generators on the source ladder p, target p-1
-        # (p = 0 targets the mirror p = 1 ladder; factors below are exact
+        # (p = 0 targets the swapped family |s, s+1>, the p = 1 ladder with k
+        # and -k relabelled; factors below are exact
         # integers in these coordinates)
         if p == 1:
             a_op = np.diag(np.arange(p, n + p, dtype=dt))
@@ -242,14 +231,17 @@ def conjugation_check(alpha: float, smax: int) -> float:
     return worst
 
 
-def mode_ground_state(alpha: float, smax: int, normalize: bool = False) -> LadderState:
+def _transported_energy(energy: complex, y: float, alpha: float) -> complex:
+    """(1 - 2 alpha y) E - alpha y: the block energy E at coupling y carried by
+    exp(-alpha a*b*), the Hermitian block's energy when alpha = alpha_c(y)."""
+    return (1.0 - 2.0 * alpha * y) * energy - alpha * y
+
+
+def mode_ground_state(alpha: float, smax: int) -> LadderState:
     """Truncated per-mode ground state exp(-P)|vac>: c_n = alpha^n on the p=0 ladder."""
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    c = alpha ** np.arange(smax + 1, dtype=float)
-    if normalize:
-        c = c / np.linalg.norm(c)
-    return LadderState(0, c.astype(complex))
+    return LadderState(0, alpha ** np.arange(smax + 1, dtype=float))
 
 
 def pair_occupancy(st: LadderState) -> float:

@@ -33,6 +33,49 @@ SPECTRUM_SHA256 = {
     ("free", 5, "json"): "6e13359649d08fa1168b86a60c746ea417f708cdac9de17490b2cba30b8b2c88",
 }
 
+# SHA-256 of the other commands' stdout: id -> (argv, exit code, digest).  Their
+# transform, referee and sector kernels run in np.longdouble, so these bytes
+# hold only where that type is x87 extended precision.
+COMMAND_SHA256 = {
+    "eigenstate-transform": (
+        ["eigenstate", "--y", "0.3", "--theta", "1", "--smax", "30", "--transform", "0.2"], 0,
+        "f8185f6f99a2c6b316daf6d70e23e23e3b6aa189a07ed531dc59b4343bfc1149",
+    ),
+    "eigenstate-transform-refused": (
+        ["eigenstate", "--y", "0.45", "--p", "1", "--theta", "0.5", "--smax", "300",
+         "--transform", "0.3"], 2,
+        "32c8c2711fb7a571c4f4d10e173188d2ce99003d5d3dc35c53d05653cf65360c",
+    ),
+    "eigenstate-k-mode": (
+        ["eigenstate", "--k-mode", "0,0,1", *REF_ARGS, "--theta", "1", "--smax", "4"], 0,
+        "cc8b082e13f63770130fae1e1c3c71522d10c5f575ba28358e2ebd65191567a9",
+    ),
+    "eigenstate-k-mode-transform": (
+        ["eigenstate", "--k-mode", "0,0,1", *REF_ARGS, "--p", "2", "--theta", "2", "--smax", "20",
+         "--transform", "0.1"], 0,
+        "27b63194716b32cbe5470f6b286e31f68f9ed0f6a63c2d82135984fdcd7b8c7b",
+    ),
+    "gram-nmax-4": (
+        ["gram"], 0, "c6617c55b2d935dc94df664e7d09b3e22f1b8a9be8d0831ec14c978381e9230e",
+    ),
+    "gram-nmax-63": (
+        ["gram", "--nmax", "63", "--smax", "640"], 0,
+        "0e03e0c5f75d69ca1d7246c5ce9ba1d8bb0fa966e73352b64184286300312def",
+    ),
+    **{
+        f"wu-N-{n}": (["wu", *REF_ARGS, "--N", str(n), "--kn", "0,0,1"], 0, digest)
+        for n, digest in (
+            (4, "2d68e390c2018c88f8cecc99ea742d330ea2bb4adbcfe5d80af5e99afc285c45"),
+            (50, "bc212ec740a05204a5f396fa0d9ba199c6d7066fdca8b1d64c2e5101c5b71126"),
+            (170, "4ae441a355a63c152ea38f58256dd2516e0fca8f70e55da00c1639f010425c35"),
+        )
+    },
+    "verify-seed-0": (
+        ["verify", "--suite", "all", "--seed", "0"], 0,
+        "75f8a9ab6ae70a9e458f3a8ce645e3a735d0aa490712b59a01e160ab62b33661",
+    ),
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -117,6 +160,15 @@ class TestSpectrum:
         code, out = run(capsys, ["spectrum", *REF_ARGS, "--nmax", "1", "--out", str(path)])
         assert code == 0
         assert path.read_text() == out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="pins need x87 extended precision")
+@pytest.mark.parametrize("name", sorted(COMMAND_SHA256))
+def test_command_bytes_are_pinned(capsys, name):
+    argv, want_code, digest = COMMAND_SHA256[name]
+    code, out = run(capsys, argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEigenstate:
@@ -290,6 +342,29 @@ class TestWu:
         assert np.all(np.isfinite(rows))
 
 
+# Model inputs that `spectrum` and `wu` refuse: (id, model args, message topic).
+MODEL_ERRORS = [
+    ("a-inf", ["--a", "inf", "--rho", "1", "--L", "7"], "scattering length a must be finite"),
+    ("a-nan", ["--a", "nan", "--rho", "1", "--L", "7"], "scattering length a must be finite"),
+    ("rho-inf", ["--a", "0.02", "--rho", "inf", "--L", "7"], "density rho must be finite"),
+    ("rho-nan", ["--a", "0.02", "--rho", "nan", "--L", "7"], "density rho must be finite"),
+    ("L-inf", ["--a", "0.02", "--rho", "1", "--L", "inf"], "box side L must be finite"),
+    ("L-nan", ["--a", "0.02", "--rho", "1", "--L", "nan"], "box side L must be finite"),
+    *(
+        (name, ["--a", a, "--rho", rho, "--L", L],
+         f"a={float(a)!r}, rho={float(rho)!r}, L={float(L)!r} put a derived scale beyond double range")
+        for name, a, rho, L in (
+            ("L3-overflow", "0.01", "1", "1e200"),
+            ("L3-underflow", "0.01", "1", "1e-200"),
+            ("N-overflow", "0.01", "1e300", "1e5"),
+            ("N-underflow", "0.01", "1e-300", "1e-10"),
+            ("gas-scale-overflow", "1e300", "1e10", "7"),
+        )
+    ),
+    ("soft-mode", ["--a", "0.01", "--rho", "1", "--L", "1e10"], "mode n=(0, 0, 1) is too soft"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, topic",
     [
@@ -301,14 +376,7 @@ class TestWu:
         *(
             ([command, *args, *extra], topic)
             for command, extra in (("spectrum", []), ("wu", ["--N", "4", "--kn", "0,0,1"]))
-            for args, topic in (
-                (["--a", "inf", "--rho", "1", "--L", "7"], "scattering length a must be finite"),
-                (["--a", "nan", "--rho", "1", "--L", "7"], "scattering length a must be finite"),
-                (["--a", "0.02", "--rho", "inf", "--L", "7"], "density rho must be finite"),
-                (["--a", "0.02", "--rho", "nan", "--L", "7"], "density rho must be finite"),
-                (["--a", "0.02", "--rho", "1", "--L", "inf"], "box side L must be finite"),
-                (["--a", "0.02", "--rho", "1", "--L", "nan"], "box side L must be finite"),
-            )
+            for _, args, topic in MODEL_ERRORS
         ),
         (["spectrum", "--a", "0.02", "--rho", "1", "--L", "7", "--N", "nan"],
          "particle count N must be finite"),
@@ -317,11 +385,7 @@ class TestWu:
     ],
     ids=[
         "smax-negative", "p-negative", "theta-inf", "theta-nan", "gram-nmax-negative",
-        *(
-            f"{command}-{name}"
-            for command in ("spectrum", "wu")
-            for name in ("a-inf", "a-nan", "rho-inf", "rho-nan", "L-inf", "L-nan")
-        ),
+        *(f"{command}-{name}" for command in ("spectrum", "wu") for name, _, _ in MODEL_ERRORS),
         "spectrum-N-nan", "spectrum-N-inf",
     ],
 )

@@ -4,8 +4,8 @@ import pytest
 from pairspec.fock_ladder import LadderState, apply_ab, apply_adbd, apply_halfnumber, inner
 
 
-def state(p, coeffs, mirror=False):
-    return LadderState(p, np.array(coeffs, dtype=complex), mirror)
+def state(p, coeffs):
+    return LadderState(p, np.array(coeffs, dtype=complex))
 
 
 class TestApplyAb:
@@ -22,8 +22,8 @@ class TestApplyAb:
         assert len(out.coeffs) == 0
 
     def test_labels_preserved(self):
-        out = apply_ab(state(2, [0, 1, 2], mirror=True))
-        assert out.p == 2 and out.mirror
+        out = apply_ab(state(2, [0, 1, 2]))
+        assert out.p == 2
 
 
 class TestApplyAdbd:
@@ -62,7 +62,6 @@ class TestInner:
 
     def test_different_ladders_orthogonal(self):
         assert inner(state(0, [1]), state(1, [1])) == 0
-        assert inner(state(1, [1]), state(1, [1], mirror=True)) == 0
 
     def test_conjugate_linear_first_slot(self):
         x = state(0, [1j])

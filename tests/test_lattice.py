@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pairspec.lattice import (
     ModelParams,
@@ -42,13 +45,26 @@ class TestModelParams:
             dict(L=-2.0),
             *(dict([(name, value)]) for name in ("a", "rho", "L", "N")
               for value in (math.inf, -math.inf, math.nan)),
+            # finite inputs whose derived scales leave double range
+            dict(L=1e200),  # L^3 overflows
+            dict(L=1e-200),  # L^3 underflows to 0
+            dict(a=0.01, rho=1e300, L=1e5),  # N = rho L^3 overflows
+            dict(rho=1e-300, L=1e-10),  # N underflows to 0
+            dict(a=1e300, rho=1e10),  # 8 pi a rho overflows
+            dict(a=1e150, rho=1e150),  # 4 pi a rho N overflows
         ],
     )
     def test_invalid_inputs(self, bad):
         kwargs = dict(a=0.01, rho=1.0, L=2.0)
         kwargs.update(bad)
-        ((name, value),) = bad.items()
-        topic = None if math.isfinite(value) else f"{name} must be finite"  # names the input
+        if not all(map(math.isfinite, bad.values())):
+            ((name, _),) = bad.items()
+            topic = f"{name} must be finite"  # names the input
+        elif min(bad.values()) > 0:  # names all three inputs
+            a, rho, L = kwargs["a"], kwargs["rho"], kwargs["L"]
+            topic = re.escape(f"a={a!r}, rho={rho!r}, L={L!r} put a derived scale beyond double range")
+        else:
+            topic = None
         with pytest.raises(ValueError, match=topic):
             ModelParams(**kwargs)
 
@@ -190,6 +206,8 @@ class TestAlphaSum:
     def test_free_gas(self):
         res = alpha_sum(ModelParams(a=0.0, rho=1.0, L=2 * math.pi), 2)
         assert res.value == 0.0 and not res.grows_with_cutoff
+        with pytest.raises(ValueError, match="nmax must be >= 1"):  # validated like a > 0
+            alpha_sum(ModelParams(a=0.0, rho=1.0, L=1.0), 0)
 
     def test_grows_with_cutoff(self):
         mp = ModelParams(**REF)
@@ -198,3 +216,24 @@ class TestAlphaSum:
         v3 = alpha_sum(mp, 3)
         assert v1.grows_with_cutoff
         assert 0 < v1.value < v2.value < v3.value
+
+
+_LOG_UNIFORM = hs.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hs.one_of(hs.just(0.0), _LOG_UNIFORM), _LOG_UNIFORM, _LOG_UNIFORM)
+def test_scales_are_finite_or_refused(a, rho, L):
+    # a model and its lowest mode either raise ValueError or are finite
+    try:
+        mp = ModelParams(a=a, rho=rho, L=L)
+    except ValueError:
+        return
+    assert mp.volume > 0 and mp.N > 0
+    assert all(map(math.isfinite, (mp.volume, mp.N, mp.gas_scale, mp.mean_field_energy)))
+    try:
+        m = mode_params(mp, half_lattice(mp.L, 1)[0])
+    except ValueError:
+        return
+    assert all(map(math.isfinite, (m.ksq, m.y, m.ytilde, m.alpha, m.epsilon)))
+    assert 0.0 <= m.y < 0.5
