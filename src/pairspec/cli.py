@@ -13,7 +13,10 @@ outputs of the same run carry bitwise-identical decimal values.  Exit codes:
 0 success, 1 invalid input, 2 verification or domain failure, or a
 numerical method that gave up (such as a QL iteration that did not
 converge).  Invalid input and a method that gave up print one ``error:``
-line on stderr and nothing on stdout.
+line on stderr and nothing on stdout.  ``--out FILE`` writes the same bytes
+as stdout; an unwritable ``--out`` path is invalid input (exit 1, nothing on
+stdout).  Each ``cmd_*`` returns its report and exit code, and ``main`` does
+all of the writing.
 """
 
 from __future__ import annotations
@@ -45,13 +48,6 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-
-
 _SPECTRUM_KEYS = ("n1", "n2", "n3", "k_abs", "y", "ytilde", "alpha", "epsilon")
 # One %-template per format renders a whole row; %.17g is the conversion fmt makes.
 _CSV_ROW = "%d,%d,%d" + ",%.17g" * 5
@@ -70,7 +66,7 @@ def _json_member(obj: dict) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n  ")
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> tuple[str, int]:
     mp = ModelParams(a=args.a, rho=args.rho, L=args.L, N=args.N)
     modes = (mode_params(mp, k) for k in half_lattice(mp.L, args.nmax))
     rows = [(*m.n, math.sqrt(m.ksq), m.y, m.ytilde, m.alpha, m.epsilon) for m in modes]
@@ -96,8 +92,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             f"# alpha_sum,{fmt(asum.value)},grows_with_cutoff={asum.grows_with_cutoff}",
         ]
         text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
-    return 0
+    return text, 0
 
 
 def _parse_complex(text: str) -> complex:
@@ -115,7 +110,11 @@ def _mode_at(mp: ModelParams, text: str, flag: str) -> ModeParams:
     if len(n) != 3:
         raise ValueError(f"{flag} wants three comma-separated integers")
     scale = 2.0 * math.pi / mp.L
-    return mode_params(mp, (scale * n[0], scale * n[1], scale * n[2]))
+    try:
+        k = (scale * n[0], scale * n[1], scale * n[2])
+    except OverflowError:  # an index above double range; mode_params refuses the rest
+        raise ValueError(f"{flag} index puts k beyond double range") from None
+    return mode_params(mp, k)
 
 
 def _complex_text(z: complex) -> str:
@@ -126,7 +125,7 @@ def _coeff_block(header: str, coeffs: np.ndarray) -> list[str]:
     return [header] + [f"{s},{fmt(c.real)},{fmt(c.imag)}" for s, c in enumerate(coeffs)]
 
 
-def cmd_eigenstate(args: argparse.Namespace) -> int:
+def cmd_eigenstate(args: argparse.Namespace) -> tuple[str, int]:
     if args.y is not None:
         y = args.y
     elif args.k_mode is not None:
@@ -164,11 +163,10 @@ def cmd_eigenstate(args: argparse.Namespace) -> int:
             e_ab = _transported_energy(energy, y, alpha)
             lines.append(f"transformed_energy = {_complex_text(e_ab)}")
             lines.extend(_coeff_block("s,transformed_re,transformed_im", moved.coeffs))
-    _write_output("\n".join(lines) + "\n", args.out)
-    return code
+    return "\n".join(lines) + "\n", code
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     results = checks.run_suite(args.suite, seed=args.seed)
     payload = {
         "suite": args.suite,
@@ -185,20 +183,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for r in results
         ],
     }
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0 if payload["passed"] else 2
+    return json.dumps(payload, indent=2) + "\n", 0 if payload["passed"] else 2
 
 
-def cmd_gram(args: argparse.Namespace) -> int:
+def cmd_gram(args: argparse.Namespace) -> tuple[str, int]:
     sv = hypergeom.gram_witness(args.p, args.y, args.nmax, args.smax)
     lines = ["index,singular_value"]
     lines.extend(f"{i},{fmt(v)}" for i, v in enumerate(sv))
     lines.append(f"# smallest_over_largest,{fmt(sv[-1] / sv[0])}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_wu(args: argparse.Namespace) -> int:
+def cmd_wu(args: argparse.Namespace) -> tuple[str, int]:
     # the sector count N is independent of the nominal model N = rho L^3
     mp = ModelParams(a=args.a, rho=args.rho, L=args.L)
     mode = _mode_at(mp, args.kn, "--kn")
@@ -206,19 +202,19 @@ def cmd_wu(args: argparse.Namespace) -> int:
     # the sector matrix is upper bidiagonal: each residual is O(dim)
     diag, upper = wu_sector._bands(sector, mp)
     lines = ["n_index,energy,residual"]
-    worst = 0.0
+    code = 0
     for idx in range(sector.dim):
         vec = wu_sector.wu_eigenstate(sector, mp, idx)
         lam = diag[idx]
         image = (diag - lam) * vec
         image[:-1] += upper * vec[1:]
         res = float(np.linalg.norm(image))
-        worst = max(worst, res)
+        if not res <= 1e-10:  # a NaN residual fails as well
+            code = 2
         lines.append(f"{idx},{fmt(lam)},{fmt(res)}")
     lines.append(f"# epsilon_k,{fmt(mode.epsilon)}")
     lines.append(f"# ytilde_k,{fmt(wu_sector.wu_ytilde(mode, mp))}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0 if worst <= 1e-10 else 2
+    return "\n".join(lines) + "\n", code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=float, default=None)
     sp.add_argument("--nmax", type=int, default=2)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_spectrum)
 
     eig = sub.add_parser("eigenstate", help="closed-form ladder eigenstate")
@@ -249,13 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     eig.add_argument("--theta", required=True, help="re or re,im")
     eig.add_argument("--smax", type=int, default=24)
     eig.add_argument("--transform", type=float, default=None, metavar="ALPHA")
-    eig.add_argument("--out", default=None)
     eig.set_defaults(func=cmd_eigenstate)
 
     ver = sub.add_parser("verify", help="run invariant suites")
     ver.add_argument("--suite", choices=checks.SUITE_NAMES, default="all")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--out", default=None)
     ver.set_defaults(func=cmd_verify)
 
     gram = sub.add_parser("gram", help="completeness-witness singular values")
@@ -263,32 +256,42 @@ def build_parser() -> argparse.ArgumentParser:
     gram.add_argument("--p", type=int, default=0)
     gram.add_argument("--nmax", type=int, default=4)
     gram.add_argument("--smax", type=int, default=80)
-    gram.add_argument("--out", default=None)
     gram.set_defaults(func=cmd_gram)
 
     wu = sub.add_parser("wu", help="particle-conserving sector report")
     wu.add_argument("--a", type=float, required=True)
     wu.add_argument("--rho", type=float, required=True)
     wu.add_argument("--L", type=float, required=True)
-    wu.add_argument("--N", type=int, required=True)
+    wu.add_argument("--N", type=int, required=True,
+                    help="sector particle count; eps_k and alpha_k come from --rho, "
+                         "the sector couplings from N/L^3")
     wu.add_argument("--p", type=int, default=0)
     wu.add_argument("--kn", required=True, help="n1,n2,n3")
-    wu.add_argument("--out", default=None)
     wu.set_defaults(func=cmd_wu)
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:  # a numerical method gave up
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.out:  # first, so that a failed write leaves stdout empty
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # an unwritable path is invalid input
+            print(f"error: cannot write --out {args.out!r}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

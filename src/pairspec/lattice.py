@@ -123,7 +123,7 @@ class AlphaSum:
     """Truncated 4*pi*a*rho * sum of alpha(k) with a divergence marker.
 
     The full-lattice sum grows without bound as the cutoff increases whenever
-    a > 0; it is reported raw (no renormalization is attempted here).
+    8*pi*a*rho > 0; it is reported raw (no renormalization is attempted here).
     """
 
     value: float
@@ -197,14 +197,24 @@ def y12(y: float, alpha: float) -> tuple[float, float]:
 
 
 def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
-    """Per-mode derived constants; the condensate mode k = 0 is rejected."""
-    ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-    if ksq == 0.0:
-        raise ValueError("k = 0 has no mode parameters")
+    """Per-mode derived constants.
+
+    The condensate mode k = 0 is rejected, and so is a k whose
+    k^2 + 16*pi*a*rho is beyond double range.
+    """
+    try:
+        ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    except OverflowError:
+        ksq = math.inf
+    g = mp.gas_scale  # 8*pi*a*rho
+    ksq_2g = ksq + 2.0 * g
+    if not (0.0 < ksq and ksq_2g < math.inf):  # NaN fails here too
+        if ksq == 0.0:
+            raise ValueError("k = 0 has no mode parameters")
+        raise ValueError(f"k={k!r} puts k^2 + 16*pi*a*rho={ksq_2g!r} beyond double range")
     scale = mp.L / (2.0 * math.pi)
     n = (round(k[0] * scale), round(k[1] * scale), round(k[2] * scale))
-    g = mp.gas_scale  # 8*pi*a*rho
-    eps = math.sqrt(ksq) * math.sqrt(ksq + 2.0 * g)
+    eps = math.sqrt(ksq) * math.sqrt(ksq_2g)
     if g == 0.0:
         y = ytil = alpha = 0.0
     else:
@@ -222,7 +232,7 @@ def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
 
 def _alpha_total(mp: ModelParams, alphas: Iterable[float]) -> AlphaSum:
     """4*pi*a*rho * sum of 2*alpha over half-lattice amplitudes, in their order."""
-    if mp.a == 0.0:
+    if mp.gas_scale == 0.0:  # also a > 0 whose 8*pi*a*rho underflows: every alpha is 0
         return AlphaSum(value=0.0, grows_with_cutoff=False)
     total = 0.0
     for alpha in alphas:

@@ -7,7 +7,7 @@ eigenvectors have an exact closed form in the sector coupling
 ytilde(k) = 8 pi a / (|B| eps_k).  Only this transformed side is checked,
 with exp(W) exp(-W) = I for the nilpotent pair operator W.  Whether exp(W)
 maps the eigenvectors to eigenstates of the untransformed sector operator is
-open (ROADMAP item 2(c)): no code builds that operator, and U Lambda U^-1
+open (ROADMAP item 1): no code builds that operator, and U Lambda U^-1
 with U = [exp(W) v_n] is not symmetric.
 """
 
@@ -120,14 +120,16 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     ``np.longdouble``, from one log-factorial table (binom(Ntot-p, 2s) (2s)!
     = (Ntot-p)! / (Ntot-p-2s)!), so the vector stays finite for sectors whose
     factorials exceed double range.  The table is built once per Ntot and
-    shared by every n_index.  In the free limit the eigenvectors are
-    the basis vectors themselves.
+    shared by every n_index.  Where ytilde is 0 (the free limit, or a
+    coupling that underflows) the eigenvectors are the basis vectors
+    themselves.
     """
     dim = sector.dim
     if not 0 <= n_index < dim:
         raise ValueError(f"n_index must lie in [0, {dim - 1}], got {n_index}")
     v = np.zeros(dim)
-    if mp.a == 0.0:
+    ytil = wu_ytilde(sector.mode, mp)
+    if ytil == 0.0:  # a = 0, or a coupling that underflows
         v[n_index] = 1.0
         return v
     n, p, mtot = n_index, sector.p, sector.Ntot - sector.p
@@ -137,7 +139,7 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     log_w = (
         0.5 * (log_fact[mtot::-2][: n + 1] - log_fact[: n + 1] - log_fact[p : p + n + 1])
         - log_fact[n::-1]
-        - np.arange(n + 1) * np.log(np.longdouble(wu_ytilde(sector.mode, mp)) / 2)
+        - np.arange(n + 1) * np.log(np.longdouble(ytil) / 2)
     )
     v[: n + 1] = np.exp(log_w - log_w.max())
     return v / np.linalg.norm(v)

@@ -1,15 +1,21 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pairspec.checks
+import pairspec.wu_sector
 import test_acceptance
+from pairspec import __version__
 from pairspec.cli import fmt, main
 from pairspec.lattice import ModelParams, _alpha_total, half_lattice, mode_params
 
@@ -74,6 +80,17 @@ COMMAND_SHA256 = {
         ["verify", "--suite", "all", "--seed", "0"], 0,
         "75f8a9ab6ae70a9e458f3a8ce645e3a735d0aa490712b59a01e160ab62b33661",
     ),
+}
+
+
+# One report per command for the --out tests: id -> (argv, exit code).
+OUT_REPORTS = {
+    "spectrum": (["spectrum", *REF_ARGS, "--nmax", "1"], 0),
+    "eigenstate-refused": (
+        ["eigenstate", "--y", "0.3", "--theta", "0.5", "--smax", "300", "--transform", "0.33"], 2),
+    "verify": (["verify", "--suite", "lattice", "--seed", "7"], 0),
+    "gram": (["gram"], 0),
+    "wu": (["wu", *REF_ARGS, "--N", "4", "--kn", "0,0,1"], 0),
 }
 
 
@@ -155,11 +172,27 @@ class TestSpectrum:
         }
         assert out == json.dumps(payload, indent=2) + "\n"
 
-    def test_out_file_matches_stdout(self, capsys, tmp_path):
-        path = tmp_path / "spec.csv"
-        code, out = run(capsys, ["spectrum", *REF_ARGS, "--nmax", "1", "--out", str(path)])
-        assert code == 0
+    @pytest.mark.parametrize("argv, want_code", OUT_REPORTS.values(), ids=OUT_REPORTS.keys())
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv, want_code):
+        path = tmp_path / "report.txt"
+        code, out = run(capsys, [*argv, "--out", str(path)])
+        assert code == want_code and out
         assert path.read_text() == out
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_is_one_line_error(self, capsys, tmp_path, where):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        code = main(["gram", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+
+    def test_refused_input_writes_no_out_file(self, capsys, tmp_path):
+        path = tmp_path / "report.txt"
+        code = main(["gram", "--nmax", "-1", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not path.exists()
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="pins need x87 extended precision")
@@ -333,6 +366,25 @@ class TestWu:
         np.testing.assert_allclose(energies, math.sqrt(2.0) * np.array([0.0, 2.0, 4.0]), rtol=1e-12)
         assert max(residuals) <= 1e-10
 
+    def test_underflowing_coupling_is_free(self, capsys):
+        # 8 pi a / (L^3 eps_k) underflows to 0 for this a > 0: the sector is free
+        argv = ["wu", "--a", "5e-324", "--rho", "1", "--L", str(2 * math.pi), "--N", "4",
+                "--kn", "0,0,1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows = [[float(x) for x in l.split(",")] for l in captured.out.splitlines()
+                if re.match(r"^\d+,", l)]
+        assert len(rows) == 3 and all(row[2] == 0.0 for row in rows)
+
+    def test_nan_residual_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(pairspec.wu_sector, "wu_eigenstate",
+                            lambda sector, mp, n_index: np.full(sector.dim, np.nan))
+        code, out = run(capsys, ["wu", *REF_ARGS, "--N", "4", "--kn", "0,0,1"])
+        assert code == 2 and "0,0,nan" in out
+
     def test_large_sector_is_finite(self, capsys):
         # the exact factorial weights of this sector lie beyond double range
         code, out = run(capsys, ["wu", *REF_ARGS, "--N", "400", "--p", "0", "--kn", "0,0,1"])
@@ -382,11 +434,18 @@ MODEL_ERRORS = [
          "particle count N must be finite"),
         (["spectrum", "--a", "0.02", "--rho", "1", "--L", "7", "--N", "inf"],
          "particle count N must be finite"),
+        *(
+            ([*head, "--a", "0.02", "--rho", "1", "--L", "7", flag, index], topic)
+            for head, flag in ((["wu", "--N", "4"], "--kn"), (["eigenstate", "--theta", "1"], "--k-mode"))
+            for index, topic in ((f"1{'0' * 160},0,0", "k^2 + 16*pi*a*rho=inf beyond double range"),
+                                 (f"1{'0' * 400},0,0", "index puts k beyond double range"))
+        ),
     ],
     ids=[
         "smax-negative", "p-negative", "theta-inf", "theta-nan", "gram-nmax-negative",
         *(f"{command}-{name}" for command in ("spectrum", "wu") for name, _, _ in MODEL_ERRORS),
         "spectrum-N-nan", "spectrum-N-inf",
+        *(f"{command}-1e{digits}" for command in ("wu-kn", "eigenstate-k-mode") for digits in (160, 400)),
     ],
 )
 def test_out_of_domain_input_is_one_line_error(capsys, argv, topic):
@@ -408,6 +467,23 @@ def test_numerical_failure_is_one_line_exit_2(capsys, monkeypatch, exc):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {exc}\n"
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m pairspec` in a fresh interpreter, on this checkout's sources
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def pairspec(*argv):
+        return subprocess.run([sys.executable, "-m", "pairspec", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    failed = pairspec("gram", "--out", str(tmp_path / "missing" / "x.csv"))
+    assert failed.returncode == 1 and failed.stdout == ""
+    assert failed.stderr.startswith("error: ") and failed.stderr.count("\n") == 1
+    assert "Traceback" not in failed.stderr
+    version = pairspec("--version")
+    assert version.returncode == 0 and version.stdout == f"pairspec {__version__}\n"
 
 
 def _readme_cli_lines():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from pairspec.lattice import (
+    AlphaSum,
     ModelParams,
     alpha_c,
     alpha_sum,
@@ -130,6 +131,13 @@ class TestModeParams:
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError):
             mode_params(ModelParams(**REF), (0.0, 0.0, 0.0))
+        # k^2 + 16 pi a rho beyond double range: the square overflows, the sum of
+        # squares does, or only the sum with 16 pi a rho does (eps_k was inf)
+        ref, dense = ModelParams(**REF), ModelParams(a=1e306, rho=1.0, L=2.0)
+        for mp, k in ((ref, (1e160, 0.0, 0.0)), (ref, (0.0, 1e154, 1e154)), (ref, (math.inf, 0.0, 0.0)),
+                      (ref, (math.nan, 0.0, 0.0)), (dense, (1.3e154, 0.0, 0.0))):
+            with pytest.raises(ValueError, match="beyond double range"):
+                mode_params(mp, k)
 
     def test_branch_identity_alpha_equals_alpha_c(self):
         mp = ModelParams(**REF)
@@ -206,6 +214,10 @@ class TestAlphaSum:
     def test_free_gas(self):
         res = alpha_sum(ModelParams(a=0.0, rho=1.0, L=2 * math.pi), 2)
         assert res.value == 0.0 and not res.grows_with_cutoff
+        # a > 0 whose 8 pi a rho underflows is free at every mode, and in the sum
+        mp = ModelParams(a=1e-300, rho=1e-300, L=1.0)
+        assert mp.a > 0 and mp.gas_scale == 0.0
+        assert alpha_sum(mp, 1) == AlphaSum(value=0.0, grows_with_cutoff=False)
         with pytest.raises(ValueError, match="nmax must be >= 1"):  # validated like a > 0
             alpha_sum(ModelParams(a=0.0, rho=1.0, L=1.0), 0)
 
