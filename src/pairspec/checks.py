@@ -59,6 +59,12 @@ def _result(suite: str, name: str, deviation: float, tolerance: float) -> CheckR
     return CheckResult(suite, name, dev, tolerance, bool(dev <= tolerance))
 
 
+def _worst(*deviations: float) -> float:
+    """The largest deviation, or NaN if any is NaN: the builtin max keeps its
+    running value against a NaN, which would hide a failed measurement."""
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+
+
 def _random_state(rng: np.random.Generator, p: int, n: int, complex_valued: bool = True) -> LadderState:
     c = rng.standard_normal(n)
     if complex_valued:
@@ -71,18 +77,19 @@ def _random_state(rng: np.random.Generator, p: int, n: int, complex_valued: bool
 def _dispersion(rng, nmax=3):
     modes = [mode_params(_REFERENCE, k) for k in half_lattice(_REFERENCE.L, nmax)]
     g = _REFERENCE.gas_scale
-    dev = max(abs(m.epsilon**2 - m.ksq * (m.ksq + 2.0 * g)) / (m.epsilon**2) for m in modes)
+    dev = _worst(*(abs(m.epsilon**2 - m.ksq * (m.ksq + 2.0 * g)) / (m.epsilon**2) for m in modes))
     out = [_result("lattice", "dispersion eps^2 = k^2 (k^2 + 16 pi a rho)", dev, 1e-12)]
-    dev = max(abs(m.epsilon - (m.ksq + g) * math.sqrt(1.0 - 4.0 * m.y**2)) / m.epsilon for m in modes)
+    dev = _worst(*(abs(m.epsilon - (m.ksq + g) * math.sqrt(1.0 - 4.0 * m.y**2)) / m.epsilon
+                   for m in modes))
     out.append(_result("lattice", "eps = (k^2 + 8 pi a rho) sqrt(1 - 4y^2)", dev, 1e-12))
-    dev = max(abs(m.alpha - alpha_c(m.y)) / max(m.alpha, 1e-30) for m in modes)
+    dev = _worst(*(abs(m.alpha - alpha_c(m.y)) / max(m.alpha, 1e-30) for m in modes))
     out.append(_result("lattice", "alpha(k) equals alpha_c(y(k))", dev, 1e-12))
     return out
 
 
 def _branch_identity(rng):
     ys = rng.uniform(1e-3, 0.499, 200)
-    dev = max(abs(1.0 - 2.0 * alpha_c(y) * y - math.sqrt(1.0 - 4.0 * y * y)) for y in ys)
+    dev = _worst(*(abs(1.0 - 2.0 * alpha_c(y) * y - math.sqrt(1.0 - 4.0 * y * y)) for y in ys))
     return [_result("lattice", "1 - 2 alpha_c y = sqrt(1 - 4y^2)", dev, 1e-12)]
 
 
@@ -103,8 +110,8 @@ def _half_lattice_tiling(rng):
 
 def _alpha_sum_growth(rng):
     sums = [alpha_sum(_REFERENCE, n).value for n in (1, 2, 3)]
-    margin = min(sums[1] - sums[0], sums[2] - sums[1])
-    return [_result("lattice", "alpha_sum grows with the cutoff", -margin, 0.0)]
+    dev = _worst(sums[0] - sums[1], sums[1] - sums[2])  # minus the smaller growth step
+    return [_result("lattice", "alpha_sum grows with the cutoff", dev, 0.0)]
 
 
 # -------------------------------------------------------------------- eigen
@@ -115,7 +122,7 @@ def _ladder_adjoint(rng):
         p = int(rng.integers(0, 4))
         x = _random_state(rng, p, int(rng.integers(1, 12)))
         y = _random_state(rng, p, int(rng.integers(1, 12)))
-        dev = max(dev, abs(inner(apply_adbd(x), y) - inner(x, apply_ab(y))))
+        dev = _worst(dev, abs(inner(apply_adbd(x), y) - inner(x, apply_ab(y))))
     return [_result("eigen", "pair raising/lowering are mutually adjoint", dev, 1e-12)]
 
 
@@ -129,7 +136,7 @@ def _ladder_commutator(rng):
             c[s] = 1.0
             st = LadderState(p, c.copy())
             comm = apply_ab(apply_adbd(st)).coeffs[s] - apply_adbd(apply_ab(st)).coeffs[s]
-            dev = max(dev, abs(comm - (p + 2 * s + 1)))
+            dev = _worst(dev, abs(comm - (p + 2 * s + 1)))
     return [_result("eigen", "[ab, a*b*] acts as p + 2s + 1", dev, 1e-10)]
 
 
@@ -143,7 +150,7 @@ def _matrix_vs_operator(rng):
         mat = build_tridiagonal(p, y1, y2, smax)
         via_matrix = mat.matvec(st.coeffs)
         via_operator = apply_hab_alpha(st, y1, y2).coeffs[: smax + 1]
-        dev = max(dev, float(np.max(np.abs(via_matrix - via_operator))))
+        dev = _worst(dev, float(np.max(np.abs(via_matrix - via_operator))))
     return [_result("eigen", "tridiagonal matrix matches the operator action", dev, 1e-13)]
 
 
@@ -157,7 +164,7 @@ def _product_vs_recurrence(rng):
         a = psi_p_theta(EigenstateSpec(p, theta, ytil, smax)).coeffs
         b = recurrence_coeffs(p / 2.0 + theta, p, ytil, smax).coeffs
         scale = np.maximum(np.abs(a), 1e-300)
-        dev = max(dev, float(np.max(np.abs(a - b) / scale)))
+        dev = _worst(dev, float(np.max(np.abs(a - b) / scale)))
     return [_result("eigen", "binomial formula equals the energy recurrence", dev, 1e-12)]
 
 
@@ -167,7 +174,7 @@ def _finite_eigenstates(rng, ps=range(0, 21, 4), ns=range(0, 21, 4)):
         for p in ps:
             for n in ns:
                 st = psi_p_theta(EigenstateSpec(p, n, ytil, n + 2))
-                dev = max(dev, residual(st, ytil, 0.0, p / 2.0 + n) / st.norm())
+                dev = _worst(dev, residual(st, ytil, 0.0, p / 2.0 + n) / st.norm())
     return [_result("eigen", "finite eigenstates have zero residual", dev, 1e-12)]
 
 
@@ -190,7 +197,7 @@ def _oracle_spectrum(rng, smax=80, levels=3):
     y = 0.3
     mat = build_tridiagonal(0, y, y, smax)
     vals = oracle.sym_tridiag_eig(mat.diag, mat.super_)
-    dev = max(abs(vals[n] - bog_energy_ab(y, 0, n)) for n in range(levels))
+    dev = _worst(*(abs(vals[n] - bog_energy_ab(y, 0, n)) for n in range(levels)))
     return [_result("eigen", "dense referee reproduces the closed spectrum", dev, 1e-10)]
 
 
@@ -203,7 +210,7 @@ def _transport(rng, ps=range(3), ns=range(3), pad=200):
                 st = psi_p_theta(EigenstateSpec(p, n, ytil, n)).padded(pad)
                 moved = pair_transform.apply_exp_pair(st, -ac)
                 energy = pair_transform._transported_energy(p / 2.0 + n, y, ac)
-                dev = max(dev, residual(moved, y, y, energy) / moved.norm())
+                dev = _worst(dev, residual(moved, y, y, energy) / moved.norm())
     return [_result("eigen", "transported states solve the Hermitian block", dev, 1e-8)]
 
 
@@ -216,7 +223,7 @@ def _transform_inverse(rng):
         back = pair_transform.apply_exp_pair(
             pair_transform.apply_exp_pair(st, -alpha), alpha
         )
-        dev = max(dev, float(np.max(np.abs(back.coeffs[:16] - st.coeffs[:16]))))
+        dev = _worst(dev, float(np.max(np.abs(back.coeffs[:16] - st.coeffs[:16]))))
     return [_result("eigen", "forward/backward transforms cancel on finite states", dev, 1e-9)]
 
 
@@ -225,7 +232,7 @@ def _ground_occupancy(rng):
     for alpha in (0.1, 0.5, 0.9):
         st = pair_transform.mode_ground_state(alpha, 600)
         occ = pair_transform.pair_occupancy(st)
-        dev = max(dev, abs(occ - alpha**2 / (1.0 - alpha**2)))
+        dev = _worst(dev, abs(occ - alpha**2 / (1.0 - alpha**2)))
     return [_result("eigen", "ground-state pair occupancy matches the closed form", dev, 1e-10)]
 
 
@@ -239,17 +246,17 @@ def _tail_constants(rng):
     for theta, p in ((0.5, 0), (0.5, 2), (-0.5, 0)):
         r = tail_constant(1.0, theta, p, np.array([4000]))[0]
         k_limit = stirling_tail_limit(theta, p)
-        dev = max(dev, abs(r - k_limit) / k_limit)
+        dev = _worst(dev, abs(r - k_limit) / k_limit)
     return [_result("eigen", "tail ratios converge to the Gamma constant", dev, 0.05)]
 
 
 def _transport_energy(rng, ps=range(3), ns=range(3)):
-    dev = max(
+    dev = _worst(*(
         abs(pair_transform._transported_energy(p / 2.0 + n, y, alpha_c(y)) - bog_energy_ab(y, p, n))
         for y in (0.3, 0.45)
         for p in ps
         for n in ns
-    )
+    ))
     return [_result("eigen", "transported energies equal the closed spectrum", dev, 1e-10)]
 
 
@@ -274,7 +281,7 @@ def _transformed_block_spectrum(rng, fractions=(0.5,), ps=(0, 1), smax=60):
                 diag, off, _ = oracle.symmetrize_tridiag(block)
                 vals = oracle.sym_tridiag_eig(diag, off)
                 for n in range(3):
-                    dev = max(dev, abs(vals[n] - genfunc.e_from_b(n + p, p, y, alpha)))
+                    dev = _worst(dev, abs(vals[n] - genfunc.e_from_b(n + p, p, y, alpha)))
     return [_result("eigen", "symmetrized transformed block reproduces e_from_b", dev, 1e-10)]
 
 
@@ -286,7 +293,7 @@ def _rescaling_round_trip(rng):
         st = _random_state(rng, int(rng.integers(0, 5)), int(rng.integers(1, 30)))
         back = genfunc.to_state(genfunc.from_state(st))
         scale = max(1.0, float(np.max(np.abs(st.coeffs))))
-        dev = max(dev, float(np.max(np.abs(back.coeffs - st.coeffs))) / scale)
+        dev = _worst(dev, float(np.max(np.abs(back.coeffs - st.coeffs))) / scale)
     return [_result("genfunc", "rescaling round trip is the identity", dev, 1e-14)]
 
 
@@ -299,7 +306,7 @@ def _mobius_vs_exponential(rng, alpha_range=(0.05, 0.9)):
         via_series = genfunc.mobius(genfunc.from_state(st), alpha).C
         via_conv = genfunc.from_state(pair_transform.apply_exp_pair(st, -alpha)).C
         scale = max(1.0, float(np.max(np.abs(via_conv))))
-        dev = max(dev, float(np.max(np.abs(via_series - via_conv))) / scale)
+        dev = _worst(dev, float(np.max(np.abs(via_series - via_conv))) / scale)
     return [_result("genfunc", "Moebius series equals the exponential transform", dev, 1e-11)]
 
 
@@ -311,7 +318,7 @@ def _singularity_transport(rng):
         moved = genfunc.mobius(g, alpha)
         radius, _ = genfunc.singularity_radius(moved)
         target = abs(z0 / (1.0 - alpha * z0))
-        dev = max(dev, abs(radius - target) / target)
+        dev = _worst(dev, abs(radius - target) / target)
     return [_result("genfunc", "Moebius maps singularities as z -> z/(1 - alpha z)", dev, 0.05)]
 
 
@@ -323,15 +330,15 @@ def _root_exclusions(rng):
         alpha = rng.uniform(0.0, ac * 0.999)
         zp, zm = genfunc.roots(y, alpha)
         y1, y2 = y12(y, alpha)
-        dev_minus = max(dev_minus, 1.0 - abs(zm) * (1.0 - alpha))
-        dev_plus = max(dev_plus, abs(zp) - 1.0 / (1.0 - alpha))
-        dev_prod = max(dev_prod, abs(zp * zm - y1 / y2))
+        dev_minus = _worst(dev_minus, 1.0 - abs(zm) * (1.0 - alpha))
+        dev_plus = _worst(dev_plus, abs(zp) - 1.0 / (1.0 - alpha))
+        dev_prod = _worst(dev_prod, abs(zp * zm - y1 / y2))
         zp0, zm0 = genfunc.roots(y, 0.0)
-        dev_prod0 = max(dev_prod0, abs(zp0 * zm0 - 1.0))
+        dev_prod0 = _worst(dev_prod0, abs(zp0 * zm0 - 1.0))
     return [
         _result("genfunc", "escaped root stays outside the shrunk disk", dev_minus, 0.0),
         _result("genfunc", "inner root obeys |z+| <= 1/(1-alpha)", dev_plus, 1e-12),
-        _result("genfunc", "root product is y1/y2 (1 at alpha = 0)", max(dev_prod, dev_prod0), 1e-10),
+        _result("genfunc", "root product is y1/y2 (1 at alpha = 0)", _worst(dev_prod, dev_prod0), 1e-10),
     ]
 
 
@@ -340,7 +347,7 @@ def _q_invariant(rng):
     for y in (0.1, 0.3, 0.45):
         qs = [genfunc.q_invariant(y, a) for a in np.linspace(0.0, alpha_c(y), 20)]
         closed = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * y * y))
-        dev = max(dev, max(qs) - min(qs), max(abs(q - closed) for q in qs))
+        dev = _worst(dev, _worst(*qs) - min(qs), *(abs(q - closed) for q in qs))
     return [_result("genfunc", "Q is independent of the amplitude", dev, 1e-12)]
 
 
@@ -352,9 +359,9 @@ def _exponent_energy_inversion(rng):
         p = int(rng.integers(0, 5))
         b = complex(rng.uniform(-3, 8), rng.uniform(-2, 2))
         e = genfunc.e_from_b(b, p, y, alpha)
-        dev = max(dev, abs(genfunc.b_from_e(e, p, y, alpha) - b))
+        dev = _worst(dev, abs(genfunc.b_from_e(e, p, y, alpha) - b))
     for m in range(6):
-        dev = max(dev, abs(genfunc.e_from_b(m, 0, 0.3, 0.0) - bog_energy_ab(0.3, 0, m)))
+        dev = _worst(dev, abs(genfunc.e_from_b(m, 0, 0.3, 0.0) - bog_energy_ab(0.3, 0, m)))
     return [_result("genfunc", "exponent and energy maps invert each other", dev, 1e-12)]
 
 
@@ -365,14 +372,15 @@ def _ode_eigen_series(rng):
         for p, n in ((0, 1), (2, 3), (1, 4)):
             st = psi_p_theta(EigenstateSpec(p, n, ytil, n + 2))
             g = genfunc.from_state(st)
-            dev = max(dev, genfunc.ode_residual(g, p / 2.0 + n, ytil, 0.0))
+            dev = _worst(dev, genfunc.ode_residual(g, p / 2.0 + n, ytil, 0.0))
     return [_result("genfunc", "eigenstate series solve the coefficient ODE", dev, 1e-12)]
 
 
 def _ode_generic_series(rng):
     gen = genfunc.from_state(_random_state(rng, 1, 12))
     dev = genfunc.ode_residual(gen, 1.3, 0.4, 0.2)
-    return [_result("genfunc", "generic series fail the coefficient ODE", 1.0 if dev < 1e-6 else 0.0, 0.0)]
+    miss = 0.0 if dev >= 1e-6 else 1.0  # a NaN residual is a miss too
+    return [_result("genfunc", "generic series fail the coefficient ODE", miss, 0.0)]
 
 
 # ---------------------------------------------------------------- hypergeom
@@ -385,7 +393,7 @@ def _contiguous(rng):
                 for z in (0.3, 0.7, 1.5, -0.4, 0.2 + 0.5j):
                     r = hypergeom.contiguous_residual(m, n, p, z)
                     scale = max(1.0, abs(m * z * hypergeom.hyp_f(-m + 1, -n, p + 1, z)))
-                    dev = max(dev, abs(r) / scale)
+                    dev = _worst(dev, abs(r) / scale)
     return [_result("hypergeom", "contiguous relation holds on the grid", dev, 1e-12)]
 
 
@@ -394,7 +402,7 @@ def _derivative(rng):
     for a in range(-5, 0):
         for b in (0.0, -1.0, -2.0):
             for c in (1.0, 2.0, 3.5):
-                dev = max(dev, hypergeom.derivative_residual(a, b, c))
+                dev = _worst(dev, hypergeom.derivative_residual(a, b, c))
     return [_result("hypergeom", "derivative identity holds coefficientwise", dev, 1e-13)]
 
 
@@ -408,7 +416,7 @@ def _f_recurrence(rng):
         z = complex(rng.uniform(0.2, 0.9), rng.uniform(-0.3, 0.3))
         r = hypergeom.f_recurrence_residual(n, p, ytil, d, z)
         scale = max(1.0, abs(hypergeom.f_family(n, p, ytil, d, z)))
-        dev = max(dev, r / scale)
+        dev = _worst(dev, r / scale)
     return [_result("hypergeom", "f-family satisfies the derivative recurrence", dev, 1e-11)]
 
 
@@ -416,7 +424,7 @@ def _gram_floor(rng, ps=(0,), y=1.0 / math.sqrt(8.0), nmax=3, smax=60):
     dev = -math.inf
     for p in ps:
         sv = hypergeom.gram_witness(p, y, nmax, smax)
-        dev = max(dev, float(-(sv.min() - 1e-8 * sv.max())))
+        dev = _worst(dev, float(-(sv.min() - 1e-8 * sv.max())))
     return [_result("hypergeom", "witness Gram is strictly positive", dev, 0.0)]
 
 
@@ -427,7 +435,7 @@ def _projection_sweep(rng):
     # smooth random profiles land at ~0.8-0.92 caught by Nmax = 8 with the
     # residual shrinking by ~5x; thresholds leave seed-to-seed margin
     shrink = (1.0 - projs[-1]) / (1.0 - projs[0])
-    dev = monotone_violation + max(0.0, shrink - 0.45) + max(0.0, 0.7 - projs[-1])
+    dev = monotone_violation + _worst(0.0, shrink - 0.45) + _worst(0.0, 0.7 - projs[-1])
     return [_result("hypergeom", "projections onto the family approach completeness", dev, 0.0)]
 
 
@@ -442,7 +450,7 @@ def _gram_drift(rng, ps=(0, 1), y=0.45, nmax=2, smax=20):
     for p in ps:
         floor = hypergeom.gram_witness(p, y, nmax, smax)[-1]
         doubled = hypergeom.gram_witness(p, y, nmax, 2 * smax)[-1]
-        dev = max(dev, abs(floor - doubled) / floor)
+        dev = _worst(dev, abs(floor - doubled) / floor)
     return [_result("hypergeom", "witness Gram floor is stable when smax doubles", dev, 1e-2)]
 
 
@@ -457,16 +465,16 @@ def _wu_sector(rng, ntots=(2, 7, 16), ps=range(0, 5, 2)):
             for p in [q for q in ps if q <= ntot]:
                 sector = wu_sector.WuSector(ntot, p, mode)
                 m = wu_sector.build_transformed_wu(sector, mp)
-                dev_tri = max(dev_tri, float(np.max(np.abs(np.tril(m, -1)))))
+                dev_tri = _worst(dev_tri, float(np.max(np.abs(np.tril(m, -1)))))
                 want = mode.epsilon * (2 * np.arange(sector.dim) + p)
-                dev_diag = max(dev_diag, float(np.max(np.abs(np.diag(m) - want))))
+                dev_diag = _worst(dev_diag, float(np.max(np.abs(np.diag(m) - want))))
                 for n in range(sector.dim):
                     v = wu_sector.wu_eigenstate(sector, mp, n)
                     lam = mode.epsilon * (2 * n + p)
-                    dev_res = max(dev_res, float(np.linalg.norm(m @ v - lam * v)))
+                    dev_res = _worst(dev_res, float(np.linalg.norm(m @ v - lam * v)))
                 x = rng.standard_normal(sector.dim)
                 y_ = wu_sector.apply_exp_w(wu_sector.apply_exp_w(x, sector, 1.0), sector, -1.0)
-                dev_inv = max(dev_inv, float(np.max(np.abs(y_ - x))) / float(np.max(np.abs(x))))
+                dev_inv = _worst(dev_inv, float(np.max(np.abs(y_ - x))) / float(np.max(np.abs(x))))
     return [
         _result("wu", "sector matrix is strictly upper triangular", dev_tri, 0.0),
         _result("wu", "spectrum reads off the diagonal", dev_diag, 1e-12),

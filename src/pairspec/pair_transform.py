@@ -11,8 +11,10 @@ shift, computed as one extended-precision running product per nonzero C_s
 domain_check, conjugation_check and wu_sector.apply_exp_w, whose numerators
 are the subdiagonal of W).  The module also provides a numerical domain test for
 the transform, an operational check of the conjugation identity
-exp(-P) a exp(P) = a - alpha a*_{-k} (exact because the commutator series
-terminates), and the per-mode ground state.
+exp(P) a exp(-P) = a - alpha a*_{-k} (exact because the commutator series
+terminates) in its intertwined form a exp(-P) = exp(-P) (a - alpha a*_{-k}),
+which needs no inverse and reads as two relations between the columns of the
+one kernel at t = -alpha, and the per-mode ground state.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 _LOG_SUBNORMAL = math.log(np.finfo(float).smallest_subnormal)
+# added to a relative deviation's denominator, so that subnormal longdouble
+# terms, whose rounding is not relative, count as zero
+_LONG_FLOOR = np.finfo(np.longdouble).tiny / np.finfo(np.longdouble).eps
 
 
 def _log_rescale(p: int, n: int) -> np.ndarray:
@@ -194,40 +199,39 @@ def domain_check(
 
 
 def conjugation_check(alpha: float, smax: int) -> float:
-    """Max entrywise deviation of exp(-P) a_k exp(P) from a_k - alpha a*_{-k}.
+    """Worst relative deviation of a_k E = E (a_k - alpha a*_{-k}), E = exp(-P).
 
-    Matrix representations of both sides are built on the p = 0 and p = 1
-    ladders (the annihilator a_k and the creator a*_{-k} both shift to the
-    neighbouring ladder).  The identity is exact -- the commutator series
-    terminates -- so only rows at the truncation edge are polluted; rows up
-    to smax-2 are compared.  The kernels and products run in extended
-    precision, which keeps the alternating binomial sums below 1e-12 for
-    smax up to about 12 at alpha near 1 and up to 40 at alpha = 0.2; past
-    that the cancellation shows, e.g. about 2e-7 at (alpha, smax) = (0.9, 30).
+    That is exp(P) a_k exp(-P) = a_k - alpha a*_{-k} with no inverse (exact:
+    the commutator series terminates).  On the p = 0 and p = 1 ladders, between
+    which a_k and a*_{-k} move, it is two relations between the columns of the
+    kernel E[m, s] = C(m, s) (-alpha)^(m-s) in rescaled coordinates, m, s <= smax:
+
+        p = 0 (Pascal's rule):  E[m+1, s] = E[m, s-1] - alpha E[m, s]
+        p = 1 (absorption):     (m - s) E[m, s] = -alpha (s+1) E[m, s+1]
+
+    Each deviation is relative to the sum of its terms' magnitudes plus
+    finfo(longdouble).tiny / eps (subnormal terms count as zero); O(smax^2),
+    rounding level wherever tried.  The earlier E(+alpha) a E(-alpha) form's
+    absolute deviation cancelled: 1.7e-7 at (alpha, smax) = (0.9, 30).
+    Raises ValueError for a non-finite alpha or terms beyond extended range.
     """
     if smax < 4:
         raise ValueError(f"smax must be >= 4, got {smax}")
-    dt = np.longdouble
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     n = smax + 1
-    e_minus, e_plus = np.zeros((n, n), dtype=dt), np.zeros((n, n), dtype=dt)
-    for kern, t in ((e_minus, -alpha), (e_plus, alpha)):
-        for s, col in _binomial_columns(_taylor_numerators(t, n), np.ones(n)):
-            kern[s:, s] = col
-    worst = 0.0
-    for p in (0, 1):
-        # rescaled-coordinate generators on the source ladder p, target p-1
-        # (p = 0 targets the swapped family |s, s+1>, the p = 1 ladder with k
-        # and -k relabelled; factors below are exact
-        # integers in these coordinates)
-        if p == 1:
-            a_op = np.diag(np.arange(p, n + p, dtype=dt))
-            bdag_op = np.diag(np.arange(1, n, dtype=dt), -1)
-        else:
-            a_op, bdag_op = np.eye(n, k=1, dtype=dt), np.eye(n, dtype=dt)
-        lhs = e_plus @ (a_op @ e_minus)
-        rhs = a_op - dt(alpha) * bdag_op
-        dev = np.abs(lhs - rhs)[: smax - 1, :]
-        worst = max(worst, float(dev.max()))
+    kern = np.zeros((n, n + 1), dtype=np.longdouble)  # column 0 holds E[m, -1] = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, col in _binomial_columns(_taylor_numerators(-alpha, n), np.ones(n)):
+            kern[s:, s + 1] = col
+        e, m_minus_s = kern[:, 1:], np.subtract.outer(np.arange(n), np.arange(n - 1))
+        worst = float(np.max([
+            np.max(abs(sum(terms)) / (sum(map(abs, terms)) + _LONG_FLOOR))
+            for terms in ((e[1:], -kern[:-1, :-1], alpha * e[:-1]),
+                          (m_minus_s * e[:, :-1], alpha * e[:, 1:] * np.arange(1, n)))
+        ]))
+    if math.isnan(worst):  # an infinite term
+        raise ValueError(f"exp(-P) at alpha={alpha!r} has terms beyond extended range (1e4932)")
     return worst
 
 

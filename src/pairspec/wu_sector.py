@@ -67,15 +67,20 @@ def wu_ytilde(mode: ModeParams, mp: ModelParams) -> float:
     return 8.0 * math.pi * mp.a / (mp.volume * mode.epsilon)
 
 
+def _pair_amplitude(sector: WuSector, lead: float) -> np.ndarray:
+    """lead sqrt((p+s) s) sqrt((N0+2)(N0+1)), N0 = Ntot - p - 2s, for s = 1..dim-1:
+    the pair amplitude between |p+s, s, N0> and |p+s-1, s-1, N0+2>."""
+    s = np.arange(1, sector.dim)
+    n0 = sector.Ntot - sector.p - 2 * s
+    return lead * np.sqrt((sector.p + s) * s) * np.sqrt((n0 + 2) * (n0 + 1))
+
+
 def _bands(sector: WuSector, mp: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (s, s), s = 0..dim-1, and superdiagonal (s-1, s), s = 1..dim-1,
     of the transformed sector matrix (see :func:`build_transformed_wu`)."""
-    s = np.arange(sector.dim)
-    n0 = sector.Ntot - sector.p - 2 * s[1:]
     beta = 8.0 * math.pi * mp.a / mp.volume  # k and -k terms summed
-    diag = sector.mode.epsilon * (2 * s + sector.p)
-    upper = beta * np.sqrt((sector.p + s[1:]) * s[1:]) * np.sqrt((n0 + 2) * (n0 + 1))
-    return diag, upper
+    diag = sector.mode.epsilon * (2 * np.arange(sector.dim) + sector.p)
+    return diag, _pair_amplitude(sector, beta)
 
 
 def build_transformed_wu(sector: WuSector, mp: ModelParams) -> np.ndarray:
@@ -159,13 +164,10 @@ def apply_exp_w(state: np.ndarray, sector: WuSector, sign: float = 1.0) -> np.nd
         raise ValueError(f"state must have shape ({sector.dim},)")
     if not np.all(np.isfinite(state)):
         raise ValueError("state must be finite")
-    # w_j, the entry (j+1, j) of sign * W with W = P a_0^2 / Ntot, is the
-    # kernel's numerator of row j+1
-    j = np.arange(sector.dim - 1)
-    n0 = sector.Ntot - sector.p - 2 * j
-    w = -sign * sector.mode.alpha / sector.Ntot * np.sqrt((sector.p + j + 1) * (j + 1))
+    # the entry (s, s-1) of sign * W with W = P a_0^2 / Ntot is the kernel's
+    # numerator of row s
     num = np.zeros(sector.dim, dtype=np.longdouble)
-    num[1:] = w * np.sqrt(n0 * (n0 - 1))
+    num[1:] = _pair_amplitude(sector, -sign * sector.mode.alpha / sector.Ntot)
     out = np.zeros(sector.dim, dtype=np.longdouble)
     # overflow becomes inf or nan here and is refused below
     with np.errstate(over="ignore", invalid="ignore"):

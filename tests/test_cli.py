@@ -284,6 +284,14 @@ class TestEigenstate:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and err.rstrip().endswith("smax is 473")
 
+    @pytest.mark.parametrize("extra, want_code", [([], 0), (["--transform", "0.1"], 2)],
+                             ids=["plain", "transform"])
+    def test_complex_theta(self, capsys, extra, want_code):
+        argv = ["eigenstate", "--y", "0.3", "--theta", "0.5,0.25", "--smax", "5", *extra]
+        code, out = run(capsys, argv)
+        assert code == want_code
+        assert "\nenergy = 0.5 + 0.25 i\n" in out
+
     def test_missing_coupling_is_invalid(self, capsys):
         code = main(["eigenstate", "--theta", "1"])
         capsys.readouterr()
@@ -424,6 +432,9 @@ MODEL_ERRORS = [
         (["eigenstate", "--y", "0.3", "--theta", "1", "--p", "-1"], "p must"),
         (["eigenstate", "--y", "0.3", "--theta", "inf"], "theta"),
         (["eigenstate", "--y", "0.3", "--theta", "nan"], "theta"),
+        (["eigenstate", "--y", "0.3", "--theta", "1,2,3"], "complex values are 're' or 're,im'"),
+        (["eigenstate", "--k-mode", "0,0,1", "--theta", "1"], "--k-mode requires --a, --rho and --L"),
+        (["eigenstate", "--k-mode", "0,1", *REF_ARGS, "--theta", "1"], "--k-mode wants three"),
         (["gram", "--nmax", "-1"], "Nmax"),
         *(
             ([command, *args, *extra], topic)
@@ -442,7 +453,8 @@ MODEL_ERRORS = [
         ),
     ],
     ids=[
-        "smax-negative", "p-negative", "theta-inf", "theta-nan", "gram-nmax-negative",
+        "smax-negative", "p-negative", "theta-inf", "theta-nan", "theta-three-parts",
+        "k-mode-without-model", "k-mode-two-indices", "gram-nmax-negative",
         *(f"{command}-{name}" for command in ("spectrum", "wu") for name, _, _ in MODEL_ERRORS),
         "spectrum-N-nan", "spectrum-N-inf",
         *(f"{command}-1e{digits}" for command in ("wu-kn", "eigenstate-k-mode") for digits in (160, 400)),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from pairspec import pair_transform
 from pairspec.eigenstates import EigenstateSpec, psi_p_theta, residual
 from pairspec.fock_ladder import LadderState
 from pairspec.lattice import ModelParams, alpha_c, ytilde_from_y
@@ -276,6 +277,15 @@ class TestDomainCheck:
         with pytest.raises(ValueError):
             domain_check(np.full(151, -np.inf), 1.0, 0, 150)
 
+    def test_nan_refused(self):
+        log_c = np.zeros(151, dtype=complex)
+        log_c[7] = complex(math.nan, 0.0)
+        with pytest.raises(ValueError, match="NaN"):
+            domain_check(log_c, 0.5, 0, 150)
+
+    def test_all_zero_state_in_domain(self):
+        assert domain_check(np.full(151, -np.inf), 0.5, 0, 150) is DomainVerdict.IN_DOMAIN
+
 
 class TestConjugation:
     def test_zero_amplitude(self):
@@ -288,6 +298,48 @@ class TestConjugation:
     def test_small_truncation_rejected(self):
         with pytest.raises(ValueError):
             conjugation_check(0.5, 3)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="needs x87 extended precision")
+    @pytest.mark.parametrize("alpha, smax", [(0.9, 30), (0.9, 200), (0.2, 40), (1e-20, 300),
+                                             (3.0, 20), (-0.5, 20)])
+    def test_rounding_level(self, alpha, smax):
+        # alpha = 1e-20 at smax = 300 has terms below extended range; they
+        # count as zero, not as a relative deviation of 1
+        assert conjugation_check(alpha, smax) < 1e-16
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            conjugation_check(alpha, 10)
+
+    def test_terms_beyond_extended_range_refused(self):
+        with pytest.raises(ValueError, match="beyond extended range"):
+            conjugation_check(1e300, 20)
+
+    @staticmethod
+    def _break_column(monkeypatch, factor):
+        """Multiply column s = 3 of the kernel by factor."""
+        columns = pair_transform._binomial_columns
+
+        def broken(num, leads):
+            for s, col in columns(num, leads):
+                yield s, col * factor if s == 3 else col
+
+        monkeypatch.setattr(pair_transform, "_binomial_columns", broken)
+
+    def test_scaled_column_is_seen(self, monkeypatch):
+        self._break_column(monkeypatch, 1.0 + 1e-9)
+        assert conjugation_check(0.5, 12) >= 1e-10
+
+    def test_nan_in_kernel_is_not_dropped(self, monkeypatch):
+        self._break_column(monkeypatch, math.nan)
+        with pytest.raises(ValueError, match="beyond extended range"):
+            conjugation_check(0.5, 12)
+
+    def test_kernel_at_plus_alpha_is_seen(self, monkeypatch):
+        numerators = pair_transform._taylor_numerators
+        monkeypatch.setattr(pair_transform, "_taylor_numerators", lambda t, n: numerators(-t, n))
+        assert conjugation_check(0.5, 12) >= 0.5
 
 
 class TestGroundState:
@@ -309,6 +361,9 @@ class TestGroundState:
     def test_unnormalizable_rejected(self):
         with pytest.raises(ValueError):
             mode_ground_state(1.0, 10)
+
+    def test_zero_state_occupancy_is_zero(self):
+        assert pair_occupancy(state(0, [0.0, 0.0, 0.0])) == 0.0
 
 
 class TestDepletionReport:
