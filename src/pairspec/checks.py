@@ -65,11 +65,8 @@ def _worst(*deviations: float) -> float:
     return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
-def _random_state(rng: np.random.Generator, p: int, n: int, complex_valued: bool = True) -> LadderState:
-    c = rng.standard_normal(n)
-    if complex_valued:
-        c = c + 1j * rng.standard_normal(n)
-    return LadderState(p, c)
+def _random_state(rng: np.random.Generator, p: int, n: int) -> LadderState:
+    return LadderState(p, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 # ----------------------------------------------------------------- lattice
@@ -204,12 +201,10 @@ def _oracle_spectrum(rng, smax=80, levels=3):
 def _transport(rng, ps=range(3), ns=range(3), pad=200):
     dev = 0.0
     for y in (0.3, 0.45):
-        ytil, ac = ytilde_from_y(y), alpha_c(y)
         for p in ps:
             for n in ns:
-                st = psi_p_theta(EigenstateSpec(p, n, ytil, n)).padded(pad)
-                moved = pair_transform.apply_exp_pair(st, -ac)
-                energy = pair_transform._transported_energy(p / 2.0 + n, y, ac)
+                moved = hypergeom._shifted_state(p, n, y, pad)
+                energy = pair_transform._transported_energy(p / 2.0 + n, y, alpha_c(y))
                 dev = _worst(dev, residual(moved, y, y, energy) / moved.norm())
     return [_result("eigen", "transported states solve the Hermitian block", dev, 1e-8)]
 

@@ -95,6 +95,4 @@ def inner(x: LadderState, y: LadderState) -> complex:
     if x.p != y.p:
         return 0.0 + 0.0j
     n = min(len(x.coeffs), len(y.coeffs))
-    if n == 0:
-        return 0.0 + 0.0j
     return complex(np.vdot(x.coeffs[:n], y.coeffs[:n]))

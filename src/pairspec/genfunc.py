@@ -47,10 +47,6 @@ class GenFn:
     def __post_init__(self) -> None:
         object.__setattr__(self, "C", np.asarray(self.C, dtype=complex))
 
-    @property
-    def smax(self) -> int:
-        return len(self.C) - 1
-
 
 def from_state(st: LadderState) -> GenFn:
     """C_s = sqrt(s!/(p+s)!) c_s; exact inverse of :func:`to_state`."""

@@ -34,7 +34,6 @@ class HabMatrix:
     with its spectrum on the diagonal.
     """
 
-    p: int
     y1: float
     y2: float
     smax: int
@@ -86,7 +85,7 @@ def build_tridiagonal(p: int, y1: float, y2: float, smax: int) -> HabMatrix:
     diag = p / 2.0 + s
     sup = y1 * np.sqrt((p + s[:-1] + 1.0) * (s[:-1] + 1.0))
     sub = y2 * np.sqrt((p + s[1:]) * s[1:])
-    return HabMatrix(p=p, y1=y1, y2=y2, smax=smax, diag=diag, super_=sup, sub=sub)
+    return HabMatrix(y1=y1, y2=y2, smax=smax, diag=diag, super_=sup, sub=sub)
 
 
 def bog_energy_ab(y: float, p: int, n: int) -> float:

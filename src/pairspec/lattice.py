@@ -215,29 +215,26 @@ def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
     scale = mp.L / (2.0 * math.pi)
     n = (round(k[0] * scale), round(k[1] * scale), round(k[2] * scale))
     eps = math.sqrt(ksq) * math.sqrt(ksq_2g)
-    if g == 0.0:
-        y = ytil = alpha = 0.0
-    else:
-        y = 0.5 * g / (ksq + g)
-        try:
-            ytil = ytilde_from_y(y)
-        except ValueError:  # only y = 1/2 reaches here: ksq + g rounded to g
-            raise ValueError(f"mode n={n} is too soft: k^2={ksq!r} is below the rounding "
-                             f"of 8*pi*a*rho={g!r}, so y = g/(2(k^2 + g)) rounds to 1/2") from None
-        # minus branch of the quadratic for alpha(k), rationalized so the
-        # large-k cancellation (ksq + g) - eps never happens; equals alpha_c(y(k))
-        alpha = g / ((ksq + g) + eps)
+    y = 0.5 * g / (ksq + g)  # +0.0 at g = 0, and so are ytil and alpha
+    try:
+        ytil = ytilde_from_y(y)
+    except ValueError:  # only y = 1/2 reaches here: ksq + g rounded to g
+        raise ValueError(f"mode n={n} is too soft: k^2={ksq!r} is below the rounding "
+                         f"of 8*pi*a*rho={g!r}, so y = g/(2(k^2 + g)) rounds to 1/2") from None
+    # minus branch of the quadratic for alpha(k), rationalized so the
+    # large-k cancellation (ksq + g) - eps never happens; equals alpha_c(y(k))
+    alpha = g / ((ksq + g) + eps)
     return ModeParams(k, n, ksq, y, ytil, alpha, eps)
 
 
 def _alpha_total(mp: ModelParams, alphas: Iterable[float]) -> AlphaSum:
     """4*pi*a*rho * sum of 2*alpha over half-lattice amplitudes, in their order."""
-    if mp.gas_scale == 0.0:  # also a > 0 whose 8*pi*a*rho underflows: every alpha is 0
-        return AlphaSum(value=0.0, grows_with_cutoff=False)
     total = 0.0
     for alpha in alphas:
         total += 2.0 * alpha
-    return AlphaSum(value=4.0 * math.pi * mp.a * mp.rho * total, grows_with_cutoff=True)
+    # a > 0 whose 8*pi*a*rho underflows has every alpha = 0, like the free gas
+    return AlphaSum(value=4.0 * math.pi * mp.a * mp.rho * total,
+                    grows_with_cutoff=mp.gas_scale != 0.0)
 
 
 def alpha_sum(mp: ModelParams, nmax: int) -> AlphaSum:

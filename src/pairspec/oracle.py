@@ -55,21 +55,20 @@ def sym_tridiag_eig(
     vectors : bool
         Also return the eigenvectors, as the columns of an orthogonal matrix.
     """
-    d = [float(x) for x in np.asarray(diag, dtype=float)]
-    n = len(d)
+    a = np.asarray(diag, dtype=float)
+    n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
-    e = [float(x) for x in np.asarray(offdiag, dtype=float)]
-    if len(e) != n - 1:
-        raise ValueError(f"offdiag must have length {n - 1}, got {len(e)}")
-    values = np.sort(_ql_values(list(d), e + [0.0]), kind="stable")
+    b = np.asarray(offdiag, dtype=float)
+    if len(b) != n - 1:
+        raise ValueError(f"offdiag must have length {n - 1}, got {len(b)}")
+    values = np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
     if not vectors:
         return values
-    a, b = np.array(d), np.array(e)
     norm = _norm_one(a, b)
     if n > 1 and np.min(np.diff(values)) < _DEGENERATE_GAP * norm:
         z = np.eye(n)
-        raw = _ql_values(list(d), e + [0.0], z)
+        raw = _ql_values(a.tolist(), b.tolist() + [0.0], z)
         return values, z[:, np.argsort(raw, kind="stable")]
     z = _twisted_vectors(a, b, values)
     z /= np.linalg.norm(z, axis=0)

@@ -178,8 +178,6 @@ def domain_check(
         out = np.hypot(re, im)
     if not (np.all(np.isfinite(out)) and np.all(np.isfinite(top))):
         raise ValueError("terms of the transformed state are beyond extended range (1e4932)")
-    if not top.any():
-        return DomainVerdict.IN_DOMAIN  # zero state
     noise = top * (1e-15 * np.maximum(np.cumsum(live), 4))
     cert_idx = np.flatnonzero(out > 10.0 * noise)
     if len(cert_idx) >= 16:
@@ -249,12 +247,17 @@ def mode_ground_state(alpha: float, smax: int) -> LadderState:
 
 
 def pair_occupancy(st: LadderState) -> float:
-    """<a*a> of a p = 0 ladder state: sum s |c_s|^2 / sum |c_s|^2."""
-    w = np.abs(st.coeffs) ** 2
-    total = w.sum()
-    if total == 0:
+    """<a*a> of a p = 0 ladder state: sum s |c_s|^2 / sum |c_s|^2.
+
+    The magnitudes are divided by the largest before squaring, so the squares
+    stay in double range for any finite state.
+    """
+    mag = np.abs(st.coeffs)
+    peak = mag.max(initial=0.0)
+    if peak == 0:
         return 0.0
-    return float(np.sum(np.arange(len(w)) * w) / total)
+    w = (mag / peak) ** 2
+    return float(np.sum(np.arange(len(w)) * w) / w.sum())
 
 
 def depletion_report(mp: ModelParams, nmax: int) -> dict:

@@ -62,8 +62,6 @@ def wu_ytilde(mode: ModeParams, mp: ModelParams) -> float:
 
     Scales like 1/L^3 at fixed k, a, rho.
     """
-    if mp.a == 0.0:
-        return 0.0
     return 8.0 * math.pi * mp.a / (mp.volume * mode.epsilon)
 
 

@@ -76,6 +76,15 @@ COMMAND_SHA256 = {
             (170, "4ae441a355a63c152ea38f58256dd2516e0fca8f70e55da00c1639f010425c35"),
         )
     },
+    # the free sector (a = 0) and a model whose 8*pi*a*rho underflows to 0
+    "wu-free": (
+        ["wu", "--a", "0", "--rho", "1", "--L", "6.283185307179586", "--N", "4", "--kn", "0,0,1"], 0,
+        "c58dd51511baf645301c56721eadd114b12a56bb93763b7ba2fa0e24f2b40a09",
+    ),
+    "spectrum-gas-scale-underflow": (
+        ["spectrum", "--a", "1e-300", "--rho", "1e-300", "--L", "1", "--nmax", "1"], 0,
+        "c26ed5aa9fbb4082c3470fcd93b97abdaeecf57937eecc42619adcbf6cec7cb1",
+    ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
         "75f8a9ab6ae70a9e458f3a8ce645e3a735d0aa490712b59a01e160ab62b33661",

@@ -63,6 +63,10 @@ class TestInner:
     def test_different_ladders_orthogonal(self):
         assert inner(state(0, [1]), state(1, [1])) == 0
 
+    def test_empty_state(self):
+        assert inner(state(0, []), state(0, [1, 2])) == 0j
+        assert inner(state(0, [1, 2]), state(0, [])) == 0j
+
     def test_conjugate_linear_first_slot(self):
         x = state(0, [1j])
         y = state(0, [1.0])

@@ -108,6 +108,16 @@ class TestSymTridiagEig:
         self.assert_eigenpairs(d, e, vals, vecs)
         assert np.array_equal(vals, sym_tridiag_eig(d, e))
 
+    @pytest.mark.parametrize("d, e", [
+        ([1.0, 1.0, 1.0], [0.0, 0.0]),  # a triple eigenvalue
+        ([2.0, 1.0, 2.0, 1.0], [0.5, 0.0, 0.5]),  # two equal 2x2 blocks: two double ones
+    ])
+    def test_exactly_degenerate_split_matrix(self, d, e):
+        vals, vecs = sym_tridiag_eig(d, e, vectors=True)
+        assert np.min(np.diff(vals)) == 0.0
+        self.assert_eigenpairs(d, e, vals, vecs)
+        assert np.array_equal(vals, sym_tridiag_eig(d, e))
+
     def test_single_entry_and_diagonal_vectors(self):
         vals, vecs = sym_tridiag_eig([2.5], [], vectors=True)
         assert vals.tolist() == [2.5] and vecs.tolist() == [[1.0]]

@@ -365,6 +365,12 @@ class TestGroundState:
     def test_zero_state_occupancy_is_zero(self):
         assert pair_occupancy(state(0, [0.0, 0.0, 0.0])) == 0.0
 
+    # |c|^2 of these leaves double range: it overflows (inf/inf) or underflows
+    # to a zero state unless the magnitudes are scaled first
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_occupancy_beyond_squared_range(self, c):
+        assert pair_occupancy(state(0, [c, c])) == 0.5
+
 
 class TestDepletionReport:
     def test_report_fields(self):
