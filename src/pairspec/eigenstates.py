@@ -66,6 +66,20 @@ class EigenstateSpec:
             raise ValueError(f"theta must be finite, got {self.theta}")
 
 
+def _check_ytilde(ytilde: float) -> None:
+    """The one coupling guard of this module: ytilde finite and > 0 (NaN fails)."""
+    if not 0 < ytilde < math.inf:
+        raise ValueError(f"ytilde must be finite and > 0, got {ytilde}")
+
+
+def _check_tail_theta(theta: float) -> None:
+    """Refuse a label without a Stirling tail: NaN, inf or a nonnegative integer."""
+    if not np.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if _integer_theta(complex(theta)) is not None:
+        raise ValueError("theta is a nonnegative integer; the expansion terminates")
+
+
 def _integer_theta(theta: complex) -> int | None:
     """The nonnegative integer value of theta, or None."""
     r = theta.real
@@ -89,8 +103,7 @@ def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:
     beyond double range raises ``ValueError`` naming the largest
     representable ``smax``.
     """
-    if spec.ytilde <= 0:
-        raise ValueError(f"ytilde must be > 0, got {spec.ytilde}")
+    _check_ytilde(spec.ytilde)
     theta = complex(spec.theta)
     n_int = _integer_theta(theta)
     top = spec.smax if n_int is None else min(spec.smax, n_int)
@@ -141,8 +154,7 @@ def recurrence_coeffs(energy: complex, p: int, ytilde: float, smax: int) -> Ladd
     c_{s+1} = (E - p/2 - s) c_s / (ytilde sqrt((p+s+1)(s+1))).  Coefficient-
     wise this must reproduce :func:`psi_p_theta` with theta = E - p/2.
     """
-    if ytilde <= 0:
-        raise ValueError(f"ytilde must be > 0, got {ytilde}")
+    _check_ytilde(ytilde)
     c = np.zeros(smax + 1, dtype=complex)
     c[0] = 1.0
     for s in range(smax):
@@ -157,8 +169,7 @@ def classify_normalizable(ytilde: float, theta: complex, p: int) -> Normalizabil
     ytilde^(-2s) / s^(2*theta+2+p), so ytilde < 1 diverges, ytilde > 1
     converges, and at ytilde = 1 the power of s decides.
     """
-    if ytilde <= 0:
-        raise ValueError(f"ytilde must be > 0, got {ytilde}")
+    _check_ytilde(ytilde)
     theta = complex(theta)
     if _integer_theta(theta) is not None:
         return Normalizability.FINITE_SUM
@@ -179,10 +190,8 @@ def coeff_log_magnitudes(ytilde: float, theta: float, p: int, smax: int) -> np.n
     running sum of log|theta - j| replaces the Gamma quotient so no pole is
     ever evaluated.
     """
-    if ytilde <= 0:
-        raise ValueError(f"ytilde must be > 0, got {ytilde}")
-    if _integer_theta(complex(theta)) is not None:
-        raise ValueError("theta is a nonnegative integer; the expansion terminates")
+    _check_ytilde(ytilde)
+    _check_tail_theta(theta)
     return _log_coeffs(ytilde, theta, p, smax).real
 
 
@@ -237,6 +246,8 @@ def tail_constant(
     srange = np.asarray(srange, dtype=int)
     if srange.size == 0:
         return np.zeros(0)
+    if srange.min() < 1:  # s^(2 theta + 2 + p) has no logarithm at s = 0
+        raise ValueError(f"srange must hold indices >= 1, got {srange.min()}")
     smax = int(srange.max())
     logc = coeff_log_magnitudes(ytilde, theta, p, smax)
     s = srange.astype(float)
@@ -250,6 +261,7 @@ def stirling_tail_limit(theta: float, p: int) -> float:
     The square makes the sign of Gamma(-theta) irrelevant, so log|Gamma| is
     exactly what is needed.
     """
+    _check_tail_theta(theta)
     return math.exp(math.lgamma(1.0 + p) - 2.0 * math.lgamma(-theta))
 
 

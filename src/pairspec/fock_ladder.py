@@ -63,8 +63,6 @@ def apply_ab(st: LadderState) -> LadderState:
     The truncation index shrinks by one; the vacuum row is dropped exactly.
     """
     c = st.coeffs
-    if len(c) <= 1:
-        return LadderState(st.p, np.zeros(0, dtype=complex))
     s = np.arange(len(c) - 1)
     out = np.sqrt((st.p + s + 1.0) * (s + 1.0)) * c[1:]
     return LadderState(st.p, out)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fock_ladder import LadderState
 from .lattice import alpha_c, y12
-from .pair_transform import _log_rescale
+from .pair_transform import _finite, _log_rescale
 
 __all__ = [
     "GenFn",
@@ -139,7 +139,7 @@ def mobius(g: GenFn, alpha: float) -> GenFn:
     This is the in-package referee of the exponential pair transform and is
     deliberately a different arithmetic route: repeated float64 differencing
     in the Moebius picture, sharing no code with the binomial columns
-    (longdouble running products of C(m, s) t^(m-s)) of
+    (running products of C(m, s) t^(m-s) in ``pair_transform._EXT``) of
     :mod:`pairspec.pair_transform`; the two must agree coefficientwise.
     """
     n = len(g.C)
@@ -156,11 +156,8 @@ def mobius(g: GenFn, alpha: float) -> GenFn:
             col[:-1] -= alpha * col[1:]
             col = col[:-1]
             out[k] = col[-1]
-    if not np.all(np.isfinite(out)):
-        raise ValueError(
-            f"Moebius image at alpha={alpha!r} of this length-{n} series has coefficients "
-            "beyond double range"
-        )
+    _finite(out, f"Moebius image at alpha={alpha!r} of this length-{n} series has "
+            "coefficients beyond double range")
     return GenFn(g.p, out)
 
 
@@ -174,11 +171,7 @@ def q_invariant(y: float, alpha: float) -> float:
     1e-3 the evaluation switches to the exactly cancelled form
     alpha y - y (alpha - alpha_r), alpha_r = (1 + sqrt(1-4y^2))/(2y).
     """
-    if not 0 < y < 0.5:
-        raise ValueError(f"coupling must lie in (0, 1/2), got {y}")
-    ac = alpha_c(y)
-    if alpha < -1e-15 or alpha > ac + 1e-12:
-        raise ValueError(f"alpha={alpha} outside [0, alpha_c={ac}]")
+    y12(y, alpha)  # refuses y outside (0, 1/2) and alpha outside [0, alpha_c]
     root = math.sqrt(1.0 - 4.0 * y * y)
     den = 1.0 - 2.0 * alpha * y - root
     if abs(den) < 1e-3:
@@ -209,6 +202,7 @@ def singularity_radius(g: GenFn) -> tuple[float, DiskClass]:
     Inconclusive; an exactly terminating (polynomial) tail is analytic with
     infinite radius.
     """
+    _finite(g.C, "series coefficients must be finite")
     n = len(g.C)
     if n < 64:
         return math.nan, DiskClass.INCONCLUSIVE

@@ -19,7 +19,7 @@ from .fock_ladder import LadderState
 from .hamiltonians import _bog_energies, build_tridiagonal
 from .lattice import alpha_c, ytilde_from_y
 from .pair_transform import apply_exp_pair
-from . import oracle
+from . import oracle, pair_transform
 
 __all__ = [
     "hyp_f",
@@ -27,6 +27,7 @@ __all__ = [
     "derivative_residual",
     "f_family",
     "f_recurrence_residual",
+    "transported_state",
     "gram_witness",
     "projection_sweep",
 ]
@@ -209,21 +210,20 @@ def _transported_columns(p: int, y: float, ns: np.ndarray, smax: int) -> np.ndar
     Each is the eigenvector of the Hermitian block build_tridiagonal(p, y, y)
     at its closed-form energy bog_energy_ab(y, p, N), and its c_0 is the
     Meixner value M_N(0) = 1.  One twisted factorization over all N, run in
-    np.longdouble on a block padded by :func:`_block_rows`, gives them to
-    rounding: the binomial shift's alternating sums are never formed.
+    ``pair_transform._EXT`` on a block padded by :func:`_block_rows`, gives
+    them to rounding: the binomial shift's alternating sums are never formed.
     """
     if not 0 < y < 0.5:
         raise ValueError(f"coupling must lie in (0, 1/2), got {y}")
     if smax < 0:
         raise ValueError(f"smax must be >= 0, got {smax}")
-    lams = _bog_energies(y, p, ns, np.longdouble)
+    lams = _bog_energies(y, p, ns, pair_transform._EXT)
     block = build_tridiagonal(p, y, y, _block_rows(p, y, float(np.max(lams)), smax))
     z = oracle._twisted_vectors(block.diag, block.super_, lams)[: smax + 1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z /= z[0]
         cols = z.T.astype(float)
-    if not np.all(np.isfinite(cols)):
-        raise ValueError("transported state has coefficients beyond double range")
+    pair_transform._finite(cols, "transported state has coefficients beyond double range")
     return cols
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "ModeParams",
     "AlphaSum",
     "half_lattice",
+    "half_lattice_indices",
     "mode_params",
     "alpha_c",
     "y12",
@@ -190,7 +191,7 @@ def y12(y: float, alpha: float) -> tuple[float, float]:
     if not 0 < y < 0.5:
         raise ValueError(f"coupling must lie in (0, 1/2), got {y}")
     ac = alpha_c(y)
-    if alpha < 0 or alpha > ac * (1.0 + 1e-12) + 1e-15:
+    if not 0 <= alpha <= ac * (1.0 + 1e-12) + 1e-15:  # NaN fails here too
         raise ValueError(f"alpha={alpha} outside [0, alpha_c={ac}]")
     den = 1.0 - 2.0 * alpha * y
     return y / den, (y - alpha + alpha * alpha * y) / den

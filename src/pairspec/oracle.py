@@ -62,6 +62,8 @@ def sym_tridiag_eig(
     b = np.asarray(offdiag, dtype=float)
     if len(b) != n - 1:
         raise ValueError(f"offdiag must have length {n - 1}, got {len(b)}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):  # O(n), next to O(n^2) QL
+        raise ValueError("diag and offdiag must be finite")
     values = np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
     if not vectors:
         return values
@@ -240,6 +242,8 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be 2-D and nonempty")
     if max(a.shape) > 64:
         raise ValueError("svd_small is restricted to dimensions <= 64")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must be finite")
     u = a.copy()
     n = u.shape[1]
     for _ in range(60):

@@ -40,9 +40,20 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 _LOG_SUBNORMAL = math.log(np.finfo(float).smallest_subnormal)
-# added to a relative deviation's denominator, so that subnormal longdouble
-# terms, whose rounding is not relative, count as zero
-_LONG_FLOOR = np.finfo(np.longdouble).tiny / np.finfo(np.longdouble).eps
+# The extended type of every column kernel, here and in wu_sector and
+# hypergeom, which read it as pair_transform._EXT at call time.  It is x87
+# 80-bit on Linux x86-64 and plain double under MSVC and on macOS arm64.
+_EXT = np.longdouble
+
+
+def _finite(values: np.ndarray | float, message: str) -> None:
+    """Raise ValueError(message) unless every entry of values is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(message)
+
+
+def _beyond_ext() -> str:  # the figure is 1e4932 for x87 and 1e308 for double
+    return f"beyond extended range (1e{int(np.log10(np.finfo(_EXT).max))})"
 
 
 def _log_rescale(p: int, n: int) -> np.ndarray:
@@ -53,21 +64,21 @@ def _log_rescale(p: int, n: int) -> np.ndarray:
 
 def _taylor_numerators(t: float, n: int) -> np.ndarray:
     """Numerators t m, m < n: column s is then lead_s C(m, s) t^(m-s)."""
-    return np.longdouble(t) * np.arange(n, dtype=np.longdouble)
+    return _EXT(t) * np.arange(n, dtype=_EXT)
 
 
 def _binomial_columns(num: np.ndarray, leads: np.ndarray):
     """Yield (s, lead_s prod_{j=s+1}^{m} num_j / (j-s), m = s..n-1) per nonzero lead_s.
 
     Each column is one running product of the ratios num_m / (m - s) in
-    np.longdouble, started at lead_s, so every entry is only as large as the
+    ``_EXT``, started at lead_s, so every entry is only as large as the
     term it stands for: no binomial or factorial is formed on its own, and a
     column leaves extended range only where the term itself does.
     """
     n = len(leads)
-    m = np.arange(n, dtype=np.longdouble)
+    m = np.arange(n, dtype=_EXT)
     for s in np.flatnonzero(leads):
-        col = np.empty(n - s, dtype=np.longdouble)
+        col = np.empty(n - s, dtype=_EXT)
         col[0] = leads[s]
         np.divide(num[s + 1 :], m[1 : n - s], out=col[1:])
         yield s, np.cumprod(col, out=col)
@@ -112,11 +123,8 @@ def apply_exp_pair(st: LadderState, alpha_signed: float) -> LadderState:
     # overflow becomes inf or nan here and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         out = _binomial_shift(st.coeffs * np.exp(logr), alpha_signed) * np.exp(-logr)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(
-            f"exp({alpha_signed!r} a*b*) of this length-{n} state has coefficients "
-            "beyond double range"
-        )
+    _finite(out, f"exp({alpha_signed!r} a*b*) of this length-{n} state has coefficients "
+            "beyond double range")
     return LadderState(st.p, out)
 
 
@@ -139,8 +147,8 @@ def domain_check(
     zero), so a state may be given far beyond double range.  A coefficient
     below double's subnormal range counts as zero.  The transformed rescaled
     coefficients are formed up to the horizon from the binomial columns of
-    the Taylor shift in np.longdouble; a state whose terms leave that range
-    (about 1e4932) is refused with ``ValueError``.  Because the convolutions
+    the Taylor shift in ``_EXT``; a state whose terms leave that range
+    (1e4932 for x87) is refused with ``ValueError``.  Because the convolutions
     alternate in sign, every coefficient carries a noise ceiling set by its
     largest term; only coefficients safely above that ceiling are treated as
     known, the rest only as bounded by it.  The verdict is ``NOT_IN_DOMAIN``
@@ -162,22 +170,22 @@ def domain_check(
     if np.isnan(log_c).any():
         raise ValueError("log_coeffs contains NaN")
     live = log_c.real >= _LOG_SUBNORMAL
-    leads = np.zeros(horizon + 1, dtype=np.longdouble)
+    leads = np.zeros(horizon + 1, dtype=_EXT)
     with np.errstate(over="ignore", invalid="ignore"):
         log_lead = log_c.real[live] + _log_rescale(p, horizon + 1)[live]
-        leads[live] = np.exp(log_lead.astype(np.longdouble))
+        leads[live] = np.exp(log_lead.astype(_EXT))
         # the columns C(m, s) alpha^(m-s) are positive: the sign (-1)^(m-s) is
         # (-1)^s in each column's weight times a (-1)^m that |C'_m| ignores
         weight = np.exp(1j * log_c.imag) * (-1.0) ** np.arange(horizon + 1)
-        w_re, w_im = weight.real.astype(np.longdouble), weight.imag.astype(np.longdouble)
-        re, im, top = np.zeros((3, horizon + 1), dtype=np.longdouble)
+        w_re, w_im = weight.real.astype(_EXT), weight.imag.astype(_EXT)
+        re, im, top = np.zeros((3, horizon + 1), dtype=_EXT)
         for s, col in _binomial_columns(_taylor_numerators(alpha, horizon + 1), leads):
             re[s:] += w_re[s] * col
             im[s:] += w_im[s] * col
             np.maximum(top[s:], col, out=top[s:])
         out = np.hypot(re, im)
-    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(top))):
-        raise ValueError("terms of the transformed state are beyond extended range (1e4932)")
+    for values in (out, top):  # one at a time: no stacked copy
+        _finite(values, f"terms of the transformed state are {_beyond_ext()}")
     noise = top * (1e-15 * np.maximum(np.cumsum(live), 4))
     cert_idx = np.flatnonzero(out > 10.0 * noise)
     if len(cert_idx) >= 16:
@@ -208,7 +216,7 @@ def conjugation_check(alpha: float, smax: int) -> float:
         p = 1 (absorption):     (m - s) E[m, s] = -alpha (s+1) E[m, s+1]
 
     Each deviation is relative to the sum of its terms' magnitudes plus
-    finfo(longdouble).tiny / eps (subnormal terms count as zero); O(smax^2),
+    finfo(_EXT).tiny / eps (subnormal terms count as zero); O(smax^2),
     rounding level wherever tried.  The earlier E(+alpha) a E(-alpha) form's
     absolute deviation cancelled: 1.7e-7 at (alpha, smax) = (0.9, 30).
     Raises ValueError for a non-finite alpha or terms beyond extended range.
@@ -218,18 +226,18 @@ def conjugation_check(alpha: float, smax: int) -> float:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     n = smax + 1
-    kern = np.zeros((n, n + 1), dtype=np.longdouble)  # column 0 holds E[m, -1] = 0
+    ext = np.finfo(_EXT)
+    kern = np.zeros((n, n + 1), dtype=_EXT)  # column 0 holds E[m, -1] = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for s, col in _binomial_columns(_taylor_numerators(-alpha, n), np.ones(n)):
             kern[s:, s + 1] = col
         e, m_minus_s = kern[:, 1:], np.subtract.outer(np.arange(n), np.arange(n - 1))
         worst = float(np.max([
-            np.max(abs(sum(terms)) / (sum(map(abs, terms)) + _LONG_FLOOR))
+            np.max(abs(sum(terms)) / (sum(map(abs, terms)) + ext.tiny / ext.eps))
             for terms in ((e[1:], -kern[:-1, :-1], alpha * e[:-1]),
                           (m_minus_s * e[:, :-1], alpha * e[:, 1:] * np.arange(1, n)))
         ]))
-    if math.isnan(worst):  # an infinite term
-        raise ValueError(f"exp(-P) at alpha={alpha!r} has terms beyond extended range (1e4932)")
+    _finite(worst, f"exp(-P) at alpha={alpha!r} has terms {_beyond_ext()}")  # NaN: an infinite term
     return worst
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pair_transform
 from .lattice import ModelParams, ModeParams
-from .pair_transform import _binomial_columns
 
 __all__ = [
     "WuSector",
@@ -98,10 +98,10 @@ def build_transformed_wu(sector: WuSector, mp: ModelParams) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _log_factorials(ntot: int) -> np.ndarray:
-    """Read-only table of log k!, k = 0..ntot, in np.longdouble; built once per
-    sector size, since a report asks for every eigenvector of one sector."""
+    """Read-only table of log k!, k = 0..ntot, in ``pair_transform._EXT``; built
+    once per sector size, since a report asks for every eigenvector of one sector."""
     table = np.concatenate(
-        ([0.0], np.cumsum(np.log(np.arange(1, ntot + 1, dtype=np.longdouble))))
+        ([0.0], np.cumsum(np.log(np.arange(1, ntot + 1, dtype=pair_transform._EXT))))
     )
     table.flags.writeable = False
     return table
@@ -120,7 +120,7 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     formula exactly by the binom(Ntot-p, 2s) factor, which carries the
     depletion of the finite condensate; the sector operator is the ground
     truth that fixes it.  The weights are assembled in log space, in
-    ``np.longdouble``, from one log-factorial table (binom(Ntot-p, 2s) (2s)!
+    ``pair_transform._EXT``, from one log-factorial table (binom(Ntot-p, 2s) (2s)!
     = (Ntot-p)! / (Ntot-p-2s)!), so the vector stays finite for sectors whose
     factorials exceed double range.  The table is built once per Ntot and
     shared by every n_index.  Where ytilde is 0 (the free limit, or a
@@ -142,7 +142,7 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     log_w = (
         0.5 * (log_fact[mtot::-2][: n + 1] - log_fact[: n + 1] - log_fact[p : p + n + 1])
         - log_fact[n::-1]
-        - np.arange(n + 1) * np.log(np.longdouble(ytil) / 2)
+        - np.arange(n + 1) * np.log(pair_transform._EXT(ytil) / 2)
     )
     v[: n + 1] = np.exp(log_w - log_w.max())
     return v / np.linalg.norm(v)
@@ -153,28 +153,24 @@ def apply_exp_w(state: np.ndarray, sector: WuSector, sign: float = 1.0) -> np.nd
 
     W is strictly lower bidiagonal, so exp(W)[m, s] = prod_{j=s}^{m-1} w_j /
     (m-s)! with w_j its subdiagonal.  Each nonzero input entry leads one such
-    column, a running product summed in np.longdouble and rounded to double
-    once: O(dim |support|) time, O(dim) memory.  Raises ValueError when an
+    column, a running product summed in ``pair_transform._EXT`` and rounded to
+    double once: O(dim |support|) time, O(dim) memory.  Raises ValueError when an
     entry of the image is beyond double range.
     """
     state = np.asarray(state, dtype=float)
     if state.shape != (sector.dim,):
         raise ValueError(f"state must have shape ({sector.dim},)")
-    if not np.all(np.isfinite(state)):
-        raise ValueError("state must be finite")
+    pair_transform._finite(state, "state must be finite")
     # the entry (s, s-1) of sign * W with W = P a_0^2 / Ntot is the kernel's
     # numerator of row s
-    num = np.zeros(sector.dim, dtype=np.longdouble)
+    num = np.zeros(sector.dim, dtype=pair_transform._EXT)
     num[1:] = _pair_amplitude(sector, -sign * sector.mode.alpha / sector.Ntot)
-    out = np.zeros(sector.dim, dtype=np.longdouble)
+    out = np.zeros(sector.dim, dtype=pair_transform._EXT)
     # overflow becomes inf or nan here and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, col in _binomial_columns(num, state):
+        for s, col in pair_transform._binomial_columns(num, state):
             out[s:] += col
         image = out.astype(float)
-    if not np.all(np.isfinite(image)):
-        raise ValueError(
-            f"exp({sign!r} W) of this length-{sector.dim} sector vector has entries "
-            "beyond double range"
-        )
+    pair_transform._finite(image, f"exp({sign!r} W) of this length-{sector.dim} sector "
+                                  "vector has entries beyond double range")
     return image

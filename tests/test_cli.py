@@ -15,6 +15,7 @@ import pytest
 import pairspec.checks
 import pairspec.wu_sector
 import test_acceptance
+from test_pair_transform import needs_x87
 from pairspec import __version__
 from pairspec.cli import fmt, main
 from pairspec.lattice import ModelParams, _alpha_total, half_lattice, mode_params
@@ -40,8 +41,8 @@ SPECTRUM_SHA256 = {
 }
 
 # SHA-256 of the other commands' stdout: id -> (argv, exit code, digest).  Their
-# transform, referee and sector kernels run in np.longdouble, so these bytes
-# hold only where that type is x87 extended precision.
+# transform, referee and sector kernels run in pair_transform._EXT, so these
+# bytes hold only where that type is x87 extended precision.
 COMMAND_SHA256 = {
     "eigenstate-transform": (
         ["eigenstate", "--y", "0.3", "--theta", "1", "--smax", "30", "--transform", "0.2"], 0,
@@ -204,7 +205,7 @@ class TestSpectrum:
         assert code == 1 and captured.out == "" and not path.exists()
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="pins need x87 extended precision")
+@needs_x87
 @pytest.mark.parametrize("name", sorted(COMMAND_SHA256))
 def test_command_bytes_are_pinned(capsys, name):
     argv, want_code, digest = COMMAND_SHA256[name]

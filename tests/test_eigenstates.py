@@ -63,6 +63,19 @@ class TestPsiPTheta:
         assert np.all(c.imag == 0)
 
 
+# the four functions that take a coupling share one guard
+@pytest.mark.parametrize("ytil", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda ytil: psi_p_theta(EigenstateSpec(0, 0.5, ytil, 10)),
+    lambda ytil: recurrence_coeffs(1.0, 0, ytil, 10),
+    lambda ytil: classify_normalizable(ytil, 0.5, 0),
+    lambda ytil: coeff_log_magnitudes(ytil, 0.5, 0, 10),
+], ids=["psi_p_theta", "recurrence_coeffs", "classify_normalizable", "coeff_log_magnitudes"])
+def test_non_finite_ytilde_refused(call, ytil):
+    with pytest.raises(ValueError, match="ytilde must be finite and > 0"):
+        call(ytil)
+
+
 class TestRecurrence:
     def test_terminating_energy(self):
         st = recurrence_coeffs(1.0, 0, 2.0, 6)
@@ -132,6 +145,17 @@ class TestTailConstant:
         ratios = tail_constant(1.0, 0.5, 0, np.arange(2000, 4001, 500))
         drift = np.max(np.abs(ratios - ratios[-1])) / ratios[-1]
         assert drift < 0.05
+
+    def test_index_zero_refused(self):
+        # s^(2 theta + 2 + p) has no logarithm at s = 0
+        with pytest.raises(ValueError, match="srange"):
+            tail_constant(1.0, 0.5, 0, np.array([0, 5]))
+
+    @pytest.mark.parametrize("theta, message", [(1.0, "nonnegative integer"), (0.0, "nonnegative integer"),
+                                                (math.nan, "finite"), (math.inf, "finite")])
+    def test_limit_without_tail_refused(self, theta, message):
+        with pytest.raises(ValueError, match=message):
+            stirling_tail_limit(theta, 0)
 
     def test_integer_theta_rejected(self):
         with pytest.raises(ValueError):

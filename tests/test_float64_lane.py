@@ -1,0 +1,109 @@
+"""The extended-precision kernels with their type set to plain double.
+
+``pair_transform._EXT`` is plain double where long double is (MSVC, macOS
+arm64).  Here it is monkeypatched to float64 on any host, and every kernel
+that reads it must still return a finite result or raise ``ValueError``, with
+no RuntimeWarning (pytest turns those into errors).  Only the outcome class
+is checked: the range and accuracy claims need x87.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pairspec import hypergeom, oracle, pair_transform, wu_sector
+from pairspec.cli import main
+from pairspec.eigenstates import _log_coeffs
+from pairspec.fock_ladder import LadderState
+from pairspec.lattice import ModelParams, mode_params, ytilde_from_y
+from pairspec.pair_transform import apply_exp_pair, conjugation_check, domain_check
+
+
+@pytest.fixture(autouse=True)
+def float64(monkeypatch):
+    monkeypatch.setattr(pair_transform, "_EXT", np.float64)
+    # the table is cached per size: clear it so no longdouble table leaks in or out
+    wu_sector._log_factorials.cache_clear()
+    yield
+    wu_sector._log_factorials.cache_clear()
+
+
+def finite_or_refused(call):
+    """call()'s result when it is finite, None when it raises ValueError."""
+    try:
+        result = call()
+    except ValueError:
+        return None
+    assert np.all(np.isfinite(result))
+    return result
+
+
+def test_the_type_reaches_every_module(monkeypatch):
+    seen = []
+    twisted = oracle._twisted_vectors
+
+    def spy(diag, off, lams):
+        seen.append(lams.dtype)
+        return twisted(diag, off, lams)
+
+    monkeypatch.setattr(oracle, "_twisted_vectors", spy)
+    hypergeom.transported_state(0, 2, 0.3, 20)
+    assert seen == [np.float64]
+    assert pair_transform._taylor_numerators(0.5, 4).dtype == np.float64
+    assert wu_sector._log_factorials(10).dtype == np.float64
+
+
+def test_unrepresentable_image_refused():
+    c = np.zeros(3001, dtype=complex)
+    c[1500] = 1.0
+    with pytest.raises(ValueError, match="beyond double range"):
+        apply_exp_pair(LadderState(0, c), -0.9)
+
+
+@pytest.mark.parametrize("theta, alpha, horizon",
+                         [(-0.5, 0.02, 600), (0.5, 0.05, 400), (3.0, 0.3, 800), (-0.5, 0.3, 10**4)])
+def test_domain_check(theta, alpha, horizon):
+    log_c = _log_coeffs(ytilde_from_y(0.45), theta, 0, horizon)
+    try:
+        verdict = domain_check(log_c, alpha, 0, horizon)
+    except ValueError as exc:
+        assert "beyond extended range (1e308)" in str(exc)
+    else:
+        assert isinstance(verdict, pair_transform.DomainVerdict)
+
+
+def test_range_figure_is_the_types():
+    # e^800 has no double; the message must not claim the x87 range 1e4932
+    with pytest.raises(ValueError, match=r"beyond extended range \(1e308\)$"):
+        domain_check(np.full(201, 800.0), 0.5, 0, 200)
+    with pytest.raises(ValueError, match=r"beyond extended range \(1e308\)$"):
+        conjugation_check(1e300, 20)
+
+
+@pytest.mark.parametrize("alpha, smax", [(0.9, 30), (0.9, 200), (0.2, 40), (1e-20, 300),
+                                         (3.0, 20), (-0.5, 20)])
+def test_conjugation_check(alpha, smax):
+    finite_or_refused(lambda: conjugation_check(alpha, smax))
+
+
+def test_gram_witness():
+    finite_or_refused(lambda: hypergeom.gram_witness(0, 0.45, 63, 640))
+
+
+def test_wu_kernels():
+    mp = ModelParams(a=0.0198944, rho=1.0, L=6.2831853)
+    sector = wu_sector.WuSector(2000, 0, mode_params(mp, (0.0, 0.0, 2.0 * math.pi / mp.L)))
+    for n_index in (0, 10, 500, sector.dim - 1):
+        vec = finite_or_refused(lambda: wu_sector.wu_eigenstate(sector, mp, n_index))
+        if vec is not None:
+            finite_or_refused(lambda: wu_sector.apply_exp_w(vec, sector))
+
+
+def test_wu_report_exits_2_without_traceback(capsys):
+    # in double the log-factorial weights put a residual past 1e-10
+    code = main(["wu", "--a", "0.0198944", "--rho", "1", "--L", "6.2831853", "--N", "2000",
+                 "--kn", "0,0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith("n_index,energy,residual\n") and captured.err == ""

@@ -18,8 +18,9 @@ class TestApplyAb:
         np.testing.assert_allclose(out.coeffs, [np.sqrt(2.0)])
 
     def test_vacuum_annihilates(self):
-        out = apply_ab(state(0, [1]))
-        assert len(out.coeffs) == 0
+        for coeffs in ([1], []):  # the empty state too: both give the empty complex state
+            out = apply_ab(state(0, coeffs))
+            assert out.coeffs.shape == (0,) and out.coeffs.dtype == complex
 
     def test_labels_preserved(self):
         out = apply_ab(state(2, [0, 1, 2]))

@@ -243,6 +243,22 @@ class TestMobius:
             mobius(g, 2.0)
 
 
+# the one amplitude interval, y12's [0, alpha_c (1 + 1e-12) + 1e-15]: NaN lies
+# outside it, and so do the amplitudes q_invariant's own slack let through
+@pytest.mark.parametrize("call, alpha", [
+    pytest.param(y12, math.nan, id="y12-nan"),
+    pytest.param(roots, math.nan, id="roots-nan"),
+    pytest.param(lambda y, a: b_from_e(1.0, 0, y, a), math.nan, id="b_from_e-nan"),
+    pytest.param(lambda y, a: e_from_b(1.0, 0, y, a), math.nan, id="e_from_b-nan"),
+    pytest.param(q_invariant, math.nan, id="q_invariant-nan"),
+    pytest.param(q_invariant, -1e-16, id="q_invariant-below-0"),
+    pytest.param(q_invariant, alpha_c(0.3) + 5e-13, id="q_invariant-above-alpha_c"),
+])
+def test_amplitude_outside_the_interval_refused(call, alpha):
+    with pytest.raises(ValueError, match="outside"):
+        call(0.3, alpha)
+
+
 class TestQInvariant:
     def test_reference_sweep(self):
         for al in (0.0, 0.1, 1.0 / 3.0):
@@ -280,6 +296,11 @@ class TestSingularityRadius:
         radius, verdict = singularity_radius(from_state(st))
         assert verdict is DiskClass.SINGULAR_IN_DISK
         assert radius == pytest.approx(0.5, rel=0.05)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_series_refused(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            singularity_radius(GenFn(0, np.full(80, bad)))
 
     def test_too_short_inconclusive(self):
         _, verdict = singularity_radius(GenFn(0, np.ones(10)))

@@ -34,6 +34,12 @@ class TestSymTridiagEig:
         with pytest.raises(ValueError):
             sym_tridiag_eig([], [])
 
+    @pytest.mark.parametrize("d, e", [([math.nan, 1.0], [0.5]), ([math.inf, 1.0], [0.5]),
+                                      ([1.0, 1.0], [math.nan])])
+    def test_non_finite_entries_refused(self, d, e):
+        with pytest.raises(ValueError, match="must be finite"):
+            sym_tridiag_eig(d, e)
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sym_tridiag_eig([1.0, 2.0], [0.1, 0.2])
@@ -204,3 +210,8 @@ class TestSvdSmall:
     def test_large_rejected(self):
         with pytest.raises(ValueError):
             svd_small(np.zeros((65, 65)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_refused(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            svd_small(np.array([[bad, 0.0], [0.0, 1.0]]))
