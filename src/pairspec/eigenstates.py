@@ -14,13 +14,14 @@ and measures eigen-residuals.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_ladder import LadderState, _log_factorials
+from .fock_ladder import LadderState, _check_count, _log_factorials
 from .hamiltonians import apply_hab_alpha
 
 __all__ = [
@@ -47,9 +48,9 @@ class Normalizability(enum.Enum):
 class EigenstateSpec:
     """Construction inputs for one ladder eigenstate.
 
-    ``theta`` may be any finite complex number; ``smax`` >= 0 caps the stored
-    expansion (the sum itself terminates at s = theta when theta is a
-    nonnegative integer), and ``p`` >= 0.
+    ``p`` and ``smax`` are integers >= 0 (``smax`` caps the stored expansion;
+    the sum itself terminates at s = theta when theta is a nonnegative
+    integer), ``theta`` is finite and ``ytilde`` finite and > 0.
     """
 
     p: int
@@ -58,24 +59,22 @@ class EigenstateSpec:
     smax: int
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
-        if self.smax < 0:
-            raise ValueError(f"smax must be >= 0, got {self.smax}")
-        if not np.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        _check_label(self.p, self.theta, self.ytilde, self.smax)
 
 
-def _check_ytilde(ytilde: float) -> None:
-    """The one coupling guard of this module: ytilde finite and > 0 (NaN fails)."""
+def _check_label(p: int, theta: complex, ytilde=1.0, smax=0, name="theta") -> None:
+    """The one label guard: p and smax integers >= 0, theta (called ``name``) finite,
+    ytilde finite and > 0; a function without ytilde or smax keeps the default."""
+    _check_count("p", p)
+    _check_count("smax", smax)
+    if not cmath.isfinite(theta):
+        raise ValueError(f"{name} must be finite, got {theta}")
     if not 0 < ytilde < math.inf:
         raise ValueError(f"ytilde must be finite and > 0, got {ytilde}")
 
 
 def _check_tail_theta(theta: float) -> None:
-    """Refuse a label without a Stirling tail: NaN, inf or a nonnegative integer."""
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    """Refuse a label without a Stirling tail: a nonnegative integer theta."""
     if _integer_theta(complex(theta)) is not None:
         raise ValueError("theta is a nonnegative integer; the expansion terminates")
 
@@ -103,7 +102,6 @@ def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:
     beyond double range raises ``ValueError`` naming the largest
     representable ``smax``.
     """
-    _check_ytilde(spec.ytilde)
     theta = complex(spec.theta)
     n_int = _integer_theta(theta)
     top = spec.smax if n_int is None else min(spec.smax, n_int)
@@ -136,29 +134,37 @@ def _log_space_coeffs(spec: EigenstateSpec, start: int, top: int) -> np.ndarray:
     theta = complex(spec.theta)
     with np.errstate(over="ignore"):
         mag = np.exp(_log_coeffs(spec.ytilde, theta, spec.p, top).real)
-    phase = _unit_phases(theta, top)
-    beyond = np.flatnonzero(~np.isfinite(mag[start:]))
+    label = f"p={spec.p}, theta={spec.theta}, ytilde={spec.ytilde}"
+    _refuse_beyond_range(mag, "eigenstate coefficient", label, start)
+    return (_unit_phases(theta, top) * mag)[start:]
+
+
+def _refuse_beyond_range(values: np.ndarray, what: str, label: str, start: int = 0) -> None:
+    """Raise ValueError at the first s >= start with values[s] beyond double
+    range, naming that index and the largest representable smax."""
+    beyond = np.flatnonzero(~np.isfinite(values[start:]))
     if beyond.size:
         s = start + int(beyond[0])
         raise ValueError(
-            f"eigenstate coefficient c_{s} (p={spec.p}, theta={spec.theta}, "
-            f"ytilde={spec.ytilde}) is beyond double range; the largest "
-            f"representable smax is {s - 1}"
+            f"{what} c_{s} ({label}) is beyond double range; "
+            f"the largest representable smax is {s - 1}"
         )
-    return (phase * mag)[start:]
 
 
 def recurrence_coeffs(energy: complex, p: int, ytilde: float, smax: int) -> LadderState:
     """Iterate the eigenvalue difference scheme upward from c_0 = 1.
 
     c_{s+1} = (E - p/2 - s) c_s / (ytilde sqrt((p+s+1)(s+1))).  Coefficient-
-    wise this must reproduce :func:`psi_p_theta` with theta = E - p/2.
+    wise this must reproduce :func:`psi_p_theta` with theta = E - p/2.  A
+    coefficient beyond double range raises ``ValueError`` naming it.
     """
-    _check_ytilde(ytilde)
+    _check_label(p, energy, ytilde, smax, "energy")
     c = np.zeros(smax + 1, dtype=complex)
     c[0] = 1.0
-    for s in range(smax):
-        c[s + 1] = (energy - p / 2.0 - s) * c[s] / (ytilde * math.sqrt((p + s + 1) * (s + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for s in range(smax):
+            c[s + 1] = (energy - p / 2.0 - s) * c[s] / (ytilde * math.sqrt((p + s + 1) * (s + 1)))
+    _refuse_beyond_range(c, "recurrence coefficient", f"energy={energy}, p={p}, ytilde={ytilde}")
     return LadderState(p, c)
 
 
@@ -169,7 +175,7 @@ def classify_normalizable(ytilde: float, theta: complex, p: int) -> Normalizabil
     ytilde^(-2s) / s^(2*theta+2+p), so ytilde < 1 diverges, ytilde > 1
     converges, and at ytilde = 1 the power of s decides.
     """
-    _check_ytilde(ytilde)
+    _check_label(p, theta, ytilde)
     theta = complex(theta)
     if _integer_theta(theta) is not None:
         return Normalizability.FINITE_SUM
@@ -190,7 +196,7 @@ def coeff_log_magnitudes(ytilde: float, theta: float, p: int, smax: int) -> np.n
     running sum of log|theta - j| replaces the Gamma quotient so no pole is
     ever evaluated.
     """
-    _check_ytilde(ytilde)
+    _check_label(p, theta, ytilde, smax)
     _check_tail_theta(theta)
     return _log_coeffs(ytilde, theta, p, smax).real
 
@@ -222,7 +228,10 @@ def _unit_phases(theta: complex, smax: int) -> np.ndarray:
 
 
 def partial_norms(ytilde: float, theta: float, p: int, smax: int) -> np.ndarray:
-    """Running sums sum_{s<=S} |c_s|^2 for S = 0..smax, via log-space terms."""
+    """Running sums sum_{s<=S} |c_s|^2 for S = 0..smax, via log-space terms.
+
+    A sum beyond double range raises ``ValueError`` naming its index.
+    """
     logc = coeff_log_magnitudes(ytilde, theta, p, smax)
     # running logsumexp keeps the divergent case finite in log space
     out = np.empty(smax + 1)
@@ -231,7 +240,10 @@ def partial_norms(ytilde: float, theta: float, p: int, smax: int) -> np.ndarray:
         hi = max(running, lc)
         running = hi + math.log(math.exp(running - hi) + math.exp(lc - hi))
         out[i] = running
-    return np.exp(out)
+    with np.errstate(over="ignore"):
+        norms = np.exp(out)
+    _refuse_beyond_range(norms, "partial norm through", f"p={p}, theta={theta}, ytilde={ytilde}")
+    return norms
 
 
 def tail_constant(
@@ -244,15 +256,20 @@ def tail_constant(
     tail; everything is assembled in log space and exponentiated once.
     """
     srange = np.asarray(srange, dtype=int)
-    if srange.size == 0:
-        return np.zeros(0)
-    if srange.min() < 1:  # s^(2 theta + 2 + p) has no logarithm at s = 0
+    if srange.min(initial=1) < 1:  # s^(2 theta + 2 + p) has no logarithm at s = 0
         raise ValueError(f"srange must hold indices >= 1, got {srange.min()}")
-    smax = int(srange.max())
-    logc = coeff_log_magnitudes(ytilde, theta, p, smax)
+    logc = coeff_log_magnitudes(ytilde, theta, p, int(srange.max(initial=0)))
     s = srange.astype(float)
     logr = 2.0 * logc[srange] + 2.0 * s * math.log(ytilde) + (2.0 * theta + 2.0 + p) * np.log(s)
-    return np.exp(logr)
+    with np.errstate(over="ignore"):
+        ratios = np.exp(logr)
+    beyond = srange[~np.isfinite(ratios)]
+    if beyond.size:
+        raise ValueError(
+            f"tail ratio r_{beyond.min()} (p={p}, theta={theta}, ytilde={ytilde}) "
+            "is beyond double range"
+        )
+    return ratios
 
 
 def stirling_tail_limit(theta: float, p: int) -> float:
@@ -261,8 +278,15 @@ def stirling_tail_limit(theta: float, p: int) -> float:
     The square makes the sign of Gamma(-theta) irrelevant, so log|Gamma| is
     exactly what is needed.
     """
+    _check_label(p, theta)
     _check_tail_theta(theta)
-    return math.exp(math.lgamma(1.0 + p) - 2.0 * math.lgamma(-theta))
+    try:
+        return math.exp(math.lgamma(1.0 + p) - 2.0 * math.lgamma(-theta))
+    except OverflowError:
+        raise ValueError(
+            f"the tail limit Gamma(1+p) / Gamma(-theta)^2 at p={p}, theta={theta} "
+            "is beyond double range"
+        ) from None
 
 
 def residual(st: LadderState, y1: float, y2: float, energy: complex) -> float:

@@ -31,8 +31,7 @@ class LadderState:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"imbalance p must be >= 0, got {self.p}")
+        _check_count("p", self.p)
         arr = np.asarray(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", arr)
 
@@ -50,6 +49,12 @@ class LadderState:
         out = np.zeros(smax + 1, dtype=complex)
         out[: len(self.coeffs)] = self.coeffs
         return LadderState(self.p, out)
+
+
+def _check_count(name: str, value: int) -> None:
+    """The one guard for a ladder imbalance or truncation: an integer >= 0."""
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {value}")
 
 
 def _log_factorials(n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_ladder import LadderState
+from .fock_ladder import LadderState, _check_count
 from .lattice import alpha_c, y12
 from .pair_transform import _finite, _log_rescale
 
@@ -45,6 +45,7 @@ class GenFn:
     C: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        _check_count("p", self.p)
         object.__setattr__(self, "C", np.asarray(self.C, dtype=complex))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_ladder import LadderState, apply_ab, apply_adbd, apply_halfnumber
+from .fock_ladder import LadderState, _check_count, apply_ab, apply_adbd, apply_halfnumber
 from .lattice import ModeParams
 
 __all__ = [
@@ -79,8 +79,7 @@ def build_tridiagonal(p: int, y1: float, y2: float, smax: int) -> HabMatrix:
     """Explicit (smax+1) x (smax+1) matrix of the block on the p-ladder."""
     if smax < 1:
         raise ValueError(f"smax must be >= 1, got {smax}")
-    if p < 0:
-        raise ValueError(f"imbalance p must be >= 0, got {p}")
+    _check_count("p", p)
     s = np.arange(smax + 1, dtype=float)
     diag = p / 2.0 + s
     sup = y1 * np.sqrt((p + s[:-1] + 1.0) * (s[:-1] + 1.0))
@@ -102,8 +101,9 @@ def _bog_energies(y: float, p: int, n: int | np.ndarray, dtype=float) -> np.ndar
     """:func:`bog_energy_ab` at every n of an array, evaluated in ``dtype``."""
     if not 0 <= y < 0.5:
         raise ValueError(f"coupling must lie in [0, 1/2), got {y}")
+    _check_count("p", p)
     n = np.asarray(n)
-    if p < 0 or np.any(n < 0):
+    if np.any(n < 0):
         raise ValueError("quantum numbers must be >= 0")
     y = dtype(y)
     root = np.sqrt(1.0 - 4.0 * y * y)

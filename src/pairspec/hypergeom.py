@@ -279,11 +279,17 @@ def projection_sweep(
 
     The v_N (transported finite eigenstates, truncated at smax) are
     orthogonal to rounding and to their truncated tails, so each increment
-    is just |<v_N, x>|^2; the sequence is nondecreasing and tends to ||x||^2
-    as the family is completed.
+    is just |<v_N, x>|^2 / ||x||^2 for the complex x; the sequence is
+    nondecreasing and tends to 1 as the family is completed.  A zero state is
+    refused.
     """
-    x = state.coeffs.real
-    x = x / np.linalg.norm(x)
+    re, im = state.coeffs.real, state.coeffs.imag
+    # hypot(a, 0) == a: a real state is normalized by the norm of its real array
+    norm = math.hypot(np.linalg.norm(re), np.linalg.norm(im))
+    if norm == 0.0:
+        raise ValueError("projection_sweep needs a nonzero state")
+    re, im = re / norm, im / norm
     V = _transported_columns(state.p, y, np.arange(Nmax + 1), smax)
     V /= np.linalg.norm(V, axis=1)[:, None]
-    return np.cumsum((V[:, : len(x)] @ x) ** 2)
+    V = V[:, : len(re)]
+    return np.cumsum((V @ re) ** 2 + (V @ im) ** 2)

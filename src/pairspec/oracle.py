@@ -211,9 +211,10 @@ def symmetrize_tridiag(m: HabMatrix) -> tuple[np.ndarray, np.ndarray, dict]:
     Valid when both couplings are strictly positive (true on the whole
     amplitude range below critical); the transformed off-diagonals are the
     geometric means sqrt(y1 y2) sqrt((p+s+1)(s+1)) and eigenvalues are
-    preserved exactly in exact arithmetic.  ``diagnostics`` reports the
-    extreme entries of the scaling diagonal, which grow like
-    (y2/y1)^(smax/2) and guard against overflow for lopsided couplings.
+    preserved exactly in exact arithmetic.  ``diagnostics`` reports the logs
+    of the extreme entries of the scaling diagonal, which grow like
+    (y2/y1)^(smax/2); their difference is the log of the scale ratio, which
+    warns of overflow for lopsided couplings and cannot overflow itself.
     """
     if m.y1 <= 0.0 or m.y2 <= 0.0:
         raise ValueError("symmetrization requires y1 > 0 and y2 > 0; "
@@ -224,7 +225,6 @@ def symmetrize_tridiag(m: HabMatrix) -> tuple[np.ndarray, np.ndarray, dict]:
     diagnostics = {
         "scale_log_min": float(log_scale.min()),
         "scale_log_max": float(log_scale.max()),
-        "scale_extreme_ratio": float(np.exp(log_scale.max() - log_scale.min())),
     }
     return m.diag.copy(), off, diagnostics
 

@@ -1,7 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pairspec.eigenstates import (
     EigenstateSpec,
@@ -74,6 +78,90 @@ class TestPsiPTheta:
 def test_non_finite_ytilde_refused(call, ytil):
     with pytest.raises(ValueError, match="ytilde must be finite and > 0"):
         call(ytil)
+
+
+def _count(name, value):
+    return re.escape(f"{name} must be an integer >= 0, got {value}") + "$"
+
+
+def _beyond(index):
+    return f"c_{index} .* is beyond double range; the largest representable smax is {index - 1}$"
+
+
+# one guard per label quantity (p and smax, theta or the energy, ytilde), and
+# one refusal per result beyond double range, each with its own message
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: psi_p_theta(EigenstateSpec(1.5, 0.5, 1.0, 3)), _count("p", 1.5)),
+    (lambda: EigenstateSpec(0, 0.5, math.nan, 3), "ytilde must be finite and > 0, got nan$"),
+    (lambda: classify_normalizable(1.0, math.nan, 0), "theta must be finite, got nan$"),
+    (lambda: classify_normalizable(2.0, math.inf, 0), "theta must be finite, got inf$"),
+    (lambda: classify_normalizable(1.0, 0.5, -5), _count("p", -5)),
+    (lambda: classify_normalizable(1.0, 0.5, 1.5), _count("p", 1.5)),
+    (lambda: recurrence_coeffs(math.nan, 0, 1.0, 3), "energy must be finite, got nan$"),
+    (lambda: recurrence_coeffs(math.inf, 0, 1.0, 3), "energy must be finite, got inf$"),
+    (lambda: recurrence_coeffs(1.0, -1, 1.0, 3), _count("p", -1)),
+    (lambda: recurrence_coeffs(1.0, 0, 1.0, -1), _count("smax", -1)),
+    (lambda: coeff_log_magnitudes(1.0, 0.5, 0, -1), _count("smax", -1)),
+    (lambda: coeff_log_magnitudes(1.0, 0.5, -1, 10), _count("p", -1)),
+    (lambda: coeff_log_magnitudes(1.0, 0.5, 1.5, 10), _count("p", 1.5)),
+    (lambda: partial_norms(1.0, 0.5, 0, -1), _count("smax", -1)),
+    (lambda: partial_norms(1.0, 0.5, -1, 10), _count("p", -1)),
+    (lambda: partial_norms(1.0, 0.5, 1.5, 10), _count("p", 1.5)),
+    (lambda: tail_constant(1.0, 0.5, 1.5, []), _count("p", 1.5)),
+    (lambda: stirling_tail_limit(0.5, -3), _count("p", -3)),
+    (lambda: stirling_tail_limit(0.5, -0.5), _count("p", -0.5)),
+    (lambda: stirling_tail_limit(0.5, math.nan), _count("p", math.nan)),
+    (lambda: recurrence_coeffs(0.5, 0, 1e-3, 300), "recurrence coefficient " + _beyond(104)),
+    (lambda: partial_norms(0.3, 0.5, 0, 400), "partial norm through " + _beyond(303)),
+    (lambda: partial_norms(0.5, 0.5, 0, 2000), "partial norm through " + _beyond(528)),
+    (lambda: tail_constant(1.0, 0.5, 200, [5, 4000]), r"tail ratio r_4000 \(p=200, .* is beyond double range$"),
+    (lambda: stirling_tail_limit(0.5, 200), r"Gamma\(-theta\)\^2 at p=200, theta=0.5 is beyond double range$"),
+], ids=[
+    "psi_p_theta-p", "spec-ytilde", "classify-theta-nan", "classify-theta-inf", "classify-p-neg",
+    "classify-p-frac", "recurrence-energy-nan", "recurrence-energy-inf", "recurrence-p", "recurrence-smax",
+    "log_magnitudes-smax", "log_magnitudes-p-neg", "log_magnitudes-p-frac", "partial_norms-smax",
+    "partial_norms-p-neg", "partial_norms-p-frac", "tail_constant-p-empty", "stirling-p-neg",
+    "stirling-p-frac", "stirling-p-nan", "recurrence-range", "partial_norms-range-0.3",
+    "partial_norms-range-0.5", "tail_constant-range", "stirling-range",
+])
+def test_out_of_domain_label_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+_NEAR_INTEGER = hs.builds(lambda n, d: n + d, hs.integers(0, 50), hs.floats(-1e-3, 1e-3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    hs.sampled_from([-1, 0, 1, 200, 1.5]),
+    hs.one_of(_NEAR_INTEGER, hs.sampled_from([math.nan, math.inf, -math.inf])),
+    hs.sampled_from([0.0, 1e-3, 1.0, 1e3, math.nan, math.inf]),
+    hs.integers(-1, 2000),
+)
+def test_label_gives_finite_result_or_value_error(p, theta, ytil, smax):
+    # every function of a label (p, theta, ytilde, smax) returns a finite
+    # result or raises ValueError, with no RuntimeWarning on the way
+    calls = [
+        lambda: psi_p_theta(EigenstateSpec(p, theta, ytil, smax)).coeffs,
+        lambda: recurrence_coeffs(p / 2 + theta, p, ytil, smax).coeffs,
+        lambda: coeff_log_magnitudes(ytil, theta, p, smax),
+        lambda: partial_norms(ytil, theta, p, smax),
+        lambda: tail_constant(ytil, theta, p, [1, smax]),
+        lambda: stirling_tail_limit(theta, p),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert isinstance(classify_normalizable(ytil, theta, p), Normalizability)
+        except ValueError:
+            pass
+        for call in calls:
+            try:
+                out = call()
+            except ValueError:
+                continue
+            assert np.all(np.isfinite(out))
 
 
 class TestRecurrence:

@@ -107,6 +107,14 @@ class TestLadderState:
         with pytest.raises(ValueError):
             LadderState(-1, np.array([1.0]))
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, float("nan")])
+    def test_non_integer_p_rejected(self, p):
+        with pytest.raises(ValueError, match=f"^p must be an integer >= 0, got {p}$"):
+            LadderState(p, [1, 1, 1])
+
+    def test_numpy_integer_p_accepted(self):
+        assert LadderState(np.int64(2), [1.0]).p == 2
+
     def test_padding(self):
         st = state(0, [1, 2]).padded(4)
         np.testing.assert_allclose(st.coeffs, [1, 2, 0, 0, 0])

@@ -53,6 +53,10 @@ class TestRescaling:
             back = to_state(from_state(st))
             np.testing.assert_allclose(back.coeffs, st.coeffs, rtol=1e-14, atol=1e-16)
 
+    def test_negative_p_rejected(self):
+        with pytest.raises(ValueError, match="^p must be an integer >= 0, got -1$"):
+            GenFn(-1, [1, 1, 1])
+
 
 class TestOdeResidual:
     def test_eigenstate_series_solves(self):

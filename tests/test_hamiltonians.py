@@ -50,6 +50,10 @@ class TestBuildTridiagonal:
         with pytest.raises(ValueError):
             build_tridiagonal(0, 0.1, 0.1, 0)
 
+    def test_non_integer_p_rejected(self):
+        with pytest.raises(ValueError, match="^p must be an integer >= 0, got 1.5$"):
+            build_tridiagonal(1.5, 0.3, 0.3, 3)
+
     def test_matches_operator_action(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -84,6 +88,8 @@ class TestBogEnergy:
             bog_energy_ab(0.6, 0, 0)
         with pytest.raises(ValueError):
             bog_energy_ab(0.3, -1, 0)
+        with pytest.raises(ValueError, match="^p must be an integer >= 0, got 1.5$"):
+            bog_energy_ab(0.3, 1.5, 2)
 
     def test_oracle_confirms_closed_form(self):
         # truncated Hermitian block vs the dense referee

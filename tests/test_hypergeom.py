@@ -230,3 +230,16 @@ class TestProjectionSweep:
         st = transported_state(0, 3, 0.45, 80)
         projs = projection_sweep(st, 0.45, 5, 80)
         assert projs[-1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_complex_state_keeps_its_imaginary_part(self):
+        # x = v0 + i v1 puts half its weight on v0 and half on v1
+        v0, v1 = (transported_state(0, n, 0.45, 80).coeffs for n in (0, 1))
+        v0, v1 = v0 / np.linalg.norm(v0), v1 / np.linalg.norm(v1)
+        projs = projection_sweep(LadderState(0, v0 + 1j * v1), 0.45, 3, 80)
+        np.testing.assert_allclose(projs, [0.5, 1.0, 1.0, 1.0], atol=1e-12)
+        projs = projection_sweep(LadderState(0, 1j * v0), 0.45, 3, 80)
+        np.testing.assert_allclose(projs, [1.0, 1.0, 1.0, 1.0], atol=1e-12)
+
+    def test_zero_state_refused(self):
+        with pytest.raises(ValueError, match="nonzero state"):
+            projection_sweep(LadderState(0, np.zeros(81)), 0.45, 3, 80)

@@ -143,7 +143,12 @@ class TestSymmetrize:
         diag, off, info = symmetrize_tridiag(m)
         np.testing.assert_allclose(diag, m.diag)
         np.testing.assert_allclose(off, m.super_)
-        assert info["scale_extreme_ratio"] == pytest.approx(1.0)
+        assert info["scale_log_max"] - info["scale_log_min"] == 0.0
+
+    def test_lopsided_couplings_report_finite_logs(self):
+        # the scale ratio (0.3/1e-3)^1000 is beyond double range; its log is not
+        _, _, info = symmetrize_tridiag(build_tridiagonal(0, 0.3, 1e-3, 2000))
+        assert info["scale_log_max"] - info["scale_log_min"] == pytest.approx(1000 * math.log(300.0))
 
     def test_reference_entries(self):
         m = build_tridiagonal(0, 0.375, 0.1, 2)
