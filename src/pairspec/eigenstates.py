@@ -74,8 +74,12 @@ def _check_label(p: int, theta: complex, ytilde=1.0, smax=0, name="theta") -> No
 
 
 def _check_tail_theta(theta: float) -> None:
-    """Refuse a label without a Stirling tail: a nonnegative integer theta."""
-    if _integer_theta(complex(theta)) is not None:
+    """Refuse a label without a real Stirling tail: a non-real or a nonnegative
+    integer theta."""
+    theta = complex(theta)
+    if theta.imag != 0.0:
+        raise ValueError(f"theta must be real, got {theta}")
+    if _integer_theta(theta) is not None:
         raise ValueError("theta is a nonnegative integer; the expansion terminates")
 
 

@@ -77,6 +77,7 @@ def apply_hab_alpha(st: LadderState, y1: float, y2: float) -> LadderState:
 
 def build_tridiagonal(p: int, y1: float, y2: float, smax: int) -> HabMatrix:
     """Explicit (smax+1) x (smax+1) matrix of the block on the p-ladder."""
+    _check_count("smax", smax)
     if smax < 1:
         raise ValueError(f"smax must be >= 1, got {smax}")
     _check_count("p", p)

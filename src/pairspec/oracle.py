@@ -1,12 +1,15 @@
 """Independent dense linear algebra used to referee the analytic formulas.
 
-Self-contained implementations (no LAPACK behind them): an implicit-shift QL
-eigensolver for real symmetric tridiagonal matrices, with eigenvectors by
-twisted factorization at the computed eigenvalues, a diagonal similarity
-transform that symmetrizes the nonsymmetric ladder blocks (valid whenever
-both couplings are positive), and a one-sided Jacobi SVD for the small Gram
-matrices.  Being independent of the closed forms they certify is the whole
-point; their own correctness is pinned by tests against known spectra.
+Self-contained implementations (no LAPACK behind them): a real symmetric
+tridiagonal eigensolver -- implicit-shift QL up to ``_DC_LEAF`` rows, Cuppen's
+divide and conquer above it with QL at the leaves and O(n^2) numpy-vectorized
+merges, worked in chunks of ``_DC_CHUNK`` elements so memory stays O(n) --
+with eigenvectors by twisted factorization at the computed eigenvalues, a
+diagonal similarity transform that symmetrizes the nonsymmetric ladder blocks
+(valid whenever both couplings are positive), and a one-sided Jacobi SVD for
+the small Gram matrices.  Being independent of the closed forms they certify
+is the whole point; their own correctness is pinned by tests against known
+spectra.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ _MAX_QL_SWEEPS = 50
 # vectors apart; within the second the twisted vectors get a Gram-Schmidt pass
 _DEGENERATE_GAP = 1e-8
 _CLOSE_GAP = 1e-2
+# blocks of up to this many rows take QL directly; verify's largest block has 81
+# rows, so its values never come from the divide and conquer
+_DC_LEAF = 96
+_DC_CHUNK = 1 << 15  # elements of a merge's (roots x poles) arrays held at once
+_MAX_SECULAR_STEPS = 64  # past this a root keeps its bracketed iterate
+_EPS = float(np.finfo(float).eps)
 
 
 def sym_tridiag_eig(
@@ -37,8 +46,14 @@ def sym_tridiag_eig(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) of a real symmetric tridiagonal matrix.
 
-    Implicit-shift QL iteration with Givens rotations; ``offdiag[i]`` couples
-    rows i and i+1.  With ``vectors=True`` the unit eigenvectors are returned
+    ``offdiag[i]`` couples rows i and i+1.  Up to ``_DC_LEAF`` rows the values
+    come from implicit-shift QL iteration with Givens rotations, O(n^2) Python
+    steps.  A larger matrix is first cut where QL would neglect a coupling;
+    each larger block is then torn in half by Cuppen's rank-one split, the
+    halves are solved recursively, and every merge finds the values of
+    diag(d) + rho z z^T from the halves' values and the first and last rows of
+    their eigenvectors (:func:`_merge`): O(n^2) numpy work with a small
+    constant, memory O(n).  With ``vectors=True`` the unit eigenvectors are returned
     as columns alongside the same values, bit for bit.  They come from one
     twisted factorization per eigenvalue (:func:`_twisted_vectors`), O(n) each,
     followed by one Gram-Schmidt pass over every group of eigenvalues closer
@@ -64,18 +79,220 @@ def sym_tridiag_eig(
         raise ValueError(f"offdiag must have length {n - 1}, got {len(b)}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):  # O(n), next to O(n^2) QL
         raise ValueError("diag and offdiag must be finite")
-    values = np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
+    values = _eigvals(a, b)
     if not vectors:
         return values
+    return values, _eigvectors(a, b, values)
+
+
+def _eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues: QL up to ``_DC_LEAF`` rows; above, each block between
+    the couplings QL would neglect, by divide and conquer or QL as its size asks."""
+    n = len(a)
+    if n <= _DC_LEAF:
+        return np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
+    dd = np.abs(a[:-1]) + np.abs(a[1:])
+    edges = [0, *(np.flatnonzero(np.abs(b) + dd == dd) + 1).tolist(), n]
+    if len(edges) > 2:
+        blocks = [_eigvals(a[i:j], b[i : j - 1]) for i, j in zip(edges, edges[1:])]
+        return np.sort(np.concatenate(blocks), kind="stable")
+    # a +-1 diagonal similarity makes b >= 0, and an exact power-of-two scaling
+    # to ||T||_1 ~ 1 keeps every square in the recursion within range
+    e = math.frexp(_norm_one(a, b))[1]
+    return np.ldexp(_divide_and_conquer(np.ldexp(a, -e), np.ldexp(np.abs(b), -e))[0], e)
+
+
+def _eigvectors(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors, as columns, at the ascending eigenvalues ``values``."""
+    n = len(a)
     norm = _norm_one(a, b)
-    if n > 1 and np.min(np.diff(values)) < _DEGENERATE_GAP * norm:
+    if n > 1 and np.min(np.diff(values)) <= _DEGENERATE_GAP * norm:  # <=: the zero matrix too
         z = np.eye(n)
         raw = _ql_values(a.tolist(), b.tolist() + [0.0], z)
-        return values, z[:, np.argsort(raw, kind="stable")]
+        return z[:, np.argsort(raw, kind="stable")]
     z = _twisted_vectors(a, b, values)
     z /= np.linalg.norm(z, axis=0)
     _gram_schmidt_close(z, values, _CLOSE_GAP * norm)
-    return values, z
+    return z
+
+
+def _divide_and_conquer(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and the first and last rows of the eigenvectors, (2, n).
+
+    Cuppen's tearing (Numer. Math. 36, 1981), for b >= 0: with rho = b[k-1]
+    and v = e_{k-1} + e_k, T = diag(T1, T2) + rho v v^T, where T1 and T2 are
+    the halves with rho taken off their touching diagonal entries.
+    In the halves' eigenbases the coupling only reads the last row of T1's
+    eigenvectors and the first row of T2's, so those two rows are all that
+    travels up the recursion.
+    """
+    n = len(a)
+    if n <= _DC_LEAF:
+        values = _eigvals(a, b)
+        # a degenerate pair's vectors take O(n^3) rotations; tearing further is cheaper
+        if n == 1 or np.min(np.diff(values)) > _DEGENERATE_GAP * _norm_one(a, b):
+            return values, _eigvectors(a, b, values)[[0, -1]]
+    k = n // 2
+    rho = float(b[k - 1])
+    torn = a.copy()
+    torn[k - 1] -= rho
+    torn[k] -= rho
+    d1, rows1 = _divide_and_conquer(torn[:k], b[: k - 1])
+    d2, rows2 = _divide_and_conquer(torn[k:], b[k:])
+    z = np.concatenate([rows1[1], rows2[0]]) / math.sqrt(2.0)
+    rows = np.zeros((2, n))
+    rows[0, :k] = rows1[0]
+    rows[1, k:] = rows2[1]
+    return _merge(np.concatenate([d1, d2]), z, 2.0 * rho, rows)
+
+
+def _merge(d: np.ndarray, z: np.ndarray, rho: float, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of diag(d) + rho z z^T (rho >= 0, |z| = 1), ascending, and ``rows``
+    times its eigenvectors.
+
+    Deflation as in LAPACK's dlaed2: a pole whose weight rho |z_i| is below
+    tol = 8 eps max(|d|, rho) is an eigenvalue as it stands, and of two
+    neighbouring poles whose gap t satisfies |t c s| <= tol, for the rotation
+    (c, s) that zeroes the first one's weight, the first is one too.  That
+    rotation acts alike on z and on the carried rows.  The remaining k poles
+    are strictly increasing, each root of the secular equation lies between
+    two of them (:func:`_secular_roots`), and the eigenvector of root lam_j
+    is zhat / (d - lam_j), zhat being Gu & Eisenstat's weights (SIMAX 16,
+    1995) for which the computed roots are exact, so the rows stay orthogonal
+    to rounding.  Every (roots x poles) array is built ``_DC_CHUNK`` elements
+    at a time.
+    """
+    order = np.argsort(d, kind="stable")
+    d, z, rows = d[order], z[order], rows[:, order]
+    tol = 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
+    keep = rho * np.abs(z) > tol
+    idx = np.flatnonzero(keep)
+    # |t c s| <= |t| / 2, so only neighbours closer than 2 tol can deflate; a
+    # rotation only moves the survivor down towards its partner, which widens
+    # the next gap, and the partner dropped is always the lower one
+    for m in np.flatnonzero(np.diff(d[idx]) <= 2.0 * tol) + 1:
+        i, j = idx[m - 1], idx[m]
+        r = math.hypot(z[i], z[j])
+        c, s = z[j] / r, -z[i] / r
+        if abs((d[j] - d[i]) * c * s) <= tol:
+            z[i], z[j] = 0.0, r
+            rows[:, i], rows[:, j] = c * rows[:, i] + s * rows[:, j], c * rows[:, j] - s * rows[:, i]
+            d[i], d[j] = d[i] * c * c + d[j] * s * s, d[i] * s * s + d[j] * c * c
+            keep[i] = False
+    dk, zk = d[keep], z[keep]
+    k = len(dk)
+    org, tau = _secular_roots(dk, zk, rho)
+    dorg = dk[org]  # root j is dorg[j] + tau[j]
+    width = max(1, _DC_CHUNK // max(k, 1))
+    zhat = np.empty(k)
+    for i0 in range(0, k, width):
+        i = np.arange(i0, min(i0 + width, k))
+        # zhat_i^2 = (lam_i - d_i) prod_{j != i} (lam_j - d_i) / (d_j - d_i): each
+        # factor positive, each root paired with a pole as in LAPACK's dlaed3
+        num = (dorg - dk[i, None]) + tau
+        den = dk - dk[i, None]
+        den[np.arange(len(i)), i] = 1.0
+        zhat[i] = np.sqrt(np.prod(num / den, axis=1))
+    zhat = np.copysign(zhat, zk)
+    carried = rows[:, keep]
+    new_rows = np.empty((2, k))
+    for j0 in range(0, k, width):
+        j = np.arange(j0, min(j0 + width, k))
+        u = zhat / ((dk - dorg[j, None]) - tau[j, None])  # (roots, poles)
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        new_rows[:, j] = carried @ u.T
+    values = np.concatenate([d[~keep], dorg + tau])
+    order = np.argsort(values, kind="stable")
+    return values[order], np.concatenate([rows[:, ~keep], new_rows], axis=1)[:, order]
+
+
+def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of f(lam) = 1 + rho sum_i z_i^2 / (d_i - lam), d strictly increasing.
+
+    Root j lies in (d_j, d_{j+1}), the last in (d_{k-1}, d_{k-1} + rho |z|^2].
+    Each is returned as an origin pole and an offset tau from it: the pole at
+    the nearer end of its interval, picked by the sign of f at the midpoint,
+    so that every d_i - lam = (d_i - d_origin) - tau keeps its relative
+    accuracy (as in LAPACK's dlaed4).  The step is R.-C. Li's middle way
+    (LAPACK Working Note 89, 1994): the poles below the iterate and those above
+    are each modelled by one pole at the interval's ends, matching value and
+    slope, and the model's root is taken.  A step that leaves the bracket the
+    signs of f have built is replaced by bisection, so every root stays
+    strictly inside its interval; a root is done once |f| / rho is within the
+    rounding bound of its evaluation.  All roots iterate together, only the
+    unconverged ones still in play, at most ``_MAX_SECULAR_STEPS`` times.
+    """
+    k = len(d)
+    org, tau = np.arange(k), np.empty(k)
+    if k == 0:  # all deflated, as for rho = 0
+        return org, tau
+    z2 = z * z
+    gap = np.append(np.diff(d), 2.0 * rho * float(np.sum(z2)))  # the last: a bound past the root
+    # the roots in play, their iterates and brackets, from the intervals' midpoints
+    j = org.copy()
+    t, lo, hi = gap / 2, np.zeros(k), gap.copy()
+    for step in range(_MAX_SECULAR_STEPS):
+        w, dpsi, dphi, err = _secular_terms(d, z2, 1.0 / rho, d[org[j]], t)
+        done = np.abs(w) <= _EPS * err
+        lo, hi = np.where(w < 0, t, lo), np.where(w > 0, t, hi)
+        dl = (d[j] - d[org[j]]) - t  # d_j - lam and d_{j+1} - lam, as in the sums
+        dr = (d[np.minimum(j + 1, k - 1)] - d[org[j]]) - t
+        new = t + _middle_way(w, dpsi, dphi, dl, dr, j == k - 1)
+        t = np.where(done, t, np.where((lo < new) & (new < hi), new, (lo + hi) / 2))
+        if step == 0:
+            # f < 0 at the midpoint: the root is nearer the upper pole, the new origin
+            right = (w < 0) & ~done & (j < k - 1)
+            org[j] += right
+            shift = np.where(right, gap, 0.0)
+            t, lo, hi = t - shift, lo - shift, hi - shift
+        tau[j] = t
+        j, t, lo, hi = j[~done], t[~done], lo[~done], hi[~done]
+        if not len(j):
+            break
+    return org, tau
+
+
+def _secular_terms(d: np.ndarray, z2: np.ndarray, rinv: float, dorg: np.ndarray, tau: np.ndarray):
+    """f / rho at the iterates lam = dorg + tau and the slopes of its two halves.
+
+    Returns w = 1/rho + psi + phi, psi' and phi', psi summing the poles below
+    the iterate (negative terms) and phi those above, and the bound on the
+    rounding error of w that the convergence test uses (after dlaed4).  The
+    (roots x poles) terms are built ``_DC_CHUNK`` elements at a time.
+    """
+    out = np.empty((4, len(tau)))
+    width = max(1, _DC_CHUNK // len(d))
+    for c0 in range(0, len(tau), width):
+        c = slice(c0, c0 + width)
+        r = 1.0 / ((d - dorg[c, None]) - tau[c, None])
+        above = z2 * r
+        below = np.minimum(above, 0.0)
+        above -= below
+        out[:, c] = (below.sum(axis=1), above.sum(axis=1),
+                     np.einsum("ij,ij->i", below, r), np.einsum("ij,ij->i", above, r))
+    psi, phi, dpsi, dphi = out
+    w = rinv + psi + phi
+    err = 8.0 * (phi - psi + rinv) + np.abs(tau) * (dpsi + dphi)
+    return w, dpsi, dphi, err
+
+
+def _middle_way(w, dpsi, dphi, dl, dr, last):
+    """The middle-way step from the iterate, dl and dr being d_j - lam and d_{j+1} - lam.
+
+    The model c + s1 / (dl - eta) + s2 / (dr - eta) with s1 = psi' dl^2 and
+    s2 = phi' dr^2 has one root between the poles, the root
+    (a - sqrt(a^2 - 4 b c)) / (2 c) of c eta^2 - a eta + b.  Beyond the last pole phi is empty and the model has
+    the one pole, whose root is dl w / c.  Steps that divide by zero come out
+    inf or nan, which the caller's bracket test turns into bisection.
+    """
+    c = w - dl * dpsi - dr * dphi
+    a = (dl + dr) * w - dl * dr * (dpsi + dphi)
+    b = dl * dr * w
+    disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(a <= 0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
+        eta = np.where(c == 0, b / a, eta)
+        return np.where(last, dl * w / (w - dl * dpsi), eta)
 
 
 def _norm_one(a: np.ndarray, b: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .fock_ladder import LadderState, _log_factorials
+from .fock_ladder import LadderState, _check_count, _log_factorials
 from .lattice import ModelParams, half_lattice, mode_params
 
 __all__ = [
@@ -251,6 +251,7 @@ def mode_ground_state(alpha: float, smax: int) -> LadderState:
     """Truncated per-mode ground state exp(-P)|vac>: c_n = alpha^n on the p=0 ladder."""
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    _check_count("smax", smax)
     return LadderState(0, alpha ** np.arange(smax + 1, dtype=float))
 
 

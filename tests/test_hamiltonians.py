@@ -54,6 +54,15 @@ class TestBuildTridiagonal:
         with pytest.raises(ValueError, match="^p must be an integer >= 0, got 1.5$"):
             build_tridiagonal(1.5, 0.3, 0.3, 3)
 
+    @pytest.mark.parametrize("smax, message", [
+        (2.5, "^smax must be an integer >= 0, got 2.5$"),  # was a block whose dense() failed
+        (-1, "^smax must be an integer >= 0, got -1$"),
+        (0, "^smax must be >= 1, got 0$"),
+    ], ids=["fraction", "negative", "zero"])
+    def test_bad_smax_rejected(self, smax, message):
+        with pytest.raises(ValueError, match=message):
+            build_tridiagonal(0, 0.3, 0.3, smax)
+
     def test_matches_operator_action(self):
         rng = np.random.default_rng(5)
         for _ in range(30):

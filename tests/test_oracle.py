@@ -1,10 +1,13 @@
 import math
 import time
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from pairspec.hamiltonians import build_tridiagonal
+from pairspec import oracle
+from pairspec.hamiltonians import bog_energy_ab, build_tridiagonal
 from pairspec.oracle import svd_small, sym_tridiag_eig, symmetrize_tridiag
 
 
@@ -117,6 +120,7 @@ class TestSymTridiagEig:
     @pytest.mark.parametrize("d, e", [
         ([1.0, 1.0, 1.0], [0.0, 0.0]),  # a triple eigenvalue
         ([2.0, 1.0, 2.0, 1.0], [0.5, 0.0, 0.5]),  # two equal 2x2 blocks: two double ones
+        ([0.0, 0.0, 0.0], [0.0, 0.0]),  # the zero matrix: no scale to measure gaps by
     ])
     def test_exactly_degenerate_split_matrix(self, d, e):
         vals, vecs = sym_tridiag_eig(d, e, vectors=True)
@@ -135,6 +139,123 @@ class TestSymTridiagEig:
         vals = sym_tridiag_eig(block.diag, block.super_)
         assert len(vals) == 301
         assert np.all(np.diff(vals) > 0)
+
+
+def _mp_eigvals(d, e):
+    """The 40-digit referee: mpmath's Jacobi eigenvalues of the dense matrix."""
+    n = len(d)
+    with mpmath.workdps(40):
+        m = mpmath.zeros(n)
+        for i in range(n):
+            m[i, i] = d[i]
+        for i in range(n - 1):
+            m[i, i + 1] = m[i + 1, i] = e[i]
+        return np.sort([float(v) for v in mpmath.eigsy(m, eigvals_only=True)])
+
+
+def _glued(block_d, block_e, copies, coupling):
+    """``copies`` equal blocks joined by ``coupling``: clusters of near-equal values."""
+    d = np.tile(block_d, copies)
+    e = np.concatenate([np.append(block_e, coupling)] * copies)[:-1]
+    return d, e
+
+
+def _dc_blocks():
+    rng = np.random.default_rng(61)
+    blocks = {f"random-{n}": (rng.standard_normal(n) * 3, rng.standard_normal(n - 1)) for n in (13, 24, 40)}
+    blocks["constant-diagonal"] = (np.full(20, 0.5), np.zeros(19))  # one value, 20 times
+    blocks["glued-tiny"] = _glued(rng.standard_normal(3), rng.standard_normal(2), 10, 1e-12)
+    blocks["glued-zero"] = _glued(rng.standard_normal(5), rng.standard_normal(4), 6, 0.0)
+    d, e = rng.standard_normal(34), rng.standard_normal(33)
+    e[[16, 8, 24, 3]] = 0.0  # independent blocks, split off before any merge
+    blocks["interior-zeros"] = (d, e)
+    blocks["zero-middle"] = (np.concatenate([d[:10], np.zeros(14), d[24:]]), np.concatenate([e[:9], np.zeros(15), e[24:]]))
+    blocks["scaled-1e300"] = tuple(1e300 * x for x in blocks["random-24"])
+    d, e = rng.standard_normal(16), rng.standard_normal(15)
+    d[7:9], e[7] = 0.0, 1e-30  # a coupling too weak to move any value: the top merge deflates all
+    blocks["weak-top-coupling"] = (d, e)
+    blocks["wilkinson-21"] = (np.abs(np.arange(21) - 10.0), np.ones(20))
+    blocks["graded"] = (10.0 ** -np.arange(24.0), 10.0 ** -(np.arange(23.0) + 0.5))
+    return blocks
+
+
+_DC_BLOCKS = _dc_blocks()
+
+
+class TestDivideAndConquer:
+    """The recursion above the leaf size, cut to 4-8 rows so that small blocks split."""
+
+    @pytest.mark.parametrize("name", sorted(_DC_BLOCKS))
+    def test_against_mpmath(self, name, monkeypatch):
+        d, e = _DC_BLOCKS[name]
+        ref = _mp_eigvals(d, e)
+        norm = oracle._norm_one(np.asarray(d), np.asarray(e))
+        # a chunk of 16 elements puts one or two roots in play at a time
+        for leaf, chunk in ((4, 1 << 15), (5, 16), (8, 1 << 15)):
+            monkeypatch.setattr(oracle, "_DC_LEAF", leaf)
+            monkeypatch.setattr(oracle, "_DC_CHUNK", chunk)
+            with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+                warnings.simplefilter("error")
+                vals = sym_tridiag_eig(d, e)
+            assert np.all(np.diff(vals) >= 0)
+            assert np.max(np.abs(vals - ref)) <= 1e-13 * norm, (leaf, chunk)
+
+    @pytest.mark.parametrize("a, b, n", [(2.0, -1.0, 40), (2.0, -1.0, 100), (1.0, 1.0, 100)])
+    def test_constant_blocks_closed_form(self, a, b, n, monkeypatch):
+        # mirror-image halves have equal values: every merge rotates close poles
+        with mpmath.workdps(40):
+            ref = np.sort([float(a + 2 * b * mpmath.cos(k * mpmath.pi / (n + 1))) for k in range(1, n + 1)])
+        for leaf in (4, 5, 8):
+            monkeypatch.setattr(oracle, "_DC_LEAF", leaf)
+            vals = sym_tridiag_eig(np.full(n, a), np.full(n - 1, b))
+            assert np.max(np.abs(vals - ref)) <= 1e-13 * (abs(a) + 2 * abs(b)), leaf
+
+    @pytest.mark.parametrize("steps", [1, 2, oracle._MAX_SECULAR_STEPS])
+    def test_secular_roots_stay_in_their_intervals(self, steps, monkeypatch):
+        # however short the iteration is cut, root j lies strictly in (d_j, d_{j+1})
+        monkeypatch.setattr(oracle, "_MAX_SECULAR_STEPS", steps)
+        rng = np.random.default_rng(67)
+        d = np.cumsum(rng.uniform(1e-3, 1.0, 300))
+        z = rng.standard_normal(300)
+        z /= np.linalg.norm(z)
+        rho = 2.5
+        org, tau = oracle._secular_roots(d, z, rho)
+        lam = d[org] + tau
+        assert np.all(d < lam) and np.all(lam[:-1] < d[1:]) and lam[-1] <= d[-1] + rho
+        # the (roots x poles) terms built 16 elements at a time: the same roots
+        monkeypatch.setattr(oracle, "_DC_CHUNK", 16)
+        assert np.array_equal(oracle._secular_roots(d, z, rho)[1], tau)
+        monkeypatch.setattr(oracle, "_DC_LEAF", 4)
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(sym_tridiag_eig(*_DC_BLOCKS["random-40"])))
+
+    def test_vectors_read_the_same_values(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_DC_LEAF", 6)
+        for d, e in (_DC_BLOCKS["random-40"], _DC_BLOCKS["wilkinson-21"], (np.full(40, 2.0), np.full(39, -1.0))):
+            vals, vecs = sym_tridiag_eig(d, e, vectors=True)
+            assert np.array_equal(vals, sym_tridiag_eig(d, e))
+            TestSymTridiagEig.assert_eigenpairs(d, e, vals, vecs)
+
+    @pytest.mark.parametrize("n", [2, 81, oracle._DC_LEAF])
+    def test_plain_ql_up_to_leaf(self, n):
+        # every block verify builds has at most 81 rows: their values, and the
+        # verify bytes, are those of QL alone
+        assert oracle._DC_LEAF >= 82
+        rng = np.random.default_rng(n)
+        block = build_tridiagonal(1, 0.3, 0.3, n - 1)
+        for d, e in ((block.diag, block.super_), (rng.standard_normal(n), rng.standard_normal(n - 1))):
+            ql = np.sort(oracle._ql_values(d.tolist(), e.tolist() + [0.0]), kind="stable")
+            assert np.array_equal(sym_tridiag_eig(d, e), ql)
+
+    def test_ladder_2000_within_budget(self):
+        block = build_tridiagonal(0, 0.3, 0.3, 1999)
+        t0 = time.process_time()  # CPU time: other processes on the host do not count
+        vals = sym_tridiag_eig(block.diag, block.super_)
+        elapsed = time.process_time() - t0
+        dev = max(abs(vals[n] - bog_energy_ab(0.3, 0, n)) for n in range(8))
+        assert dev <= 1e-8
+        assert elapsed < 1.5  # QL alone took 2.2-2.6 s on a shared 2-vCPU VM
 
 
 class TestSymmetrize:

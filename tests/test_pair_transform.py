@@ -367,6 +367,11 @@ class TestGroundState:
         with pytest.raises(ValueError):
             mode_ground_state(1.0, 10)
 
+    def test_non_integer_smax_rejected(self):
+        # was a 4-entry state
+        with pytest.raises(ValueError, match="^smax must be an integer >= 0, got 2.5$"):
+            mode_ground_state(0.5, 2.5)
+
     def test_zero_state_occupancy_is_zero(self):
         assert pair_occupancy(state(0, [0.0, 0.0, 0.0])) == 0.0
 
