@@ -31,10 +31,11 @@ import numpy as np
 from . import __version__, checks, hypergeom, wu_sector
 from .eigenstates import EigenstateSpec, _log_coeffs, classify_normalizable, psi_p_theta
 from .lattice import (
+    AlphaSum,
     ModelParams,
     ModeParams,
     _alpha_total,
-    half_lattice,
+    _mode_table,
     mode_params,
     ytilde_from_y,
 )
@@ -66,11 +67,19 @@ def _json_member(obj: dict) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n  ")
 
 
+def _spectrum_rows(mp: ModelParams, nmax: int) -> tuple[list[tuple], AlphaSum]:
+    """The table's rows as Python numbers, in _SPECTRUM_KEYS order, and its alpha sum;
+    the arrays they come from are freed before the rows are formatted."""
+    table = _mode_table(mp, nmax)
+    alphas = table.alpha.tolist()
+    rows = list(zip(*table.n.T.tolist(), np.sqrt(table.ksq).tolist(), table.y.tolist(),
+                    table.ytilde.tolist(), alphas, table.epsilon.tolist()))
+    return rows, _alpha_total(mp, alphas)
+
+
 def cmd_spectrum(args: argparse.Namespace) -> tuple[str, int]:
     mp = ModelParams(a=args.a, rho=args.rho, L=args.L, N=args.N)
-    modes = (mode_params(mp, k) for k in half_lattice(mp.L, args.nmax))
-    rows = [(*m.n, math.sqrt(m.ksq), m.y, m.ytilde, m.alpha, m.epsilon) for m in modes]
-    asum = _alpha_total(mp, (row[6] for row in rows))  # the alpha column
+    rows, asum = _spectrum_rows(mp, args.nmax)
     if args.format == "json":
         model = {"a": fmt(mp.a), "rho": fmt(mp.rho), "L": fmt(mp.L), "N": fmt(mp.N)}
         footer = {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock_ladder import LadderState, _check_count, apply_ab, apply_adbd, apply_halfnumber
-from .lattice import ModeParams
+from .lattice import ModeParams, _check_coupling
 
 __all__ = [
     "HabMatrix",
@@ -100,8 +100,7 @@ def bog_energy_ab(y: float, p: int, n: int) -> float:
 
 def _bog_energies(y: float, p: int, n: int | np.ndarray, dtype=float) -> np.ndarray:
     """:func:`bog_energy_ab` at every n of an array, evaluated in ``dtype``."""
-    if not 0 <= y < 0.5:
-        raise ValueError(f"coupling must lie in [0, 1/2), got {y}")
+    _check_coupling(y)
     _check_count("p", p)
     n = np.asarray(n)
     if np.any(n < 0):

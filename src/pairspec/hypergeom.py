@@ -17,7 +17,7 @@ import numpy as np
 from .eigenstates import EigenstateSpec, psi_p_theta
 from .fock_ladder import LadderState
 from .hamiltonians import _bog_energies, build_tridiagonal
-from .lattice import alpha_c, ytilde_from_y
+from .lattice import _check_coupling, alpha_c, ytilde_from_y
 from .pair_transform import apply_exp_pair
 from . import oracle, pair_transform
 
@@ -213,8 +213,7 @@ def _transported_columns(p: int, y: float, ns: np.ndarray, smax: int) -> np.ndar
     ``pair_transform._EXT`` on a block padded by :func:`_block_rows`, gives
     them to rounding: the binomial shift's alternating sums are never formed.
     """
-    if not 0 < y < 0.5:
-        raise ValueError(f"coupling must lie in (0, 1/2), got {y}")
+    _check_coupling(y, allow_zero=False)
     if smax < 0:
         raise ValueError(f"smax must be >= 0, got {smax}")
     lams = _bog_energies(y, p, ns, pair_transform._EXT)

@@ -4,7 +4,10 @@ Units are chosen so that hbar = 2m = 1.  The gas lives in a periodic box of
 side L, so momenta are k = 2*pi*n/L with integer 3-vectors n.  Everything
 below is a pure function of the physical inputs (scattering length a, density
 rho, box side L); per-mode derived quantities are collected in ``ModeParams``,
-an immutable named tuple built once per half-lattice mode by ``mode_params``.
+an immutable named tuple built once per half-lattice mode by ``mode_params``,
+or holding numpy columns over the whole half lattice, built by ``_mode_table``.
+Both evaluate the one statement of the formulas, ``_mode_formulas``, and give
+the same bits.
 """
 
 from __future__ import annotations
@@ -131,14 +134,23 @@ class AlphaSum:
     grows_with_cutoff: bool
 
 
+def _check_nmax(nmax: int) -> None:
+    if nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
+
+
 def _half_indices(nmax: int) -> np.ndarray:
     """(M, 3) integer table of the half lattice, sorted by (|n|^2, n1, n2, n3)."""
-    r = np.arange(-nmax, nmax + 1)
-    n1, n2, n3 = (g.ravel() for g in np.meshgrid(r, r, r, indexing="ij"))
-    half = (n3 > 0) | ((n3 == 0) & ((n2 > 0) | ((n2 == 0) & (n1 > 0))))
-    n1, n2, n3 = n1[half], n2[half], n3[half]
-    order = np.lexsort((n3, n2, n1, n1 * n1 + n2 * n2 + n3 * n3))
-    return np.stack((n1, n2, n3), axis=1)[order]
+    try:
+        r = np.arange(-nmax, nmax + 1)
+        n1, n2, n3 = (g.ravel() for g in np.meshgrid(r, r, r, indexing="ij"))
+        half = (n3 > 0) | ((n3 == 0) & ((n2 > 0) | ((n2 == 0) & (n1 > 0))))
+        n1, n2, n3 = n1[half], n2[half], n3[half]
+        order = np.lexsort((n3, n2, n1, n1 * n1 + n2 * n2 + n3 * n3))
+        return np.stack((n1, n2, n3), axis=1)[order]
+    except (MemoryError, ValueError):  # numpy refuses a table beyond memory or index range
+        raise ValueError(f"nmax={nmax} asks for a lattice table of (2*nmax+1)^3 = "
+                         f"{(2 * nmax + 1) ** 3} points, more than can be allocated") from None
 
 
 def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
@@ -150,8 +162,7 @@ def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
     of the nonzero cube points appear, and the union with its negation and
     {0} tiles the cube disjointly.
     """
-    if nmax < 1:
-        raise ValueError(f"nmax must be >= 1, got {nmax}")
+    _check_nmax(nmax)
     if L <= 0:
         raise ValueError(f"box side must be > 0, got {L}")
     scale = 2.0 * math.pi / L
@@ -163,11 +174,21 @@ def half_lattice_indices(nmax: int) -> list[tuple[int, int, int]]:
     return list(zip(*_half_indices(nmax).T.tolist()))
 
 
+def _check_coupling(y: float, allow_zero: bool = True) -> None:
+    """Refuse a coupling y outside [0, 1/2), or outside (0, 1/2) without ``allow_zero``."""
+    if not ((0 <= y) if allow_zero else (0 < y)) or not y < 0.5:  # NaN fails here too
+        raise ValueError(f"coupling must lie in {'[' if allow_zero else '('}0, 1/2), got {y}")
+
+
+def _ytilde(y, sqrt):
+    """y / sqrt(1 - 4y^2), for a float or an array y, with the ``sqrt`` that fits it."""
+    return y / sqrt(1.0 - 4.0 * y * y)
+
+
 def ytilde_from_y(y: float) -> float:
     """y / sqrt(1 - 4y^2); maps (0, 1/2) onto (0, inf)."""
-    if not 0 <= y < 0.5:
-        raise ValueError(f"coupling must lie in [0, 1/2), got {y}")
-    return y / math.sqrt(1.0 - 4.0 * y * y)
+    _check_coupling(y)
+    return _ytilde(y, math.sqrt)
 
 
 def alpha_c(y: float) -> float:
@@ -176,8 +197,7 @@ def alpha_c(y: float) -> float:
     Evaluated in the rationalized form 2y / (1 + sqrt(1 - 4y^2)), which is
     exact at y = 0 and avoids cancellation for small y.
     """
-    if not 0 <= y < 0.5:
-        raise ValueError(f"coupling must lie in [0, 1/2), got {y}")
+    _check_coupling(y)
     return 2.0 * y / (1.0 + math.sqrt(1.0 - 4.0 * y * y))
 
 
@@ -188,8 +208,7 @@ def y12(y: float, alpha: float) -> tuple[float, float]:
     (y-alpha+alpha^2*y)/(1-2*alpha*y) the pair creator.  Both are strictly
     positive for 0 <= alpha < alpha_c(y); y2 vanishes exactly at alpha_c.
     """
-    if not 0 < y < 0.5:
-        raise ValueError(f"coupling must lie in (0, 1/2), got {y}")
+    _check_coupling(y, allow_zero=False)
     ac = alpha_c(y)
     if not 0 <= alpha <= ac * (1.0 + 1e-12) + 1e-15:  # NaN fails here too
         raise ValueError(f"alpha={alpha} outside [0, alpha_c={ac}]")
@@ -197,16 +216,32 @@ def y12(y: float, alpha: float) -> tuple[float, float]:
     return y / den, (y - alpha + alpha * alpha * y) / den
 
 
+def _mode_formulas(ksq, g, sqrt):
+    """(y, ytilde, alpha, epsilon) of the mode with k^2 = ksq at 8*pi*a*rho = g.
+
+    The one statement of the per-mode formulas, for floats with ``math.sqrt``
+    (:func:`mode_params`) and for arrays with ``np.sqrt`` (:func:`_mode_table`).
+    It uses only + - * / and ``sqrt``, each correctly rounded, so both routes
+    give the same bits.  It wants ksq > 0 with ksq + 2g finite; a mode so soft
+    that y rounds to 1/2 divides by zero in ytilde.
+    """
+    eps = sqrt(ksq) * sqrt(ksq + 2.0 * g)
+    y = 0.5 * g / (ksq + g)  # +0.0 at g = 0, and so are ytilde and alpha
+    # minus branch of the quadratic for alpha(k), rationalized so the
+    # large-k cancellation (ksq + g) - eps never happens; equals alpha_c(y(k))
+    alpha = g / ((ksq + g) + eps)
+    return y, _ytilde(y, sqrt), alpha, eps
+
+
 def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
     """Per-mode derived constants.
 
     The condensate mode k = 0 is rejected, and so is a k whose
-    k^2 + 16*pi*a*rho is beyond double range.
+    k^2 + 16*pi*a*rho is beyond double range, and a mode so soft that
+    k^2 + 8*pi*a*rho rounds to 8*pi*a*rho.
     """
-    try:
-        ksq = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
-    except OverflowError:
-        ksq = math.inf
+    # x*x, not x**2: libm pow is not correctly rounded, and the array route squares
+    ksq = k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
     g = mp.gas_scale  # 8*pi*a*rho
     ksq_2g = ksq + 2.0 * g
     if not (0.0 < ksq and ksq_2g < math.inf):  # NaN fails here too
@@ -215,16 +250,35 @@ def mode_params(mp: ModelParams, k: tuple[float, float, float]) -> ModeParams:
         raise ValueError(f"k={k!r} puts k^2 + 16*pi*a*rho={ksq_2g!r} beyond double range")
     scale = mp.L / (2.0 * math.pi)
     n = (round(k[0] * scale), round(k[1] * scale), round(k[2] * scale))
-    eps = math.sqrt(ksq) * math.sqrt(ksq_2g)
-    y = 0.5 * g / (ksq + g)  # +0.0 at g = 0, and so are ytil and alpha
     try:
-        ytil = ytilde_from_y(y)
-    except ValueError:  # only y = 1/2 reaches here: ksq + g rounded to g
+        y, ytil, alpha, eps = _mode_formulas(ksq, g, math.sqrt)
+    except ZeroDivisionError:  # only y = 1/2 reaches here: ksq + g rounded to g
         raise ValueError(f"mode n={n} is too soft: k^2={ksq!r} is below the rounding "
                          f"of 8*pi*a*rho={g!r}, so y = g/(2(k^2 + g)) rounds to 1/2") from None
-    # minus branch of the quadratic for alpha(k), rationalized so the
-    # large-k cancellation (ksq + g) - eps never happens; equals alpha_c(y(k))
-    alpha = g / ((ksq + g) + eps)
+    return ModeParams(k, n, ksq, y, ytil, alpha, eps)
+
+
+def _mode_table(mp: ModelParams, nmax: int) -> ModeParams:
+    """:func:`mode_params` over the whole half lattice at once, as columns.
+
+    A ``ModeParams`` whose fields are arrays in :func:`half_lattice` order: k
+    and n of shape (M, 3), the rest of length M.  Row i has the bits of
+    ``mode_params(mp, half_lattice(mp.L, nmax)[i])``.  A table with a mode
+    that the scalar route refuses raises that refusal, for the first such
+    mode, by handing it to :func:`mode_params`.
+    """
+    _check_nmax(nmax)
+    n = _half_indices(nmax)
+    k = (2.0 * math.pi / mp.L) * n
+    k1, k2, k3 = k.T
+    ksq = k1 * k1 + k2 * k2 + k3 * k3
+    g = mp.gas_scale
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y, ytil, alpha, eps = _mode_formulas(ksq, g, np.sqrt)
+        refused = ~((0.0 < ksq) & (ksq + 2.0 * g < np.inf)) | (y >= 0.5)
+    if refused.any():
+        mode_params(mp, tuple(k[np.argmax(refused)].tolist()))
+        raise AssertionError("mode_params accepted a mode its table refuses")
     return ModeParams(k, n, ksq, y, ytil, alpha, eps)
 
 

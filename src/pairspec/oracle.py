@@ -89,22 +89,25 @@ def _eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues: QL up to ``_DC_LEAF`` rows; above, each block between
     the couplings QL would neglect, by divide and conquer or QL as its size asks."""
     n = len(a)
+    if n > _DC_LEAF:
+        dd = np.abs(a[:-1]) + np.abs(a[1:])
+        edges = [0, *(np.flatnonzero(np.abs(b) + dd == dd) + 1).tolist(), n]
+        if len(edges) > 2:
+            blocks = [_eigvals(a[i:j], b[i : j - 1]) for i, j in zip(edges, edges[1:])]
+            return np.sort(np.concatenate(blocks), kind="stable")
+    e, a, b = _unit_scaled(a, b)
     if n <= _DC_LEAF:
-        return np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
-    dd = np.abs(a[:-1]) + np.abs(a[1:])
-    edges = [0, *(np.flatnonzero(np.abs(b) + dd == dd) + 1).tolist(), n]
-    if len(edges) > 2:
-        blocks = [_eigvals(a[i:j], b[i : j - 1]) for i, j in zip(edges, edges[1:])]
-        return np.sort(np.concatenate(blocks), kind="stable")
-    # a +-1 diagonal similarity makes b >= 0, and an exact power-of-two scaling
-    # to ||T||_1 ~ 1 keeps every square in the recursion within range
-    e = math.frexp(_norm_one(a, b))[1]
-    return np.ldexp(_divide_and_conquer(np.ldexp(a, -e), np.ldexp(np.abs(b), -e))[0], e)
+        values = np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
+    else:  # a +-1 diagonal similarity makes b >= 0
+        values = _divide_and_conquer(a, np.abs(b))[0]
+    return np.ldexp(values, e)
 
 
 def _eigvectors(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Unit eigenvectors, as columns, at the ascending eigenvalues ``values``."""
     n = len(a)
+    e, a, b = _unit_scaled(a, b)
+    values = np.ldexp(values, -e)
     norm = _norm_one(a, b)
     if n > 1 and np.min(np.diff(values)) <= _DEGENERATE_GAP * norm:  # <=: the zero matrix too
         z = np.eye(n)
@@ -293,6 +296,18 @@ def _middle_way(w, dpsi, dphi, dl, dr, last):
         eta = np.where(a <= 0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
         eta = np.where(c == 0, b / a, eta)
         return np.where(last, dl * w / (w - dl * dpsi), eta)
+
+
+def _unit_scaled(a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(e, a / 2^e, b / 2^e) with ||T||_1 / 2^e in [1/2, 1).
+
+    The scaling is exact and every solver step is homogeneous, so a block in
+    the normal range keeps its bits, and a block near either end of double
+    range stays clear of overflow where the twisted factorization and the
+    merges square b, and of the subnormals in which QL stalls.
+    """
+    e = math.frexp(_norm_one(a, b))[1]
+    return e, np.ldexp(a, -e), np.ldexp(b, -e)
 
 
 def _norm_one(a: np.ndarray, b: np.ndarray) -> float:

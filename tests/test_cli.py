@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pairspec.checks
+import pairspec.pair_transform
 import pairspec.wu_sector
 import test_acceptance
 from test_pair_transform import needs_x87
@@ -456,6 +457,12 @@ MODEL_ERRORS = [
         (["spectrum", "--a", "0.02", "--rho", "1", "--L", "7", "--N", "inf"],
          "particle count N must be finite"),
         *(
+            (["spectrum", "--a", "0.02", "--rho", "1", "--L", "5", "--nmax", nmax],
+             f"nmax={nmax} asks for a lattice table of (2*nmax+1)^3 = {(2 * int(nmax) + 1) ** 3} points")
+            # sizes numpy refuses at once: 64 PiB per grid, and past its index range
+            for nmax in ("100000", "10000000", "10000000000000000000")
+        ),
+        *(
             ([*head, "--a", "0.02", "--rho", "1", "--L", "7", flag, index], topic)
             for head, flag in ((["wu", "--N", "4"], "--kn"), (["eigenstate", "--theta", "1"], "--k-mode"))
             for index, topic in ((f"1{'0' * 160},0,0", "k^2 + 16*pi*a*rho=inf beyond double range"),
@@ -467,6 +474,7 @@ MODEL_ERRORS = [
         "k-mode-without-model", "k-mode-two-indices", "gram-nmax-negative",
         *(f"{command}-{name}" for command in ("spectrum", "wu") for name, _, _ in MODEL_ERRORS),
         "spectrum-N-nan", "spectrum-N-inf",
+        "spectrum-nmax-1e5", "spectrum-nmax-1e7", "spectrum-nmax-1e19",
         *(f"{command}-1e{digits}" for command in ("wu-kn", "eigenstate-k-mode") for digits in (160, 400)),
     ],
 )
@@ -476,6 +484,26 @@ def test_out_of_domain_input_is_one_line_error(capsys, argv, topic):
     assert code == 1 and captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and topic in captured.err
+
+
+@pytest.mark.parametrize("model, message", [
+    (dict(a=0.01, rho=1.0, L=1e10),
+     "mode n=(0, 0, 1) is too soft: k^2=3.9478417604357426e-19 is below the rounding of "
+     "8*pi*a*rho=0.25132741228718347, so y = g/(2(k^2 + g)) rounds to 1/2"),
+    (dict(a=1e306, rho=4.0, L=0.5),
+     "k=(0.0, 0.0, 12.566370614359172) puts k^2 + 16*pi*a*rho=inf beyond double range"),
+], ids=["soft-mode", "k2-range"])
+def test_mode_refusal_reads_the_same_on_every_route(capsys, model, message):
+    # the scalar route, the array route under depletion_report, and spectrum's table
+    mp = ModelParams(**model)
+    with pytest.raises(ValueError) as scalar:
+        mode_params(mp, half_lattice(mp.L, 2)[0])
+    with pytest.raises(ValueError) as depletion:
+        pairspec.pair_transform.depletion_report(mp, 2)
+    code = main(["spectrum", *(f"--{key}={value!r}" for key, value in model.items()), "--nmax", "2"])
+    captured = capsys.readouterr()
+    assert str(scalar.value) == str(depletion.value) == message
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("QL iteration failed to converge"),

@@ -3,12 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from pairspec.hamiltonians import bog_energy_ab
+from pairspec.hypergeom import transported_state
 from pairspec.lattice import (
     AlphaSum,
     ModelParams,
+    _mode_table,
     alpha_c,
     alpha_sum,
     half_lattice,
@@ -139,6 +142,15 @@ class TestModeParams:
             with pytest.raises(ValueError, match="beyond double range"):
                 mode_params(mp, k)
 
+    def test_squares_by_multiplication(self):
+        # libm pow, behind x**2, is not correctly rounded; x*x is, like np.square
+        x = 2.0 * math.pi / 1.7 * 143  # k of n = (143, 0, 0) at L = 1.7
+        if x**2 == x * x:
+            pytest.skip("this libm rounds x**2 correctly at x")
+        for k in ((x, 0.0, 0.0), (0.0, 1.0, x)):
+            assert mode_params(ModelParams(**REF), k).ksq == k[0] * k[0] + k[1] * k[1] + k[2] * k[2]
+        assert mode_params(ModelParams(**REF), (x, 0.0, 0.0)).ksq != x**2
+
     def test_branch_identity_alpha_equals_alpha_c(self):
         mp = ModelParams(**REF)
         for k in half_lattice(mp.L, 3):
@@ -210,6 +222,27 @@ class TestY12:
         assert y1 == pytest.approx(ytilde_from_y(y), rel=1e-14)
 
 
+# every function that takes a coupling shares lattice._check_coupling, each with its interval
+_COUPLING_TAKERS = [
+    (ytilde_from_y, "[0, 1/2)"),
+    (alpha_c, "[0, 1/2)"),
+    (lambda y: y12(y, 0.0), "(0, 1/2)"),
+    (lambda y: bog_energy_ab(y, 0, 1), "[0, 1/2)"),
+    (lambda y: transported_state(0, 1, y, 3), "(0, 1/2)"),
+]
+
+
+@pytest.mark.parametrize("call, interval", _COUPLING_TAKERS,
+                         ids=["ytilde_from_y", "alpha_c", "y12", "bog_energy_ab", "transported_state"])
+def test_coupling_range_is_one_guard(call, interval):
+    for y in (-0.1, 0.5, 0.7, math.nan, *((0.0,) if interval[0] == "(" else ())):
+        with pytest.raises(ValueError, match=re.escape(f"coupling must lie in {interval}, got {y}")):
+            call(y)
+    call(0.3)
+    if interval[0] == "[":
+        call(0.0)
+
+
 class TestAlphaSum:
     def test_free_gas(self):
         res = alpha_sum(ModelParams(a=0.0, rho=1.0, L=2 * math.pi), 2)
@@ -249,3 +282,38 @@ def test_scales_are_finite_or_refused(a, rho, L):
         return
     assert all(map(math.isfinite, (m.ksq, m.y, m.ytilde, m.alpha, m.epsilon)))
     assert 0.0 <= m.y < 0.5
+
+
+_COLUMNS = ("ksq", "y", "ytilde", "alpha", "epsilon")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hs.one_of(hs.just(0.0), _LOG_UNIFORM), _LOG_UNIFORM, _LOG_UNIFORM, hs.integers(1, 4))
+@example(0.0, 1.0, 2.0 * math.pi, 3)  # the free gas
+@example(1e-300, 1e-300, 1.0, 2)  # a > 0 whose 8 pi a rho underflows to 0
+@example(REF["a"], REF["rho"], REF["L"], 4)
+@example(1e306, 4.0, 0.5, 1)  # k^2 + 16 pi a rho overflows at every mode
+def test_mode_table_rows_are_mode_params(a, rho, L, nmax):
+    # the array route has the scalar route's bits, and refuses what it refuses
+    try:
+        mp = ModelParams(a=a, rho=rho, L=L)
+    except ValueError:
+        return
+    try:
+        modes = [mode_params(mp, k) for k in half_lattice(mp.L, nmax)]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            _mode_table(mp, nmax)
+        assert str(refused.value) == str(exc)
+        return
+    table = _mode_table(mp, nmax)
+    assert table.n.tolist() == [list(m.n) for m in modes]
+    assert np.array_equal(table.k.view(np.int64), np.array([m.k for m in modes]).view(np.int64))
+    for name in _COLUMNS:
+        want = np.array([getattr(m, name) for m in modes])
+        assert np.array_equal(getattr(table, name).view(np.int64), want.view(np.int64)), name
+
+
+def test_mode_table_refuses_an_empty_cutoff():
+    with pytest.raises(ValueError, match="nmax must be >= 1, got 0"):
+        _mode_table(ModelParams(**REF), 0)

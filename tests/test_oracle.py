@@ -128,6 +128,20 @@ class TestSymTridiagEig:
         self.assert_eigenpairs(d, e, vals, vecs)
         assert np.array_equal(vals, sym_tridiag_eig(d, e))
 
+    @pytest.mark.parametrize("size", [1e300, 1e-300])
+    def test_vectors_at_the_ends_of_double_range(self, size):
+        # unscaled, the twisted factorization's b^2 overflowed to NaN vectors at
+        # 1e300, and QL stalled in subnormals at 1e-300
+        rng = np.random.default_rng(29)
+        d = size * 2.0 * rng.standard_normal(30)
+        e = size * rng.standard_normal(29)
+        vals, vecs = sym_tridiag_eig(d, e, vectors=True)
+        assert np.array_equal(vals, sym_tridiag_eig(d, e))
+        # the gates are relative to ||T||_1: hold them on the block scaled by an
+        # exact power of two, where the residual's norm stays in range
+        k = 2.0 ** -math.frexp(np.abs(dense_tridiag(d, e)).sum(axis=1).max())[1]
+        self.assert_eigenpairs(d * k, e * k, vals * k, vecs)
+
     def test_single_entry_and_diagonal_vectors(self):
         vals, vecs = sym_tridiag_eig([2.5], [], vectors=True)
         assert vals.tolist() == [2.5] and vecs.tolist() == [[1.0]]
