@@ -130,8 +130,8 @@ class TestSymTridiagEig:
 
     @pytest.mark.parametrize("size", [1e300, 1e-300])
     def test_vectors_at_the_ends_of_double_range(self, size):
-        # unscaled, the twisted factorization's b^2 overflowed to NaN vectors at
-        # 1e300, and QL stalled in subnormals at 1e-300
+        # without a power-of-two scaling first, b^2 in the twisted factorization
+        # overflows to NaN vectors at 1e300, and QL stalls in subnormals at 1e-300
         rng = np.random.default_rng(29)
         d = size * 2.0 * rng.standard_normal(30)
         e = size * rng.standard_normal(29)
