@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count, _log_factorials
+from .fock_ladder import LadderState, _check_count, _check_counts, _log_factorials
 from .hamiltonians import apply_hab_alpha
 
 __all__ = [
@@ -259,9 +259,7 @@ def tail_constant(
     Gamma(1+p) / Gamma(-theta)^2, the Stirling constant of the coefficient
     tail; everything is assembled in log space and exponentiated once.
     """
-    srange = np.asarray(srange, dtype=int)
-    if srange.min(initial=1) < 1:  # s^(2 theta + 2 + p) has no logarithm at s = 0
-        raise ValueError(f"srange must hold indices >= 1, got {srange.min()}")
+    srange = _check_counts("srange", srange, low=1)  # s^(2 theta + 2 + p) has no log at s = 0
     logc = coeff_log_magnitudes(ytilde, theta, p, int(srange.max(initial=0)))
     s = srange.astype(float)
     logr = 2.0 * logc[srange] + 2.0 * s * math.log(ytilde) + (2.0 * theta + 2.0 + p) * np.log(s)

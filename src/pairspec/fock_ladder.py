@@ -44,6 +44,7 @@ class LadderState:
 
     def padded(self, smax: int) -> "LadderState":
         """Same state with zero coefficients appended through index smax."""
+        _check_count("smax", smax)
         if smax < self.smax:
             raise ValueError("padding cannot shrink the state")
         out = np.zeros(smax + 1, dtype=complex)
@@ -51,10 +52,20 @@ class LadderState:
         return LadderState(self.p, out)
 
 
-def _check_count(name: str, value: int) -> None:
-    """The one guard for a ladder imbalance or truncation: an integer >= 0."""
-    if not (isinstance(value, (int, np.integer)) and value >= 0):
-        raise ValueError(f"{name} must be an integer >= 0, got {value}")
+def _check_count(name: str, value: int, low: int = 0) -> None:
+    """The one guard for a count (imbalance, truncation, cutoff, index): an integer >= low."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+
+
+def _check_counts(name: str, values, low: int = 0) -> np.ndarray:
+    """The guard for an array of counts: each entry integral and >= low (empty passes).
+    Returns the entries as integers."""
+    arr = np.asarray(values)
+    bad = arr[~(np.isfinite(arr) & (arr >= low) & (np.trunc(arr) == arr))]
+    if bad.size:
+        raise ValueError(f"{name} entries must be integers >= {low}, got {bad.flat[0]}")
+    return arr.astype(int)
 
 
 def _log_factorials(n: int) -> np.ndarray:

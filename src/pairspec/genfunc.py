@@ -103,6 +103,7 @@ def b_from_e(energy: complex, p: int, y: float, alpha: float) -> complex:
     B = ((p/2 - E - 1) z+ + y1 (p-1)) / (z+ + 2 y1); integer B >= p is the
     analyticity criterion that discretizes the spectrum.
     """
+    _check_count("p", p)
     y1, _ = y12(y, alpha)
     z_plus, _ = roots(y, alpha)
     return ((p / 2.0 - energy - 1.0) * z_plus + y1 * (p - 1.0)) / (z_plus + 2.0 * y1)
@@ -116,6 +117,7 @@ def e_from_b(B: complex, p: int, y: float, alpha: float) -> complex:
     eigenstates (energy p/2 + N) sit at the integers B = N + p.  At alpha = 0
     and p = 0 this reproduces the Hermitian-block spectrum at B = n.
     """
+    _check_count("p", p)
     y1, y2 = y12(y, alpha)
     disc = math.sqrt(1.0 - 4.0 * y1 * y2)  # > 0 on the whole alpha range
     return disc * (B - (p - 1.0) / 2.0) - 0.5

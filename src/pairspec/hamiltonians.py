@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count, apply_ab, apply_adbd, apply_halfnumber
+from .fock_ladder import LadderState, _check_count, _check_counts, apply_ab, apply_adbd, apply_halfnumber
 from .lattice import ModeParams, _check_coupling
+from .pair_transform import _finite
 
 __all__ = [
     "HabMatrix",
@@ -77,10 +78,9 @@ def apply_hab_alpha(st: LadderState, y1: float, y2: float) -> LadderState:
 
 def build_tridiagonal(p: int, y1: float, y2: float, smax: int) -> HabMatrix:
     """Explicit (smax+1) x (smax+1) matrix of the block on the p-ladder."""
-    _check_count("smax", smax)
-    if smax < 1:
-        raise ValueError(f"smax must be >= 1, got {smax}")
+    _check_count("smax", smax, low=1)
     _check_count("p", p)
+    _finite((y1, y2), f"couplings must be finite, got y1={y1}, y2={y2}")
     s = np.arange(smax + 1, dtype=float)
     diag = p / 2.0 + s
     sup = y1 * np.sqrt((p + s[:-1] + 1.0) * (s[:-1] + 1.0))
@@ -102,9 +102,7 @@ def _bog_energies(y: float, p: int, n: int | np.ndarray, dtype=float) -> np.ndar
     """:func:`bog_energy_ab` at every n of an array, evaluated in ``dtype``."""
     _check_coupling(y)
     _check_count("p", p)
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError("quantum numbers must be >= 0")
+    n = _check_counts("n", n)
     y = dtype(y)
     root = np.sqrt(1.0 - 4.0 * y * y)
     return root * (n + p / 2.0 + 0.5) - 0.5

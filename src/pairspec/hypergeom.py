@@ -10,12 +10,13 @@ transported finite eigenstates span each ladder.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .eigenstates import EigenstateSpec, psi_p_theta
-from .fock_ladder import LadderState
+from .fock_ladder import LadderState, _check_count
 from .hamiltonians import _bog_energies, build_tridiagonal
 from .lattice import _check_coupling, alpha_c, ytilde_from_y
 from .pair_transform import apply_exp_pair
@@ -48,7 +49,8 @@ def hyp_f(a: float, b: float, c: float, z: complex) -> complex:
     """Terminating Gauss series F(a, b, c; z) = sum_m (a)_m (b)_m / ((c)_m m!) z^m.
 
     At least one of a, b must be a nonpositive integer.  A nonpositive
-    integer c is rejected unless the series terminates before the (c)_m zero.
+    integer c is rejected unless the series terminates before the (c)_m zero,
+    and so are a non-finite z and a sum beyond double range.
     """
     m_top = _termination_index(a, b)
     if c <= 0 and float(c).is_integer() and m_top > -int(c):
@@ -58,6 +60,8 @@ def hyp_f(a: float, b: float, c: float, z: complex) -> complex:
     for m in range(m_top):
         term *= (a + m) * (b + m) / ((c + m) * (m + 1.0)) * z
         total += term
+    if not (cmath.isfinite(z) and cmath.isfinite(total)):
+        raise ValueError(f"F(a={a}, b={b}, c={c}; z={z}) is not finite in double precision")
     return total
 
 
@@ -71,8 +75,9 @@ def contiguous_residual(m: int, N: int, p: int, z: complex) -> complex:
     with the N = 0 exceptional form (the raising term is absent):
     (m z) F(-m+1, 0, p+1; z) = -(p+1) F(-m, 0, p+1; z) + (p+1) F(-m, -1, p+1; z).
     """
-    if m < 0 or N < 0 or p < 0:
-        raise ValueError("m, N, p must be >= 0")
+    _check_count("m", m)
+    _check_count("N", N)
+    _check_count("p", p)
     lhs = m * z * hyp_f(-m + 1, -N, p + 1, z)
     rhs = -(p + 1 + 2 * N) * hyp_f(-m, -N, p + 1, z) + (p + 1 + N) * hyp_f(
         -m, -N - 1, p + 1, z
@@ -118,6 +123,8 @@ def f_family(N: int, p: int, ytilde: float, d: np.ndarray, z: complex) -> comple
     The d_m are the rescaled coefficients of a test state on the p-ladder;
     f_0 reduces to the plain weighted power series since F(., 0, .; w) = 1.
     """
+    _check_count("N", N)
+    _check_count("p", p)
     if z == 0:
         raise ValueError("z = 0 is outside the family's domain (argument 1/z)")
     d = np.asarray(d, dtype=complex)
@@ -162,14 +169,14 @@ def f_recurrence_residual(N: int, p: int, ytilde: float, d: np.ndarray, z: compl
     """
     if z == 0:
         raise ValueError("z = 0 is outside the family's domain")
-    coeffs_n = _f_family_poly(N, p, ytilde, d)
-    dcoeffs = coeffs_n[1:] * np.arange(1, len(coeffs_n))
-    deriv = _polyval(dcoeffs, z)
-    rhs = ytilde * (
+    rhs = ytilde * (  # first: f_family guards N and p, which _f_family_poly reads
         -(p + 1 + 2 * N) * f_family(N, p, ytilde, d, z)
         + (p + 1 + N) * f_family(N + 1, p, ytilde, d, z)
         + (N * f_family(N - 1, p, ytilde, d, z) if N > 0 else 0.0)
     )
+    coeffs_n = _f_family_poly(N, p, ytilde, d)
+    dcoeffs = coeffs_n[1:] * np.arange(1, len(coeffs_n))
+    deriv = _polyval(dcoeffs, z)
     return abs(deriv - rhs)
 
 
@@ -214,8 +221,7 @@ def _transported_columns(p: int, y: float, ns: np.ndarray, smax: int) -> np.ndar
     them to rounding: the binomial shift's alternating sums are never formed.
     """
     _check_coupling(y, allow_zero=False)
-    if smax < 0:
-        raise ValueError(f"smax must be >= 0, got {smax}")
+    _check_count("smax", smax)
     lams = _bog_energies(y, p, ns, pair_transform._EXT)
     block = build_tridiagonal(p, y, y, _block_rows(p, y, float(np.max(lams)), smax))
     z = oracle._twisted_vectors(block.diag, block.super_, lams)[: smax + 1]
@@ -236,6 +242,7 @@ def transported_state(p: int, N: int, y: float, smax: int) -> LadderState:
     by a twisted factorization (see :func:`_transported_columns`), not by the
     binomial shift, whose alternating sums lose every digit by N ~ 60.
     """
+    _check_count("N", N)
     return LadderState(p, _transported_columns(p, y, np.array([N]), smax)[0])
 
 
@@ -260,8 +267,8 @@ def gram_witness(p: int, y: float, Nmax: int, smax: int) -> np.ndarray:
     at distinct energies, computed to rounding (:func:`transported_state`),
     so the Gram is the identity up to rounding and to the truncated tails.
     """
-    if Nmax < 0:
-        raise ValueError(f"Nmax must be >= 0, got {Nmax}")
+    _check_count("Nmax", Nmax)
+    _check_count("smax", smax)
     if Nmax > 63:
         raise ValueError(f"Nmax must be <= 63 (svd_small takes at most 64 states), got {Nmax}")
     if smax < 10 * Nmax:
@@ -282,6 +289,7 @@ def projection_sweep(
     nondecreasing and tends to 1 as the family is completed.  A zero state is
     refused.
     """
+    _check_count("Nmax", Nmax)
     re, im = state.coeffs.real, state.coeffs.imag
     # hypot(a, 0) == a: a real state is normalized by the norm of its real array
     norm = math.hypot(np.linalg.norm(re), np.linalg.norm(im))

@@ -18,6 +18,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .fock_ladder import _check_count
+
 __all__ = [
     "ModelParams",
     "ModeParams",
@@ -134,13 +136,9 @@ class AlphaSum:
     grows_with_cutoff: bool
 
 
-def _check_nmax(nmax: int) -> None:
-    if nmax < 1:
-        raise ValueError(f"nmax must be >= 1, got {nmax}")
-
-
 def _half_indices(nmax: int) -> np.ndarray:
     """(M, 3) integer table of the half lattice, sorted by (|n|^2, n1, n2, n3)."""
+    _check_count("nmax", nmax, low=1)
     try:
         r = np.arange(-nmax, nmax + 1)
         n1, n2, n3 = (g.ravel() for g in np.meshgrid(r, r, r, indexing="ij"))
@@ -162,7 +160,6 @@ def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
     of the nonzero cube points appear, and the union with its negation and
     {0} tiles the cube disjointly.
     """
-    _check_nmax(nmax)
     if L <= 0:
         raise ValueError(f"box side must be > 0, got {L}")
     scale = 2.0 * math.pi / L
@@ -267,7 +264,6 @@ def _mode_table(mp: ModelParams, nmax: int) -> ModeParams:
     that the scalar route refuses raises that refusal, for the first such
     mode, by handing it to :func:`mode_params`.
     """
-    _check_nmax(nmax)
     n = _half_indices(nmax)
     k = (2.0 * math.pi / mp.L) * n
     k1, k2, k3 = k.T

@@ -71,10 +71,12 @@ def sym_tridiag_eig(
         Also return the eigenvectors, as the columns of an orthogonal matrix.
     """
     a = np.asarray(diag, dtype=float)
+    b = np.asarray(offdiag, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"diag and offdiag must be 1-D, got shapes {a.shape} and {b.shape}")
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
-    b = np.asarray(offdiag, dtype=float)
     if len(b) != n - 1:
         raise ValueError(f"offdiag must have length {n - 1}, got {len(b)}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):  # O(n), next to O(n^2) QL

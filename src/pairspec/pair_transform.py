@@ -159,8 +159,8 @@ def domain_check(
     cancelling states whose noise ceiling itself diverges.  Evidence, not
     proof.
     """
-    if horizon < 100:
-        raise ValueError(f"horizon must be >= 100, got {horizon}")
+    _check_count("horizon", horizon, low=100)
+    _check_count("p", p)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     log_c = np.asarray(log_coeffs, dtype=complex)
@@ -221,8 +221,7 @@ def conjugation_check(alpha: float, smax: int) -> float:
     absolute deviation cancelled: 1.7e-7 at (alpha, smax) = (0.9, 30).
     Raises ValueError for a non-finite alpha or terms beyond extended range.
     """
-    if smax < 4:
-        raise ValueError(f"smax must be >= 4, got {smax}")
+    _check_count("smax", smax, low=4)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     n = smax + 1

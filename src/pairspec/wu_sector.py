@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pair_transform
+from .fock_ladder import _check_count
 from .lattice import ModelParams, ModeParams
 
 __all__ = [
@@ -44,9 +45,9 @@ class WuSector:
     mode: ModeParams
 
     def __post_init__(self) -> None:
-        if self.Ntot < 1:
-            raise ValueError(f"Ntot must be >= 1, got {self.Ntot}")
-        if not 0 <= self.p <= self.Ntot:
+        _check_count("Ntot", self.Ntot, low=1)
+        _check_count("p", self.p)
+        if self.p > self.Ntot:
             raise ValueError(f"p must lie in [0, Ntot], got {self.p}")
 
     @property
@@ -128,7 +129,8 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     themselves.
     """
     dim = sector.dim
-    if not 0 <= n_index < dim:
+    _check_count("n_index", n_index)
+    if n_index >= dim:
         raise ValueError(f"n_index must lie in [0, {dim - 1}], got {n_index}")
     v = np.zeros(dim)
     ytil = wu_ytilde(sector.mode, mp)

@@ -1,0 +1,160 @@
+"""Every count argument is refused by one guard, with one message.
+
+A count (imbalance, truncation, cutoff, pair or particle number, index) must
+be an integer at or above its lower bound; ``fock_ladder._check_count`` is
+the only code that refuses one, as ``<name> must be an integer >= <low>,
+got <value>``.  The table names each public function with such a parameter;
+the introspection test keeps a new one from skipping the guard.
+"""
+
+import inspect
+import math
+import re
+
+import numpy as np
+import pytest
+
+import pairspec
+from pairspec.eigenstates import (
+    EigenstateSpec,
+    classify_normalizable,
+    coeff_log_magnitudes,
+    partial_norms,
+    recurrence_coeffs,
+    stirling_tail_limit,
+    tail_constant,
+)
+from pairspec.fock_ladder import LadderState
+from pairspec.genfunc import GenFn, b_from_e, e_from_b
+from pairspec.hamiltonians import bog_energy_ab, build_tridiagonal, lhy_block
+from pairspec.hypergeom import (
+    contiguous_residual,
+    f_family,
+    f_recurrence_residual,
+    gram_witness,
+    projection_sweep,
+    transported_state,
+)
+from pairspec.lattice import ModelParams, alpha_sum, half_lattice, half_lattice_indices, mode_params
+from pairspec.pair_transform import conjugation_check, depletion_report, domain_check, mode_ground_state
+from pairspec.wu_sector import WuSector, wu_eigenstate
+
+MP = ModelParams(a=1.0 / (16.0 * math.pi), rho=1.0, L=2.0 * math.pi)
+MODE = mode_params(MP, (0.0, 0.0, 1.0))
+STATE = LadderState(0, [1.0, 0.5, 0.25])
+
+# (function, count parameter, low, call with that count, an accepted count);
+# every other argument is valid
+ROWS = [
+    (LadderState, "p", 0, lambda v: LadderState(v, [1.0]), 2),
+    (LadderState.padded, "smax", 0, lambda v: STATE.padded(v), 2),
+    (half_lattice, "nmax", 1, lambda v: half_lattice(1.0, v), 2),
+    (half_lattice_indices, "nmax", 1, half_lattice_indices, 2),
+    (alpha_sum, "nmax", 1, lambda v: alpha_sum(MP, v), 2),
+    (depletion_report, "nmax", 1, lambda v: depletion_report(MP, v), 2),
+    (build_tridiagonal, "p", 0, lambda v: build_tridiagonal(v, 0.3, 0.3, 4), 2),
+    (build_tridiagonal, "smax", 1, lambda v: build_tridiagonal(0, 0.3, 0.3, v), 2),
+    (bog_energy_ab, "p", 0, lambda v: bog_energy_ab(0.3, v, 1), 2),
+    (lhy_block, "p", 0, lambda v: lhy_block(MODE, v, 1), 2),
+    (EigenstateSpec, "p", 0, lambda v: EigenstateSpec(v, 0.5, 1.0, 4), 2),
+    (EigenstateSpec, "smax", 0, lambda v: EigenstateSpec(0, 0.5, 1.0, v), 2),
+    (recurrence_coeffs, "p", 0, lambda v: recurrence_coeffs(1.0, v, 1.0, 4), 2),
+    (recurrence_coeffs, "smax", 0, lambda v: recurrence_coeffs(1.0, 0, 1.0, v), 2),
+    (classify_normalizable, "p", 0, lambda v: classify_normalizable(1.0, 0.5, v), 2),
+    (tail_constant, "p", 0, lambda v: tail_constant(1.0, 0.5, v, [5]), 2),
+    (stirling_tail_limit, "p", 0, lambda v: stirling_tail_limit(0.5, v), 2),
+    (coeff_log_magnitudes, "p", 0, lambda v: coeff_log_magnitudes(1.0, 0.5, v, 4), 2),
+    (coeff_log_magnitudes, "smax", 0, lambda v: coeff_log_magnitudes(1.0, 0.5, 0, v), 2),
+    (partial_norms, "p", 0, lambda v: partial_norms(1.0, 0.5, v, 4), 2),
+    (partial_norms, "smax", 0, lambda v: partial_norms(1.0, 0.5, 0, v), 2),
+    (domain_check, "p", 0, lambda v: domain_check(np.zeros(201, complex), 0.3, v, 200), 2),
+    (domain_check, "horizon", 100, lambda v: domain_check(np.zeros(201, complex), 0.3, 0, v), 150),
+    (conjugation_check, "smax", 4, lambda v: conjugation_check(0.3, v), 6),
+    (mode_ground_state, "smax", 0, lambda v: mode_ground_state(0.3, v), 2),
+    (GenFn, "p", 0, lambda v: GenFn(v, [1.0]), 2),
+    (b_from_e, "p", 0, lambda v: b_from_e(1.0, v, 0.3, 0.1), 2),
+    (e_from_b, "p", 0, lambda v: e_from_b(1.0, v, 0.3, 0.1), 2),
+    (contiguous_residual, "m", 0, lambda v: contiguous_residual(v, 1, 0, 0.3), 2),
+    (contiguous_residual, "N", 0, lambda v: contiguous_residual(1, v, 0, 0.3), 2),
+    (contiguous_residual, "p", 0, lambda v: contiguous_residual(1, 1, v, 0.3), 2),
+    (f_family, "N", 0, lambda v: f_family(v, 0, 1.0, [1.0, 1.0], 0.5), 2),
+    (f_family, "p", 0, lambda v: f_family(1, v, 1.0, [1.0, 1.0], 0.5), 2),
+    (f_recurrence_residual, "N", 0, lambda v: f_recurrence_residual(v, 0, 1.0, [1.0, 1.0], 0.5), 2),
+    (f_recurrence_residual, "p", 0, lambda v: f_recurrence_residual(1, v, 1.0, [1.0, 1.0], 0.5), 2),
+    (transported_state, "p", 0, lambda v: transported_state(v, 1, 0.3, 10), 2),
+    (transported_state, "N", 0, lambda v: transported_state(0, v, 0.3, 10), 2),
+    (transported_state, "smax", 0, lambda v: transported_state(0, 1, 0.3, v), 2),
+    (gram_witness, "p", 0, lambda v: gram_witness(v, 0.3, 2, 40), 2),
+    (gram_witness, "Nmax", 0, lambda v: gram_witness(0, 0.3, v, 40), 2),
+    (gram_witness, "smax", 0, lambda v: gram_witness(0, 0.3, 0, v), 2),
+    (projection_sweep, "Nmax", 0, lambda v: projection_sweep(STATE, 0.3, v, 40), 2),
+    (projection_sweep, "smax", 0, lambda v: projection_sweep(STATE, 0.3, 2, v), 2),
+    (WuSector, "Ntot", 1, lambda v: WuSector(v, 0, MODE), 2),
+    (WuSector, "p", 0, lambda v: WuSector(4, v, MODE), 2),
+    (wu_eigenstate, "n_index", 0, lambda v: wu_eigenstate(WuSector(4, 0, MODE), MP, v), 2),
+]
+_IDS = [f"{f.__qualname__}-{name}" for f, name, *_ in ROWS]
+
+COUNT_NAMES = {"p", "smax", "nmax", "N", "Nmax", "Ntot", "n_index", "horizon", "m"}
+# parameters with a count's name that are not counts
+NOT_COUNTS = {
+    (ModelParams, "N"): "the nominal particle number rho L^3, a positive real",
+    (pairspec.HabMatrix, "smax"): "a field of the record build_tridiagonal returns, guarded there",
+    (pairspec.symmetrize_tridiag, "m"): "a HabMatrix",
+}
+
+
+@pytest.mark.parametrize(("func", "name", "low", "call", "ok"), ROWS, ids=_IDS)
+@pytest.mark.parametrize("value", ["below", 1.5, 2.0])
+def test_count_refused_with_one_message(func, name, low, call, ok, value):
+    value = low - 1 if value == "below" else value
+    message = re.escape(f"{name} must be an integer >= {low}, got {value}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(("func", "name", "low", "call", "ok"), ROWS, ids=_IDS)
+def test_numpy_integer_count_accepted(func, name, low, call, ok):
+    call(np.int64(ok))
+
+
+def _public_parameters():
+    """(callable, parameter) for every public function, class and method of the package."""
+    for value in vars(pairspec).values():
+        if not callable(value) or not getattr(value, "__module__", "").startswith("pairspec."):
+            continue
+        targets = [value]
+        if inspect.isclass(value):
+            targets += [m for n, m in vars(value).items() if inspect.isfunction(m) and not n.startswith("_")]
+        for target in targets:
+            try:
+                params = inspect.signature(target).parameters
+            except ValueError:  # a builtin without a signature
+                continue
+            yield from ((target, name) for name in params if name in COUNT_NAMES)
+
+
+def test_every_count_parameter_is_in_the_table():
+    table = {(func, name) for func, name, *_ in ROWS}
+    missing = [f"{f.__qualname__}({name})" for f, name in _public_parameters()
+               if (f, name) not in table and (f, name) not in NOT_COUNTS]
+    assert missing == []
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: tail_constant(1.0, 0.5, 0, np.array([2.5])), "srange entries must be integers >= 1, got 2.5"),
+    (lambda: tail_constant(1.0, 0.5, 0, np.array([0, 5])), "srange entries must be integers >= 1, got 0"),
+    (lambda: tail_constant(1.0, 0.5, 0, [5, math.nan]), "srange entries must be integers >= 1, got nan"),
+    (lambda: bog_energy_ab(0.3, 0, 1.5), "n entries must be integers >= 0, got 1.5"),
+    (lambda: bog_energy_ab(0.3, 0, -1), "n entries must be integers >= 0, got -1"),
+], ids=["srange-fraction", "srange-zero", "srange-nan", "n-fraction", "n-negative"])
+def test_index_array_refuses_non_counts(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_index_arrays_accept_integral_entries():
+    assert tail_constant(1.0, 0.5, 0, []).size == 0  # np.asarray([]) is float
+    assert np.array_equal(tail_constant(1.0, 0.5, 0, np.array([5.0, 9.0])),
+                          tail_constant(1.0, 0.5, 0, [5, 9]))
+    assert bog_energy_ab(0.3, 0, 2.0) == bog_energy_ab(0.3, 0, 2)

@@ -55,13 +55,18 @@ class TestBuildTridiagonal:
             build_tridiagonal(1.5, 0.3, 0.3, 3)
 
     @pytest.mark.parametrize("smax, message", [
-        (2.5, "^smax must be an integer >= 0, got 2.5$"),  # was a block whose dense() failed
-        (-1, "^smax must be an integer >= 0, got -1$"),
-        (0, "^smax must be >= 1, got 0$"),
+        (2.5, "^smax must be an integer >= 1, got 2.5$"),  # was a block whose dense() failed
+        (-1, "^smax must be an integer >= 1, got -1$"),
+        (0, "^smax must be an integer >= 1, got 0$"),
     ], ids=["fraction", "negative", "zero"])
     def test_bad_smax_rejected(self, smax, message):
         with pytest.raises(ValueError, match=message):
             build_tridiagonal(0, 0.3, 0.3, smax)
+
+    @pytest.mark.parametrize("y1, y2", [(math.inf, 0.3), (0.3, -math.inf), (math.nan, 0.3), (0.3, math.nan)])
+    def test_non_finite_couplings_rejected(self, y1, y2):
+        with pytest.raises(ValueError, match=f"^couplings must be finite, got y1={y1}, y2={y2}$"):
+            build_tridiagonal(0, y1, y2, 4)
 
     def test_matches_operator_action(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,27 @@ class TestHypF:
 
     def test_denominator_ok_if_terminates_first(self):
         assert hyp_f(-1, -3, -2, 0.5) == pytest.approx(1 + (-1) * (-3) / (-2) * 0.5)
+
+    @pytest.mark.parametrize("a, b, c, z, shown", [
+        (-300, -300, 1, 50.0, "z=50.0"),  # the sum is nan
+        (-2, -2, 1, 1e200, "z=1e+200"),  # the sum is inf
+        (-2, -2, 1, math.nan, "z=nan"),
+        (0, -1, 1, math.inf, "z=inf"),  # a sum of one term, but z is not finite
+    ], ids=["nan-sum", "inf-sum", "nan-z", "inf-z"])
+    def test_non_finite_refused(self, a, b, c, z, shown):
+        message = f"F(a={a}, b={b}, c={c}; {shown}) is not finite in double precision"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hyp_f(a, b, c, z)
+
+    # every term is positive at z > 0, so rounding stays near N eps relative;
+    # measured 1.2e-16 to 1.7e-15
+    @pytest.mark.parametrize("a, b, c", [(-60, -60, 1), (-60, -61, 3), (-300, -300, 1),
+                                         (-300, -200, 5)])
+    def test_mpmath_at_large_n(self, a, b, c):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = complex(mpmath.hyp2f1(a, b, c, mpmath.mpf(0.3)))
+        assert abs(hyp_f(a, b, c, 0.3) - want) <= 1e-14 * abs(want)
 
 
 class TestContiguous:

@@ -251,7 +251,7 @@ class TestAlphaSum:
         mp = ModelParams(a=1e-300, rho=1e-300, L=1.0)
         assert mp.a > 0 and mp.gas_scale == 0.0
         assert alpha_sum(mp, 1) == AlphaSum(value=0.0, grows_with_cutoff=False)
-        with pytest.raises(ValueError, match="nmax must be >= 1"):  # validated like a > 0
+        with pytest.raises(ValueError, match="nmax must be an integer >= 1"):  # validated like a > 0
             alpha_sum(ModelParams(a=0.0, rho=1.0, L=1.0), 0)
 
     def test_grows_with_cutoff(self):
@@ -315,5 +315,5 @@ def test_mode_table_rows_are_mode_params(a, rho, L, nmax):
 
 
 def test_mode_table_refuses_an_empty_cutoff():
-    with pytest.raises(ValueError, match="nmax must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="nmax must be an integer >= 1, got 0"):
         _mode_table(ModelParams(**REF), 0)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -41,6 +42,13 @@ class TestSymTridiagEig:
                                       ([1.0, 1.0], [math.nan])])
     def test_non_finite_entries_refused(self, d, e):
         with pytest.raises(ValueError, match="must be finite"):
+            sym_tridiag_eig(d, e)
+
+    @pytest.mark.parametrize("d, e, shapes", [(1.0, [], "() and (0,)"),
+                                              ([1.0, 2.0, 3.0], np.ones((2, 2)), "(3,) and (2, 2)")],
+                             ids=["scalar-diag", "2d-offdiag"])
+    def test_non_1d_refused(self, d, e, shapes):
+        with pytest.raises(ValueError, match=re.escape(f"must be 1-D, got shapes {shapes}")):
             sym_tridiag_eig(d, e)
 
     def test_size_mismatch_rejected(self):
