@@ -22,6 +22,7 @@ all of the writing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -226,6 +227,7 @@ def cmd_wu(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
+@functools.cache  # one parse tree per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairspec",

@@ -53,8 +53,9 @@ class LadderState:
 
 
 def _check_count(name: str, value: int, low: int = 0) -> None:
-    """The one guard for a count (imbalance, truncation, cutoff, index): an integer >= low."""
-    if not (isinstance(value, (int, np.integer)) and value >= low):
+    """The one guard for a count (imbalance, truncation, cutoff, index): an integer >= low,
+    and not a bool (``True`` is an ``int`` to Python)."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 

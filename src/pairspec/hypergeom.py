@@ -167,9 +167,7 @@ def f_recurrence_residual(N: int, p: int, ytilde: float, d: np.ndarray, z: compl
     the residual probes only the three-term structure, not a finite
     difference.
     """
-    if z == 0:
-        raise ValueError("z = 0 is outside the family's domain")
-    rhs = ytilde * (  # first: f_family guards N and p, which _f_family_poly reads
+    rhs = ytilde * (  # first: f_family guards N, p and z, ahead of _f_family_poly
         -(p + 1 + 2 * N) * f_family(N, p, ytilde, d, z)
         + (p + 1 + N) * f_family(N + 1, p, ytilde, d, z)
         + (N * f_family(N - 1, p, ytilde, d, z) if N > 0 else 0.0)

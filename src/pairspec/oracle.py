@@ -2,9 +2,10 @@
 
 Self-contained implementations (no LAPACK behind them): a real symmetric
 tridiagonal eigensolver -- implicit-shift QL up to ``_DC_LEAF`` rows, Cuppen's
-divide and conquer above it with QL at the leaves and O(n^2) numpy-vectorized
-merges, worked in chunks of ``_DC_CHUNK`` elements so memory stays O(n) --
-with eigenvectors by twisted factorization at the computed eigenvalues, a
+divide and conquer above it, torn down to one-row leaves and merged back a
+tree height at a time, every merge of a height in one O(n^2) numpy batch
+worked in chunks of ``_DC_CHUNK`` elements so memory stays O(n) -- with
+eigenvectors by twisted factorization at the computed eigenvalues, a
 diagonal similarity transform that symmetrizes the nonsymmetric ladder blocks
 (valid whenever both couplings are positive), and a one-sided Jacobi SVD for
 the small Gram matrices.  Being independent of the closed forms they certify
@@ -31,9 +32,10 @@ _MAX_QL_SWEEPS = 50
 # vectors apart; within the second the twisted vectors get a Gram-Schmidt pass
 _DEGENERATE_GAP = 1e-8
 _CLOSE_GAP = 1e-2
-# blocks of up to this many rows take QL directly; verify's largest block has 81
-# rows, so its values never come from the divide and conquer
-_DC_LEAF = 96
+# blocks of up to this many rows take QL directly, which is the faster route up
+# to about 160 ladder rows; verify's largest block has 81 rows, so its values
+# never come from the divide and conquer
+_DC_LEAF = 160
 _DC_CHUNK = 1 << 15  # elements of a merge's (roots x poles) arrays held at once
 _MAX_SECULAR_STEPS = 64  # past this a root keeps its bracketed iterate
 _EPS = float(np.finfo(float).eps)
@@ -49,13 +51,15 @@ def sym_tridiag_eig(
     ``offdiag[i]`` couples rows i and i+1.  Up to ``_DC_LEAF`` rows the values
     come from implicit-shift QL iteration with Givens rotations, O(n^2) Python
     steps.  A larger matrix is first cut where QL would neglect a coupling;
-    each larger block is then torn in half by Cuppen's rank-one split, the
-    halves are solved recursively, and every merge finds the values of
-    diag(d) + rho z z^T from the halves' values and the first and last rows of
-    their eigenvectors (:func:`_merge`): O(n^2) numpy work with a small
-    constant, memory O(n).  With ``vectors=True`` the unit eigenvectors are returned
-    as columns alongside the same values, bit for bit.  They come from one
-    twisted factorization per eigenvalue (:func:`_twisted_vectors`), O(n) each,
+    each larger block is then torn in halves by Cuppen's rank-one splits down
+    to single rows, whose values are read off, and merged back up
+    (:func:`_divide_and_conquer`): every merge finds the values of
+    diag(d) + rho z z^T from its halves' values and the first and last rows
+    of their eigenvectors, and all merges of one tree height run as one batch
+    (:func:`_merge`): O(n^2) numpy work with a small constant, memory O(n).
+    With ``vectors=True`` the unit eigenvectors are returned as columns
+    alongside the same values, bit for bit.  They come from one twisted
+    factorization per eigenvalue (:func:`_twisted_vectors`), O(n) each,
     followed by one Gram-Schmidt pass over every group of eigenvalues closer
     than 1e-2 ||T||_1, which restores orthogonality to rounding without
     moving the residuals off the backward-stable level.  When two eigenvalues
@@ -101,7 +105,7 @@ def _eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if n <= _DC_LEAF:
         values = np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
     else:  # a +-1 diagonal similarity makes b >= 0
-        values = _divide_and_conquer(a, np.abs(b))[0]
+        values = _divide_and_conquer(a, np.abs(b))
     return np.ldexp(values, e)
 
 
@@ -121,133 +125,198 @@ def _eigvectors(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> np.ndarray:
     return z
 
 
-def _divide_and_conquer(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and the first and last rows of the eigenvectors, (2, n).
+def _divide_and_conquer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, for b >= 0, merged up from single rows a tree height at a time.
 
-    Cuppen's tearing (Numer. Math. 36, 1981), for b >= 0: with rho = b[k-1]
-    and v = e_{k-1} + e_k, T = diag(T1, T2) + rho v v^T, where T1 and T2 are
-    the halves with rho taken off their touching diagonal entries.
-    In the halves' eigenbases the coupling only reads the last row of T1's
-    eigenvectors and the first row of T2's, so those two rows are all that
-    travels up the recursion.
+    Cuppen's tearing (Numer. Math. 36, 1981): with rho = b[k-1] and
+    v = e_{k-1} + e_k, T = diag(T1, T2) + rho v v^T, where T1 and T2 are the
+    halves with rho taken off their touching diagonal entries.  In the
+    halves' eigenbases the coupling only reads the last row of T1's
+    eigenvectors and the first row of T2's, so those two rows are all that a
+    merge takes from below.  Halving at k = n // 2 down to single rows tears
+    every coupling: leaf i is the value a_i - b_{i-1} - b_i, and both of its
+    rows are 1.  The merges then run bottom up, all those of one tree height
+    as one batch (:func:`_merge`), each keeping its values and its first and
+    last rows in place over the rows it covers.
     """
-    n = len(a)
-    if n <= _DC_LEAF:
-        values = _eigvals(a, b)
-        # a degenerate pair's vectors take O(n^3) rotations; tearing further is cheaper
-        if n == 1 or np.min(np.diff(values)) > _DEGENERATE_GAP * _norm_one(a, b):
-            return values, _eigvectors(a, b, values)[[0, -1]]
-    k = n // 2
-    rho = float(b[k - 1])
-    torn = a.copy()
-    torn[k - 1] -= rho
-    torn[k] -= rho
-    d1, rows1 = _divide_and_conquer(torn[:k], b[: k - 1])
-    d2, rows2 = _divide_and_conquer(torn[k:], b[k:])
-    z = np.concatenate([rows1[1], rows2[0]]) / math.sqrt(2.0)
-    rows = np.zeros((2, n))
-    rows[0, :k] = rows1[0]
-    rows[1, k:] = rows2[1]
-    return _merge(np.concatenate([d1, d2]), z, 2.0 * rho, rows)
+    values = a.copy()
+    values[:-1] -= b
+    values[1:] -= b
+    first, last = np.ones(len(a)), np.ones(len(a))
+    for lo, mid, hi in _merge_levels(len(a)):
+        sizes = hi - lo
+        edges = np.append(0, np.cumsum(sizes))
+        seg = np.repeat(np.arange(len(lo)), sizes)
+        pos = np.arange(edges[-1]) + (lo - edges[:-1])[seg]  # the rows the merges cover
+        upper = pos >= mid[seg]
+        z = np.where(upper, first[pos], last[pos]) / math.sqrt(2.0)
+        rows = np.stack([np.where(upper, 0.0, first[pos]), np.where(upper, last[pos], 0.0)])
+        values[pos], (first[pos], last[pos]) = _merge(values[pos], z, 2.0 * b[mid - 1], rows, edges)
+    return values
 
 
-def _merge(d: np.ndarray, z: np.ndarray, rho: float, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of diag(d) + rho z z^T (rho >= 0, |z| = 1), ascending, and ``rows``
-    times its eigenvectors.
+def _merge_levels(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(lo, mid, hi) arrays of the merges of one tree height each, lowest first.
 
-    Deflation as in LAPACK's dlaed2: a pole whose weight rho |z_i| is below
-    tol = 8 eps max(|d|, rho) is an eigenvalue as it stands, and of two
+    Rows lo:hi split at mid = lo + (hi - lo) // 2, down to single rows; a
+    merge of m rows has height ceil(log2 m), above both of its halves.
+    """
+    lo, hi, found = np.array([0]), np.array([n]), []
+    while len(lo):
+        mid = lo + (hi - lo) // 2
+        found.append((lo, mid, hi))
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        lo, hi = lo[hi - lo > 1], hi[hi - lo > 1]
+    lo, mid, hi = (np.concatenate(x) for x in zip(*found))
+    height = np.frexp(hi - lo - 1)[1]  # the bit length of m - 1
+    order = np.argsort(height, kind="stable")
+    cuts = np.flatnonzero(np.diff(height[order])) + 1
+    return list(zip(*(np.split(x[order], cuts) for x in (lo, mid, hi))))
+
+
+def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray,
+           edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of diag(d) + rho z z^T for a batch of merges, and ``rows`` times
+    its eigenvectors.
+
+    Merge s owns the entries edges[s]:edges[s+1] of d and z and those columns
+    of ``rows``, with its own rho[s] >= 0 and |z| = 1 over them; its values
+    come back ascending in the same entries.  Deflation as in LAPACK's
+    dlaed2: a pole whose weight rho |z_i| is below tol = 8 eps max(|d|, rho)
+    (both over its merge) is an eigenvalue as it stands, and of two
     neighbouring poles whose gap t satisfies |t c s| <= tol, for the rotation
     (c, s) that zeroes the first one's weight, the first is one too.  That
-    rotation acts alike on z and on the carried rows.  The remaining k poles
-    are strictly increasing, each root of the secular equation lies between
-    two of them (:func:`_secular_roots`), and the eigenvector of root lam_j
-    is zhat / (d - lam_j), zhat being Gu & Eisenstat's weights (SIMAX 16,
+    rotation acts alike on z and on the carried rows.  The remaining poles of
+    a merge are strictly increasing, each root of its secular equation lies
+    between two of them (:func:`_secular_roots`), and the eigenvector of root
+    lam_j is zhat / (d - lam_j), zhat being Gu & Eisenstat's weights (SIMAX 16,
     1995) for which the computed roots are exact, so the rows stay orthogonal
     to rounding.  Every (roots x poles) array is built ``_DC_CHUNK`` elements
-    at a time.
+    at a time (:func:`_pole_blocks`).
     """
-    order = np.argsort(d, kind="stable")
+    seg = np.repeat(np.arange(len(rho)), np.diff(edges))
+    order = np.lexsort((d, seg))
     d, z, rows = d[order], z[order], rows[:, order]
-    tol = 8.0 * _EPS * max(float(np.max(np.abs(d))), rho)
-    keep = rho * np.abs(z) > tol
+    tol = 8.0 * _EPS * np.maximum(np.maximum.reduceat(np.abs(d), edges[:-1]), rho)[seg]
+    keep = rho[seg] * np.abs(z) > tol
     idx = np.flatnonzero(keep)
     # |t c s| <= |t| / 2, so only neighbours closer than 2 tol can deflate; a
     # rotation only moves the survivor down towards its partner, which widens
     # the next gap, and the partner dropped is always the lower one
-    for m in np.flatnonzero(np.diff(d[idx]) <= 2.0 * tol) + 1:
+    close = (np.diff(d[idx]) <= 2.0 * tol[idx[1:]]) & (seg[idx[1:]] == seg[idx[:-1]])
+    for m in np.flatnonzero(close) + 1:
         i, j = idx[m - 1], idx[m]
         r = math.hypot(z[i], z[j])
         c, s = z[j] / r, -z[i] / r
-        if abs((d[j] - d[i]) * c * s) <= tol:
+        if abs((d[j] - d[i]) * c * s) <= tol[i]:
             z[i], z[j] = 0.0, r
             rows[:, i], rows[:, j] = c * rows[:, i] + s * rows[:, j], c * rows[:, j] - s * rows[:, i]
             d[i], d[j] = d[i] * c * c + d[j] * s * s, d[i] * s * s + d[j] * c * c
             keep[i] = False
-    dk, zk = d[keep], z[keep]
+    idx = np.flatnonzero(keep)
+    dk, zk, kseg = d[idx], z[idx], seg[idx]
     k = len(dk)
-    org, tau = _secular_roots(dk, zk, rho)
+    kedges = np.append(0, np.cumsum(np.bincount(kseg, minlength=len(rho))))
+    org, tau = _secular_roots(dk, zk, rho, kedges)
     dorg = dk[org]  # root j is dorg[j] + tau[j]
-    width = max(1, _DC_CHUNK // max(k, 1))
+    # each merge's poles and roots as a row of (merges, widest) tables; a pad
+    # below every pole, with zero weight, adds nothing and divides by no zero
+    pad = float(np.min(dk, initial=0.0)) - 1.0
+    dtab, otab, ttab = _by_merge(dk, kedges, pad), _by_merge(dorg, kedges, pad), _by_merge(tau, kedges)
+    col = np.arange(k) - kedges[kseg]  # each pole's column
     zhat = np.empty(k)
-    for i0 in range(0, k, width):
-        i = np.arange(i0, min(i0 + width, k))
+    for i, s in _pole_blocks(kseg, dtab.shape[1]):
         # zhat_i^2 = (lam_i - d_i) prod_{j != i} (lam_j - d_i) / (d_j - d_i): each
         # factor positive, each root paired with a pole as in LAPACK's dlaed3
-        num = (dorg - dk[i, None]) + tau
-        den = dk - dk[i, None]
-        den[np.arange(len(i)), i] = 1.0
-        zhat[i] = np.sqrt(np.prod(num / den, axis=1))
-    zhat = np.copysign(zhat, zk)
-    carried = rows[:, keep]
-    new_rows = np.empty((2, k))
-    for j0 in range(0, k, width):
-        j = np.arange(j0, min(j0 + width, k))
-        u = zhat / ((dk - dorg[j, None]) - tau[j, None])  # (roots, poles)
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        new_rows[:, j] = carried @ u.T
-    values = np.concatenate([d[~keep], dorg + tau])
-    order = np.argsort(values, kind="stable")
-    return values[order], np.concatenate([rows[:, ~keep], new_rows], axis=1)[:, order]
+        num = otab[s] - dk[i, None]
+        num += ttab[s]
+        den = dtab[s] - dk[i, None]
+        den[np.arange(len(den)), col[i]] = 1.0
+        num /= den
+        zhat[i] = np.sqrt(np.prod(num, axis=1))
+    ztab = _by_merge(np.copysign(zhat, zk), kedges)
+    carried = np.stack([_by_merge(row, kedges) for row in rows[:, idx]])
+    for j, s in _pole_blocks(kseg, dtab.shape[1]):
+        u = dtab[s] - dorg[j, None]
+        u -= tau[j, None]
+        np.divide(ztab[s], u, out=u)  # (roots, poles)
+        rows[:, idx[j]] = np.vecdot(carried[:, s], u) / np.sqrt(np.vecdot(u, u))
+    d[idx] = dorg + tau
+    order = np.lexsort((d, seg))
+    return d[order], rows[:, order]
 
 
-def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of f(lam) = 1 + rho sum_i z_i^2 / (d_i - lam), d strictly increasing.
+def _by_merge(x: np.ndarray, edges: np.ndarray, pad: float = 0.0) -> np.ndarray:
+    """The (merges, widest) table whose row s is x[edges[s]:edges[s+1]], padded with ``pad``."""
+    sizes = np.diff(edges)
+    table = np.full((len(sizes), max(1, int(np.max(sizes)))), pad)
+    table[np.arange(table.shape[1]) < sizes[:, None]] = x
+    return table
 
-    Root j lies in (d_j, d_{j+1}), the last in (d_{k-1}, d_{k-1} + rho |z|^2].
-    Each is returned as an origin pole and an offset tau from it: the pole at
-    the nearer end of its interval, picked by the sign of f at the midpoint,
-    so that every d_i - lam = (d_i - d_origin) - tau keeps its relative
-    accuracy (as in LAPACK's dlaed4).  The step is R.-C. Li's middle way
-    (LAPACK Working Note 89, 1994): the poles below the iterate and those above
-    are each modelled by one pole at the interval's ends, matching value and
-    slope, and the model's root is taken.  A step that leaves the bracket the
-    signs of f have built is replaced by bisection, so every root stays
-    strictly inside its interval; a root is done once |f| / rho is within the
-    rounding bound of its evaluation.  All roots iterate together, only the
-    unconverged ones still in play, at most ``_MAX_SECULAR_STEPS`` times.
+
+def _pole_blocks(seg: np.ndarray, width: int):
+    """Chunks of about ``_DC_CHUNK`` (rows x poles) elements, for rows grouped by
+    merge, seg[r] being the merge of row r and ``width`` that of its table.
+
+    Yields (r, s): the slice r of the chunk's rows and the table rows s they
+    read.  A chunk inside one merge reads that merge's row as the slice s,
+    broadcast over the chunk, not copied; a chunk across merges gathers one
+    table row per row.
+    """
+    step = max(1, _DC_CHUNK // width)
+    for r0 in range(0, len(seg), step):
+        s = seg[r0 : r0 + step]
+        yield slice(r0, r0 + step), (slice(s[0], s[0] + 1) if s[0] == s[-1] else s)
+
+
+def _secular_roots(d: np.ndarray, z: np.ndarray, rho: np.ndarray,
+                   edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of f_s(lam) = 1 + rho_s sum_i z_i^2 / (d_i - lam), the sum over the
+    poles d[edges[s]:edges[s+1]] of merge s, strictly increasing.
+
+    Root j lies in (d_j, d_{j+1}), the last of a merge in
+    (d_last, d_last + rho_s |z|^2].  Each is returned as an origin pole and an
+    offset tau from it: the pole at the nearer end of its interval, picked by
+    the sign of f at the midpoint, so that every d_i - lam = (d_i - d_origin)
+    - tau keeps its relative accuracy (as in LAPACK's dlaed4).  The step is
+    R.-C. Li's middle way (LAPACK Working Note 89, 1994): the poles below the
+    iterate and those above are each modelled by one pole at the interval's
+    ends, matching value and slope, and the model's root is taken.  A step
+    that leaves the bracket the signs of f have built is replaced by
+    bisection, so every root stays strictly inside its interval; a root is
+    done once |f| / rho is within the rounding bound of its evaluation.  The
+    roots of all merges iterate together, only the unconverged ones still in
+    play, at most ``_MAX_SECULAR_STEPS`` times.
     """
     k = len(d)
     org, tau = np.arange(k), np.empty(k)
     if k == 0:  # all deflated, as for rho = 0
         return org, tau
+    seg = np.repeat(np.arange(len(rho)), np.diff(edges))
+    top = edges[seg + 1] - 1  # the last pole of each root's merge
+    last = org == top
     z2 = z * z
-    gap = np.append(np.diff(d), 2.0 * rho * float(np.sum(z2)))  # the last: a bound past the root
+    rinv = 1.0 / rho[seg]
+    gap = np.append(np.diff(d), 0.0)
+    # the last of each merge: a bound past the root
+    gap[last] = (2.0 * rho * np.bincount(seg, weights=z2, minlength=len(rho)))[seg[last]]
+    # poles as in _merge's tables: a zero weight below them all
+    dtab, ztab = _by_merge(d, edges, float(np.min(d, initial=0.0)) - 1.0), _by_merge(z2, edges)
     # the roots in play, their iterates and brackets, from the intervals' midpoints
     j = org.copy()
     t, lo, hi = gap / 2, np.zeros(k), gap.copy()
     for step in range(_MAX_SECULAR_STEPS):
-        w, dpsi, dphi, err = _secular_terms(d, z2, 1.0 / rho, d[org[j]], t)
+        w, dpsi, dphi, err = _secular_terms(dtab, ztab, rinv[j], d[org[j]], t, seg[j])
         done = np.abs(w) <= _EPS * err
         lo, hi = np.where(w < 0, t, lo), np.where(w > 0, t, hi)
         dl = (d[j] - d[org[j]]) - t  # d_j - lam and d_{j+1} - lam, as in the sums
-        dr = (d[np.minimum(j + 1, k - 1)] - d[org[j]]) - t
-        new = t + _middle_way(w, dpsi, dphi, dl, dr, j == k - 1)
+        dr = (d[np.minimum(j + 1, top[j])] - d[org[j]]) - t
+        new = t + _middle_way(w, dpsi, dphi, dl, dr, last[j])
         t = np.where(done, t, np.where((lo < new) & (new < hi), new, (lo + hi) / 2))
         if step == 0:
             # f < 0 at the midpoint: the root is nearer the upper pole, the new origin
-            right = (w < 0) & ~done & (j < k - 1)
-            org[j] += right
+            right = (w < 0) & ~done & ~last
+            org += right
             shift = np.where(right, gap, 0.0)
             t, lo, hi = t - shift, lo - shift, hi - shift
         tau[j] = t
@@ -257,24 +326,25 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float) -> tuple[np.ndarray
     return org, tau
 
 
-def _secular_terms(d: np.ndarray, z2: np.ndarray, rinv: float, dorg: np.ndarray, tau: np.ndarray):
+def _secular_terms(dtab: np.ndarray, ztab: np.ndarray, rinv: np.ndarray, dorg: np.ndarray,
+                   tau: np.ndarray, seg: np.ndarray):
     """f / rho at the iterates lam = dorg + tau and the slopes of its two halves.
 
+    Iterate c sums over row seg[c] of the (merges, widest) tables of poles
+    ``dtab`` and squared weights ``ztab``; rinv[c] is its merge's 1/rho.
     Returns w = 1/rho + psi + phi, psi' and phi', psi summing the poles below
     the iterate (negative terms) and phi those above, and the bound on the
-    rounding error of w that the convergence test uses (after dlaed4).  The
-    (roots x poles) terms are built ``_DC_CHUNK`` elements at a time.
+    rounding error of w that the convergence test uses (after dlaed4).
     """
     out = np.empty((4, len(tau)))
-    width = max(1, _DC_CHUNK // len(d))
-    for c0 in range(0, len(tau), width):
-        c = slice(c0, c0 + width)
-        r = 1.0 / ((d - dorg[c, None]) - tau[c, None])
-        above = z2 * r
+    for c, s in _pole_blocks(seg, dtab.shape[1]):
+        r = dtab[s] - dorg[c, None]
+        r -= tau[c, None]
+        np.divide(1.0, r, out=r)
+        above = ztab[s] * r
         below = np.minimum(above, 0.0)
         above -= below
-        out[:, c] = (below.sum(axis=1), above.sum(axis=1),
-                     np.einsum("ij,ij->i", below, r), np.einsum("ij,ij->i", above, r))
+        out[:, c] = below.sum(axis=1), above.sum(axis=1), np.vecdot(below, r), np.vecdot(above, r)
     psi, phi, dpsi, dphi = out
     w = rinv + psi + phi
     err = 8.0 * (phi - psi + rinv) + np.abs(tau) * (dpsi + dphi)
@@ -383,8 +453,9 @@ def _twisted_vectors(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.
     z_i = -b_i / D+_i z_{i+1} (i < r) and z_i = -b_{i-1} / D-_i z_{i-1} (i > r)
     (Parlett & Dhillon, LAA 1997).  At an eigenvalue accurate to rounding the
     residual is at the backward-stable level.  All lambdas run at once: each
-    pivot step is one vector operation over them, and the outward solve is
-    two masked cumulative products.  Pivots below eps ||T||_1 are replaced by
+    pivot step is one vector operation over them, the twist is picked after
+    both sweeps from blocks of rows of ``_DC_CHUNK`` elements, and the outward
+    solve is two masked cumulative products.  Pivots below eps ||T||_1 are replaced by
     that floor, so nothing divides by zero.  The arithmetic is done in the
     widest dtype of the inputs.
     """
@@ -402,16 +473,20 @@ def _twisted_vectors(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.
     for i in range(n):
         piv = a[i] - lam if i == 0 else (a[i] - lam) - b2[i - 1] / dplus[i - 1]
         dplus[i] = np.where(np.abs(piv) < floor, floor, piv)
+    for i in range(n - 1, -1, -1):
+        piv = a[i] - lam if i == n - 1 else (a[i] - lam) - b2[i] / dminus[i + 1]
+        dminus[i] = np.where(np.abs(piv) < floor, floor, piv)
     best = np.full(len(lam), np.inf, dtype=dtype)  # min |gamma_r| so far
     twist = np.zeros(len(lam), dtype=int)
-    for i in range(n - 1, -1, -1):
-        shift = a[i] - lam
-        piv = shift if i == n - 1 else shift - b2[i] / dminus[i + 1]
-        dminus[i] = np.where(np.abs(piv) < floor, floor, piv)
-        gamma = np.abs(dplus[i] + dminus[i] - shift)
-        closer = gamma <= best  # ties go to the lowest r
-        best = np.where(closer, gamma, best)
-        twist = np.where(closer, i, twist)
+    width = max(1, _DC_CHUNK // max(len(lam), 1))
+    for r0 in range(0, n, width):  # ties go to the lowest r, within a block and across
+        r = slice(r0, r0 + width)
+        gamma = np.abs(dplus[r] + dminus[r] - (a[r, None] - lam))
+        at = np.argmin(gamma, axis=0)
+        low = np.take_along_axis(gamma, at[None], axis=0)[0]
+        closer = low < best
+        best = np.where(closer, low, best)
+        twist = np.where(closer, r0 + at, twist)
     rows = np.arange(n)[:, None]
     up = np.divide(-b[:, None], dplus[:-1], out=dplus[:-1])
     up[rows[:-1] >= twist] = 1

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pairspec.checks
+import pairspec.cli
 import pairspec.pair_transform
 import pairspec.wu_sector
 import test_acceptance
@@ -517,6 +518,33 @@ def test_numerical_failure_is_one_line_exit_2(capsys, monkeypatch, exc):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {exc}\n"
+
+
+def test_repeated_main_calls_give_the_same_bytes(capsys):
+    # the parser is built once per process: no call may leave a trace in the next
+    runs = [
+        ["spectrum", *REF_ARGS, "--nmax", "1", "--format", "json"],
+        ["gram", "--nmax", "2", "--smax", "40"],
+        ["--version"],
+        ["spectrum", "--nmax", "1"],  # usage error: required options missing
+        ["eigenstate", "--theta", "1", "--smax", "4", "--y", "0.3", "--p", "-1"],  # invalid input
+        ["nosuch"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on --version and on usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [run(argv) for argv in runs]
+    assert [run(argv) for argv in runs] == first
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 1, 2]
+    assert first[2][1] == f"pairspec {__version__}\n"
+    assert first[3][2].startswith("usage: pairspec spectrum") and first[5][2].startswith("usage: pairspec")
+    assert pairspec.cli.build_parser() is pairspec.cli.build_parser()
 
 
 def test_module_entry_point(tmp_path):

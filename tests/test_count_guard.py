@@ -105,7 +105,9 @@ NOT_COUNTS = {
 
 
 @pytest.mark.parametrize(("func", "name", "low", "call", "ok"), ROWS, ids=_IDS)
-@pytest.mark.parametrize("value", ["below", 1.5, 2.0])
+# a bool is an int to Python but never a count: half_lattice_indices(True) and
+# LadderState(True, [1.0]) are refused like 1.5
+@pytest.mark.parametrize("value", ["below", 1.5, 2.0, True, np.True_], ids=["below", "1.5", "2.0", "True", "np.True_"])
 def test_count_refused_with_one_message(func, name, low, call, ok, value):
     value = low - 1 if value == "below" else value
     message = re.escape(f"{name} must be an integer >= {low}, got {value}")

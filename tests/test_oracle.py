@@ -6,6 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from pairspec import oracle
 from pairspec.hamiltonians import bog_energy_ab, build_tridiagonal
@@ -164,15 +165,20 @@ class TestSymTridiagEig:
 
 
 def _mp_eigvals(d, e):
-    """The 40-digit referee: mpmath's Jacobi eigenvalues of the dense matrix."""
-    n = len(d)
+    """The 40-digit referee: the implicit QL (EISPACK's imtql2) that mpmath.eigsy
+    runs after its Householder step, here on the tridiagonal entries themselves,
+    O(n^2) 40-digit operations."""
     with mpmath.workdps(40):
-        m = mpmath.zeros(n)
-        for i in range(n):
-            m[i, i] = d[i]
-        for i in range(n - 1):
-            m[i, i + 1] = m[i + 1, i] = e[i]
-        return np.sort([float(v) for v in mpmath.eigsy(m, eigvals_only=True)])
+        vals = [mpmath.mpf(float(x)) for x in d]
+        tridiag_eigen(mpmath.mp, vals, [mpmath.mpf(float(x)) for x in e] + [mpmath.mpf(0)])
+        return np.sort([float(v) for v in vals])
+
+
+def _strict_eigvals(d, e):
+    """sym_tridiag_eig's values with every floating-point warning an error."""
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        return sym_tridiag_eig(d, e)
 
 
 def _glued(block_d, block_e, copies, coupling):
@@ -205,7 +211,7 @@ _DC_BLOCKS = _dc_blocks()
 
 
 class TestDivideAndConquer:
-    """The recursion above the leaf size, cut to 4-8 rows so that small blocks split."""
+    """The divide and conquer above the crossover, cut to 4-8 rows so that small blocks take it."""
 
     @pytest.mark.parametrize("name", sorted(_DC_BLOCKS))
     def test_against_mpmath(self, name, monkeypatch):
@@ -240,17 +246,68 @@ class TestDivideAndConquer:
         d = np.cumsum(rng.uniform(1e-3, 1.0, 300))
         z = rng.standard_normal(300)
         z /= np.linalg.norm(z)
-        rho = 2.5
-        org, tau = oracle._secular_roots(d, z, rho)
+        rho, edges = np.array([2.5]), np.array([0, 300])  # one merge of the batched form
+        org, tau = oracle._secular_roots(d, z, rho, edges)
         lam = d[org] + tau
-        assert np.all(d < lam) and np.all(lam[:-1] < d[1:]) and lam[-1] <= d[-1] + rho
+        assert np.all(d < lam) and np.all(lam[:-1] < d[1:]) and lam[-1] <= d[-1] + rho[0]
         # the (roots x poles) terms built 16 elements at a time: the same roots
         monkeypatch.setattr(oracle, "_DC_CHUNK", 16)
-        assert np.array_equal(oracle._secular_roots(d, z, rho)[1], tau)
+        assert np.array_equal(oracle._secular_roots(d, z, rho, edges)[1], tau)
         monkeypatch.setattr(oracle, "_DC_LEAF", 4)
         with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
             warnings.simplefilter("error")
             assert np.all(np.isfinite(sym_tridiag_eig(*_DC_BLOCKS["random-40"])))
+
+    @pytest.mark.parametrize("n", [97, 131])
+    def test_uneven_batches_against_mpmath(self, n, monkeypatch):
+        # halving 97 or 131 rows leaves merges of different sizes in most
+        # batches of one tree height (48 and 49 rows, ..., 5 beside 8); a chunk
+        # of 16 elements gathers the roots of several small merges at once
+        monkeypatch.setattr(oracle, "_DC_LEAF", 4)
+        assert sum(np.ptp(hi - lo) > 0 for lo, _, hi in oracle._merge_levels(n)) >= 4
+        rng = np.random.default_rng(n)
+        d, e = rng.standard_normal(n) * 3, rng.standard_normal(n - 1)
+        ref = _mp_eigvals(d, e)
+        gathered = []
+        blocks = oracle._pole_blocks
+        monkeypatch.setattr(oracle, "_pole_blocks", lambda seg, width: (
+            gathered.append(isinstance(s, np.ndarray) and len(np.unique(s)) > 1) or (r, s)
+            for r, s in blocks(seg, width)))
+        for chunk in (16, 1 << 15):
+            monkeypatch.setattr(oracle, "_DC_CHUNK", chunk)
+            vals = _strict_eigvals(d, e)
+            assert np.all(np.diff(vals) >= 0)
+            assert np.max(np.abs(vals - ref)) <= 1e-13 * oracle._norm_one(d, e), chunk
+            assert any(gathered) and not all(gathered), chunk
+            gathered.clear()
+
+    def test_one_merge_deflates_beside_one_that_does_not(self, monkeypatch):
+        # four glued 8-row copies: a coupling of 1e-15 at the copy edges moves no
+        # value by more than rounding but is not negligible to QL's cut, so the
+        # merges torn there (rows 16 and 8) deflate every pole; with a full
+        # coupling at row 24 the merge beside the one at row 8 deflates none
+        monkeypatch.setattr(oracle, "_DC_LEAF", 4)
+        rng = np.random.default_rng(71)
+        d, e = _glued(rng.standard_normal(8), rng.standard_normal(7), 4, 1e-15)
+        e[23] = 0.7
+        ref = _mp_eigvals(d, e)
+        kept = []
+        roots = oracle._secular_roots
+        monkeypatch.setattr(oracle, "_secular_roots", lambda d, z, rho, edges: (
+            kept.append(np.diff(edges)) or roots(d, z, rho, edges)))
+        for chunk in (16, 1 << 15):
+            monkeypatch.setattr(oracle, "_DC_CHUNK", chunk)
+            vals = _strict_eigvals(d, e)
+            assert np.max(np.abs(vals - ref)) <= 1e-13 * oracle._norm_one(d, e), chunk
+        # the two merges of 16 rows: the left keeps no pole, the right all 16
+        assert sum(list(sizes) == [0, 16] for sizes in kept) == 2
+        assert sum(list(sizes) == [0] for sizes in kept) == 2  # the top merge, torn at row 16
+
+    def test_pole_blocks_broadcast_inside_a_merge_and_gather_across(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_DC_CHUNK", 16)
+        seg = np.array([0, 0, 0, 0, 1, 1, 2, 2, 2, 2])  # tables 4 wide: 4 rows a chunk
+        blocks = [(r, s if isinstance(s, slice) else s.tolist()) for r, s in oracle._pole_blocks(seg, 4)]
+        assert blocks == [(slice(0, 4), slice(0, 1)), (slice(4, 8), [1, 1, 2, 2]), (slice(8, 12), slice(2, 3))]
 
     def test_vectors_read_the_same_values(self, monkeypatch):
         monkeypatch.setattr(oracle, "_DC_LEAF", 6)
@@ -259,7 +316,7 @@ class TestDivideAndConquer:
             assert np.array_equal(vals, sym_tridiag_eig(d, e))
             TestSymTridiagEig.assert_eigenpairs(d, e, vals, vecs)
 
-    @pytest.mark.parametrize("n", [2, 81, oracle._DC_LEAF])
+    @pytest.mark.parametrize("n", [2, 81, 96, oracle._DC_LEAF])
     def test_plain_ql_up_to_leaf(self, n):
         # every block verify builds has at most 81 rows: their values, and the
         # verify bytes, are those of QL alone
