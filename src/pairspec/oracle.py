@@ -155,23 +155,20 @@ def _divide_and_conquer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return values
 
 
-def _merge_levels(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(lo, mid, hi) arrays of the merges of one tree height each, lowest first.
+def _merge_levels(n: int) -> list[np.ndarray]:
+    """The merges of each tree height, lowest first, as (3, merges) arrays of lo, mid, hi.
 
     Rows lo:hi split at mid = lo + (hi - lo) // 2, down to single rows; a
     merge of m rows has height ceil(log2 m), above both of its halves.
     """
-    lo, hi, found = np.array([0]), np.array([n]), []
-    while len(lo):
-        mid = lo + (hi - lo) // 2
-        found.append((lo, mid, hi))
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        lo, hi = lo[hi - lo > 1], hi[hi - lo > 1]
-    lo, mid, hi = (np.concatenate(x) for x in zip(*found))
-    height = np.frexp(hi - lo - 1)[1]  # the bit length of m - 1
-    order = np.argsort(height, kind="stable")
-    cuts = np.flatnonzero(np.diff(height[order])) + 1
-    return list(zip(*(np.split(x[order], cuts) for x in (lo, mid, hi))))
+    levels, stack = {}, [(0, n)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo > 1:
+            mid = lo + (hi - lo) // 2
+            levels.setdefault((hi - lo - 1).bit_length(), []).append((lo, mid, hi))
+            stack += [(lo, mid), (mid, hi)]
+    return [np.array(sorted(levels[h])).T for h in sorted(levels)]
 
 
 def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray,
