@@ -451,8 +451,8 @@ def _twisted_vectors(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.
     (Parlett & Dhillon, LAA 1997).  At an eigenvalue accurate to rounding the
     residual is at the backward-stable level.  All lambdas run at once: each
     pivot step is one vector operation over them, the twist is picked after
-    both sweeps from blocks of rows of ``_DC_CHUNK`` elements, and the outward
-    solve is two masked cumulative products.  Pivots below eps ||T||_1 are replaced by
+    both sweeps a block of rows at a time, and the outward solve is two
+    masked cumulative products.  Pivots below eps ||T||_1 are replaced by
     that floor, so nothing divides by zero.  The arithmetic is done in the
     widest dtype of the inputs.
     """
@@ -475,10 +475,14 @@ def _twisted_vectors(diag: np.ndarray, off: np.ndarray, lams: np.ndarray) -> np.
         dminus[i] = np.where(np.abs(piv) < floor, floor, piv)
     best = np.full(len(lam), np.inf, dtype=dtype)  # min |gamma_r| so far
     twist = np.zeros(len(lam), dtype=int)
-    width = max(1, _DC_CHUNK // max(len(lam), 1))
+    # blocks of a quarter chunk: at a whole chunk the block temporaries raised
+    # the peak RSS of `gram --nmax 63 --smax 640` by 1.5 MB
+    width = max(1, _DC_CHUNK // 4 // max(len(lam), 1))
     for r0 in range(0, n, width):  # ties go to the lowest r, within a block and across
         r = slice(r0, r0 + width)
-        gamma = np.abs(dplus[r] + dminus[r] - (a[r, None] - lam))
+        gamma = dplus[r] + dminus[r]
+        gamma -= a[r, None] - lam
+        np.abs(gamma, out=gamma)
         at = np.argmin(gamma, axis=0)
         low = np.take_along_axis(gamma, at[None], axis=0)[0]
         closer = low < best
