@@ -32,9 +32,10 @@ _MAX_QL_SWEEPS = 50
 # vectors apart; within the second the twisted vectors get a Gram-Schmidt pass
 _DEGENERATE_GAP = 1e-8
 _CLOSE_GAP = 1e-2
-# blocks of up to this many rows take QL directly, which is the faster route up
-# to about 160 ladder rows; verify's largest block has 81 rows, so its values
-# never come from the divide and conquer
+# blocks of up to this many rows take QL directly: on ladder blocks QL is ahead
+# through 150 rows, level at 160 and behind from 170-180 (CPU time, calls
+# interleaved); verify's largest block has 81 rows, so its values never come
+# from the divide and conquer
 _DC_LEAF = 160
 _DC_CHUNK = 1 << 15  # elements of a merge's (roots x poles) arrays held at once
 _MAX_SECULAR_STEPS = 64  # past this a root keeps its bracketed iterate
@@ -225,19 +226,22 @@ def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray,
     for i, s in _pole_blocks(kseg, dtab.shape[1]):
         # zhat_i^2 = (lam_i - d_i) prod_{j != i} (lam_j - d_i) / (d_j - d_i): each
         # factor positive, each root paired with a pole as in LAPACK's dlaed3
-        num = otab[s] - dk[i, None]
+        num = otab[s]  # a gathered copy, worked in place
+        num -= dk[i, None]
         num += ttab[s]
-        den = dtab[s] - dk[i, None]
+        den = dtab[s]
+        den -= dk[i, None]
         den[np.arange(len(den)), col[i]] = 1.0
         num /= den
         zhat[i] = np.sqrt(np.prod(num, axis=1))
     ztab = _by_merge(np.copysign(zhat, zk), kedges)
     carried = np.stack([_by_merge(row, kedges) for row in rows[:, idx]])
     for j, s in _pole_blocks(kseg, dtab.shape[1]):
-        u = dtab[s] - dorg[j, None]
+        u = dtab[s]
+        u -= dorg[j, None]
         u -= tau[j, None]
         np.divide(ztab[s], u, out=u)  # (roots, poles)
-        rows[:, idx[j]] = np.vecdot(carried[:, s], u) / np.sqrt(np.vecdot(u, u))
+        rows[:, idx[j]] = np.einsum("kij,ij->ki", carried[:, s], u) / np.sqrt(np.einsum("ij,ij->i", u, u))
     d[idx] = dorg + tau
     order = np.lexsort((d, seg))
     return d[order], rows[:, order]
@@ -255,15 +259,12 @@ def _pole_blocks(seg: np.ndarray, width: int):
     """Chunks of about ``_DC_CHUNK`` (rows x poles) elements, for rows grouped by
     merge, seg[r] being the merge of row r and ``width`` that of its table.
 
-    Yields (r, s): the slice r of the chunk's rows and the table rows s they
-    read.  A chunk inside one merge reads that merge's row as the slice s,
-    broadcast over the chunk, not copied; a chunk across merges gathers one
-    table row per row.
+    Yields (r, s): the slice r of the chunk's rows and s = seg[r], which
+    gathers one table row per row, a fresh copy the caller may overwrite.
     """
     step = max(1, _DC_CHUNK // width)
     for r0 in range(0, len(seg), step):
-        s = seg[r0 : r0 + step]
-        yield slice(r0, r0 + step), (slice(s[0], s[0] + 1) if s[0] == s[-1] else s)
+        yield slice(r0, r0 + step), seg[r0 : r0 + step]
 
 
 def _secular_roots(d: np.ndarray, z: np.ndarray, rho: np.ndarray,
@@ -335,13 +336,16 @@ def _secular_terms(dtab: np.ndarray, ztab: np.ndarray, rinv: np.ndarray, dorg: n
     """
     out = np.empty((4, len(tau)))
     for c, s in _pole_blocks(seg, dtab.shape[1]):
-        r = dtab[s] - dorg[c, None]
+        r = dtab[s]  # a gathered copy, worked in place
+        r -= dorg[c, None]
         r -= tau[c, None]
         np.divide(1.0, r, out=r)
-        above = ztab[s] * r
+        above = ztab[s]
+        above *= r
         below = np.minimum(above, 0.0)
         above -= below
-        out[:, c] = below.sum(axis=1), above.sum(axis=1), np.vecdot(below, r), np.vecdot(above, r)
+        out[:, c] = (below.sum(axis=1), above.sum(axis=1),
+                     np.einsum("ij,ij->i", below, r), np.einsum("ij,ij->i", above, r))
     psi, phi, dpsi, dphi = out
     w = rinv + psi + phi
     err = 8.0 * (phi - psi + rinv) + np.abs(tau) * (dpsi + dphi)
