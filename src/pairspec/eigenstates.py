@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count, _check_counts, _log_factorials
+from . import pair_transform
+from .fock_ladder import LadderState, _check_count, _check_counts
 from .hamiltonians import apply_hab_alpha
 
 __all__ = [
@@ -208,19 +209,19 @@ def coeff_log_magnitudes(ytilde: float, theta: float, p: int, smax: int) -> np.n
 def _log_coeffs(ytilde: float, theta: complex, p: int, smax: int) -> np.ndarray:
     """log c_s = log|c_s| + i arg c_s for s = 0..smax.
 
-    The real part is -inf past a terminating theta; arg c_s lies in (-pi, pi]
-    and is exactly 0 or pi for real theta.
+    log|c_s| is a running sum, in ``pair_transform._EXT``, of the logs of the
+    term ratios |c_j / c_{j-1}| ytilde = |theta-j+1| / (j sqrt(1 + p/j)), less
+    s log ytilde; no Gamma or factorial is formed.  The real part is -inf
+    past a terminating theta; arg c_s lies in (-pi, pi] and is exactly 0 or
+    pi for real theta.
     """
-    s = np.arange(smax + 1, dtype=float)
-    j = np.arange(smax, dtype=float)
-    log_fact = _log_factorials(p + smax + 1)
-    with np.errstate(divide="ignore"):  # theta - j = 0 terminates the expansion
-        log_binom_theta = np.concatenate(
-            ([0.0], np.cumsum(np.log(np.abs(theta - j))))
-        ) - log_fact[: smax + 1]
-    log_binom_ps = log_fact[p:] - log_fact[: smax + 1] - log_fact[p]
-    arg = np.angle(_unit_phases(theta, smax))
-    return -s * math.log(ytilde) + log_binom_theta - 0.5 * log_binom_ps + 1j * arg
+    j = np.arange(1.0, smax + 1)
+    log_mag = np.zeros(smax + 1, dtype=pair_transform._EXT)
+    with np.errstate(divide="ignore"):  # theta - j + 1 = 0 terminates the expansion
+        log_mag[1:] = np.log(np.abs(theta - j + 1) / j) - 0.5 * np.log1p(p / j)
+    np.cumsum(log_mag, out=log_mag)
+    log_mag -= np.arange(smax + 1) * math.log(ytilde)
+    return log_mag.astype(float) + 1j * np.angle(_unit_phases(theta, smax))
 
 
 def _unit_phases(theta: complex, smax: int) -> np.ndarray:
@@ -237,15 +238,9 @@ def partial_norms(ytilde: float, theta: float, p: int, smax: int) -> np.ndarray:
     A sum beyond double range raises ``ValueError`` naming its index.
     """
     logc = coeff_log_magnitudes(ytilde, theta, p, smax)
-    # running logsumexp keeps the divergent case finite in log space
-    out = np.empty(smax + 1)
-    running = -np.inf
-    for i, lc in enumerate(2.0 * logc):
-        hi = max(running, lc)
-        running = hi + math.log(math.exp(running - hi) + math.exp(lc - hi))
-        out[i] = running
+    # a running log-sum-exp keeps the divergent case finite in log space
     with np.errstate(over="ignore"):
-        norms = np.exp(out)
+        norms = np.exp(np.logaddexp.accumulate(2.0 * logc))
     _refuse_beyond_range(norms, "partial norm through", f"p={p}, theta={theta}, ytilde={ytilde}")
     return norms
 

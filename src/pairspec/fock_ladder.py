@@ -9,7 +9,6 @@ Operators never mix ladders with different p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,11 +66,6 @@ def _check_counts(name: str, values, low: int = 0) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{name} entries must be integers >= {low}, got {bad.flat[0]}")
     return arr.astype(int)
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """log s! for s = 0..n-1, the one table the ladder-coordinate factors slice."""
-    return np.array([math.lgamma(s + 1.0) for s in range(n)])
 
 
 def apply_ab(st: LadderState) -> LadderState:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count, _log_factorials
+from .fock_ladder import LadderState, _check_count
 from .lattice import ModelParams, _mode_table
 
 __all__ = [
@@ -57,9 +57,15 @@ def _beyond_ext() -> str:  # the figure is 1e4932 for x87 and 1e308 for double
 
 
 def _log_rescale(p: int, n: int) -> np.ndarray:
-    """log sqrt(s!/(p+s)!) for s = 0..n-1: C_s = exp(this) c_s."""
-    log_fact = _log_factorials(p + n)
-    return 0.5 * (log_fact[:n] - log_fact[p:])
+    """log sqrt(s!/(p+s)!) for s = 0..n-1: C_s = exp(this) c_s.
+
+    (p+s)!/s! is p! times the running product of the term ratios 1 + p/j,
+    j <= s, so its log is log p! plus a running sum of log1p(p/j), taken in
+    ``_EXT``: no two logs near s log s are differenced.
+    """
+    steps = np.zeros(n, dtype=_EXT)
+    steps[1:] = np.log1p(p / np.arange(1.0, n))
+    return (-0.5 * (np.cumsum(steps, out=steps) + math.lgamma(p + 1.0))).astype(float)
 
 
 def _taylor_numerators(t: float, n: int) -> np.ndarray:

@@ -4,8 +4,9 @@ The transformed particle-conserving Hamiltonian acts on the basis
 |n_k = p+s, n_{-k} = s, n_0 = Ntot - p - 2s> as an upper-bidiagonal matrix:
 its spectrum reads off the diagonal eps_k (2s + p) with no numerics, and the
 eigenvectors have an exact closed form in the sector coupling
-ytilde(k) = 8 pi a / (|B| eps_k).  Only this transformed side is checked,
-with exp(W) exp(-W) = I for the nilpotent pair operator W.  Whether exp(W)
+ytilde(k) = 8 pi a / (|B| eps_k), summed as the logs of the ratios of
+consecutive entries.  Only this transformed side is checked, with
+exp(W) exp(-W) = I for the nilpotent pair operator W.  Whether exp(W)
 maps the eigenvectors to eigenstates of the untransformed sector operator is
 open (ROADMAP item 1): no code builds that operator, and U Lambda U^-1
 with U = [exp(W) v_n] is not symmetric.
@@ -13,7 +14,6 @@ with U = [exp(W) v_n] is not symmetric.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -97,17 +97,6 @@ def build_transformed_wu(sector: WuSector, mp: ModelParams) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=8)
-def _log_factorials(ntot: int) -> np.ndarray:
-    """Read-only table of log k!, k = 0..ntot, in ``pair_transform._EXT``; built
-    once per sector size, since a report asks for every eigenvector of one sector."""
-    table = np.concatenate(
-        ([0.0], np.cumsum(np.log(np.arange(1, ntot + 1, dtype=pair_transform._EXT))))
-    )
-    table.flags.writeable = False
-    return table
-
-
 def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray:
     """Unit eigenvector of the sector matrix at eigenvalue eps_k (2 n_index + p).
 
@@ -120,13 +109,15 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     The combinatorial weight differs from a naive reading of the sector
     formula exactly by the binom(Ntot-p, 2s) factor, which carries the
     depletion of the finite condensate; the sector operator is the ground
-    truth that fixes it.  The weights are assembled in log space, in
-    ``pair_transform._EXT``, from one log-factorial table (binom(Ntot-p, 2s) (2s)!
-    = (Ntot-p)! / (Ntot-p-2s)!), so the vector stays finite for sectors whose
-    factorials exceed double range.  The table is built once per Ntot and
-    shared by every n_index.  Where ytilde is 0 (the free limit, or a
-    coupling that underflows) the eigenvectors are the basis vectors
-    themselves.
+    truth that fixes it.  log c_s is the running sum, in
+    ``pair_transform._EXT``, of the logs of the term ratios
+
+        c_j / c_{j-1} = (2/ytilde) (n+1-j) / sqrt(j (p+j) (N0_j+2) (N0_j+1)),
+
+    N0_j = Ntot - p - 2j.  No factorial is formed, and the vector stays finite
+    for sectors whose factorials exceed double range.  Where ytilde is 0 (the
+    free limit, or a coupling that underflows) the eigenvectors are the basis
+    vectors themselves.
     """
     dim = sector.dim
     _check_count("n_index", n_index)
@@ -137,15 +128,16 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     if ytil == 0.0:  # a = 0, or a coupling that underflows
         v[n_index] = 1.0
         return v
-    n, p, mtot = n_index, sector.p, sector.Ntot - sector.p
-    log_fact = _log_factorials(sector.Ntot)
-    # log c_s for s = 0..n up to s-independent terms, which the normalization
-    # drops; the slices read log_fact at mtot-2s, s, p+s and n-s
-    log_w = (
-        0.5 * (log_fact[mtot::-2][: n + 1] - log_fact[: n + 1] - log_fact[p : p + n + 1])
-        - log_fact[n::-1]
-        - np.arange(n + 1) * np.log(pair_transform._EXT(ytil) / 2)
-    )
+    n, p = n_index, sector.p
+    j = np.arange(1.0, n + 1)
+    n0 = sector.Ntot - p - 2 * j
+    # (c_j / c_{j-1})^2 (ytilde/2)^2, within a few roundings of double; its log
+    # is taken in _EXT, so a large |log| adds no rounding of its own
+    ratio_sq = (n + 1 - j) ** 2 / (j * (p + j) * (n0 + 2) * (n0 + 1))
+    # log c_s for s = 0..n up to s-independent terms, which the normalization drops
+    log_w = np.zeros(n + 1, dtype=pair_transform._EXT)
+    log_w[1:] = 0.5 * np.log(ratio_sq.astype(pair_transform._EXT)) - np.log(pair_transform._EXT(ytil) / 2)
+    np.cumsum(log_w, out=log_w)
     v[: n + 1] = np.exp(log_w - log_w.max())
     return v / np.linalg.norm(v)
 

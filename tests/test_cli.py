@@ -62,7 +62,7 @@ COMMAND_SHA256 = {
     "eigenstate-k-mode-transform": (
         ["eigenstate", "--k-mode", "0,0,1", *REF_ARGS, "--p", "2", "--theta", "2", "--smax", "20",
          "--transform", "0.1"], 0,
-        "27b63194716b32cbe5470f6b286e31f68f9ed0f6a63c2d82135984fdcd7b8c7b",
+        "fd27f7b2d79bc05d644f90a6d1b71ece251df040cf085c7c46edd4c012d6d7f6",
     ),
     "gram-nmax-4": (
         ["gram"], 0, "c6617c55b2d935dc94df664e7d09b3e22f1b8a9be8d0831ec14c978381e9230e",
@@ -75,8 +75,8 @@ COMMAND_SHA256 = {
         f"wu-N-{n}": (["wu", *REF_ARGS, "--N", str(n), "--kn", "0,0,1"], 0, digest)
         for n, digest in (
             (4, "2d68e390c2018c88f8cecc99ea742d330ea2bb4adbcfe5d80af5e99afc285c45"),
-            (50, "bc212ec740a05204a5f396fa0d9ba199c6d7066fdca8b1d64c2e5101c5b71126"),
-            (170, "4ae441a355a63c152ea38f58256dd2516e0fca8f70e55da00c1639f010425c35"),
+            (50, "1aa0a1fab02d150f89b5b5fa0362abfe0654ccbbbfad65db663d7ae082d4f620"),
+            (170, "43734cd913762e2a4afbe85fab781c2d74549ca83ed3f5e990f2ba4757fb7ff6"),
         )
     },
     # the free sector (a = 0) and a model whose 8*pi*a*rho underflows to 0
@@ -90,7 +90,7 @@ COMMAND_SHA256 = {
     ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
-        "75f8a9ab6ae70a9e458f3a8ce645e3a735d0aa490712b59a01e160ab62b33661",
+        "a4c6bb760bef92868adfb62328de7a4cac5d18ce0ea5e351bcbc403e6ad221ba",
     ),
 }
 

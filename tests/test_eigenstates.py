@@ -250,6 +250,18 @@ class TestTailConstant:
         with pytest.raises(ValueError, match=message):
             stirling_tail_limit(theta, 0)
 
+    def test_mpmath_log_magnitudes_at_large_index(self):
+        # log|binom(theta, s)| through Gamma's reflection formula,
+        # |Gamma(theta-s+1)| = pi / (|sin(pi (theta-s+1))| Gamma(s-theta)), at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        theta, smax = 0.5, 10**4
+        with mpmath.workdps(40):
+            th = mpmath.mpf(theta)
+            want = [0.0] + [float(mpmath.loggamma(th + 1) - mpmath.loggamma(s + 1) - mpmath.log(mpmath.pi)
+                                  + mpmath.log(abs(mpmath.sinpi(th - s + 1))) + mpmath.loggamma(s - th))
+                            for s in range(1, smax + 1)]
+        assert np.max(np.abs(coeff_log_magnitudes(1.0, theta, 0, smax) - want)) <= 1e-12
+
     def test_integer_theta_rejected(self):
         with pytest.raises(ValueError):
             tail_constant(1.0, 2.0, 0, np.array([10]))

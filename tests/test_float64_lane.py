@@ -23,10 +23,6 @@ from pairspec.pair_transform import apply_exp_pair, conjugation_check, domain_ch
 @pytest.fixture(autouse=True)
 def float64(monkeypatch):
     monkeypatch.setattr(pair_transform, "_EXT", np.float64)
-    # the table is cached per size: clear it so no longdouble table leaks in or out
-    wu_sector._log_factorials.cache_clear()
-    yield
-    wu_sector._log_factorials.cache_clear()
 
 
 def finite_or_refused(call):
@@ -42,16 +38,24 @@ def finite_or_refused(call):
 def test_the_type_reaches_every_module(monkeypatch):
     seen = []
     twisted = oracle._twisted_vectors
+    columns = pair_transform._binomial_columns
 
     def spy(diag, off, lams):
         seen.append(lams.dtype)
         return twisted(diag, off, lams)
 
+    def column_spy(num, leads):  # wu_sector builds the numerators
+        seen.append(num.dtype)
+        return columns(num, leads)
+
     monkeypatch.setattr(oracle, "_twisted_vectors", spy)
+    monkeypatch.setattr(pair_transform, "_binomial_columns", column_spy)
     hypergeom.transported_state(0, 2, 0.3, 20)
-    assert seen == [np.float64]
+    mp = ModelParams(a=0.0198944, rho=1.0, L=6.2831853)
+    sector = wu_sector.WuSector(6, 0, mode_params(mp, (0.0, 0.0, 2.0 * math.pi / mp.L)))
+    wu_sector.apply_exp_w(wu_sector.wu_eigenstate(sector, mp, 2), sector)
+    assert seen == [np.float64, np.float64]
     assert pair_transform._taylor_numerators(0.5, 4).dtype == np.float64
-    assert wu_sector._log_factorials(10).dtype == np.float64
 
 
 def test_unrepresentable_image_refused():
@@ -100,10 +104,13 @@ def test_wu_kernels():
             finite_or_refused(lambda: wu_sector.apply_exp_w(vec, sector))
 
 
-def test_wu_report_exits_2_without_traceback(capsys):
-    # in double the log-factorial weights put a residual past 1e-10
+def test_wu_report_passes(capsys):
+    # the eigenvector weights are running sums of log term ratios: in double
+    # too every residual stays under the report's 1e-10 gate
     code = main(["wu", "--a", "0.0198944", "--rho", "1", "--L", "6.2831853", "--N", "2000",
                  "--kn", "0,0,1"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out.startswith("n_index,energy,residual\n") and captured.err == ""
+    assert code == 0 and captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 1001
+    assert max(float(row[2]) for row in rows) <= 1e-10

@@ -156,6 +156,21 @@ class TestSymTridiagEig:
         vals, vecs = sym_tridiag_eig([3.0, -1.0, 2.0], [0.0, 0.0], vectors=True)
         np.testing.assert_array_equal(np.abs(vecs), np.eye(3)[:, [1, 2, 0]])
 
+    def test_twist_ties_go_to_the_lowest_row(self, monkeypatch):
+        # a persymmetric block mirrors its pivots bit for bit, so
+        # |gamma_r| = |gamma_{n-1-r}| and, at even n, every minimum is a tie;
+        # blocks of one row put the tied rows in different blocks
+        rng = np.random.default_rng(5)
+        half, couplings = rng.standard_normal(6), rng.standard_normal(6)
+        d, e = np.concatenate((half, half[::-1])), np.concatenate((couplings, couplings[-2::-1]))
+        vals = sym_tridiag_eig(d, e)
+        one_block = oracle._twisted_vectors(d, e, vals)
+        monkeypatch.setattr(oracle, "_DC_CHUNK", 4)
+        z = oracle._twisted_vectors(d, e, vals)
+        twists = [np.flatnonzero(col == 1.0)[0] for col in z.T]  # z_r = 1 exactly at the twist
+        assert max(twists) < len(d) // 2
+        np.testing.assert_array_equal(z, one_block)
+
     def test_large_block_fast(self):
         block = build_tridiagonal(0, 0.3, 0.3, 300)
         vals = sym_tridiag_eig(block.diag, block.super_)

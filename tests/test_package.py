@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import types
+from pathlib import Path
 
 import pairspec
 
@@ -27,3 +29,41 @@ def test_every_public_definition_is_in_all():
                    and (inspect.isfunction(value) or inspect.isclass(value))}
         missing.update(dict.fromkeys(defined - set(mod.__all__), module))
     assert missing == {}
+
+
+# What numpy added after 1.24, the floor in pyproject.toml: the array-API names
+# of 2.0, 2.1's cumulative_* and unstack, 2.2's matvec and vecmat, and 1.25's
+# exceptions and dtypes modules.
+NUMPY_AFTER_FLOOR = {
+    "np": {"acos", "acosh", "asin", "asinh", "astype", "atan", "atan2", "atanh", "bitwise_count",
+           "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift", "bool", "concat",
+           "cumulative_prod", "cumulative_sum", "dtypes", "exceptions", "isdtype", "long",
+           "matrix_transpose", "matvec", "permute_dims", "pow", "strings", "trapezoid", "ulong",
+           "unique_all", "unique_counts", "unique_inverse", "unique_values", "unstack", "vecdot",
+           "vecmat"},
+    "np.linalg": {"cross", "diagonal", "matmul", "matrix_norm", "matrix_transpose", "outer",
+                  "svdvals", "tensordot", "trace", "vecdot", "vector_norm"},
+}
+
+
+def numpy_after_floor(source: str) -> list[str]:
+    """Every np.<name> or np.linalg.<name> in source that numpy 1.24 lacks."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            owner = "np" + owner[5:] if owner.split(".")[0] == "numpy" else owner
+            if node.attr in NUMPY_AFTER_FLOOR.get(owner, ()):
+                found.append(f"{owner}.{node.attr}")
+    return found
+
+
+def test_no_numpy_names_beyond_the_floor():
+    found = {path.name: names for path in sorted(Path(pairspec.__file__).parent.glob("*.py"))
+             if (names := numpy_after_floor(path.read_text()))}
+    assert found == {}
+
+
+def test_floor_check_sees_each_spelling():
+    source = "import numpy\nnp.vecdot(x, y)\nnumpy.linalg.vector_norm(x)\nnp.linalg.norm(x)\nnp.einsum('i,i', x, y)"
+    assert numpy_after_floor(source) == ["np.vecdot", "np.linalg.vector_norm"]

@@ -208,6 +208,16 @@ def log_coeffs(coeffs, n):
     return out
 
 
+@pytest.mark.parametrize("p", [1, 3, 10])
+def test_mpmath_log_rescale(p):
+    # log sqrt(s!/(p+s)!) from 40-digit log-Gammas; two logs near s log s may
+    # not be differenced in double
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = [float((mpmath.loggamma(s + 1) - mpmath.loggamma(p + s + 1)) / 2) for s in range(4000)]
+    assert np.max(np.abs(pair_transform._log_rescale(p, 4000) - want)) <= 1e-13
+
+
 class TestDomainCheck:
     def test_finite_states_in_domain(self):
         coeffs = psi_p_theta(EigenstateSpec(0, 3, 1.0, 3)).coeffs
