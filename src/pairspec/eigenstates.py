@@ -210,16 +210,16 @@ def _log_coeffs(ytilde: float, theta: complex, p: int, smax: int) -> np.ndarray:
     """log c_s = log|c_s| + i arg c_s for s = 0..smax.
 
     log|c_s| is a running sum, in ``pair_transform._EXT``, of the logs of the
-    term ratios |c_j / c_{j-1}| ytilde = |theta-j+1| / (j sqrt(1 + p/j)), less
+    term ratios |c_j / c_{j-1}| ytilde = |theta+1-j| / sqrt(j (j+p)), less
     s log ytilde; no Gamma or factorial is formed.  The real part is -inf
     past a terminating theta; arg c_s lies in (-pi, pi] and is exactly 0 or
     pi for real theta.
     """
     j = np.arange(1.0, smax + 1)
     log_mag = np.zeros(smax + 1, dtype=pair_transform._EXT)
-    with np.errstate(divide="ignore"):  # theta - j + 1 = 0 terminates the expansion
-        log_mag[1:] = np.log(np.abs(theta - j + 1) / j) - 0.5 * np.log1p(p / j)
-    np.cumsum(log_mag, out=log_mag)
+    with np.errstate(divide="ignore"):  # theta + 1 - j = 0 terminates the expansion
+        np.log(np.abs(theta + 1 - j) / np.sqrt(j * (j + p)), out=log_mag[1:])
+    np.add.accumulate(log_mag, out=log_mag)
     log_mag -= np.arange(smax + 1) * math.log(ytilde)
     return log_mag.astype(float) + 1j * np.angle(_unit_phases(theta, smax))
 

@@ -64,8 +64,8 @@ def _log_rescale(p: int, n: int) -> np.ndarray:
     ``_EXT``: no two logs near s log s are differenced.
     """
     steps = np.zeros(n, dtype=_EXT)
-    steps[1:] = np.log1p(p / np.arange(1.0, n))
-    return (-0.5 * (np.cumsum(steps, out=steps) + math.lgamma(p + 1.0))).astype(float)
+    np.log1p(p / np.arange(1.0, n), out=steps[1:])
+    return -0.5 * (np.add.accumulate(steps, out=steps) + math.lgamma(p + 1.0)).astype(float)
 
 
 def _taylor_numerators(t: float, n: int) -> np.ndarray:

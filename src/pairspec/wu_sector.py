@@ -136,8 +136,8 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     ratio_sq = (n + 1 - j) ** 2 / (j * (p + j) * (n0 + 2) * (n0 + 1))
     # log c_s for s = 0..n up to s-independent terms, which the normalization drops
     log_w = np.zeros(n + 1, dtype=pair_transform._EXT)
-    log_w[1:] = 0.5 * np.log(ratio_sq.astype(pair_transform._EXT)) - np.log(pair_transform._EXT(ytil) / 2)
-    np.cumsum(log_w, out=log_w)
+    log_w[1:] = 0.5 * np.log(ratio_sq, dtype=pair_transform._EXT) - np.log(pair_transform._EXT(ytil) / 2)
+    np.add.accumulate(log_w, out=log_w)
     v[: n + 1] = np.exp(log_w - log_w.max())
     return v / np.linalg.norm(v)
 

@@ -90,7 +90,7 @@ COMMAND_SHA256 = {
     ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
-        "a4c6bb760bef92868adfb62328de7a4cac5d18ce0ea5e351bcbc403e6ad221ba",
+        "ec8b9a9ff58b795786a3746cc9d0a66acd4ef544fb57498f617febfad28b0e7e",
     ),
 }
 

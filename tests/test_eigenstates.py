@@ -215,6 +215,12 @@ class TestClassification:
         norms = partial_norms(0.5, 0.5, 0, 200)
         assert norms.max() > 1e6
 
+    @pytest.mark.parametrize("ytil, theta, p", [(1.5, 0.5, 0), (0.8, -0.3, 2), (1.0, 2.5, 1)])
+    def test_partial_norms_are_running_sums_of_squares(self, ytil, theta, p):
+        # referee: the product-formula coefficients, squared and summed in order
+        c = psi_p_theta(EigenstateSpec(p, theta, ytil, 300)).coeffs
+        np.testing.assert_allclose(partial_norms(ytil, theta, p, 300), np.cumsum(np.abs(c) ** 2), rtol=1e-13)
+
     def test_partial_norms_cauchy_when_normalizable(self):
         norms = partial_norms(1.5, 0.5, 0, 400)
         assert norms[-1] - norms[300] < 1e-10 * norms[300]

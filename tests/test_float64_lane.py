@@ -3,8 +3,9 @@
 ``pair_transform._EXT`` is plain double where long double is (MSVC, macOS
 arm64).  Here it is monkeypatched to float64 on any host, and every kernel
 that reads it must still return a finite result or raise ``ValueError``, with
-no RuntimeWarning (pytest turns those into errors).  Only the outcome class
-is checked: the range and accuracy claims need x87.
+no RuntimeWarning (pytest turns those into errors).  Mostly the outcome class
+is checked, since most range and accuracy claims need x87; the ``wu`` report,
+whose weights are running sums of log term ratios, must also pass its gate.
 """
 
 import math
