@@ -4,12 +4,12 @@ The transformed particle-conserving Hamiltonian acts on the basis
 |n_k = p+s, n_{-k} = s, n_0 = Ntot - p - 2s> as an upper-bidiagonal matrix:
 its spectrum reads off the diagonal eps_k (2s + p) with no numerics, and the
 eigenvectors have an exact closed form in the sector coupling
-ytilde(k) = 8 pi a / (|B| eps_k), summed as the logs of the ratios of
-consecutive entries.  Only this transformed side is checked, with
-exp(W) exp(-W) = I for the nilpotent pair operator W.  Whether exp(W)
-maps the eigenvectors to eigenstates of the untransformed sector operator is
-open (ROADMAP item 1): no code builds that operator, and U Lambda U^-1
-with U = [exp(W) v_n] is not symmetric.
+ytilde(k) = 8 pi a / (|B| eps_k); the log of each entry is a running sum of
+the logs of the ratios of consecutive entries.  Only this transformed side is
+checked, with exp(W) exp(-W) = I for the nilpotent pair operator W.  Whether
+exp(W) maps the eigenvectors to eigenstates of the untransformed sector
+operator is open (ROADMAP item 1): no code builds that operator, and
+U Lambda U^-1 with U = [exp(W) v_n] is not symmetric.
 """
 
 from __future__ import annotations
