@@ -122,25 +122,19 @@ def f_family(N: int, p: int, ytilde: float, d: np.ndarray, z: complex) -> comple
 
     The d_m are the rescaled coefficients of a test state on the p-ladder;
     f_0 reduces to the plain weighted power series since F(., 0, .; w) = 1.
+    It is evaluated as the polynomial :func:`_f_family_poly` at z.
     """
     _check_count("N", N)
     _check_count("p", p)
     if z == 0:
         raise ValueError("z = 0 is outside the family's domain (argument 1/z)")
-    d = np.asarray(d, dtype=complex)
-    w = 1.0 / (ytilde * z)
-    total = 0.0 + 0.0j
-    binom_pm = 1.0
-    for m, dm in enumerate(d):
-        if m > 0:
-            binom_pm *= (p + m) / m
-        if dm != 0:
-            total += np.conj(dm) * z**m * math.sqrt(binom_pm) * hyp_f(-m, -N, p + 1, w)
-    return total
+    return _polyval(_f_family_poly(N, p, ytilde, d), z)
 
 
 def _f_family_poly(N: int, p: int, ytilde: float, d: np.ndarray) -> np.ndarray:
-    """Polynomial coefficients of f_N in z (exact finite expansion)."""
+    """f_N's coefficients in ascending powers of z, from the terminating sums
+    z^m F(-m, -N, p+1; 1/(ytilde z))
+    = sum_{s <= min(m, N)} (-m)_s (-N)_s / ((p+1)_s s! ytilde^s) z^(m-s)."""
     d = np.asarray(d, dtype=complex)
     n = len(d)
     coeffs = np.zeros(n, dtype=complex)
@@ -163,9 +157,9 @@ def _f_family_poly(N: int, p: int, ytilde: float, d: np.ndarray) -> np.ndarray:
 def f_recurrence_residual(N: int, p: int, ytilde: float, d: np.ndarray, z: complex) -> float:
     """|d/dz f_N - ytilde (-(p+1+2N) f_N + (p+1+N) f_{N+1} + N f_{N-1})| at z.
 
-    The derivative is taken exactly on the polynomial coefficients of f_N, so
-    the residual probes only the three-term structure, not a finite
-    difference.
+    Every f is :func:`f_family`'s polynomial, whose derivative is taken
+    exactly on its coefficients, so the residual probes only the three-term
+    structure, not a finite difference.
     """
     rhs = ytilde * (  # first: f_family guards N, p and z, ahead of _f_family_poly
         -(p + 1 + 2 * N) * f_family(N, p, ytilde, d, z)

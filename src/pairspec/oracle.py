@@ -267,6 +267,7 @@ def _pole_blocks(seg: np.ndarray, width: int):
         yield slice(r0, r0 + step), seg[r0 : r0 + step]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _secular_roots(d: np.ndarray, z: np.ndarray, rho: np.ndarray,
                    edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of f_s(lam) = 1 + rho_s sum_i z_i^2 / (d_i - lam), the sum over the
@@ -284,7 +285,9 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: np.ndarray,
     bisection, so every root stays strictly inside its interval; a root is
     done once |f| / rho is within the rounding bound of its evaluation.  The
     roots of all merges iterate together, only the unconverged ones still in
-    play, at most ``_MAX_SECULAR_STEPS`` times.
+    play, at most ``_MAX_SECULAR_STEPS`` times.  On steeply graded blocks the
+    sums and steps overflow or divide by zero: the solve runs with those errors
+    ignored, and the bracket test turns each inf or nan step into bisection.
     """
     k = len(d)
     org, tau = np.arange(k), np.empty(k)
@@ -357,18 +360,18 @@ def _middle_way(w, dpsi, dphi, dl, dr, last):
 
     The model c + s1 / (dl - eta) + s2 / (dr - eta) with s1 = psi' dl^2 and
     s2 = phi' dr^2 has one root between the poles, the root
-    (a - sqrt(a^2 - 4 b c)) / (2 c) of c eta^2 - a eta + b.  Beyond the last pole phi is empty and the model has
-    the one pole, whose root is dl w / c.  Steps that divide by zero come out
-    inf or nan, which the caller's bracket test turns into bisection.
+    (a - sqrt(a^2 - 4 b c)) / (2 c) of c eta^2 - a eta + b.  Beyond the last
+    pole phi is empty and the model has the one pole, whose root is dl w / c.
+    Steps that overflow or divide by zero (ignored within
+    :func:`_secular_roots`) come out inf or nan, and bisection takes them.
     """
     c = w - dl * dpsi - dr * dphi
     a = (dl + dr) * w - dl * dr * (dpsi + dphi)
     b = dl * dr * w
     disc = np.sqrt(np.abs(a * a - 4.0 * b * c))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(a <= 0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
-        eta = np.where(c == 0, b / a, eta)
-        return np.where(last, dl * w / (w - dl * dpsi), eta)
+    eta = np.where(a <= 0, (a - disc) / (2.0 * c), 2.0 * b / (a + disc))
+    eta = np.where(c == 0, b / a, eta)
+    return np.where(last, dl * w / (w - dl * dpsi), eta)
 
 
 def _unit_scaled(a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

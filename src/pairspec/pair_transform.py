@@ -87,7 +87,7 @@ def _binomial_columns(num: np.ndarray, leads: np.ndarray):
         col = np.empty(n - s, dtype=_EXT)
         col[0] = leads[s]
         np.divide(num[s + 1 :], m[1 : n - s], out=col[1:])
-        yield s, np.cumprod(col, out=col)
+        yield s, np.multiply.accumulate(col, out=col)
 
 
 def _binomial_shift(C: np.ndarray, t: float) -> np.ndarray:

@@ -90,7 +90,7 @@ COMMAND_SHA256 = {
     ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
-        "ec8b9a9ff58b795786a3746cc9d0a66acd4ef544fb57498f617febfad28b0e7e",
+        "02c97fdf79c56e84f9ed42cf5fce33153526359a710e1ea648b9b5821e64e1e9",
     ),
 }
 

@@ -118,6 +118,24 @@ class TestFFamily:
         with pytest.raises(ValueError):
             f_family(1, 0, 1.0, np.array([1.0]), 0.0)
 
+    def test_mpmath_definition(self):
+        # the defining sum, one 40-digit 2F1 per coefficient, against the
+        # polynomial f_family evaluates; the worst measured 3.8e-15
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            n, p, ytil = int(rng.integers(0, 30)), int(rng.integers(0, 6)), float(rng.uniform(0.3, 3.0))
+            length = int(rng.integers(1, 40))
+            d = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            z = complex(rng.uniform(0.05, 2.0), rng.uniform(-0.5, 0.5))
+            with mpmath.workdps(40):
+                zm = mpmath.mpc(z)
+                w = 1 / (mpmath.mpf(ytil) * zm)
+                want = complex(mpmath.fsum(
+                    mpmath.conj(mpmath.mpc(dm)) * zm**m * mpmath.sqrt(mpmath.binomial(p + m, m))
+                    * mpmath.hyp2f1(-m, -n, p + 1, w) for m, dm in enumerate(d)))
+            assert abs(f_family(n, p, ytil, d, z) - want) <= 1e-13 * max(1.0, abs(want)), (n, p, ytil, z)
+
 
 class TestFRecurrence:
     def test_constant_test_state(self):

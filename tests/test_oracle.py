@@ -232,6 +232,9 @@ def _dc_blocks():
     blocks["weak-top-coupling"] = (d, e)
     blocks["wilkinson-21"] = (np.abs(np.arange(21) - 10.0), np.ones(20))
     blocks["graded"] = (10.0 ** -np.arange(24.0), 10.0 ** -(np.arange(23.0) + 0.5))
+    # steeper grading: secular steps that overflow or divide by zero, taken by bisection
+    blocks["graded-steep-24"] = (10.0 ** (-7 * np.arange(24.0)), 10.0 ** -(7 * np.arange(23.0) + 3.5))
+    blocks["graded-steep-40"] = (10.0 ** (-5 * np.arange(40.0)), 10.0 ** -(5 * np.arange(39.0) + 2.5))
     return blocks
 
 
@@ -253,6 +256,13 @@ class TestDivideAndConquer:
             vals = _strict_eigvals(d, e)
             assert np.all(np.diff(vals) >= 0)
             assert np.max(np.abs(vals - ref)) <= 1e-13 * norm, (leaf, chunk)
+
+    def test_graded_at_the_crossover(self):
+        # a block graded by 100 per row, past the default _DC_LEAF: some 400
+        # secular steps overflow or divide by zero, and none may warn
+        d, e = 10.0 ** (-2 * np.arange(200.0)), 10.0 ** -(2 * np.arange(199.0) + 1)
+        vals = _strict_eigvals(d, e)
+        assert np.max(np.abs(vals - _mp_eigvals(d, e))) <= 1e-13 * oracle._norm_one(d, e)
 
     @pytest.mark.parametrize("a, b, n", [(2.0, -1.0, 40), (2.0, -1.0, 100), (1.0, 1.0, 100)])
     def test_constant_blocks_closed_form(self, a, b, n, monkeypatch):

@@ -67,3 +67,47 @@ def test_no_numpy_names_beyond_the_floor():
 def test_floor_check_sees_each_spelling():
     source = "import numpy\nnp.vecdot(x, y)\nnumpy.linalg.vector_norm(x)\nnp.linalg.norm(x)\nnp.einsum('i,i', x, y)"
     assert numpy_after_floor(source) == ["np.vecdot", "np.linalg.vector_norm"]
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Every top-level private function, class or constant of the given modules
+    (name -> source) that no code in them reads outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {}  # (module, name) -> its defining statement
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = node
+    reads = {}  # name -> the nodes that read it, as ids
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add(id(node))
+    return [f"{module}.{name}" for (module, name), definition in sorted(defined.items())
+            if not reads.get(name, set()) - set(map(id, ast.walk(definition)))]
+
+
+def test_no_orphaned_private_helper():
+    # a private helper that nothing in the package reads is dead code: tests
+    # and the benchmark harness do not count as consumers
+    sources = {path.stem: path.read_text() for path in Path(pairspec.__file__).parent.glob("*.py")}
+    assert orphaned_private_names(sources) == []
+
+
+def test_orphan_check_sees_each_kind():
+    sources = {
+        "a": "_USED = 1\n_DEAD = 2\n\ndef _self_only(n):\n    return _self_only(n - 1) if n else _USED\n\n"
+             "class _Dead:\n    pass\n\ndef _read_elsewhere():\n    pass\n",
+        "b": "from . import a\n\ndef f():\n    return a._read_elsewhere()\n",
+    }
+    assert orphaned_private_names(sources) == ["a._DEAD", "a._Dead", "a._self_only"]
