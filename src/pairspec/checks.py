@@ -69,6 +69,18 @@ def _random_state(rng: np.random.Generator, p: int, n: int) -> LadderState:
     return LadderState(p, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def _random_rows(rng: np.random.Generator, rows: int, n: int, draw) -> tuple:
+    """Imbalances, amplitudes and zero-padded length-n coefficient rows of
+    ``rows`` random states: ``draw()`` gives each row's (p, alpha, length)
+    and the state is drawn after it, as a loop of single states would."""
+    ps, alphas = np.empty(rows, dtype=int), np.empty(rows)
+    coeffs = np.zeros((rows, n), dtype=complex)
+    for i in range(rows):
+        ps[i], alphas[i], length = draw()
+        coeffs[i, :length] = _random_state(rng, int(ps[i]), length).coeffs
+    return ps, alphas, coeffs
+
+
 # ----------------------------------------------------------------- lattice
 
 def _dispersion(rng, nmax=3):
@@ -210,15 +222,10 @@ def _transport(rng, ps=range(3), ns=range(3), pad=200):
 
 
 def _transform_inverse(rng):
-    dev = 0.0
-    for _ in range(20):
-        p = int(rng.integers(0, 3))
-        alpha = rng.uniform(0.05, 0.5)
-        st = _random_state(rng, p, 9).padded(24)
-        back = pair_transform.apply_exp_pair(
-            pair_transform.apply_exp_pair(st, -alpha), alpha
-        )
-        dev = _worst(dev, float(np.max(np.abs(back.coeffs[:16] - st.coeffs[:16]))))
+    ps, alphas, coeffs = _random_rows(rng, 20, 25, lambda: (
+        int(rng.integers(0, 3)), rng.uniform(0.05, 0.5), 9))
+    back = pair_transform._exp_pair(pair_transform._exp_pair(coeffs, ps, -alphas), ps, alphas)
+    dev = _worst(0.0, *np.max(np.abs(back[:, :16] - coeffs[:, :16]), axis=1))
     return [_result("eigen", "forward/backward transforms cancel on finite states", dev, 1e-9)]
 
 
@@ -293,15 +300,14 @@ def _rescaling_round_trip(rng):
 
 
 def _mobius_vs_exponential(rng, alpha_range=(0.05, 0.9)):
-    dev = 0.0
-    for _ in range(100):
-        p = int(rng.integers(0, 4))
-        alpha = rng.uniform(*alpha_range)
-        st = _random_state(rng, p, int(rng.integers(2, 11))).padded(60)
-        via_series = genfunc.mobius(genfunc.from_state(st), alpha).C
-        via_conv = genfunc.from_state(pair_transform.apply_exp_pair(st, -alpha)).C
-        scale = max(1.0, float(np.max(np.abs(via_conv))))
-        dev = _worst(dev, float(np.max(np.abs(via_series - via_conv))) / scale)
+    n = 61
+    ps, alphas, coeffs = _random_rows(rng, 100, n, lambda: (
+        int(rng.integers(0, 4)), rng.uniform(*alpha_range), int(rng.integers(2, 11))))
+    rescale = np.exp(pair_transform._log_rescale(ps, n))  # genfunc.from_state, row by row
+    via_series = genfunc._mobius(coeffs * rescale, alphas)
+    via_conv = pair_transform._exp_pair(coeffs, ps, -alphas) * rescale
+    scale = np.fmax(1.0, np.max(np.abs(via_conv), axis=1))
+    dev = _worst(0.0, *(np.max(np.abs(via_series - via_conv), axis=1) / scale))
     return [_result("genfunc", "Moebius series equals the exponential transform", dev, 1e-11)]
 
 
@@ -381,14 +387,13 @@ def _ode_generic_series(rng):
 # ---------------------------------------------------------------- hypergeom
 
 def _contiguous(rng):
-    dev = 0.0
-    for m in range(7):
-        for n in range(7):
-            for p in range(7):
-                for z in (0.3, 0.7, 1.5, -0.4, 0.2 + 0.5j):
-                    r = hypergeom.contiguous_residual(m, n, p, z)
-                    scale = max(1.0, abs(m * z * hypergeom.hyp_f(-m + 1, -n, p + 1, z)))
-                    dev = _worst(dev, abs(r) / scale)
+    # the grid m, n, p in 0..6, z in zs as rows, in that nesting order
+    zs = (0.3, 0.7, 1.5, -0.4, 0.2 + 0.5j)
+    m, n, p, iz = np.indices((7, 7, 7, len(zs))).reshape(4, -1)
+    z = np.array(zs)[iz]
+    r = hypergeom._contiguous_residual(m, n, p, z)
+    scale = np.fmax(1.0, np.abs(hypergeom._cmul(m * z, hypergeom._hyp_f(-m + 1, -n, p + 1, z))))
+    dev = _worst(0.0, *(np.abs(r) / scale))
     return [_result("hypergeom", "contiguous relation holds on the grid", dev, 1e-12)]
 
 
@@ -463,10 +468,10 @@ def _wu_sector(rng, ntots=(2, 7, 16), ps=range(0, 5, 2)):
                 dev_tri = _worst(dev_tri, float(np.max(np.abs(np.tril(m, -1)))))
                 want = mode.epsilon * (2 * np.arange(sector.dim) + p)
                 dev_diag = _worst(dev_diag, float(np.max(np.abs(np.diag(m) - want))))
-                for n in range(sector.dim):
-                    v = wu_sector.wu_eigenstate(sector, mp, n)
-                    lam = mode.epsilon * (2 * n + p)
-                    dev_res = _worst(dev_res, float(np.linalg.norm(m @ v - lam * v)))
+                for ns, vecs in wu_sector._wu_eigenvectors(sector, mp, range(sector.dim)):
+                    lams = mode.epsilon * (2 * ns + p)
+                    image = (m @ vecs[..., None])[..., 0] - lams[:, None] * vecs
+                    dev_res = _worst(dev_res, *wu_sector._row_norms(image))
                 x = rng.standard_normal(sector.dim)
                 y_ = wu_sector.apply_exp_w(wu_sector.apply_exp_w(x, sector, 1.0), sector, -1.0)
                 dev_inv = _worst(dev_inv, float(np.max(np.abs(y_ - x))) / float(np.max(np.abs(x))))

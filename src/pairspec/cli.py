@@ -213,15 +213,14 @@ def cmd_wu(args: argparse.Namespace) -> tuple[str, int]:
     diag, upper = wu_sector._bands(sector, mp)
     lines = ["n_index,energy,residual"]
     code = 0
-    for idx in range(sector.dim):
-        vec = wu_sector.wu_eigenstate(sector, mp, idx)
-        lam = diag[idx]
-        image = (diag - lam) * vec
-        image[:-1] += upper * vec[1:]
-        res = float(np.linalg.norm(image))
-        if not res <= 1e-10:  # a NaN residual fails as well
-            code = 2
-        lines.append(f"{idx},{fmt(lam)},{fmt(res)}")
+    for ns, vecs in wu_sector._wu_eigenvectors(sector, mp, range(sector.dim)):
+        lams = diag[ns]
+        image = (diag - lams[:, None]) * vecs
+        image[:, :-1] += upper * vecs[:, 1:]
+        for idx, lam, res in zip(ns.tolist(), lams.tolist(), wu_sector._row_norms(image).tolist()):
+            if not res <= 1e-10:  # a NaN residual fails as well
+                code = 2
+            lines.append(f"{idx},{fmt(lam)},{fmt(res)}")
     lines.append(f"# epsilon_k,{fmt(mode.epsilon)}")
     lines.append(f"# ytilde_k,{fmt(wu_sector.wu_ytilde(mode, mp))}")
     return "\n".join(lines) + "\n", code

@@ -273,17 +273,22 @@ def stirling_tail_limit(theta: float, p: int) -> float:
     """Gamma(1+p) / Gamma(-theta)^2 via lgamma (theta real, non-integer).
 
     The square makes the sign of Gamma(-theta) irrelevant, so log|Gamma| is
-    exactly what is needed.
+    exactly what is needed.  A limit that is not a normal double (beyond
+    double range, or below its normal range, as at theta = +-1e-300) is
+    refused with ``ValueError``.
     """
     _check_label(p, theta)
     _check_tail_theta(theta)
     try:
-        return math.exp(math.lgamma(1.0 + p) - 2.0 * math.lgamma(-theta))
+        limit = math.exp(math.lgamma(1.0 + p) - 2.0 * math.lgamma(-theta))
     except OverflowError:
+        limit = math.inf
+    if not pair_transform._TINY <= limit < math.inf:
+        where = "beyond double range" if limit else "below double's normal range"
         raise ValueError(
-            f"the tail limit Gamma(1+p) / Gamma(-theta)^2 at p={p}, theta={theta} "
-            "is beyond double range"
-        ) from None
+            f"the tail limit Gamma(1+p) / Gamma(-theta)^2 at p={p}, theta={theta} is {where}"
+        )
+    return limit
 
 
 def residual(st: LadderState, y1: float, y2: float, energy: complex) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .fock_ladder import LadderState, _check_count
 from .lattice import alpha_c, y12
+from . import pair_transform
 from .pair_transform import _finite, _log_rescale
 
 __all__ = [
@@ -137,7 +138,8 @@ def mobius(g: GenFn, alpha: float) -> GenFn:
     coefficient of order k.  Only the rows that still reach that last entry
     are kept, one fewer per order, so the cost is n^2/2 complex axpys in n
     numpy steps with O(n) extra memory and no n x n array.  A result (or
-    Horner state) beyond double range is refused with ``ValueError``.
+    Horner state) beyond double range is refused with ``ValueError``.  This
+    is the batch-1 face of :func:`_mobius`.
 
     This is the in-package referee of the exponential pair transform and is
     deliberately a different arithmetic route: repeated float64 differencing
@@ -145,13 +147,26 @@ def mobius(g: GenFn, alpha: float) -> GenFn:
     (running products of C(m, s) t^(m-s) in ``pair_transform._EXT``) of
     :mod:`pairspec.pair_transform`; the two must agree coefficientwise.
     """
-    n = len(g.C)
-    if n == 0:
+    if len(g.C) == 0:
         return g
-    out = np.empty(n, dtype=complex)
+    return GenFn(g.p, _mobius(g.C, alpha))
+
+
+def _mobius(C: np.ndarray, alpha) -> np.ndarray:
+    """:func:`mobius` over C of shape (n,) or (rows, n), alpha a scalar or
+    one per row.
+
+    The orders run over the first axis of a transposed copy, so a batch
+    takes the same n numpy steps as a single series; a real alpha times a
+    complex column rounds each part once, so a row has the bits of the
+    single series.  The first row with a coefficient beyond double range is
+    refused with ``ValueError`` naming the row.
+    """
+    n = C.shape[-1]
     # the order-1 column of H's Horner states is its order-0 column shifted:
     # over the rows that reach the result, the coefficients of G in reverse
-    col = g.C[::-1].copy()
+    col = C[..., ::-1].T.copy()
+    out = np.empty(col.shape, dtype=complex)
     out[0] = col[-1]
     # overflow becomes inf or nan here and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,9 +174,11 @@ def mobius(g: GenFn, alpha: float) -> GenFn:
             col[:-1] -= alpha * col[1:]
             col = col[:-1]
             out[k] = col[-1]
-    _finite(out, f"Moebius image at alpha={alpha!r} of this length-{n} series has "
-            "coefficients beyond double range")
-    return GenFn(g.p, out)
+    out = out.T
+    pair_transform._refuse_rows(~np.isfinite(out).all(axis=-1), lambda a: (
+        f"Moebius image at alpha={a!r} of this length-{n} series has coefficients "
+        "beyond double range"), alpha)
+    return out
 
 
 def q_invariant(y: float, alpha: float) -> float:

@@ -10,13 +10,12 @@ transported finite eigenstates span each ladder.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .eigenstates import EigenstateSpec, psi_p_theta
-from .fock_ladder import LadderState, _check_count
+from .fock_ladder import LadderState, _check_count, _check_counts
 from .hamiltonians import _bog_energies, build_tridiagonal
 from .lattice import _check_coupling, alpha_c, ytilde_from_y
 from .pair_transform import apply_exp_pair
@@ -34,15 +33,27 @@ __all__ = [
 ]
 
 
-def _termination_index(a: float, b: float) -> int:
-    """Smallest m with (a)_m (b)_m = 0; requires a terminating parameter."""
-    candidates = []
-    for v in (a, b):
-        if v <= 0 and float(v).is_integer():
-            candidates.append(int(-v))
-    if not candidates:
-        raise ValueError(f"series does not terminate: a={a}, b={b}")
-    return min(candidates)
+def _termination_index(a, b) -> np.ndarray:
+    """Smallest m with (a)_m (b)_m = 0, per row of (a, b); every row needs a
+    terminating parameter, and the first that has none is refused."""
+    tops = [np.where((v <= 0) & (np.floor(v) == v), -v, np.inf)
+            for v in (np.asarray(a, dtype=float), np.asarray(b, dtype=float))]
+    top = np.minimum(*tops)
+    pair_transform._refuse_rows(top == np.inf, lambda a, b: (
+        f"series does not terminate: a={a}, b={b}"), a, b)
+    return top.astype(int)
+
+
+def _cmul(x, y) -> np.ndarray:
+    """x * y for complex arrays, each part a sum of two rounded float products,
+    a*c - b*d and a*d + b*c, as CPython forms a complex product.  numpy's
+    complex multiply loop may fuse multiply-adds (it does on AVX-512 hosts),
+    which changes last bits; a real times a complex number is exact either way."""
+    xr, xi, yr, yi = np.real(x), np.imag(x), np.real(y), np.imag(y)
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
+    out.real = xr * yr - xi * yi
+    out.imag = xr * yi + xi * yr
+    return out
 
 
 def hyp_f(a: float, b: float, c: float, z: complex) -> complex:
@@ -50,18 +61,41 @@ def hyp_f(a: float, b: float, c: float, z: complex) -> complex:
 
     At least one of a, b must be a nonpositive integer.  A nonpositive
     integer c is rejected unless the series terminates before the (c)_m zero,
-    and so are a non-finite z and a sum beyond double range.
+    and so are a non-finite z and a sum beyond double range.  This is the
+    batch-1 face of :func:`_hyp_f`.
     """
-    m_top = _termination_index(a, b)
-    if c <= 0 and float(c).is_integer() and m_top > -int(c):
-        raise ValueError(f"(c)_m vanishes before termination: c={c}, top={m_top}")
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for m in range(m_top):
-        term *= (a + m) * (b + m) / ((c + m) * (m + 1.0)) * z
-        total += term
-    if not (cmath.isfinite(z) and cmath.isfinite(total)):
-        raise ValueError(f"F(a={a}, b={b}, c={c}; z={z}) is not finite in double precision")
+    return complex(_hyp_f(a, b, c, z))
+
+
+def _hyp_f(a, b, c, z) -> np.ndarray:
+    """:func:`hyp_f` over rows of (a, b, c, z), which broadcast together.
+
+    Each row stops at its own termination index: the term ratios past it are
+    zero, so the running term stays zero there and the sum keeps its bits.
+    The parameters are taken as doubles.  Every complex product is formed by
+    :func:`_cmul`, so a row's sum has the bits of the same loop in CPython's
+    float and complex arithmetic.  The first row that does not terminate,
+    whose (c)_m vanishes first, or whose z or sum is not finite is refused
+    with ``ValueError`` naming the row.
+    """
+    shown = a, b, c, z
+    top = _termination_index(a, b)
+    a, b, c, z, top = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)),
+                                          np.asarray(z), top)
+    pair_transform._refuse_rows((c <= 0) & (np.floor(c) == c) & (top > -c), lambda c, top: (
+        f"(c)_m vanishes before termination: c={c}, top={top}"), shown[2], top)
+    ms = np.arange(float(top.max(initial=0)))
+    # the ratios (a+m)(b+m) / ((c+m)(m+1)) z; past a row's top, (c+m) may vanish
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = (a[..., None] + ms) * (b[..., None] + ms) / ((c[..., None] + ms) * (ms + 1.0))
+        steps = np.where(ms < top[..., None], ratio, 0.0) * z[..., None]
+        term = np.ones(a.shape, dtype=complex)
+        total = term.copy()
+        for m in range(len(ms)):
+            term = _cmul(term, steps[..., m])
+            total += term
+    pair_transform._refuse_rows(~(np.isfinite(z) & np.isfinite(total)), lambda a, b, c, z: (
+        f"F(a={a}, b={b}, c={c}; z={z}) is not finite in double precision"), *shown)
     return total
 
 
@@ -74,17 +108,28 @@ def contiguous_residual(m: int, N: int, p: int, z: complex) -> complex:
 
     with the N = 0 exceptional form (the raising term is absent):
     (m z) F(-m+1, 0, p+1; z) = -(p+1) F(-m, 0, p+1; z) + (p+1) F(-m, -1, p+1; z).
+    This is the batch-1 face of :func:`_contiguous_residual`.
     """
     _check_count("m", m)
     _check_count("N", N)
     _check_count("p", p)
-    lhs = m * z * hyp_f(-m + 1, -N, p + 1, z)
-    rhs = -(p + 1 + 2 * N) * hyp_f(-m, -N, p + 1, z) + (p + 1 + N) * hyp_f(
-        -m, -N - 1, p + 1, z
-    )
-    if N > 0:
-        rhs += N * hyp_f(-m, -N + 1, p + 1, z)
-    return lhs - rhs
+    return complex(_contiguous_residual(m, N, p, z))
+
+
+def _contiguous_residual(m, N, p, z) -> np.ndarray:
+    """:func:`contiguous_residual` over rows of counts (m, N, p) and z, which
+    broadcast together; one :func:`_hyp_f` call per term, over all rows.
+
+    A row with N = 0 evaluates its absent raising term as F(-m, 0, p+1; z) = 1
+    times N = 0, which adds nothing.  Its refusals are :func:`_hyp_f`'s.
+    """
+    m, N, p = (_check_counts(name, v) for name, v in (("m", m), ("N", N), ("p", p)))
+    f_up, f_0, f_down, f_raise = (_hyp_f(a, b, p + 1, z) for a, b in (
+        (-m + 1, -N), (-m, -N), (-m, -N - 1), (-m, np.where(N > 0, -N + 1, 0))))
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's complex arithmetic
+        rhs = _cmul(-(p + 1 + 2 * N), f_0) + _cmul(p + 1 + N, f_down)
+        rhs += _cmul(N, f_raise)
+        return _cmul(m * np.asarray(z), f_up) - rhs
 
 
 def derivative_residual(a: int, b: float, c: float) -> float:

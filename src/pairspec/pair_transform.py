@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -52,25 +53,46 @@ def _finite(values: np.ndarray | float, message: str) -> None:
         raise ValueError(message)
 
 
+def _refuse_rows(bad: np.ndarray, message: Callable[..., str], *args) -> None:
+    """Raise ValueError at the first index i where ``bad`` is set.
+
+    A batched kernel passes one flag per row; the message is
+    message(*entries of args at row i), each arg broadcast against ``bad``,
+    led by "row i: ".  A 0-d ``bad`` is a scalar face: its message gets the
+    args as the caller gave them and names no row.
+    """
+    if bad.any():
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        if not index:
+            raise ValueError(message(*args))
+        row = (np.broadcast_to(v, bad.shape)[index].item() for v in args)
+        raise ValueError(f"row {', '.join(map(str, index))}: " + message(*row))
+
+
 def _beyond_ext() -> str:  # the figure is 1e4932 for x87 and 1e308 for double
     return f"beyond extended range (1e{int(np.log10(np.finfo(_EXT).max))})"
 
 
-def _log_rescale(p: int, n: int) -> np.ndarray:
+def _log_rescale(p, n: int) -> np.ndarray:
     """log sqrt(s!/(p+s)!) for s = 0..n-1: C_s = exp(this) c_s.
 
     (p+s)!/s! is p! times the running product of the term ratios 1 + p/j,
     j <= s, so its log is log p! plus a running sum of log1p(p/j), taken in
-    ``_EXT``: no two logs near s log s are differenced.
+    ``_EXT``: no two logs near s log s are differenced.  An array of p gives
+    one such row per entry, each formed once per distinct p.
     """
+    if np.ndim(p):
+        distinct, row = np.unique(p, return_inverse=True)
+        return np.array([_log_rescale(int(q), n) for q in distinct])[row.reshape(np.shape(p))]
     steps = np.zeros(n, dtype=_EXT)
     np.log1p(p / np.arange(1.0, n), out=steps[1:])
     return -0.5 * (np.add.accumulate(steps, out=steps) + math.lgamma(p + 1.0)).astype(float)
 
 
-def _taylor_numerators(t: float, n: int) -> np.ndarray:
-    """Numerators t m, m < n: column s is then lead_s C(m, s) t^(m-s)."""
-    return _EXT(t) * np.arange(n, dtype=_EXT)
+def _taylor_numerators(t, n: int) -> np.ndarray:
+    """Numerators t m, m < n, on the first axis, with t's axes (a batch of
+    rows) after it: column s is then lead_s C(m, s) t^(m-s)."""
+    return np.multiply.outer(np.arange(n, dtype=_EXT), np.asarray(t, dtype=_EXT))
 
 
 def _binomial_columns(num: np.ndarray, leads: np.ndarray):
@@ -79,27 +101,62 @@ def _binomial_columns(num: np.ndarray, leads: np.ndarray):
     Each column is one running product of the ratios num_m / (m - s) in
     ``_EXT``, started at lead_s, so every entry is only as large as the
     term it stands for: no binomial or factorial is formed on its own, and a
-    column leaves extended range only where the term itself does.
+    column leaves extended range only where the term itself does.  The index
+    m runs over the first axis of ``num`` and ``leads``; a second axis, the
+    same for both, is a batch of rows.  A batch forms column s over every
+    row wherever any row's lead_s is nonzero, and the column is zero in a row
+    whose lead_s is.  The loop over s runs over the first axis, so a 1-D
+    call makes the same numpy calls per column as a batch does.  Every column
+    is written into one buffer: a column is valid until the next is drawn.
     """
     n = len(leads)
-    m = np.arange(n, dtype=_EXT)
-    for s in np.flatnonzero(leads):
-        col = np.empty(n - s, dtype=_EXT)
+    m = np.arange(n, dtype=_EXT).reshape((n,) + (1,) * (leads.ndim - 1))
+    live = leads if leads.ndim == 1 else leads.reshape(n, -1).any(axis=1)
+    buffer = np.empty(leads.shape, dtype=_EXT)
+    for s in np.flatnonzero(live):
+        col = buffer[: n - s]
         col[0] = leads[s]
         np.divide(num[s + 1 :], m[1 : n - s], out=col[1:])
         yield s, np.multiply.accumulate(col, out=col)
 
 
-def _binomial_shift(C: np.ndarray, t: float) -> np.ndarray:
-    """C'_m = sum_{s<=m} C_s C(m, s) t^(m-s): each column, led by |C_s|, is
-    rounded once to float64 and added times the phase C_s/|C_s|."""
+def _binomial_shift(C: np.ndarray, t) -> np.ndarray:
+    """C'_m = sum_{s<=m} C_s C(m, s) t^(m-s), m on the first axis of C and
+    rows (a batch) on an optional second, with t a scalar or one per row.
+
+    Each column, led by |C_s|, is rounded once to float64 and added times the
+    phase C_s/|C_s|.  The phases are formed once, before the columns: the
+    division multiplies by 1/|C_s|, which overflows for a subnormal |C_s|,
+    so both are first scaled by 2^64 there (exact).  A zero C_s has zero
+    phase, so a row adds nothing in a column where its lead is zero.
+    """
     mag = np.abs(C)
-    out = np.zeros(len(C), dtype=complex)
+    scale = np.where(mag >= _TINY, 1.0, 2.0**64)
+    phase = C * scale / (mag * scale)
+    phase[mag == 0.0] = 0.0
+    out = np.zeros(C.shape, dtype=complex)
     for s, col in _binomial_columns(_taylor_numerators(t, len(C)), mag):
-        # the division multiplies by 1/|C_s|, which overflows for a subnormal
-        # |C_s|; scaling both by a power of two first is exact
-        scale = 1.0 if mag[s] >= _TINY else 2.0**64
-        out[s:] += (C[s] * scale / (mag[s] * scale)) * col.astype(float)
+        out[s:] += phase[s] * col.astype(float)
+    return out
+
+
+def _exp_pair(coeffs: np.ndarray, p, t) -> np.ndarray:
+    """exp(t a*b*) applied to coeffs of shape (n,) or (rows, n), each row on
+    the ladder of its p at its t (scalars, or one per row).
+
+    The array form behind :func:`apply_exp_pair`, whose arithmetic it is:
+    a row has the bits of the single state (but t = 0 gives the identity
+    only to rounding; the face returns the state itself).  The first row
+    with a coefficient beyond double range is refused with ``ValueError``
+    naming the row.
+    """
+    n = coeffs.shape[-1]
+    logr = _log_rescale(p, n)
+    # overflow becomes inf or nan here and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _binomial_shift((coeffs * np.exp(logr)).T, t).T * np.exp(-logr)
+    _refuse_rows(~np.isfinite(out).all(axis=-1), lambda t: (
+        f"exp({t!r} a*b*) of this length-{n} state has coefficients beyond double range"), t)
     return out
 
 
@@ -116,7 +173,7 @@ def apply_exp_pair(st: LadderState, alpha_signed: float) -> LadderState:
     double, so the cost is O(n |support|) time and O(n) extra memory, and
     each output coefficient carries a rounding error of order (m+1) eps times
     the sum of its terms' magnitudes (cancellation in the alternating sums is
-    not recovered).
+    not recovered).  This is the batch-1 face of :func:`_exp_pair`.
 
     Raises ValueError when a transformed coefficient (or one of its terms) is
     not representable in double precision, e.g. a unit coefficient at
@@ -125,13 +182,7 @@ def apply_exp_pair(st: LadderState, alpha_signed: float) -> LadderState:
     n = len(st.coeffs)
     if n == 0 or alpha_signed == 0.0:
         return st
-    logr = _log_rescale(st.p, n)
-    # overflow becomes inf or nan here and is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _binomial_shift(st.coeffs * np.exp(logr), alpha_signed) * np.exp(-logr)
-    _finite(out, f"exp({alpha_signed!r} a*b*) of this length-{n} state has coefficients "
-            "beyond double range")
-    return LadderState(st.p, out)
+    return LadderState(st.p, _exp_pair(st.coeffs, st.p, alpha_signed))
 
 
 class DomainVerdict(enum.Enum):

@@ -117,29 +117,62 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     N0_j = Ntot - p - 2j.  No factorial is formed, and the vector stays finite
     for sectors whose factorials exceed double range.  Where ytilde is 0 (the
     free limit, or a coupling that underflows) the eigenvectors are the basis
-    vectors themselves.
+    vectors themselves.  This is the batch-1 face of :func:`_wu_eigenvectors`.
     """
     dim = sector.dim
     _check_count("n_index", n_index)
     if n_index >= dim:
         raise ValueError(f"n_index must lie in [0, {dim - 1}], got {n_index}")
-    v = np.zeros(dim)
+    [(_, block)] = _wu_eigenvectors(sector, mp, [n_index])
+    return block[0]
+
+
+# entries (rows x dim) of one block of eigenvectors: about 64 bytes each in
+# flight, so a block stays near half a MB at any sector size
+_BLOCK_ENTRIES = 2**13
+
+
+def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
+    """Yield (n, rows): the :func:`wu_eigenstate` of each index in ``ns``
+    (integers in [0, dim), not checked here), in blocks of consecutive
+    entries of ``ns`` that hold at most ``_BLOCK_ENTRIES`` numbers.
+
+    Row r of a block carries the running log sum of index n_r, formed over
+    j = 1..max(n) with the ratio of j = n_r + 1 exactly zero: its log is
+    -inf, so every later entry of the row is 0, and the entries j <= n_r
+    have the bits of a single index.  The norms are :func:`_row_norms`.
+    """
+    ns = np.asarray(ns, dtype=int)
+    dim, p = sector.dim, sector.p
     ytil = wu_ytilde(sector.mode, mp)
-    if ytil == 0.0:  # a = 0, or a coupling that underflows
-        v[n_index] = 1.0
-        return v
-    n, p = n_index, sector.p
-    j = np.arange(1.0, n + 1)
-    n0 = sector.Ntot - p - 2 * j
-    # (c_j / c_{j-1})^2 (ytilde/2)^2, within a few roundings of double; its log
-    # is taken in _EXT, so a large |log| adds no rounding of its own
-    ratio_sq = (n + 1 - j) ** 2 / (j * (p + j) * (n0 + 2) * (n0 + 1))
-    # log c_s for s = 0..n up to s-independent terms, which the normalization drops
-    log_w = np.zeros(n + 1, dtype=pair_transform._EXT)
-    log_w[1:] = 0.5 * np.log(ratio_sq, dtype=pair_transform._EXT) - np.log(pair_transform._EXT(ytil) / 2)
-    np.add.accumulate(log_w, out=log_w)
-    v[: n + 1] = np.exp(log_w - log_w.max())
-    return v / np.linalg.norm(v)
+    step = max(1, _BLOCK_ENTRIES // dim)
+    for lo in range(0, len(ns), step):
+        n = ns[lo : lo + step]
+        v = np.zeros((len(n), dim))
+        if ytil == 0.0:  # a = 0, or a coupling that underflows
+            v[np.arange(len(n)), n] = 1.0
+            yield n, v
+            continue
+        top = int(n.max())
+        j = np.arange(1.0, top + 1)
+        n0 = sector.Ntot - p - 2 * j
+        # (c_j / c_{j-1})^2 (ytilde/2)^2, within a few roundings of double; its
+        # log is taken in _EXT, so a large |log| adds no rounding of its own
+        ratio_sq = (n[:, None] + 1 - j) ** 2 / (j * (p + j) * (n0 + 2) * (n0 + 1))
+        # log c_s for s = 0..top up to s-independent terms, which the normalization drops
+        log_w = np.zeros((len(n), top + 1), dtype=pair_transform._EXT)
+        with np.errstate(divide="ignore"):  # log 0 = -inf past each row's n
+            log_w[:, 1:] = (0.5 * np.log(ratio_sq, dtype=pair_transform._EXT)
+                            - np.log(pair_transform._EXT(ytil) / 2))
+        np.add.accumulate(log_w, axis=-1, out=log_w)
+        v[:, : top + 1] = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+        yield n, v / _row_norms(v)[:, None]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row (last axis), with the bits of np.linalg.norm on
+    that row alone: a stacked matmul of vectors takes the same BLAS dot."""
+    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
 
 
 def apply_exp_w(state: np.ndarray, sector: WuSector, sign: float = 1.0) -> np.ndarray:

@@ -92,6 +92,14 @@ COMMAND_SHA256 = {
         ["verify", "--suite", "all", "--seed", "0"], 0,
         "02c97fdf79c56e84f9ed42cf5fce33153526359a710e1ea648b9b5821e64e1e9",
     ),
+    "verify-seed-3": (
+        ["verify", "--suite", "all", "--seed", "3"], 0,
+        "02a0701fc608b8d773c4f408ee1d30bf5ca36a2e8cc6b9ad0d098de2dc32be3b",
+    ),
+    "verify-seed-77": (
+        ["verify", "--suite", "all", "--seed", "77"], 0,
+        "5cbe470b65ea283be2edcf52125f4c684f0ab375c3139ce884aa294518ec32be",
+    ),
 }
 
 
@@ -400,8 +408,9 @@ class TestWu:
         assert len(rows) == 3 and all(row[2] == 0.0 for row in rows)
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(pairspec.wu_sector, "wu_eigenstate",
-                            lambda sector, mp, n_index: np.full(sector.dim, np.nan))
+        # the wu command takes its eigenvectors in blocks from _wu_eigenvectors
+        monkeypatch.setattr(pairspec.wu_sector, "_wu_eigenvectors", lambda sector, mp, ns: iter(
+            [(np.asarray(ns), np.full((len(ns), sector.dim), np.nan))]))
         code, out = run(capsys, ["wu", *REF_ARGS, "--N", "4", "--kn", "0,0,1"])
         assert code == 2 and "0,0,nan" in out
 

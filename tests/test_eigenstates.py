@@ -116,6 +116,10 @@ def _beyond(index):
     (lambda: partial_norms(0.5, 0.5, 0, 2000), "partial norm through " + _beyond(528)),
     (lambda: tail_constant(1.0, 0.5, 200, [5, 4000]), r"tail ratio r_4000 \(p=200, .* is beyond double range$"),
     (lambda: stirling_tail_limit(0.5, 200), r"Gamma\(-theta\)\^2 at p=200, theta=0.5 is beyond double range$"),
+    (lambda: stirling_tail_limit(1e-300, 0),
+     r"Gamma\(-theta\)\^2 at p=0, theta=1e-300 is below double's normal range$"),
+    (lambda: stirling_tail_limit(-1e-300, 0),
+     r"Gamma\(-theta\)\^2 at p=0, theta=-1e-300 is below double's normal range$"),
     (lambda: coeff_log_magnitudes(1.0, 0.5 + 1j, 0, 5), r"theta must be real, got \(0.5\+1j\)$"),
     (lambda: partial_norms(1.0, 0.5 - 2j, 0, 5), r"theta must be real, got \(0.5-2j\)$"),
     (lambda: tail_constant(1.0, 2 + 1j, 0, [5]), r"theta must be real, got \(2\+1j\)$"),
@@ -126,7 +130,8 @@ def _beyond(index):
     "log_magnitudes-smax", "log_magnitudes-p-neg", "log_magnitudes-p-frac", "partial_norms-smax",
     "partial_norms-p-neg", "partial_norms-p-frac", "tail_constant-p-empty", "stirling-p-neg",
     "stirling-p-frac", "stirling-p-nan", "recurrence-range", "partial_norms-range-0.3",
-    "partial_norms-range-0.5", "tail_constant-range", "stirling-range", "log_magnitudes-theta-complex",
+    "partial_norms-range-0.5", "tail_constant-range", "stirling-range",
+    "stirling-underflow-plus", "stirling-underflow-minus", "log_magnitudes-theta-complex",
     "partial_norms-theta-complex", "tail_constant-theta-complex", "stirling-theta-complex",
 ])
 def test_out_of_domain_label_refused(call, message):
