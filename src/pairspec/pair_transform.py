@@ -135,7 +135,8 @@ def _binomial_shift(C: np.ndarray, t) -> np.ndarray:
     phase = C * scale / (mag * scale)
     phase[mag == 0.0] = 0.0
     out = np.zeros(C.shape, dtype=complex)
-    for s, col in _binomial_columns(_taylor_numerators(t, len(C)), mag):
+    num = _taylor_numerators(np.broadcast_to(t, C.shape[1:]), len(C))  # one t per row
+    for s, col in _binomial_columns(num, mag):
         out[s:] += phase[s] * col.astype(float)
     return out
 

@@ -70,6 +70,15 @@ class TestStateKernels:
         assert np.array_equal(pair_transform._log_rescale(ps, n), loop)
 
 
+@pytest.mark.parametrize("rows", [3, 11])  # 11 rows: as many as the second column's ratios
+def test_shared_p_and_t(rows):
+    C = _rows(7, rows, 13, "zero-and-subnormal")
+    loop = [pair_transform.apply_exp_pair(LadderState(2, c), -0.4).coeffs for c in C]
+    assert np.array_equal(pair_transform._exp_pair(C, 2, -0.4), loop)
+    loop = [genfunc.mobius(genfunc.GenFn(2, c), 0.4).C for c in C]
+    assert np.array_equal(genfunc._mobius(C, 0.4), loop)
+
+
 # the hyp_f rows of checks._contiguous, then ones with non-integer b and c
 _ZS = (0.3, 0.7, 1.5, -0.4, 0.2 + 0.5j)
 _GRID = [(a, b, p + 1, z) for m in range(7) for n in range(7) for p in range(7) for z in _ZS
