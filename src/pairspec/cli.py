@@ -209,15 +209,10 @@ def cmd_wu(args: argparse.Namespace) -> tuple[str, int]:
     mp = ModelParams(a=args.a, rho=args.rho, L=args.L)
     mode = _mode_at(mp, args.kn, "--kn")
     sector = wu_sector.WuSector(args.N, args.p, mode)
-    # the sector matrix is upper bidiagonal: each residual is O(dim)
-    diag, upper = wu_sector._bands(sector, mp)
     lines = ["n_index,energy,residual"]
     code = 0
-    for ns, vecs in wu_sector._wu_eigenvectors(sector, mp, range(sector.dim)):
-        lams = diag[ns]
-        image = (diag - lams[:, None]) * vecs
-        image[:, :-1] += upper * vecs[:, 1:]
-        for idx, lam, res in zip(ns.tolist(), lams.tolist(), wu_sector._row_norms(image).tolist()):
+    for ns, lams, residuals in wu_sector._wu_residuals(sector, mp):
+        for idx, lam, res in zip(ns.tolist(), lams.tolist(), residuals.tolist()):
             if not res <= 1e-10:  # a NaN residual fails as well
                 code = 2
             lines.append(f"{idx},{fmt(lam)},{fmt(res)}")

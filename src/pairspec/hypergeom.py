@@ -113,12 +113,13 @@ def contiguous_residual(m: int, N: int, p: int, z: complex) -> complex:
     _check_count("m", m)
     _check_count("N", N)
     _check_count("p", p)
-    return complex(_contiguous_residual(m, N, p, z))
+    lhs, rhs = _contiguous_residual(m, N, p, z)
+    return complex(lhs) - complex(rhs)
 
 
-def _contiguous_residual(m, N, p, z) -> np.ndarray:
-    """:func:`contiguous_residual` over rows of counts (m, N, p) and z, which
-    broadcast together; one :func:`_hyp_f` call per term, over all rows.
+def _contiguous_residual(m, N, p, z) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides (LHS, RHS) of :func:`contiguous_residual` over rows of counts (m, N, p)
+    and z, which broadcast together; one :func:`_hyp_f` call per term, over all rows.
 
     A row with N = 0 evaluates its absent raising term as F(-m, 0, p+1; z) = 1
     times N = 0, which adds nothing.  Its refusals are :func:`_hyp_f`'s.
@@ -129,7 +130,7 @@ def _contiguous_residual(m, N, p, z) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's complex arithmetic
         rhs = _cmul(-(p + 1 + 2 * N), f_0) + _cmul(p + 1 + N, f_down)
         rhs += _cmul(N, f_raise)
-        return _cmul(m * np.asarray(z), f_up) - rhs
+        return _cmul(m * np.asarray(z), f_up), rhs
 
 
 def derivative_residual(a: int, b: float, c: float) -> float:

@@ -280,9 +280,8 @@ def _mode_table(mp: ModelParams, nmax: int) -> ModeParams:
 
 def _alpha_total(mp: ModelParams, alphas: Iterable[float]) -> AlphaSum:
     """4*pi*a*rho * sum of 2*alpha over half-lattice amplitudes, in their order."""
-    total = 0.0
-    for alpha in alphas:
-        total += 2.0 * alpha
+    # np.add.accumulate adds one at a time in order; np.sum adds pairwise, other bits
+    total = float(np.add.accumulate(2.0 * np.fromiter(alphas, dtype=float))[-1])
     # a > 0 whose 8*pi*a*rho underflows has every alpha = 0, like the free gas
     return AlphaSum(value=4.0 * math.pi * mp.a * mp.rho * total,
                     grows_with_cutoff=mp.gas_scale != 0.0)

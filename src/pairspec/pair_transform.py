@@ -335,13 +335,11 @@ def depletion_report(mp: ModelParams, nmax: int) -> dict:
     """
     table = _mode_table(mp, nmax)
     alpha2 = table.alpha * table.alpha
-    occ = (2.0 * alpha2 / (1.0 - alpha2)).tolist()
-    total = 0.0
-    for x in occ:  # one at a time in half-lattice order: np.sum adds pairwise, other bits
-        total += x
+    occ = 2.0 * alpha2 / (1.0 - alpha2)
+    total = float(np.add.accumulate(occ)[-1])  # in half-lattice order, as lattice._alpha_total
     return {
         "depletion": total,
         "N": mp.N,
         "depletion_fraction": total / mp.N,
-        "per_mode": list(zip(zip(*table.n.T.tolist()), occ)),
+        "per_mode": list(zip(zip(*table.n.T.tolist()), occ.tolist())),
     }

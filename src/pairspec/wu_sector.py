@@ -169,6 +169,16 @@ def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
         yield n, v / _row_norms(v)[:, None]
 
 
+def _wu_residuals(sector: WuSector, mp: ModelParams):
+    """Yield (n, lam_n, |(M - lam_n) v_n|), lam_n = eps_k (2n + p), in the blocks of
+    :func:`_wu_eigenvectors`, M applied by its bands: the residual of ``wu`` and ``verify``."""
+    diag, upper = _bands(sector, mp)
+    for ns, vecs in _wu_eigenvectors(sector, mp, range(sector.dim)):
+        image = (diag - diag[ns][:, None]) * vecs
+        image[:, :-1] += upper * vecs[:, 1:]
+        yield ns, diag[ns], _row_norms(image)
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """The 2-norm of each row (last axis), with the bits of np.linalg.norm on
     that row alone: a stacked matmul of vectors takes the same BLAS dot."""

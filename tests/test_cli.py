@@ -90,15 +90,15 @@ COMMAND_SHA256 = {
     ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
-        "02c97fdf79c56e84f9ed42cf5fce33153526359a710e1ea648b9b5821e64e1e9",
+        "a850d04057554888047a3d3494ed2842e2f57e4afd4df7875b7c13a47e625a36",
     ),
     "verify-seed-3": (
         ["verify", "--suite", "all", "--seed", "3"], 0,
-        "02a0701fc608b8d773c4f408ee1d30bf5ca36a2e8cc6b9ad0d098de2dc32be3b",
+        "ecbe806b58c1d6b06237b8f5ecf124fd7532e826440cc6a8e6adede705a1d460",
     ),
     "verify-seed-77": (
         ["verify", "--suite", "all", "--seed", "77"], 0,
-        "5cbe470b65ea283be2edcf52125f4c684f0ab375c3139ce884aa294518ec32be",
+        "20552f7b17b5e74305397f398777acdf5ec7f485d33d16d768423056e3ccf3be",
     ),
 }
 
@@ -408,11 +408,15 @@ class TestWu:
         assert len(rows) == 3 and all(row[2] == 0.0 for row in rows)
 
     def test_nan_residual_fails(self, capsys, monkeypatch):
-        # the wu command takes its eigenvectors in blocks from _wu_eigenvectors
-        monkeypatch.setattr(pairspec.wu_sector, "_wu_eigenvectors", lambda sector, mp, ns: iter(
-            [(np.asarray(ns), np.full((len(ns), sector.dim), np.nan))]))
+        # wu and verify take their residuals from the one generator
+        monkeypatch.setattr(pairspec.wu_sector, "_wu_residuals", lambda sector, mp: iter(
+            [(np.arange(sector.dim), np.zeros(sector.dim), np.full(sector.dim, np.nan))]))
         code, out = run(capsys, ["wu", *REF_ARGS, "--N", "4", "--kn", "0,0,1"])
         assert code == 2 and "0,0,nan" in out
+        code, out = run(capsys, ["verify", "--suite", "wu"])
+        row = next(r for r in json.loads(out)["checks"]
+                   if r["name"] == "closed-form eigenvectors have zero residual")
+        assert code == 2 and row["deviation"] == "nan" and not row["passed"]
 
     def test_large_sector_is_finite(self, capsys):
         # the exact factorial weights of this sector lie beyond double range
