@@ -28,7 +28,7 @@ from .eigenstates import (
     tail_constant,
 )
 from .fock_ladder import LadderState, apply_ab, apply_adbd, inner
-from .hamiltonians import apply_hab_alpha, bog_energy_ab, build_tridiagonal
+from .hamiltonians import apply_hab_alpha, bog_energy_ab, build_tridiagonal, lhy_block
 from .lattice import (
     ModelParams,
     alpha_c,
@@ -465,7 +465,7 @@ def _wu_sector(rng, ntots=(2, 7, 16), ps=range(0, 5, 2)):
                 sector = wu_sector.WuSector(ntot, p, mode)
                 m = wu_sector.build_transformed_wu(sector, mp)
                 dev_tri = _worst(dev_tri, float(np.max(np.abs(np.tril(m, -1)))))
-                want = mode.epsilon * (2 * np.arange(sector.dim) + p)
+                want = [lhy_block(mode, p, s) for s in range(sector.dim)]  # the Bogoliubov route
                 dev_diag = _worst(dev_diag, float(np.max(np.abs(np.diag(m) - want))))
                 for _, _, res in wu_sector._wu_residuals(sector, mp):
                     dev_res = _worst(dev_res, *res)

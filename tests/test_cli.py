@@ -90,15 +90,15 @@ COMMAND_SHA256 = {
     ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
-        "a850d04057554888047a3d3494ed2842e2f57e4afd4df7875b7c13a47e625a36",
+        "db6eb90c7080094eacc123165a5ba22d642eced1c41f0108694ef10c175b3c39",
     ),
     "verify-seed-3": (
         ["verify", "--suite", "all", "--seed", "3"], 0,
-        "ecbe806b58c1d6b06237b8f5ecf124fd7532e826440cc6a8e6adede705a1d460",
+        "48c5ec2da414b35daa3aa64e87396a562d6cd47eeb8771bfba3ff2690704da91",
     ),
     "verify-seed-77": (
         ["verify", "--suite", "all", "--seed", "77"], 0,
-        "20552f7b17b5e74305397f398777acdf5ec7f485d33d16d768423056e3ccf3be",
+        "cc4b1e3e08af1a83b9f5ec969b3df97b9120b218f7c80c9d15e32c098d992131",
     ),
 }
 
