@@ -72,9 +72,10 @@ def _hyp_f(a, b, c, z) -> np.ndarray:
 
     Each row stops at its own termination index: the term ratios past it are
     zero, so the running term stays zero there and the sum keeps its bits.
-    The parameters are taken as doubles.  Every complex product is formed by
-    :func:`_cmul`, so a row's sum has the bits of the same loop in CPython's
-    float and complex arithmetic.  The first row that does not terminate,
+    The parameters are taken as doubles.  The running term and sum are kept
+    as float pairs and every complex product takes :func:`_cmul`'s formulas,
+    so a row's sum has the bits of the same loop in CPython's float and
+    complex arithmetic.  The first row that does not terminate,
     whose (c)_m vanishes first, or whose z or sum is not finite is refused
     with ``ValueError`` naming the row.
     """
@@ -89,11 +90,15 @@ def _hyp_f(a, b, c, z) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = (a[..., None] + ms) * (b[..., None] + ms) / ((c[..., None] + ms) * (ms + 1.0))
         steps = np.where(ms < top[..., None], ratio, 0.0) * z[..., None]
-        term = np.ones(a.shape, dtype=complex)
-        total = term.copy()
-        for m in range(len(ms)):
-            term = _cmul(term, steps[..., m])
-            total += term
+        step_re, step_im = (np.moveaxis(part, -1, 0).copy() for part in (steps.real, steps.imag))
+        term_re, term_im = np.ones(a.shape), np.zeros(a.shape)
+        total_re, total_im = term_re.copy(), term_im.copy()
+        for sr, si in zip(step_re, step_im):
+            term_re, term_im = term_re * sr - term_im * si, term_re * si + term_im * sr
+            total_re += term_re
+            total_im += term_im
+        total = np.empty(a.shape, dtype=complex)
+        total.real, total.imag = total_re, total_im  # in place: no zero changes sign
     pair_transform._refuse_rows(~(np.isfinite(z) & np.isfinite(total)), lambda a, b, c, z: (
         f"F(a={a}, b={b}, c={c}; z={z}) is not finite in double precision"), *shown)
     return total
