@@ -107,7 +107,7 @@ def _eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         values = np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
     else:  # a +-1 diagonal similarity makes b >= 0
         values = _divide_and_conquer(a, np.abs(b))
-    return np.ldexp(values, e)
+    return _unscaled(values, e, "eigenvalues")
 
 
 def _eigvectors(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -380,10 +380,25 @@ def _unit_scaled(a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray, np.ndar
     The scaling is exact and every solver step is homogeneous, so a block in
     the normal range keeps its bits, and a block near either end of double
     range stays clear of overflow where the twisted factorization and the
-    merges square b, and of the subnormals in which QL stalls.
+    merges square b, and of the subnormals in which QL stalls.  A 1-norm
+    beyond double range takes its exponent from a quarter of the entries.
     """
-    e = math.frexp(_norm_one(a, b))[1]
+    with np.errstate(over="ignore"):
+        norm = _norm_one(a, b)
+    if norm == math.inf:  # finite entries whose sum overflows: a quarter of each cannot
+        e = math.frexp(_norm_one(np.ldexp(a, -2), np.ldexp(b, -2)))[1] + 2
+    else:
+        e = math.frexp(norm)[1]
     return e, np.ldexp(a, -e), np.ldexp(b, -e)
+
+
+def _unscaled(x: np.ndarray, e: int, what: str) -> np.ndarray:
+    """x * 2^e, refusing the ``what`` of a matrix beyond double range."""
+    with np.errstate(over="ignore"):
+        x = np.ldexp(x, e)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} of this matrix lie beyond double range")
+    return x
 
 
 def _norm_one(a: np.ndarray, b: np.ndarray) -> float:
@@ -561,7 +576,8 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("svd_small is restricted to dimensions <= 64")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
-    u = a.copy()
+    e = math.frexp(float(np.max(np.abs(a))))[1]  # exact: entries at 1e-300 or 1e300 square
+    u = np.ldexp(a, -e)
     n = u.shape[1]
     for _ in range(60):
         off = 0.0
@@ -586,5 +602,5 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
                 u[:, j] = s * col_i + c * u[:, j]
         if off <= 1e-15:
             break
-    sv = np.sqrt(np.sum(u * u, axis=0))
+    sv = _unscaled(np.sqrt(np.sum(u * u, axis=0)), e, "singular values")
     return np.sort(sv)[::-1]

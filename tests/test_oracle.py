@@ -150,6 +150,18 @@ class TestSymTridiagEig:
         k = 2.0 ** -math.frexp(np.abs(dense_tridiag(d, e)).sum(axis=1).max())[1]
         self.assert_eigenpairs(d * k, e * k, vals * k, vecs)
 
+    def test_one_norm_beyond_double_range(self):
+        # |1e308| + |1e308| overflows: the scaling takes its exponent without that sum
+        vals, vecs = sym_tridiag_eig([1e308, -1e308], [1e308], vectors=True)
+        np.testing.assert_allclose(vals, [-math.sqrt(2.0) * 1e308, math.sqrt(2.0) * 1e308], rtol=1e-15)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(2), atol=1e-15)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_eigenvalues_beyond_double_range_refused(self, vectors):
+        # the top eigenvalue (1 + sqrt 2) 1e308 has no double
+        with pytest.raises(ValueError, match="^eigenvalues of this matrix lie beyond double range$"):
+            sym_tridiag_eig([1e308] * 3, [1e308] * 2, vectors=vectors)
+
     def test_single_entry_and_diagonal_vectors(self):
         vals, vecs = sym_tridiag_eig([2.5], [], vectors=True)
         assert vals.tolist() == [2.5] and vecs.tolist() == [[1.0]]
@@ -439,6 +451,16 @@ class TestSvdSmall:
             ref = np.linalg.svd(m, compute_uv=False)
             k = min(m.shape)
             np.testing.assert_allclose(sv[:k], ref, atol=1e-10 * max(1, ref.max()))
+
+    @pytest.mark.parametrize("size", [1e200, 1e-300])
+    def test_entries_at_the_ends_of_double_range(self, size):
+        # unscaled, the column dot products overflow to NaN or underflow to 0
+        sv = svd_small(size * np.array([[1.0, 1.0], [1.0, -1.0]]))
+        np.testing.assert_allclose(sv, [math.sqrt(2.0) * size] * 2, rtol=1e-15)
+
+    def test_singular_values_beyond_double_range_refused(self):
+        with pytest.raises(ValueError, match="^singular values of this matrix lie beyond double range$"):
+            svd_small(np.full((2, 2), 1e308))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
