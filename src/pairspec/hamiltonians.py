@@ -61,8 +61,10 @@ def apply_hab_alpha(st: LadderState, y1: float, y2: float) -> LadderState:
     """Apply (a*a + b*b)/2 + y1*ab + y2*a*b* to a ladder state.
 
     The result gains one truncation slot whenever the pair-creation coupling
-    y2 is nonzero; nothing is silently wrapped or dropped.
+    y2 is nonzero; nothing is silently wrapped or dropped.  Non-finite
+    couplings are refused, as by :func:`build_tridiagonal`.
     """
+    _finite((y1, y2), f"couplings must be finite, got y1={y1}, y2={y2}")
     num = apply_halfnumber(st)
     down = apply_ab(st)
     out_len = len(st.coeffs) + (1 if y2 != 0.0 else 0)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .eigenstates import EigenstateSpec, psi_p_theta
+from .eigenstates import EigenstateSpec, _check_label, psi_p_theta
 from .fock_ladder import LadderState, _check_count, _check_counts
 from .hamiltonians import _bog_energies, build_tridiagonal
 from .lattice import _check_coupling, alpha_c, ytilde_from_y
@@ -173,10 +173,11 @@ def f_family(N: int, p: int, ytilde: float, d: np.ndarray, z: complex) -> comple
 
     The d_m are the rescaled coefficients of a test state on the p-ladder;
     f_0 reduces to the plain weighted power series since F(., 0, .; w) = 1.
-    It is evaluated as the polynomial :func:`_f_family_poly` at z.
+    It is evaluated as the polynomial :func:`_f_family_poly` at z, which must
+    be finite and nonzero; ytilde must be finite and > 0.
     """
     _check_count("N", N)
-    _check_count("p", p)
+    _check_label(p, z, ytilde, name="z")
     if z == 0:
         raise ValueError("z = 0 is outside the family's domain (argument 1/z)")
     return _polyval(_f_family_poly(N, p, ytilde, d), z)
@@ -329,8 +330,8 @@ def projection_sweep(
     The v_N (transported finite eigenstates, truncated at smax) are
     orthogonal to rounding and to their truncated tails, so each increment
     is just |<v_N, x>|^2 / ||x||^2 for the complex x; the sequence is
-    nondecreasing and tends to 1 as the family is completed.  A zero state is
-    refused.
+    nondecreasing and tends to 1 as the family is completed.  A zero state,
+    and one with more than smax + 1 coefficients, is refused.
     """
     _check_count("Nmax", Nmax)
     re, im = state.coeffs.real, state.coeffs.imag
@@ -340,6 +341,8 @@ def projection_sweep(
         raise ValueError("projection_sweep needs a nonzero state")
     re, im = re / norm, im / norm
     V = _transported_columns(state.p, y, np.arange(Nmax + 1), smax)
+    if len(re) > smax + 1:
+        raise ValueError(f"state has {len(re)} coefficients, more than smax + 1 = {smax + 1}")
     V /= np.linalg.norm(V, axis=1)[:, None]
     V = V[:, : len(re)]
     return np.cumsum((V @ re) ** 2 + (V @ im) ** 2)

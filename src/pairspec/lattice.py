@@ -160,6 +160,8 @@ def half_lattice(L: float, nmax: int) -> list[tuple[float, float, float]]:
     of the nonzero cube points appear, and the union with its negation and
     {0} tiles the cube disjointly.
     """
+    if not math.isfinite(L):
+        raise ValueError(f"box side L must be finite, got {L}")
     if L <= 0:
         raise ValueError(f"box side must be > 0, got {L}")
     scale = 2.0 * math.pi / L

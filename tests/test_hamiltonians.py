@@ -28,6 +28,12 @@ class TestApplyHabAlpha:
         out = apply_hab_alpha(state(0, [1]), y, y)
         np.testing.assert_allclose(out.coeffs, [0, y])
 
+    @pytest.mark.parametrize("y1, y2", [(math.nan, 0.1), (0.1, math.inf)])
+    def test_non_finite_couplings_rejected(self, y1, y2):
+        # the wording of build_tridiagonal's guard; NaN was returned before
+        with pytest.raises(ValueError, match=f"^couplings must be finite, got y1={y1}, y2={y2}$"):
+            apply_hab_alpha(state(0, [1.0, 0.5]), y1, y2)
+
 
 class TestBuildTridiagonal:
     def test_symmetric_two_by_two(self):

@@ -118,6 +118,16 @@ class TestFFamily:
         with pytest.raises(ValueError):
             f_family(1, 0, 1.0, np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("ytil, z, message", [
+        (0.0, 0.5, "^ytilde must be finite and > 0, got 0.0$"),  # ZeroDivisionError before
+        (math.inf, 0.5, "^ytilde must be finite and > 0, got inf$"),
+        (1.0, math.nan, "^z must be finite, got nan$"),  # NaN before
+        (1.0, complex(0.5, math.inf), r"^z must be finite, got \(0.5\+infj\)$"),
+    ])
+    def test_label_refused(self, ytil, z, message):
+        with pytest.raises(ValueError, match=message):
+            f_family(2, 0, ytil, [1.0, 2.0], z)
+
     def test_mpmath_definition(self):
         # the defining sum, one 40-digit 2F1 per coefficient, against the
         # polynomial f_family evaluates; the worst measured 3.8e-15
@@ -283,3 +293,8 @@ class TestProjectionSweep:
     def test_zero_state_refused(self):
         with pytest.raises(ValueError, match="nonzero state"):
             projection_sweep(LadderState(0, np.zeros(81)), 0.45, 3, 80)
+
+    def test_state_longer_than_smax_refused(self):
+        # numpy's matmul refused it before, on a core-dimension mismatch
+        with pytest.raises(ValueError, match=r"^state has 100 coefficients, more than smax \+ 1 = 81$"):
+            projection_sweep(LadderState(0, 0.5 ** np.arange(100)), 0.45, 3, 80)

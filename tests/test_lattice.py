@@ -85,6 +85,12 @@ class TestHalfLattice:
         with pytest.raises(ValueError):
             half_lattice(-1.0, 2)
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_non_finite_box_side_refused(self, L):
+        # inf gave k = (0, 0, 0) triples and nan gave NaN triples
+        with pytest.raises(ValueError, match=f"^box side L must be finite, got {L}$"):
+            half_lattice(L, 1)
+
     def test_partitions_cube(self):
         for nmax in (1, 2, 5):
             half = set(half_lattice_indices(nmax))
