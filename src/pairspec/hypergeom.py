@@ -340,7 +340,7 @@ def projection_sweep(
     if norm == 0.0:
         raise ValueError("projection_sweep needs a nonzero state")
     re, im = re / norm, im / norm
-    V = _transported_columns(state.p, y, np.arange(Nmax + 1), smax)
+    V = _transported_columns(state.p, y, np.arange(Nmax + 1), smax)  # guards smax first
     if len(re) > smax + 1:
         raise ValueError(f"state has {len(re)} coefficients, more than smax + 1 = {smax + 1}")
     V /= np.linalg.norm(V, axis=1)[:, None]

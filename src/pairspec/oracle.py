@@ -576,7 +576,9 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("svd_small is restricted to dimensions <= 64")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
-    e = math.frexp(float(np.max(np.abs(a))))[1]  # exact: entries at 1e-300 or 1e300 square
+    # an exact power of two brings the largest entry near 1, so that the column
+    # dot products neither overflow nor underflow at 1e200 or 1e-300 entries
+    e = math.frexp(float(np.max(np.abs(a))))[1]
     u = np.ldexp(a, -e)
     n = u.shape[1]
     for _ in range(60):
