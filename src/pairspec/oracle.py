@@ -49,24 +49,22 @@ def sym_tridiag_eig(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) of a real symmetric tridiagonal matrix.
 
-    ``offdiag[i]`` couples rows i and i+1.  Up to ``_DC_LEAF`` rows the values
-    come from implicit-shift QL iteration with Givens rotations, O(n^2) Python
-    steps.  A larger matrix is first cut where QL would neglect a coupling;
-    each larger block is then torn in halves by Cuppen's rank-one splits down
-    to single rows, whose values are read off, and merged back up
-    (:func:`_divide_and_conquer`): every merge finds the values of
-    diag(d) + rho z z^T from its halves' values and the first and last rows
-    of their eigenvectors, and all merges of one tree height run as one batch
-    (:func:`_merge`): O(n^2) numpy work with a small constant, memory O(n).
-    With ``vectors=True`` the unit eigenvectors are returned as columns
-    alongside the same values, bit for bit.  They come from one twisted
-    factorization per eigenvalue (:func:`_twisted_vectors`), O(n) each,
-    followed by one Gram-Schmidt pass over every group of eigenvalues closer
-    than 1e-2 ||T||_1, which restores orthogonality to rounding without
-    moving the residuals off the backward-stable level.  When two eigenvalues
-    are closer than 1e-8 ||T||_1 (a numerically degenerate pair, which the
-    twist cannot separate) the rotations of the QL sweeps are accumulated
-    instead, at O(n^3).
+    ``offdiag[i]`` couples rows i and i+1.  The matrix is cut once, at every
+    size and for values and vectors alike, where QL would neglect a coupling:
+    where |b_i| + (|a_i| + |a_{i+1}|) rounds to the diagonal sum, a test taken
+    on a quarter of each entry where that sum overflows.  Each unreduced block
+    is solved at its own power-of-two scale (:func:`_unreduced_eig`): up to
+    ``_DC_LEAF`` rows by implicit-shift QL, O(n^2) Python steps; above, by
+    Cuppen's divide and conquer (:func:`_divide_and_conquer`), O(n^2) numpy
+    work in batches of one tree height, memory O(n).  With ``vectors=True``
+    each block's unit eigenvectors come from one twisted factorization per
+    eigenvalue (:func:`_twisted_vectors`), O(n) each, and one Gram-Schmidt
+    pass over each group of eigenvalues closer than 1e-2 ||T||_1; only a pair
+    closer than 1e-8 ||T||_1 inside one block, which the twist cannot tell
+    apart, has that block's QL rotations accumulated instead, at O(n^3).  The
+    values are one stable sort of the blocks' values, bit for bit the same
+    with or without vectors, and the vectors, as columns, are the blocks'
+    assembled block-diagonally in that order.
 
     Parameters
     ----------
@@ -86,44 +84,44 @@ def sym_tridiag_eig(
         raise ValueError(f"offdiag must have length {n - 1}, got {len(b)}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):  # O(n), next to O(n^2) QL
         raise ValueError("diag and offdiag must be finite")
-    values = _eigvals(a, b)
+    with np.errstate(over="ignore"):  # where the sum overflows, a quarter of each entry cannot
+        q = np.where(np.isinf(np.abs(b) + (np.abs(a[:-1]) + np.abs(a[1:]))), 0.25, 1.0)
+    dd = q * np.abs(a[:-1]) + q * np.abs(a[1:])
+    edges = [0, *(np.flatnonzero(q * np.abs(b) + dd == dd) + 1).tolist(), n]
+    blocks = [_unreduced_eig(a[i:j], b[i : j - 1], vectors) for i, j in zip(edges, edges[1:])]
+    if len(blocks) == 1:
+        return blocks[0] if vectors else blocks[0][0]
+    values = np.concatenate([v for v, _ in blocks])
+    order = np.argsort(values, kind="stable")
     if not vectors:
-        return values
-    return values, _eigvectors(a, b, values)
+        return values[order]
+    rank, z = np.argsort(order), np.zeros((n, n))
+    for i, j, (_, zb) in zip(edges, edges[1:], blocks):
+        z[i:j, rank[i:j]] = zb
+    return values[order], z
 
 
-def _eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues: QL up to ``_DC_LEAF`` rows; above, each block between
-    the couplings QL would neglect, by divide and conquer or QL as its size asks."""
+def _unreduced_eig(a: np.ndarray, b: np.ndarray, vectors: bool):
+    """Ascending eigenvalues of one unreduced block, and its unit eigenvectors as
+    columns when ``vectors`` (else None), solved at its own power-of-two scale."""
     n = len(a)
-    if n > _DC_LEAF:
-        dd = np.abs(a[:-1]) + np.abs(a[1:])
-        edges = [0, *(np.flatnonzero(np.abs(b) + dd == dd) + 1).tolist(), n]
-        if len(edges) > 2:
-            blocks = [_eigvals(a[i:j], b[i : j - 1]) for i, j in zip(edges, edges[1:])]
-            return np.sort(np.concatenate(blocks), kind="stable")
     e, a, b = _unit_scaled(a, b)
     if n <= _DC_LEAF:
         values = np.sort(_ql_values(a.tolist(), b.tolist() + [0.0]), kind="stable")
     else:  # a +-1 diagonal similarity makes b >= 0
         values = _divide_and_conquer(a, np.abs(b))
-    return _unscaled(values, e, "eigenvalues")
-
-
-def _eigvectors(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors, as columns, at the ascending eigenvalues ``values``."""
-    n = len(a)
-    e, a, b = _unit_scaled(a, b)
-    values = np.ldexp(values, -e)
+    out = _unscaled(values, e, "eigenvalues")
+    if not vectors:
+        return out, None
     norm = _norm_one(a, b)
-    if n > 1 and np.min(np.diff(values)) <= _DEGENERATE_GAP * norm:  # <=: the zero matrix too
+    if n > 1 and np.min(np.diff(values)) <= _DEGENERATE_GAP * norm:
         z = np.eye(n)
         raw = _ql_values(a.tolist(), b.tolist() + [0.0], z)
-        return z[:, np.argsort(raw, kind="stable")]
+        return out, z[:, np.argsort(raw, kind="stable")]
     z = _twisted_vectors(a, b, values)
     z /= np.linalg.norm(z, axis=0)
     _gram_schmidt_close(z, values, _CLOSE_GAP * norm)
-    return z
+    return out, z
 
 
 def _divide_and_conquer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

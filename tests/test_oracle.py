@@ -156,6 +156,31 @@ class TestSymTridiagEig:
         np.testing.assert_allclose(vals, [-math.sqrt(2.0) * 1e308, math.sqrt(2.0) * 1e308], rtol=1e-15)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(2), atol=1e-15)
 
+    def test_glued_copies_take_vectors_per_block(self, monkeypatch):
+        # five copies of a ladder block cut by zero couplings: every value is
+        # five-fold, which the twist cannot separate in one matrix, but each
+        # copy alone is an unreduced block with distinct values
+        block = build_tridiagonal(0, 0.3, 0.3, 199)
+        d, e = _glued(block.diag, block.super_, 5, 0.0)
+        rotated = []
+        ql = oracle._ql_values
+        monkeypatch.setattr(oracle, "_ql_values", lambda d, e, z=None: (
+            rotated.append(z is not None) or ql(d, e, z)))
+        vals, vecs = sym_tridiag_eig(d, e, vectors=True)
+        assert not any(rotated)
+        self.assert_eigenpairs(d, e, vals, vecs)
+        assert np.array_equal(vals, sym_tridiag_eig(d, e))
+
+    def test_cut_beyond_double_range(self):
+        # |a_i| + |a_{i+1}| = 1.8e308 overflows: the cut is taken on a quarter of
+        # each entry, so the couplings of 1e300 are kept, not all neglected
+        d, e = np.full(200, 0.9e308), np.full(199, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = sym_tridiag_eig(d, e)
+        assert np.array_equal(vals, 4.0 * sym_tridiag_eig(d / 4, e / 4))
+        assert np.ptp(vals) == pytest.approx(4e300, rel=1e-3)
+
     @pytest.mark.parametrize("vectors", [False, True])
     def test_eigenvalues_beyond_double_range_refused(self, vectors):
         # the top eigenvalue (1 + sqrt 2) 1e308 has no double
