@@ -32,6 +32,7 @@ class LadderState:
     def __post_init__(self) -> None:
         _check_count("p", self.p)
         arr = np.asarray(self.coeffs, dtype=complex)
+        _finite(arr, "ladder state coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -58,11 +59,18 @@ def _check_count(name: str, value: int, low: int = 0) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
+def _finite(values, message: str) -> None:
+    """Raise ValueError(message) unless every entry of values is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(message)
+
+
 def _check_counts(name: str, values, low: int = 0) -> np.ndarray:
-    """The guard for an array of counts: each entry integral and >= low (empty passes).
-    Returns the entries as integers."""
+    """The guard for an array of counts: each entry integral and >= low, and no bool
+    array, as :func:`_check_count` refuses bools (empty passes).  Returns the entries as
+    integers."""
     arr = np.asarray(values)
-    bad = arr[~(np.isfinite(arr) & (arr >= low) & (np.trunc(arr) == arr))]
+    bad = arr[~((arr.dtype != bool) & np.isfinite(arr) & (arr >= low) & (np.trunc(arr) == arr))]
     if bad.size:
         raise ValueError(f"{name} entries must be integers >= {low}, got {bad.flat[0]}")
     return arr.astype(int)

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count
+from .eigenstates import _check_label
+from .fock_ladder import LadderState, _check_count, _finite
 from .lattice import alpha_c, y12
 from . import pair_transform
-from .pair_transform import _finite, _log_rescale
+from .pair_transform import _log_rescale
 
 __all__ = [
     "GenFn",
@@ -47,7 +48,9 @@ class GenFn:
 
     def __post_init__(self) -> None:
         _check_count("p", self.p)
-        object.__setattr__(self, "C", np.asarray(self.C, dtype=complex))
+        C = np.asarray(self.C, dtype=complex)
+        _finite(C, "series coefficients must be finite")
+        object.__setattr__(self, "C", C)
 
 
 def from_state(st: LadderState) -> GenFn:
@@ -69,6 +72,8 @@ def ode_residual(g: GenFn, energy: complex, y1: float, y2: float) -> float:
     (order 0 is the inhomogeneity C_0 y1 p on both sides).  Each order only
     looks backward, so every stored order is meaningful for truncated data.
     """
+    _check_label(g.p, energy, name="energy")
+    _finite((y1, y2), f"couplings must be finite, got y1={y1}, y2={y2}")
     C = g.C
     p = g.p
     if len(C) < 2:
@@ -104,7 +109,7 @@ def b_from_e(energy: complex, p: int, y: float, alpha: float) -> complex:
     B = ((p/2 - E - 1) z+ + y1 (p-1)) / (z+ + 2 y1); integer B >= p is the
     analyticity criterion that discretizes the spectrum.
     """
-    _check_count("p", p)
+    _check_label(p, energy, name="energy")
     y1, _ = y12(y, alpha)
     z_plus, _ = roots(y, alpha)
     return ((p / 2.0 - energy - 1.0) * z_plus + y1 * (p - 1.0)) / (z_plus + 2.0 * y1)
@@ -118,7 +123,7 @@ def e_from_b(B: complex, p: int, y: float, alpha: float) -> complex:
     eigenstates (energy p/2 + N) sit at the integers B = N + p.  At alpha = 0
     and p = 0 this reproduces the Hermitian-block spectrum at B = n.
     """
-    _check_count("p", p)
+    _check_label(p, B, name="B")
     y1, y2 = y12(y, alpha)
     disc = math.sqrt(1.0 - 4.0 * y1 * y2)  # > 0 on the whole alpha range
     return disc * (B - (p - 1.0) / 2.0) - 0.5
@@ -222,7 +227,6 @@ def singularity_radius(g: GenFn) -> tuple[float, DiskClass]:
     Inconclusive; an exactly terminating (polynomial) tail is analytic with
     infinite radius.
     """
-    _finite(g.C, "series coefficients must be finite")
     n = len(g.C)
     if n < 64:
         return math.nan, DiskClass.INCONCLUSIVE

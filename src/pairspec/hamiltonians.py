@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count, _check_counts, apply_ab, apply_adbd, apply_halfnumber
+from .fock_ladder import LadderState, _check_count, _check_counts, _finite, apply_ab, apply_adbd, apply_halfnumber
 from .lattice import ModeParams, _check_coupling
-from .pair_transform import _finite
 
 __all__ = [
     "HabMatrix",

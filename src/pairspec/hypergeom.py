@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .eigenstates import EigenstateSpec, _check_label, psi_p_theta
-from .fock_ladder import LadderState, _check_count, _check_counts
+from .fock_ladder import LadderState, _check_count, _check_counts, _finite
 from .hamiltonians import _bog_energies, build_tridiagonal
 from .lattice import _check_coupling, alpha_c, ytilde_from_y
 from .pair_transform import apply_exp_pair
@@ -148,6 +148,8 @@ def derivative_residual(a: int, b: float, c: float) -> float:
     if a >= 0 or not float(a).is_integer():
         raise ValueError(f"a must be a negative integer, got {a}")
     m = -int(a)
+    _finite(b, f"b must be finite, got {b}")
+    _finite(c, f"c must be finite, got {c}")
     if c <= 0 and float(c).is_integer() and m > -int(c):
         raise ValueError(f"(c)_s vanishes before termination: c={c}")
     worst = 0.0
@@ -174,12 +176,13 @@ def f_family(N: int, p: int, ytilde: float, d: np.ndarray, z: complex) -> comple
     The d_m are the rescaled coefficients of a test state on the p-ladder;
     f_0 reduces to the plain weighted power series since F(., 0, .; w) = 1.
     It is evaluated as the polynomial :func:`_f_family_poly` at z, which must
-    be finite and nonzero; ytilde must be finite and > 0.
+    be finite and nonzero; ytilde must be finite and > 0, and d finite.
     """
     _check_count("N", N)
     _check_label(p, z, ytilde, name="z")
     if z == 0:
         raise ValueError("z = 0 is outside the family's domain (argument 1/z)")
+    _finite(d, "d must be finite")
     return _polyval(_f_family_poly(N, p, ytilde, d), z)
 
 
@@ -272,7 +275,7 @@ def _transported_columns(p: int, y: float, ns: np.ndarray, smax: int) -> np.ndar
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z /= z[0]
         cols = z.T.astype(float)
-    pair_transform._finite(cols, "transported state has coefficients beyond double range")
+    _finite(cols, "transported state has coefficients beyond double range")
     return cols
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count
+from .fock_ladder import LadderState, _check_count, _finite
 from .lattice import ModelParams, _mode_table
 
 __all__ = [
@@ -45,12 +45,6 @@ _LOG_SUBNORMAL = math.log(np.finfo(float).smallest_subnormal)
 # hypergeom, which read it as pair_transform._EXT at call time.  It is x87
 # 80-bit on Linux x86-64 and plain double under MSVC and on macOS arm64.
 _EXT = np.longdouble
-
-
-def _finite(values: np.ndarray | float, message: str) -> None:
-    """Raise ValueError(message) unless every entry of values is finite."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(message)
 
 
 def _refuse_rows(bad: np.ndarray, message: Callable[..., str], *args) -> None:

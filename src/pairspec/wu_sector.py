@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pair_transform
-from .fock_ladder import _check_count
+from .fock_ladder import _check_count, _finite
 from .lattice import ModelParams, ModeParams
 
 __all__ = [
@@ -197,7 +197,7 @@ def apply_exp_w(state: np.ndarray, sector: WuSector, sign: float = 1.0) -> np.nd
     state = np.asarray(state, dtype=float)
     if state.shape != (sector.dim,):
         raise ValueError(f"state must have shape ({sector.dim},)")
-    pair_transform._finite(state, "state must be finite")
+    _finite(state, "state must be finite")
     # the entry (s, s-1) of sign * W with W = P a_0^2 / Ntot is the kernel's
     # numerator of row s
     num = np.zeros(sector.dim, dtype=pair_transform._EXT)
@@ -208,6 +208,6 @@ def apply_exp_w(state: np.ndarray, sector: WuSector, sign: float = 1.0) -> np.nd
         for s, col in pair_transform._binomial_columns(num, state):
             out[s:] += col
         image = out.astype(float)
-    pair_transform._finite(image, f"exp({sign!r} W) of this length-{sector.dim} sector "
-                                  "vector has entries beyond double range")
+    _finite(image, f"exp({sign!r} W) of this length-{sector.dim} sector "
+                   "vector has entries beyond double range")
     return image

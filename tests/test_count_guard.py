@@ -4,12 +4,15 @@ A count (imbalance, truncation, cutoff, pair or particle number, index) must
 be an integer at or above its lower bound; ``fock_ladder._check_count`` is
 the only code that refuses one, as ``<name> must be an integer >= <low>,
 got <value>``.  The table names each public function with such a parameter;
-the introspection test keeps a new one from skipping the guard.
+the introspection test keeps a new one from skipping the guard.  The last
+tables hold the finite guard, ``fock_ladder._finite``, on state coefficients
+and on scalar arguments, each refusal in a wording used elsewhere.
 """
 
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,11 +27,13 @@ from pairspec.eigenstates import (
     stirling_tail_limit,
     tail_constant,
 )
-from pairspec.fock_ladder import LadderState
-from pairspec.genfunc import GenFn, b_from_e, e_from_b
-from pairspec.hamiltonians import bog_energy_ab, build_tridiagonal, lhy_block
+from pairspec.eigenstates import residual
+from pairspec.fock_ladder import LadderState, inner
+from pairspec.genfunc import GenFn, b_from_e, e_from_b, from_state, ode_residual
+from pairspec.hamiltonians import apply_hab_alpha, bog_energy_ab, build_tridiagonal, lhy_block
 from pairspec.hypergeom import (
     contiguous_residual,
+    derivative_residual,
     f_family,
     f_recurrence_residual,
     gram_witness,
@@ -36,7 +41,14 @@ from pairspec.hypergeom import (
     transported_state,
 )
 from pairspec.lattice import ModelParams, alpha_sum, half_lattice, half_lattice_indices, mode_params
-from pairspec.pair_transform import conjugation_check, depletion_report, domain_check, mode_ground_state
+from pairspec.pair_transform import (
+    apply_exp_pair,
+    conjugation_check,
+    depletion_report,
+    domain_check,
+    mode_ground_state,
+    pair_occupancy,
+)
 from pairspec.wu_sector import WuSector, wu_eigenstate
 
 MP = ModelParams(a=1.0 / (16.0 * math.pi), rho=1.0, L=2.0 * math.pi)
@@ -160,3 +172,52 @@ def test_index_arrays_accept_integral_entries():
     assert np.array_equal(tail_constant(1.0, 0.5, 0, np.array([5.0, 9.0])),
                           tail_constant(1.0, 0.5, 0, [5, 9]))
     assert bog_energy_ab(0.3, 0, 2.0) == bog_energy_ab(0.3, 0, 2)
+
+
+NAN, INF = math.nan, math.inf
+STATE_MESSAGE = "ladder state coefficients must be finite"
+
+
+# (call with one non-finite coefficient, message): each returned NaN or inf, or
+# warned, before LadderState, GenFn and f_family refused non-finite coefficients
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: pair_occupancy(LadderState(0, [1.0, NAN])), STATE_MESSAGE),
+    (lambda: pair_occupancy(LadderState(0, [1.0, INF])), STATE_MESSAGE),
+    (lambda: inner(STATE, LadderState(0, [1.0, NAN])), STATE_MESSAGE),
+    (lambda: residual(LadderState(0, [1.0, NAN, 0.0]), 0.3, 0.1, 0.5), STATE_MESSAGE),
+    (lambda: apply_hab_alpha(LadderState(0, [1.0, NAN]), 0.3, 0.1), STATE_MESSAGE),
+    (lambda: projection_sweep(LadderState(0, [1.0, NAN]), 0.3, 2, 40), STATE_MESSAGE),
+    (lambda: from_state(LadderState(0, [INF, 1.0])), STATE_MESSAGE),
+    (lambda: apply_exp_pair(LadderState(0, [1.0, NAN]), 0.1), STATE_MESSAGE),
+    (lambda: GenFn(0, [1.0, INF]), "series coefficients must be finite"),
+    (lambda: f_family(1, 0, 1.0, [NAN, 1.0], 0.5), "d must be finite"),
+    (lambda: f_recurrence_residual(1, 0, 1.0, [INF, 1.0], 0.5), "d must be finite"),
+], ids=["pair_occupancy-nan", "pair_occupancy-inf", "inner", "residual", "apply_hab_alpha",
+        "projection_sweep", "from_state", "apply_exp_pair", "GenFn", "f_family", "f_recurrence_residual"])
+def test_non_finite_coefficients_refused(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+# each returned a number, NaN or inf, or passed a bool as a count, before
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda: bog_energy_ab(0.3, 0, True), "n entries must be integers >= 0, got True"),
+    (lambda: tail_constant(1.0, 0.5, 0, np.array([True])), "srange entries must be integers >= 1, got True"),
+    (lambda: lhy_block(MODE, 0, np.True_), "n entries must be integers >= 0, got True"),
+    (lambda: derivative_residual(-2, NAN, 1.0), "b must be finite, got nan"),
+    (lambda: derivative_residual(-2, 0.0, INF), "c must be finite, got inf"),
+    (lambda: ode_residual(GenFn(0, [1.0, 0.5, 0.25]), NAN, 0.3, 0.1), "energy must be finite, got nan"),
+    (lambda: ode_residual(GenFn(0, [1.0, 0.5, 0.25]), 0.5, INF, 0.1), "couplings must be finite, got y1=inf, y2=0.1"),
+    (lambda: b_from_e(NAN, 0, 0.3, 0.1), "energy must be finite, got nan"),
+    (lambda: e_from_b(NAN, 0, 0.3, 0.1), "B must be finite, got nan"),
+    (lambda: e_from_b(INF, 0, 0.3, 0.1), "B must be finite, got inf"),
+], ids=["bog_energy_ab-bool", "tail_constant-bool", "lhy_block-bool", "derivative_residual-b",
+        "derivative_residual-c", "ode_residual-energy", "ode_residual-y1", "b_from_e", "e_from_b-nan",
+        "e_from_b-inf"])
+def test_scalar_guard_gaps_refused(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
