@@ -2,10 +2,13 @@ import math
 import re
 import time
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from pairspec import oracle
 from pairspec.hamiltonians import bog_energy_ab, build_tridiagonal
@@ -404,6 +407,54 @@ class TestDivideAndConquer:
         dev = max(abs(vals[n] - bog_energy_ab(0.3, 0, n)) for n in range(8))
         assert dev <= 1e-8
         assert elapsed < 1.5  # QL alone took 2.2-2.6 s on a shared 2-vCPU VM
+
+
+def _random_block(seed, m):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(m) * 3, rng.standard_normal(m - 1)
+
+
+def _ladder_block(p, y, m):
+    block = build_tridiagonal(p, y, y, m - 1)
+    return block.diag, block.super_
+
+
+_SPLIT_BLOCKS = hs.one_of(
+    hs.builds(_ladder_block, hs.integers(0, 3), hs.sampled_from([0.1, 0.3, 0.45]),
+              hs.sampled_from([2, 7, 40, 170])),
+    hs.builds(_random_block, hs.integers(0, 2**16), hs.integers(1, 40)),
+    # Wilkinson's W21+: its top values pair up to rounding inside one block
+    hs.just((np.abs(np.arange(21) - 10.0), np.ones(20))),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hs.lists(_SPLIT_BLOCKS, min_size=1, max_size=5), hs.sampled_from([0.0, 2.0**-55]),
+       hs.sampled_from([1.0, 1e300, 1e-300]))
+def test_split_matrix_eigenpairs(blocks, glue, scale):
+    # blocks joined by zero couplings or by ones just below QL's cut, 2^-55 of
+    # the diagonal sum beside them, at either end of double range
+    d = scale * np.concatenate([bd for bd, _ in blocks])
+    e = [scale * be for _, be in blocks]
+    ends = np.cumsum([len(bd) for bd, _ in blocks])[:-1]
+    e = np.concatenate([np.append(be, glue * (abs(d[i - 1]) + abs(d[i]))) for be, i in zip(e, ends)] + e[-1:])
+    rotated, ql = [], oracle._ql_values
+
+    def spy(d, e, z=None):
+        if z is not None:
+            rotated.append(len(d))
+        return ql(d, e, z)
+
+    with warnings.catch_warnings(), mock.patch.object(oracle, "_ql_values", spy):
+        warnings.simplefilter("error")
+        vals, vecs = sym_tridiag_eig(d, e, vectors=True)
+        assert np.array_equal(vals, sym_tridiag_eig(d, e))
+    assert np.all(np.diff(vals) >= 0)
+    # rotations are accumulated only inside one unreduced block, never over a glued matrix
+    assert set(rotated) <= {len(bd) for bd, _ in blocks}
+    # the gates hold relative to ||T||_1, on the matrix scaled by a power of two
+    k = 2.0 ** -math.frexp(oracle._norm_one(d, e))[1]
+    TestSymTridiagEig.assert_eigenpairs(d * k, e * k, vals * k, vecs)
 
 
 class TestSymmetrize:
