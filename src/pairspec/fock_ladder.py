@@ -59,7 +59,7 @@ def _check_count(name: str, value: int, low: int = 0) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
-def _finite(values, message: str) -> None:
+def _finite(values: np.ndarray | float, message: str) -> None:
     """Raise ValueError(message) unless every entry of values is finite."""
     if not np.isfinite(values).all():
         raise ValueError(message)

@@ -1,11 +1,12 @@
 """Independent dense linear algebra used to referee the analytic formulas.
 
 Self-contained implementations (no LAPACK behind them): a real symmetric
-tridiagonal eigensolver -- implicit-shift QL up to ``_DC_LEAF`` rows, Cuppen's
-divide and conquer above it, torn down to one-row leaves and merged back a
-tree height at a time, every merge of a height in one O(n^2) numpy batch
-worked in chunks of ``_DC_CHUNK`` elements so memory stays O(n) -- with
-eigenvectors by twisted factorization at the computed eigenvalues, a
+tridiagonal eigensolver, cut once into unreduced blocks -- each solved by
+implicit-shift QL up to ``_DC_LEAF`` rows, by Cuppen's divide and conquer
+above it, torn down to one-row leaves and merged back a tree height at a
+time, every merge of a height in one O(n^2) numpy batch worked in chunks of
+``_DC_CHUNK`` elements so memory stays O(n), and with eigenvectors by
+twisted factorization at the computed eigenvalues -- a
 diagonal similarity transform that symmetrizes the nonsymmetric ladder blocks
 (valid whenever both couplings are positive), and a one-sided Jacobi SVD for
 the small Gram matrices.  Being independent of the closed forms they certify
@@ -101,7 +102,7 @@ def sym_tridiag_eig(
     return values[order], z
 
 
-def _unreduced_eig(a: np.ndarray, b: np.ndarray, vectors: bool):
+def _unreduced_eig(a: np.ndarray, b: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Ascending eigenvalues of one unreduced block, and its unit eigenvectors as
     columns when ``vectors`` (else None), solved at its own power-of-two scale."""
     n = len(a)
