@@ -249,7 +249,7 @@ def _tail_constants(rng):
         r = tail_constant(1.0, theta, p, np.array([4000]))[0]
         k_limit = stirling_tail_limit(theta, p)
         dev = _worst(dev, abs(r - k_limit) / k_limit)
-    return [_result("eigen", "tail ratios converge to the Gamma constant", dev, 0.05)]
+    return [_result("eigen", "tail ratios converge to the Gamma constant", dev, 2e-3)]
 
 
 def _transport_energy(rng, ps=range(3), ns=range(3)):

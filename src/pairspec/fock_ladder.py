@@ -83,7 +83,9 @@ def apply_ab(st: LadderState) -> LadderState:
     """
     c = st.coeffs
     s = np.arange(len(c) - 1)
-    out = np.sqrt((st.p + s + 1.0) * (s + 1.0)) * c[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out = np.sqrt((st.p + s + 1.0) * (s + 1.0)) * c[1:]
+    _finite(out, "the image under ab is beyond double range")
     return LadderState(st.p, out)
 
 
@@ -94,14 +96,19 @@ def apply_adbd(st: LadderState) -> LadderState:
         return st
     s = np.arange(1, len(c) + 1)
     out = np.zeros(len(c) + 1, dtype=complex)
-    out[1:] = np.sqrt((st.p + s) * s.astype(float)) * c
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out[1:] = np.sqrt((st.p + s) * s.astype(float)) * c
+    _finite(out, "the image under a*b* is beyond double range")
     return LadderState(st.p, out)
 
 
 def apply_halfnumber(st: LadderState) -> LadderState:
     """Half total number operator: c'_s = (p/2 + s) c_s."""
     s = np.arange(len(st.coeffs))
-    return LadderState(st.p, (st.p / 2.0 + s) * st.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out = (st.p / 2.0 + s) * st.coeffs
+    _finite(out, "the image under (a*a + b*b)/2 is beyond double range")
+    return LadderState(st.p, out)
 
 
 def inner(x: LadderState, y: LadderState) -> complex:

@@ -64,16 +64,16 @@ def apply_hab_alpha(st: LadderState, y1: float, y2: float) -> LadderState:
     couplings are refused, as by :func:`build_tridiagonal`.
     """
     _finite((y1, y2), f"couplings must be finite, got y1={y1}, y2={y2}")
-    num = apply_halfnumber(st)
-    down = apply_ab(st)
-    out_len = len(st.coeffs) + (1 if y2 != 0.0 else 0)
-    out = np.zeros(out_len, dtype=complex)
-    out[: len(num.coeffs)] += num.coeffs
-    if y1 != 0.0 and len(down.coeffs):
-        out[: len(down.coeffs)] += y1 * down.coeffs
-    if y2 != 0.0:
-        up = apply_adbd(st)
-        out[: len(up.coeffs)] += y2 * up.coeffs
+    out = np.zeros(len(st.coeffs) + (1 if y2 != 0.0 else 0), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out[: len(st.coeffs)] += apply_halfnumber(st).coeffs
+        if y1 != 0.0:
+            down = apply_ab(st).coeffs
+            out[: len(down)] += y1 * down
+        if y2 != 0.0:
+            up = apply_adbd(st).coeffs
+            out[: len(up)] += y2 * up
+    _finite(out, "the image under (a*a + b*b)/2 + y1*ab + y2*a*b* is beyond double range")
     return LadderState(st.p, out)
 
 

@@ -144,6 +144,8 @@ def derivative_residual(a: int, b: float, c: float) -> float:
     Here m = -a > 0.  Both sides are finite sums in powers of z; comparing
     the coefficient of z^(m-1-s) reduces the identity to
     (m - s)(-m)_s = m (-m+1)_s, which must hold to rounding for every s.
+    The worst mismatch is relative to |t_lhs| + |t_rhs| + tiny/eps, as in
+    :func:`pair_transform.conjugation_check`; a term beyond double range raises ``ValueError``.
     """
     if a >= 0 or not float(a).is_integer():
         raise ValueError(f"a must be a negative integer, got {a}")
@@ -152,6 +154,7 @@ def derivative_residual(a: int, b: float, c: float) -> float:
     _finite(c, f"c must be finite, got {c}")
     if c <= 0 and float(c).is_integer() and m > -int(c):
         raise ValueError(f"(c)_s vanishes before termination: c={c}")
+    fin = np.finfo(float)
     worst = 0.0
     poch_a = 1.0  # (a)_s
     poch_a1 = 1.0  # (a+1)_s
@@ -161,7 +164,9 @@ def derivative_residual(a: int, b: float, c: float) -> float:
     for s in range(m + 1):  # both Pochhammers are exactly zero beyond s = m
         t_lhs = (m - s) * poch_a * poch_b / (poch_c * fact)
         t_rhs = m * poch_a1 * poch_b / (poch_c * fact)
-        worst = max(worst, abs(t_lhs - t_rhs))
+        if not (math.isfinite(t_lhs) and math.isfinite(t_rhs)):
+            raise ValueError(f"the derivative identity at a={a}, b={b}, c={c} has terms beyond double range")
+        worst = max(worst, abs(t_lhs - t_rhs) / (abs(t_lhs) + abs(t_rhs) + fin.tiny / fin.eps))
         poch_a *= a + s
         poch_a1 *= a + 1 + s
         poch_b *= b + s

@@ -43,8 +43,9 @@ SPECTRUM_SHA256 = {
 }
 
 # SHA-256 of the other commands' stdout: id -> (argv, exit code, digest).  Their
-# transform, referee and sector kernels run in pair_transform._EXT, so these
-# bytes hold only where that type is x87 extended precision.
+# eigenstate coefficients (exponentiated running log sums), transform, referee
+# and sector kernels run in pair_transform._EXT, so these bytes hold only where
+# that type is x87 extended precision.
 COMMAND_SHA256 = {
     "eigenstate-transform": (
         ["eigenstate", "--y", "0.3", "--theta", "1", "--smax", "30", "--transform", "0.2"], 0,
@@ -53,7 +54,7 @@ COMMAND_SHA256 = {
     "eigenstate-transform-refused": (
         ["eigenstate", "--y", "0.45", "--p", "1", "--theta", "0.5", "--smax", "300",
          "--transform", "0.3"], 2,
-        "32c8c2711fb7a571c4f4d10e173188d2ce99003d5d3dc35c53d05653cf65360c",
+        "bf93391498eb44f29f6ab6396d245210dca8bee1d01318b05cfe336b0c085d38",
     ),
     "eigenstate-k-mode": (
         ["eigenstate", "--k-mode", "0,0,1", *REF_ARGS, "--theta", "1", "--smax", "4"], 0,
@@ -62,7 +63,7 @@ COMMAND_SHA256 = {
     "eigenstate-k-mode-transform": (
         ["eigenstate", "--k-mode", "0,0,1", *REF_ARGS, "--p", "2", "--theta", "2", "--smax", "20",
          "--transform", "0.1"], 0,
-        "fd27f7b2d79bc05d644f90a6d1b71ece251df040cf085c7c46edd4c012d6d7f6",
+        "2a5e46033acda9ab4c2698d80f69f2aad1c4a4237481c903482452b80e76e548",
     ),
     "gram-nmax-4": (
         ["gram"], 0, "c6617c55b2d935dc94df664e7d09b3e22f1b8a9be8d0831ec14c978381e9230e",
@@ -90,15 +91,15 @@ COMMAND_SHA256 = {
     ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
-        "db6eb90c7080094eacc123165a5ba22d642eced1c41f0108694ef10c175b3c39",
+        "4d9500d849d964b88f40a0cbd9d0f38a4811c35bd31973f5c4248a34b72f66f5",
     ),
     "verify-seed-3": (
         ["verify", "--suite", "all", "--seed", "3"], 0,
-        "48c5ec2da414b35daa3aa64e87396a562d6cd47eeb8771bfba3ff2690704da91",
+        "0b2c3921244286086d14eb38d18c1902031f27f142a05c8149e2a6c2389668a0",
     ),
     "verify-seed-77": (
         ["verify", "--suite", "all", "--seed", "77"], 0,
-        "cc4b1e3e08af1a83b9f5ec969b3df97b9120b218f7c80c9d15e32c098d992131",
+        "02f12455bdedc98e16e35ebf78aec0d5f4510ebbf5cddb1cb86622b87d332fa8",
     ),
 }
 

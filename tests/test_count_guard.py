@@ -28,7 +28,7 @@ from pairspec.eigenstates import (
     tail_constant,
 )
 from pairspec.eigenstates import residual
-from pairspec.fock_ladder import LadderState, inner
+from pairspec.fock_ladder import LadderState, apply_ab, apply_adbd, apply_halfnumber, inner
 from pairspec.genfunc import GenFn, b_from_e, e_from_b, from_state, ode_residual
 from pairspec.hamiltonians import apply_hab_alpha, bog_energy_ab, build_tridiagonal, lhy_block
 from pairspec.hypergeom import (
@@ -201,7 +201,11 @@ def test_non_finite_coefficients_refused(call, message):
             call()
 
 
-# each returned a number, NaN or inf, or passed a bool as a count, before
+HUGE = LadderState(0, [1e308] * 3)
+
+
+# each returned a number, NaN or inf, passed a bool as a count, or warned
+# (an operator image beyond double range), before
 @pytest.mark.parametrize(("call", "message"), [
     (lambda: bog_energy_ab(0.3, 0, True), "n entries must be integers >= 0, got True"),
     (lambda: tail_constant(1.0, 0.5, 0, np.array([True])), "srange entries must be integers >= 1, got True"),
@@ -213,9 +217,14 @@ def test_non_finite_coefficients_refused(call, message):
     (lambda: b_from_e(NAN, 0, 0.3, 0.1), "energy must be finite, got nan"),
     (lambda: e_from_b(NAN, 0, 0.3, 0.1), "B must be finite, got nan"),
     (lambda: e_from_b(INF, 0, 0.3, 0.1), "B must be finite, got inf"),
+    (lambda: apply_ab(HUGE), "the image under ab is beyond double range"),
+    (lambda: apply_adbd(HUGE), "the image under a*b* is beyond double range"),
+    (lambda: apply_halfnumber(HUGE), "the image under (a*a + b*b)/2 is beyond double range"),
+    (lambda: apply_hab_alpha(LadderState(0, [1e307, 1e307]), 1e300, 0.0),
+     "the image under (a*a + b*b)/2 + y1*ab + y2*a*b* is beyond double range"),
 ], ids=["bog_energy_ab-bool", "tail_constant-bool", "lhy_block-bool", "derivative_residual-b",
         "derivative_residual-c", "ode_residual-energy", "ode_residual-y1", "b_from_e", "e_from_b-nan",
-        "e_from_b-inf"])
+        "e_from_b-inf", "apply_ab", "apply_adbd", "apply_halfnumber", "apply_hab_alpha"])
 def test_scalar_guard_gaps_refused(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

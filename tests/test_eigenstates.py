@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from pairspec import pair_transform
 from pairspec.eigenstates import (
     EigenstateSpec,
+    _log_terms,
     Normalizability,
     classify_normalizable,
     coeff_log_magnitudes,
@@ -65,6 +67,83 @@ class TestPsiPTheta:
         np.testing.assert_allclose(np.log(np.abs(c[1:])), want, rtol=0, atol=1e-10)
         assert np.all(np.sign(c[1:].real) == (-1.0) ** (s - 1))
         assert np.all(c.imag == 0)
+
+
+    def test_tiny_theta(self):
+        # theta + 1 - 1 rounds to 0 for theta = 1e-17, so a route through
+        # theta + 1 - j read c_s = 0 from s = 2 on; c_2 is about -5e583
+        with pytest.raises(ValueError, match="largest representable smax is 1$"):
+            psi_p_theta(EigenstateSpec(0, 1e-17, 1e-300, 50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = psi_p_theta(EigenstateSpec(0, 5e-324, 0.5, 50)).coeffs
+        assert c[1] == 2 * 5e-324 and np.all(np.isfinite(c))
+
+
+def _mpmath_coeffs(p, theta, ytil, smax):
+    """c_s = ytilde^(-s) binom(theta, s) binom(p+s, s)^(-1/2) at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        th, y = mpmath.mpc(theta), mpmath.mpf(ytil)
+        return [y ** (-s) * mpmath.binomial(th, s) / mpmath.sqrt(mpmath.binomial(p + s, s))
+                for s in range(smax + 1)]
+
+
+_RNG = np.random.default_rng(5)
+# labels that the former double product held in range, and labels past which
+# it had to fall back to log space: ytilde^(-s) overflows from s = 155 at
+# ytilde = 0.01 and from s = 237 at ytilde = 0.05; C(p+s, s) overflows from
+# s = 89 at p = 10^5; and c_s stays in double range throughout
+_IN_RANGE = [(int(_RNG.integers(0, 6)), complex(*_RNG.uniform(-4, 4, 2)), float(_RNG.uniform(0.2, 3.0)), 30)
+             for _ in range(40)]
+_LARGE_S = [(0, 0.5, 0.01, 156), (40, 0.3 + 0.2j, 0.05, 250), (10**5, 0.5 + 0.3j, 0.01, 300),
+            (10**5, -2.5, 0.02, 300), (2000, -0.5, 0.5, 300)] + [
+    (int(_RNG.integers(0, 41)), complex(*_RNG.uniform(-4, 4, 2)), float(_RNG.uniform(0.5, 2.0)), 300)
+    for _ in range(5)]
+
+
+# (labels, bound where _EXT is x87, bound where it is double); measured worst:
+# 2.0e-15 and 8.8e-15 on x87, 1.3e-14 and 4.4e-13 in double
+@pytest.mark.parametrize("labels, x87_bound, double_bound", [(_IN_RANGE, 1e-14, 5e-14),
+                                                             (_LARGE_S, 5e-14, 1e-12)],
+                         ids=["smax-30", "smax-300"])
+def test_mpmath_coefficients(labels, x87_bound, double_bound):
+    mpmath = pytest.importorskip("mpmath")
+    bound = x87_bound if np.finfo(pair_transform._EXT).nmant == 63 else double_bound
+    worst = 0.0
+    for label in labels:
+        c = psi_p_theta(EigenstateSpec(*label)).coeffs
+        with mpmath.workdps(40):
+            worst = max(worst, *(float(abs(mpmath.mpc(got) - want) / abs(want))
+                                 for got, want in zip(c, _mpmath_coeffs(*label))))
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("theta", [0.5, -0.5, 2.5, -3.3, 7.7, 5.0, 0.0, 12.0])
+@pytest.mark.parametrize("ytil", [0.01, 0.8, 3.0])
+def test_real_theta_imaginary_parts_are_positive_zero(theta, ytil):
+    # the unit phases are exactly +-1, and c_s past a terminating theta is +0.0
+    c = psi_p_theta(EigenstateSpec(3, theta, ytil, 120)).coeffs
+    assert not np.signbit(c.imag).any() and np.all(c.imag == 0.0)
+    top = int(theta) + 1 if float(theta).is_integer() else len(c)
+    assert np.all(c[1:top] != 0.0)
+    assert not np.signbit(c.real[top:]).any() and np.all(c.real[top:] == 0.0)
+
+
+def test_complex_phases_match_sequential_products():
+    # numpy's complex multiply may fuse multiply-adds (AVX-512); the running
+    # product must equal CPython's sequential one bit for bit, on every host
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        p, theta, ytil = int(rng.integers(0, 6)), complex(*rng.uniform(-4, 4, 2)), float(rng.uniform(0.2, 3.0))
+        log_mag, phase = _log_terms(ytil, theta, p, 30)
+        steps = theta - np.arange(30.0)
+        want = [1.0 + 0.0j]
+        for step, size in zip(steps.tolist(), np.abs(steps).tolist()):  # numpy's |step|, not CPython's
+            want.append(want[-1] * complex(step.real / size, step.imag / size))
+        assert phase.tobytes() == np.array(want).tobytes()
+        c = psi_p_theta(EigenstateSpec(p, theta, ytil, 30)).coeffs
+        assert c.tobytes() == (phase * np.exp(log_mag).astype(float)).tobytes()
 
 
 # the four functions that take a coupling share one guard

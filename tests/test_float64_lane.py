@@ -5,7 +5,8 @@ arm64).  Here it is monkeypatched to float64 on any host, and every kernel
 that reads it must still return a finite result or raise ``ValueError``, with
 no RuntimeWarning (pytest turns those into errors).  Mostly the outcome class
 is checked, since most range and accuracy claims need x87; the ``wu`` report,
-whose weights are running sums of log term ratios, must also pass its gate.
+whose weights are running sums of log term ratios, and ``verify``, whose
+eigenstates are, must also pass their gates.
 """
 
 import math
@@ -103,6 +104,15 @@ def test_wu_kernels():
         vec = finite_or_refused(lambda: wu_sector.wu_eigenstate(sector, mp, n_index))
         if vec is not None:
             finite_or_refused(lambda: wu_sector.apply_exp_w(vec, sector))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 77])
+def test_verify_passes(capsys, seed):
+    # the closed-form eigenstates are exponentiated running log sums in _EXT;
+    # in double too every check stays within its tolerance
+    code = main(["verify", "--suite", "all", "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
 
 
 def test_wu_report_passes(capsys):

@@ -93,6 +93,17 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative_residual(1, 0.0, 1.0)
 
+    def test_relative_at_rounding_level(self):
+        # the terms reach 1.5e13 at m = 50; unscaled, the mismatch read 0.0039
+        assert derivative_residual(-50, 0.5, 2.0) <= 1e-15
+
+    def test_terms_beyond_double_range_refused(self):
+        # at m = 200 the Pochhammer products overflow; the unscaled maximum
+        # skipped the NaN mismatches and returned 1.7e41
+        with pytest.raises(ValueError, match=r"^the derivative identity at a=-200, b=0.5, c=2.0 has terms "
+                                             r"beyond double range$"):
+            derivative_residual(-200, 0.5, 2.0)
+
 
 class TestFFamily:
     def test_leading_term_only(self):
