@@ -214,7 +214,8 @@ def _log_terms(ytilde: float, theta: complex, p: int, smax: int) -> tuple[np.nda
         np.log(size / np.sqrt(j * (j + p)), out=log_mag[1:])
     log_mag[1:] -= np.log(pair_transform._EXT(ytilde))
     np.add.accumulate(log_mag, out=log_mag)
-    phase = np.ones(top + 1, dtype=complex)
+    phase = np.empty(top + 1, dtype=complex)
+    phase[0] = 1.0
     np.divide(step.real, size, out=phase.real[1:])  # part by part, as CPython divides by a float
     np.divide(step.imag, size, out=phase.imag[1:])
     np.multiply.accumulate(phase, out=phase)

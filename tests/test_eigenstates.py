@@ -71,9 +71,11 @@ class TestPsiPTheta:
 
     def test_tiny_theta(self):
         # theta + 1 - 1 rounds to 0 for theta = 1e-17, so a route through
-        # theta + 1 - j read c_s = 0 from s = 2 on; c_2 is about -5e583
+        # theta + 1 - j read c_s = 0 from s = 2 on (c_2 is about -5e583) and
+        # log|c_s| = -inf from s = 1 on
         with pytest.raises(ValueError, match="largest representable smax is 1$"):
             psi_p_theta(EigenstateSpec(0, 1e-17, 1e-300, 50))
+        assert coeff_log_magnitudes(1.0, 1e-17, 0, 3)[1] == pytest.approx(math.log(1e-17), rel=1e-15)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c = psi_p_theta(EigenstateSpec(0, 5e-324, 0.5, 50)).coeffs
