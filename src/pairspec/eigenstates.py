@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pair_transform
-from .fock_ladder import LadderState, _check_count, _check_counts
+from .fock_ladder import LadderState, _check_count, _check_counts, _norm
 from .hamiltonians import apply_hab_alpha
 
 __all__ = [
@@ -202,17 +202,25 @@ def _log_terms(ytilde: float, theta: complex, p: int, smax: int) -> tuple[np.nda
     |c_j / c_{j-1}| ytilde = |theta+1-j| / sqrt(j (j+p)), each less log ytilde
     (also in ``_EXT``); no Gamma or factorial is formed.  The phase is the
     running product of the unit factors (theta+1-j) / |theta+1-j|, exactly
-    +-1 for real theta.  An underflowed term ratio gives log|c_s| = -inf.
+    +-1 for real theta.  An underflowed term ratio gives log|c_s| = -inf.  A step
+    theta+1-j whose modulus is beyond double range is halved (exactly) first.
     """
     n_int = _integer_theta(theta)
     top = smax if n_int is None else min(smax, n_int)
     j = np.arange(1.0, top + 1)
     step = theta - (j - 1)  # nonzero up to top
     size = np.abs(step)
+    halved = np.isinf(size)  # both parts finite, the modulus beyond double range
+    overflow = halved.any()
+    if overflow:  # halve those steps: the phase keeps, and log 2 is added back
+        step[halved] *= 0.5
+        size[halved] = np.abs(step[halved])
     log_mag = np.zeros(top + 1, dtype=pair_transform._EXT)
     with np.errstate(divide="ignore"):  # an underflowed ratio: log|c_s| = -inf
         np.log(size / np.sqrt(j * (j + p)), out=log_mag[1:])
     log_mag[1:] -= np.log(pair_transform._EXT(ytilde))
+    if overflow:
+        log_mag[1:][halved] += np.log(pair_transform._EXT(2.0))
     np.add.accumulate(log_mag, out=log_mag)
     phase = np.empty(top + 1, dtype=complex)
     phase[0] = 1.0
@@ -287,8 +295,11 @@ def residual(st: LadderState, y1: float, y2: float, energy: complex) -> float:
     Row smax of the operator image needs the missing coefficient c_{smax+1},
     so it (and any spillover row) is dropped from the norm; exact finite
     eigenstates stored with at least one trailing zero give ~1e-16 * ||st||.
+    A non-finite energy, and a residual beyond double range, raise ``ValueError``.
     """
+    _check_label(st.p, energy, name="energy")
     image = apply_hab_alpha(st, y1, y2)
     top = st.smax  # rows 0 .. smax-1 are fully determined by the stored data
-    diff = image.coeffs[:top] - energy * st.coeffs[:top]
-    return float(np.linalg.norm(diff))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _norm
+        diff = image.coeffs[:top] - energy * st.coeffs[:top]
+    return _norm(diff, "the residual")

@@ -40,7 +40,7 @@ class LadderState:
         return len(self.coeffs) - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return _norm(self.coeffs, "the norm of the ladder state")
 
     def padded(self, smax: int) -> "LadderState":
         """Same state with zero coefficients appended through index smax."""
@@ -65,6 +65,21 @@ def _finite(values: np.ndarray | float, message: str) -> None:
         raise ValueError(message)
 
 
+def _norm(values: np.ndarray, what: str) -> float:
+    """The l2 norm of values (called what), refused with ValueError beyond double range.
+
+    It is ``np.linalg.norm``, bit for bit, unless a square leaves double range;
+    then the finite entries are scaled by the largest magnitude of their parts first.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        norm = float(np.linalg.norm(values))
+        if norm == np.inf and np.isfinite(values).all():
+            big = max(np.abs(values.real).max(), np.abs(values.imag).max())
+            norm = float(big * np.linalg.norm(values / big))
+    _finite(norm, f"{what} is beyond double range")
+    return norm
+
+
 def _check_counts(name: str, values, low: int = 0) -> np.ndarray:
     """The guard for an array of counts: each entry integral and >= low, and no bool
     array, as :func:`_check_count` refuses bools (empty passes).  Returns the entries as
@@ -76,17 +91,22 @@ def _check_counts(name: str, values, low: int = 0) -> np.ndarray:
     return arr.astype(int)
 
 
+def _image(st: LadderState, coeffs: np.ndarray, what: str) -> LadderState:
+    """st's image coeffs under what, refused by name where LadderState's guard refuses it."""
+    try:
+        return LadderState(st.p, coeffs)
+    except ValueError:
+        raise ValueError(f"the image under {what} is beyond double range") from None
+
+
 def apply_ab(st: LadderState) -> LadderState:
     """Annihilate one quantum from each mode: c'_s = sqrt((p+s+1)(s+1)) c_{s+1}.
 
     The truncation index shrinks by one; the vacuum row is dropped exactly.
     """
-    c = st.coeffs
-    s = np.arange(len(c) - 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        out = np.sqrt((st.p + s + 1.0) * (s + 1.0)) * c[1:]
-    _finite(out, "the image under ab is beyond double range")
-    return LadderState(st.p, out)
+    s = np.arange(len(st.coeffs) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image
+        return _image(st, np.sqrt((st.p + s + 1.0) * (s + 1.0)) * st.coeffs[1:], "ab")
 
 
 def apply_adbd(st: LadderState) -> LadderState:
@@ -96,27 +116,28 @@ def apply_adbd(st: LadderState) -> LadderState:
         return st
     s = np.arange(1, len(c) + 1)
     out = np.zeros(len(c) + 1, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image
         out[1:] = np.sqrt((st.p + s) * s.astype(float)) * c
-    _finite(out, "the image under a*b* is beyond double range")
-    return LadderState(st.p, out)
+    return _image(st, out, "a*b*")
 
 
 def apply_halfnumber(st: LadderState) -> LadderState:
     """Half total number operator: c'_s = (p/2 + s) c_s."""
     s = np.arange(len(st.coeffs))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        out = (st.p / 2.0 + s) * st.coeffs
-    _finite(out, "the image under (a*a + b*b)/2 is beyond double range")
-    return LadderState(st.p, out)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image
+        return _image(st, (st.p / 2.0 + s) * st.coeffs, "(a*a + b*b)/2")
 
 
 def inner(x: LadderState, y: LadderState) -> complex:
     """l2 pairing, conjugate-linear in the first slot.
 
-    States on different ladders (p differs) are orthogonal.
+    States on different ladders (p differs) are orthogonal.  A pairing beyond
+    double range raises ``ValueError``.
     """
     if x.p != y.p:
         return 0.0 + 0.0j
     n = min(len(x.coeffs), len(y.coeffs))
-    return complex(np.vdot(x.coeffs[:n], y.coeffs[:n]))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        pairing = complex(np.vdot(x.coeffs[:n], y.coeffs[:n]))
+    _finite(pairing, "the pairing <x, y> is beyond double range")
+    return pairing

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count, _check_counts, _finite, apply_ab, apply_adbd, apply_halfnumber
+from .fock_ladder import LadderState, _check_count, _check_counts, _finite, _image, apply_ab, apply_adbd, apply_halfnumber
 from .lattice import ModeParams, _check_coupling
 
 __all__ = [
@@ -65,7 +65,7 @@ def apply_hab_alpha(st: LadderState, y1: float, y2: float) -> LadderState:
     """
     _finite((y1, y2), f"couplings must be finite, got y1={y1}, y2={y2}")
     out = np.zeros(len(st.coeffs) + (1 if y2 != 0.0 else 0), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image
         out[: len(st.coeffs)] += apply_halfnumber(st).coeffs
         if y1 != 0.0:
             down = apply_ab(st).coeffs
@@ -73,8 +73,7 @@ def apply_hab_alpha(st: LadderState, y1: float, y2: float) -> LadderState:
         if y2 != 0.0:
             up = apply_adbd(st).coeffs
             out[: len(up)] += y2 * up
-    _finite(out, "the image under (a*a + b*b)/2 + y1*ab + y2*a*b* is beyond double range")
-    return LadderState(st.p, out)
+    return _image(st, out, "(a*a + b*b)/2 + y1*ab + y2*a*b*")
 
 
 def build_tridiagonal(p: int, y1: float, y2: float, smax: int) -> HabMatrix:

@@ -5,8 +5,9 @@ be an integer at or above its lower bound; ``fock_ladder._check_count`` is
 the only code that refuses one, as ``<name> must be an integer >= <low>,
 got <value>``.  The table names each public function with such a parameter;
 the introspection test keeps a new one from skipping the guard.  The last
-tables hold the finite guard, ``fock_ladder._finite``, on state coefficients
-and on scalar arguments, each refusal in a wording used elsewhere.
+tables hold the finite guard, ``fock_ladder._finite``, on state coefficients,
+on scalar arguments and on ladder results beyond double range, each refusal in
+a wording used elsewhere.
 """
 
 import inspect
@@ -226,6 +227,30 @@ HUGE = LadderState(0, [1e308] * 3)
         "derivative_residual-c", "ode_residual-energy", "ode_residual-y1", "b_from_e", "e_from_b-nan",
         "e_from_b-inf", "apply_ab", "apply_adbd", "apply_halfnumber", "apply_hab_alpha"])
 def test_scalar_guard_gaps_refused(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+# (call, message): each returned NaN or inf, or warned, before; the rows run
+# again in tests/test_float64_lane.py, where _EXT is plain double
+RANGE_REFUSALS = [
+    pytest.param(lambda: residual(LadderState(0, [1.0, 0.5, 0.0]), 0.3, 0.1, NAN),
+                 "energy must be finite, got nan", id="residual-energy-nan"),
+    pytest.param(lambda: residual(LadderState(0, [1.0, 0.5, 0.0]), 0.3, 0.1, INF),
+                 "energy must be finite, got inf", id="residual-energy-inf"),
+    pytest.param(lambda: residual(LadderState(0, [1e10, 1.0, 0.0]), 0.3, 0.1, 1e300),
+                 "the residual is beyond double range", id="residual-range"),
+    pytest.param(lambda: inner(LadderState(0, [1e200, 1e200]), LadderState(0, [1e200, 1e200])),
+                 "the pairing <x, y> is beyond double range", id="inner-range"),
+    pytest.param(lambda: LadderState(0, [1.5e308, 1.5e308j]).norm(),
+                 "the norm of the ladder state is beyond double range", id="norm-range"),
+]
+
+
+@pytest.mark.parametrize(("call", "message"), RANGE_REFUSALS)
+def test_range_refused(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -255,6 +255,39 @@ def test_label_gives_finite_result_or_value_error(p, theta, ytil, smax):
             assert np.all(np.isfinite(out))
 
 
+def _unit(c):
+    """c over its norm, taken from c scaled by its largest magnitude."""
+    c = c / np.abs(c).max()
+    return c / np.linalg.norm(c)
+
+
+_HUGE_THETA = 1.5e308 + 1.5e308j  # |theta| > 1.8e308 with both parts finite
+
+# (call, thunk for the wanted values): results whose intermediates overflow
+# double although the result does not; each was refused or returned inf or 0
+# before, and the rows run again in tests/test_float64_lane.py
+RANGE_VALUES = [
+    pytest.param(lambda: psi_p_theta(EigenstateSpec(0, _HUGE_THETA, 1e300, 3)).coeffs,
+                 lambda: np.cumprod([1.0] + [(_HUGE_THETA - (s - 1)) / 1e300 / s for s in (1, 2, 3)]),
+                 id="psi_p_theta-huge-complex-theta"),
+    # the largest |c_s| is 1.9e297, so the squares of the norm overflow
+    pytest.param(lambda: psi_p_theta(EigenstateSpec(0, 1000, 1.01, 1000), normalize=True).coeffs,
+                 lambda: _unit(psi_p_theta(EigenstateSpec(0, 1000, 1.01, 1000)).coeffs),
+                 id="psi_p_theta-normalize-theta-1000"),
+    pytest.param(lambda: residual(LadderState(0, [1.0, 0.5, 0.0]), 0.3, 0.1, 1e200),
+                 lambda: 1e200 * math.sqrt(1.25), id="residual-1e200"),
+    pytest.param(lambda: LadderState(0, [3e300, 4e300j]).norm(), lambda: 5e300, id="norm-5e300"),
+]
+
+
+@pytest.mark.parametrize(("call", "want"), RANGE_VALUES)
+def test_range_edge_values(call, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call()
+    np.testing.assert_allclose(got, want(), rtol=1e-13, atol=0)
+
+
 class TestRecurrence:
     def test_terminating_energy(self):
         st = recurrence_coeffs(1.0, 0, 2.0, 6)

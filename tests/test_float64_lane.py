@@ -6,7 +6,8 @@ that reads it must still return a finite result or raise ``ValueError``, with
 no RuntimeWarning (pytest turns those into errors).  Mostly the outcome class
 is checked, since most range and accuracy claims need x87; the ``wu`` report,
 whose weights are running sums of log term ratios, and ``verify``, whose
-eigenstates are, must also pass their gates.
+eigenstates are, must also pass their gates.  The ladder range-edge rows of
+``test_count_guard`` and ``test_eigenstates`` run here as well.
 """
 
 import math
@@ -20,6 +21,12 @@ from pairspec.eigenstates import _log_coeffs
 from pairspec.fock_ladder import LadderState
 from pairspec.lattice import ModelParams, mode_params, ytilde_from_y
 from pairspec.pair_transform import apply_exp_pair, conjugation_check, domain_check
+
+# the ladder range edges (a complex theta of modulus beyond double range, norms
+# whose squares overflow, the residual and pairing refusals) collected here
+# again, so that they run with _EXT = float64 too
+from test_count_guard import test_range_refused  # noqa: F401
+from test_eigenstates import test_range_edge_values  # noqa: F401
 
 
 @pytest.fixture(autouse=True)

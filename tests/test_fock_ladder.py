@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from pairspec import fock_ladder, hamiltonians
 from pairspec.fock_ladder import LadderState, apply_ab, apply_adbd, apply_halfnumber, inner
+from pairspec.hamiltonians import apply_hab_alpha
 
 
 def state(p, coeffs):
@@ -120,3 +122,33 @@ class TestLadderState:
         np.testing.assert_allclose(st.coeffs, [1, 2, 0, 0, 0])
         with pytest.raises(ValueError):
             st.padded(1)
+
+    def test_norm_is_numpys_where_finite(self):
+        # the rescaled route runs only where numpy's squares overflow
+        rng = np.random.default_rng(3)
+        for scale in (1e-300, 1.0, 1e150):
+            c = scale * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+            assert LadderState(0, c).norm() == float(np.linalg.norm(c))
+
+
+# (operator call, finite checks per call): LadderState's guard is the one
+# check of an image; apply_hab_alpha adds its couplings' check to those of its
+# three parts and of its own image
+@pytest.mark.parametrize(("call", "checks"), [
+    (apply_ab, 1),
+    (apply_adbd, 1),
+    (apply_halfnumber, 1),
+    (lambda st: apply_hab_alpha(st, 0.3, 0.1), 5),
+], ids=["apply_ab", "apply_adbd", "apply_halfnumber", "apply_hab_alpha"])
+def test_one_finite_check_per_image(monkeypatch, call, checks):
+    st = state(1, [1.0, 0.5, 0.25])
+    calls, finite = [], fock_ladder._finite
+
+    def counting(values, message):
+        calls.append(message)
+        return finite(values, message)
+
+    for module in (fock_ladder, hamiltonians):
+        monkeypatch.setattr(module, "_finite", counting)
+    call(st)
+    assert len(calls) == checks
