@@ -210,16 +210,19 @@ def _log_terms(ytilde: float, theta: complex, p: int, smax: int) -> tuple[np.nda
     j = np.arange(1.0, top + 1)
     step = theta - (j - 1)  # nonzero up to top
     size = np.abs(step)
-    halved = np.isinf(size)  # both parts finite, the modulus beyond double range
-    overflow = halved.any()
-    if overflow:  # halve those steps: the phase keeps, and log 2 is added back
+    # |step| <= |theta.real| + |theta.imag| + j - 1, so only a theta past this bound
+    # can overflow |step|; such steps are halved (the phase keeps) and log 2 is
+    # added back to their log ratios
+    huge = abs(theta.real) + abs(theta.imag) > 1e308
+    if huge:
+        halved = np.isinf(size)
         step[halved] *= 0.5
         size[halved] = np.abs(step[halved])
     log_mag = np.zeros(top + 1, dtype=pair_transform._EXT)
     with np.errstate(divide="ignore"):  # an underflowed ratio: log|c_s| = -inf
         np.log(size / np.sqrt(j * (j + p)), out=log_mag[1:])
     log_mag[1:] -= np.log(pair_transform._EXT(ytilde))
-    if overflow:
+    if huge:
         log_mag[1:][halved] += np.log(pair_transform._EXT(2.0))
     np.add.accumulate(log_mag, out=log_mag)
     phase = np.empty(top + 1, dtype=complex)

@@ -9,6 +9,8 @@ Operators never mix ladders with different p.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +75,11 @@ def _norm(values: np.ndarray, what: str) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         norm = float(np.linalg.norm(values))
-        if norm == np.inf and np.isfinite(values).all():
+        if norm == math.inf and np.isfinite(values).all():
             big = max(np.abs(values.real).max(), np.abs(values.imag).max())
             norm = float(big * np.linalg.norm(values / big))
-    _finite(norm, f"{what} is beyond double range")
+    if not math.isfinite(norm):
+        raise ValueError(f"{what} is beyond double range")
     return norm
 
 
@@ -139,5 +142,6 @@ def inner(x: LadderState, y: LadderState) -> complex:
     n = min(len(x.coeffs), len(y.coeffs))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         pairing = complex(np.vdot(x.coeffs[:n], y.coeffs[:n]))
-    _finite(pairing, "the pairing <x, y> is beyond double range")
+    if not cmath.isfinite(pairing):
+        raise ValueError("the pairing <x, y> is beyond double range")
     return pairing
