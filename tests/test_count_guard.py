@@ -5,9 +5,9 @@ be an integer at or above its lower bound; ``fock_ladder._check_count`` is
 the only code that refuses one, as ``<name> must be an integer >= <low>,
 got <value>``.  The table names each public function with such a parameter;
 the introspection test keeps a new one from skipping the guard.  The last
-tables hold the finite guard, ``fock_ladder._finite``, on state coefficients,
-on scalar arguments and on ladder results beyond double range, each refusal in
-a wording used elsewhere.
+tables hold the finite guard, ``fock_ladder._finite``, on state coefficients
+and on scalar arguments, and the refusals of ladder results beyond double
+range, each refusal in a wording used elsewhere.
 """
 
 import inspect
