@@ -475,7 +475,7 @@ def _wu_sector(rng, ntots=(2, 7, 16), ps=range(0, 5, 2)):
     return [
         _result("wu", "sector matrix is strictly upper triangular", dev_tri, 0.0),
         _result("wu", "spectrum reads off the diagonal", dev_diag, 1e-12),
-        _result("wu", "closed-form eigenvectors have zero residual", dev_res, 1e-10),
+        _result("wu", "closed-form eigenvectors have zero residual", dev_res, wu_sector._RESIDUAL_TOL),
         _result("wu", "exp(W) exp(-W) is the identity", dev_inv, 1e-13),
     ]
 

@@ -213,7 +213,7 @@ def cmd_wu(args: argparse.Namespace) -> tuple[str, int]:
     code = 0
     for ns, lams, residuals in wu_sector._wu_residuals(sector, mp):
         for idx, lam, res in zip(ns.tolist(), lams.tolist(), residuals.tolist()):
-            if not res <= 1e-10:  # a NaN residual fails as well
+            if not res <= wu_sector._RESIDUAL_TOL:  # a NaN residual fails as well
                 code = 2
             lines.append(f"{idx},{fmt(lam)},{fmt(res)}")
     lines.append(f"# epsilon_k,{fmt(mode.epsilon)}")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .eigenstates import EigenstateSpec, _check_label, psi_p_theta
-from .fock_ladder import LadderState, _check_count, _check_counts, _finite
+from .fock_ladder import LadderState, _check_count, _check_counts, _finite, _norm
 from .hamiltonians import _bog_energies, build_tridiagonal
 from .lattice import _check_coupling, alpha_c, ytilde_from_y
 from .pair_transform import apply_exp_pair
@@ -144,8 +144,8 @@ def derivative_residual(a: int, b: float, c: float) -> float:
     Here m = -a > 0.  Both sides are finite sums in powers of z; comparing
     the coefficient of z^(m-1-s) reduces the identity to
     (m - s)(-m)_s = m (-m+1)_s, which must hold to rounding for every s.
-    The worst mismatch is relative to |t_lhs| + |t_rhs| + tiny/eps, as in
-    :func:`pair_transform.conjugation_check`; a term beyond double range raises ``ValueError``.
+    The worst mismatch is :func:`pair_transform._mismatch`'s over the pairs
+    (t_lhs, -t_rhs); a term beyond double range raises ``ValueError``.
     """
     if a >= 0 or not float(a).is_integer():
         raise ValueError(f"a must be a negative integer, got {a}")
@@ -154,25 +154,16 @@ def derivative_residual(a: int, b: float, c: float) -> float:
     _finite(c, f"c must be finite, got {c}")
     if c <= 0 and float(c).is_integer() and m > -int(c):
         raise ValueError(f"(c)_s vanishes before termination: c={c}")
-    fin = np.finfo(float)
-    worst = 0.0
-    poch_a = 1.0  # (a)_s
-    poch_a1 = 1.0  # (a+1)_s
-    poch_b = 1.0
-    poch_c = 1.0
-    fact = 1.0
-    for s in range(m + 1):  # both Pochhammers are exactly zero beyond s = m
+    s = np.arange(m + 1.0)  # both Pochhammers are exactly zero beyond s = m
+    factors = np.ones((5, m + 1))
+    factors[:, 1:] = [a + s[:-1], a + 1 + s[:-1], b + s[:-1], c + s[:-1], s[1:]]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        # (a)_s, (a+1)_s, (b)_s, (c)_s and s!, each one running product
+        poch_a, poch_a1, poch_b, poch_c, fact = np.multiply.accumulate(factors, axis=1)
         t_lhs = (m - s) * poch_a * poch_b / (poch_c * fact)
         t_rhs = m * poch_a1 * poch_b / (poch_c * fact)
-        if not (math.isfinite(t_lhs) and math.isfinite(t_rhs)):
-            raise ValueError(f"the derivative identity at a={a}, b={b}, c={c} has terms beyond double range")
-        worst = max(worst, abs(t_lhs - t_rhs) / (abs(t_lhs) + abs(t_rhs) + fin.tiny / fin.eps))
-        poch_a *= a + s
-        poch_a1 *= a + 1 + s
-        poch_b *= b + s
-        poch_c *= c + s
-        fact *= s + 1.0
-    return worst
+        _finite((t_lhs, t_rhs), f"the derivative identity at a={a}, b={b}, c={c} has terms beyond double range")
+        return pair_transform._mismatch((t_lhs, -t_rhs), float)
 
 
 def f_family(N: int, p: int, ytilde: float, d: np.ndarray, z: complex) -> complex:
@@ -339,12 +330,16 @@ def projection_sweep(
     orthogonal to rounding and to their truncated tails, so each increment
     is just |<v_N, x>|^2 / ||x||^2 for the complex x; the sequence is
     nondecreasing and tends to 1 as the family is completed.  A zero state,
-    and one with more than smax + 1 coefficients, is refused.
+    one whose norm is beyond double range, and one with more than smax + 1
+    coefficients, is refused.
     """
     _check_count("Nmax", Nmax)
     re, im = state.coeffs.real, state.coeffs.imag
+    what = "the norm of the ladder state"
     # hypot(a, 0) == a: a real state is normalized by the norm of its real array
-    norm = math.hypot(np.linalg.norm(re), np.linalg.norm(im))
+    norm = math.hypot(_norm(re, what), _norm(im, what))
+    if norm == math.inf:
+        raise ValueError(f"{what} is beyond double range")
     if norm == 0.0:
         raise ValueError("projection_sweep needs a nonzero state")
     re, im = re / norm, im / norm

@@ -267,9 +267,8 @@ def conjugation_check(alpha: float, smax: int) -> float:
         p = 0 (Pascal's rule):  E[m+1, s] = E[m, s-1] - alpha E[m, s]
         p = 1 (absorption):     (m - s) E[m, s] = -alpha (s+1) E[m, s+1]
 
-    Each deviation is relative to the sum of its terms' magnitudes plus
-    finfo(_EXT).tiny / eps (subnormal terms count as zero); O(smax^2),
-    rounding level wherever tried.  The earlier E(+alpha) a E(-alpha) form's
+    Each deviation is :func:`_mismatch`'s, in ``_EXT``; O(smax^2), rounding
+    level wherever tried.  The earlier E(+alpha) a E(-alpha) form's
     absolute deviation cancelled: 1.7e-7 at (alpha, smax) = (0.9, 30).
     Raises ValueError for a non-finite alpha or terms beyond extended range.
     """
@@ -277,19 +276,24 @@ def conjugation_check(alpha: float, smax: int) -> float:
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     n = smax + 1
-    ext = np.finfo(_EXT)
     kern = np.zeros((n, n + 1), dtype=_EXT)  # column 0 holds E[m, -1] = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for s, col in _binomial_columns(_taylor_numerators(-alpha, n), np.ones(n)):
             kern[s:, s + 1] = col
         e, m_minus_s = kern[:, 1:], np.subtract.outer(np.arange(n), np.arange(n - 1))
-        worst = float(np.max([
-            np.max(abs(sum(terms)) / (sum(map(abs, terms)) + ext.tiny / ext.eps))
-            for terms in ((e[1:], -kern[:-1, :-1], alpha * e[:-1]),
-                          (m_minus_s * e[:, :-1], alpha * e[:, 1:] * np.arange(1, n)))
-        ]))
+        worst = float(np.max([_mismatch(terms, _EXT) for terms in (
+            (e[1:], -kern[:-1, :-1], alpha * e[:-1]),
+            (m_minus_s * e[:, :-1], alpha * e[:, 1:] * np.arange(1, n)))]))
     _finite(worst, f"exp(-P) at alpha={alpha!r} has terms {_beyond_ext()}")  # NaN: an infinite term
     return worst
+
+
+def _mismatch(terms, dtype) -> float:
+    """The worst |sum of terms| / (sum of |terms| + finfo(dtype).tiny / eps) over
+    the entries of equal-shaped term arrays that should cancel: an identity's
+    mismatch relative to its terms' size, with subnormal terms counted as zero."""
+    fin = np.finfo(dtype)
+    return float(np.max(abs(sum(terms)) / (sum(map(abs, terms)) + fin.tiny / fin.eps)))
 
 
 def _transported_energy(energy: complex, y: float, alpha: float) -> complex:

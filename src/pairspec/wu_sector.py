@@ -169,6 +169,10 @@ def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
         yield n, v / _row_norms(v)[:, None]
 
 
+# the gate on each residual of _wu_residuals, in wu and verify; a NaN residual fails it
+_RESIDUAL_TOL = 1e-10
+
+
 def _wu_residuals(sector: WuSector, mp: ModelParams):
     """Yield (n, lam_n, |(M - lam_n) v_n|), lam_n = eps_k (2n + p), in the blocks of
     :func:`_wu_eigenvectors`, M applied by its bands: the residual of ``wu`` and ``verify``."""

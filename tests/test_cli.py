@@ -45,7 +45,8 @@ SPECTRUM_SHA256 = {
 # SHA-256 of the other commands' stdout: id -> (argv, exit code, digest).  Their
 # eigenstate coefficients (exponentiated running log sums), transform, referee
 # and sector kernels run in pair_transform._EXT, so these bytes hold only where
-# that type is x87 extended precision.
+# that type is x87 extended precision; wu-free and spectrum-gas-scale-underflow
+# read no extended arithmetic and hold everywhere.
 COMMAND_SHA256 = {
     "eigenstate-transform": (
         ["eigenstate", "--y", "0.3", "--theta", "1", "--smax", "30", "--transform", "0.2"], 0,
@@ -418,6 +419,16 @@ class TestWu:
         row = next(r for r in json.loads(out)["checks"]
                    if r["name"] == "closed-form eigenvectors have zero residual")
         assert code == 2 and row["deviation"] == "nan" and not row["passed"]
+
+    def test_one_residual_gate(self, capsys, monkeypatch):
+        # wu and verify read one tolerance: a gate below every residual fails both
+        monkeypatch.setattr(pairspec.wu_sector, "_RESIDUAL_TOL", -1.0)
+        code, _ = run(capsys, ["wu", *REF_ARGS, "--N", "4", "--kn", "0,0,1"])
+        assert code == 2
+        code, out = run(capsys, ["verify", "--suite", "wu"])
+        row = next(r for r in json.loads(out)["checks"]
+                   if r["name"] == "closed-form eigenvectors have zero residual")
+        assert code == 2 and row["tolerance"] == "-1" and not row["passed"]
 
     def test_large_sector_is_finite(self, capsys):
         # the exact factorial weights of this sector lie beyond double range

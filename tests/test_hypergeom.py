@@ -104,6 +104,40 @@ class TestDerivative:
                                              r"beyond double range$"):
             derivative_residual(-200, 0.5, 2.0)
 
+    def test_equals_the_scalar_pochhammer_loop(self):
+        # the running products along s are the same sequential products as one
+        # scalar loop over s, so every value and every refusal matches bit for bit
+        # (a RuntimeWarning on the way, as at m = 200, fails under pyproject.toml's filter)
+        grid = [(a, b, c) for a in range(-60, 0) for b in (0, -1, -2, 0.5, 1.7, -3.3)
+                for c in (1, 2, 3.5, 0.7, 5)]
+        for a, b, c in grid + [(-200, 0.5, 2.0), (-171, 0.5, 1), (-3, 1e300, 1.0)]:
+            want = _scalar_derivative_residual(a, b, c)
+            if want is None:
+                with pytest.raises(ValueError, match="has terms beyond double range$"):
+                    derivative_residual(a, b, c)
+            else:
+                assert derivative_residual(a, b, c) == want, (a, b, c)
+
+
+def _scalar_derivative_residual(a, b, c):
+    """derivative_residual's mismatch by one scalar loop over s, or None where
+    a term is beyond double range."""
+    m = -a
+    floor = float(np.finfo(float).tiny / np.finfo(float).eps)
+    worst, poch_a, poch_a1, poch_b, poch_c, fact = 0.0, 1.0, 1.0, 1.0, 1.0, 1.0
+    for s in range(m + 1):
+        t_lhs = (m - s) * poch_a * poch_b / (poch_c * fact)
+        t_rhs = m * poch_a1 * poch_b / (poch_c * fact)
+        if not (math.isfinite(t_lhs) and math.isfinite(t_rhs)):
+            return None
+        worst = max(worst, abs(t_lhs - t_rhs) / (abs(t_lhs) + abs(t_rhs) + floor))
+        poch_a *= a + s
+        poch_a1 *= a + 1 + s
+        poch_b *= b + s
+        poch_c *= c + s
+        fact *= s + 1.0
+    return worst
+
 
 class TestFFamily:
     def test_leading_term_only(self):
@@ -300,6 +334,18 @@ class TestProjectionSweep:
         np.testing.assert_allclose(projs, [0.5, 1.0, 1.0, 1.0], atol=1e-12)
         projs = projection_sweep(LadderState(0, 1j * v0), 0.45, 3, 80)
         np.testing.assert_allclose(projs, [1.0, 1.0, 1.0, 1.0], atol=1e-12)
+
+    def test_state_whose_squares_overflow(self):
+        # numpy's norms of [1e200, 1e200] overflow: the sweep warned and read [0, 0, 0]
+        want = projection_sweep(LadderState(0, [1.0, 1.0]), 0.3, 2, 40)
+        got = projection_sweep(LadderState(0, [1e200, 1e200]), 0.3, 2, 40)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        np.testing.assert_allclose(got, [0.1975, 0.7462, 0.9438], atol=5e-5)
+
+    @pytest.mark.parametrize("coeffs", [[1.5e308, 1.5e308], [1.5e308, 1.5e308j]], ids=["real", "complex"])
+    def test_norm_beyond_double_range_refused(self, coeffs):
+        with pytest.raises(ValueError, match="^the norm of the ladder state is beyond double range$"):
+            projection_sweep(LadderState(0, coeffs), 0.3, 2, 40)
 
     def test_zero_state_refused(self):
         with pytest.raises(ValueError, match="nonzero state"):

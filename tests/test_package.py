@@ -111,3 +111,48 @@ def test_orphan_check_sees_each_kind():
         "b": "from . import a\n\ndef f():\n    return a._read_elsewhere()\n",
     }
     assert orphaned_private_names(sources) == ["a._DEAD", "a._Dead", "a._self_only"]
+
+
+def unconsumed_public_names(sources: dict[str, str], public: dict[str, list[str]]) -> list[str]:
+    """Every name in a module's public list (module -> names) that no code of the
+    other given modules (name -> source) reads, by name or as an attribute."""
+    readers = {}  # name -> the modules that read it
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers.setdefault(node.id, set()).add(module)
+            elif isinstance(node, ast.Attribute):
+                readers.setdefault(node.attr, set()).add(module)
+    return sorted(f"{module}.{name}" for module, names in public.items() for name in names
+                  if not readers.get(name, set()) - {module})
+
+
+# The public names that nothing else in the package reads, each with the reason
+# it stays.  Tests and the benchmark harness do not count as consumers.
+UNCONSUMED = {
+    "eigenstates.Normalizability": "a return type",
+    "genfunc.DiskClass": "a return type",
+    "eigenstates.coeff_log_magnitudes": "read only inside its own module",
+    "pair_transform.conjugation_check": "wants a verify row that bites, or deletion",
+    "hypergeom.transported_state": "wants a verify row that bites, or deletion",
+    "hypergeom.hyp_f": "the batch-1 face of _hyp_f, which verify calls",
+    "hypergeom.contiguous_residual": "the batch-1 face of _contiguous_residual, which verify calls",
+    "wu_sector.wu_eigenstate": "the batch-1 face of _wu_eigenvectors, which verify calls",
+}
+
+
+def test_every_public_name_has_a_consumer():
+    # a new public function that no command, check or other module calls fails here
+    sources = {path.stem: path.read_text() for path in Path(pairspec.__file__).parent.glob("*.py")}
+    public = {m: importlib.import_module(f"pairspec.{m}").__all__ for m in MODULES}
+    assert unconsumed_public_names(sources, public) == sorted(UNCONSUMED)
+
+
+def test_consumer_scan_sees_each_kind():
+    sources = {
+        "a": "X = 1\n\nclass K:\n    pass\n\ndef f():\n    return X\n\ndef g():\n    return f()\n\n"
+             "def h():\n    pass\n",
+        "b": "from . import a\nfrom .a import h\n\ndef use():\n    return a.g(), h()\n",
+    }
+    public = {"a": ["X", "K", "f", "g", "h"]}
+    assert unconsumed_public_names(sources, public) == ["a.K", "a.X", "a.f"]
