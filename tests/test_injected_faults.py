@@ -1,8 +1,8 @@
 """Injected-fault table: every closed form's referee must bite.
 
-Each row patches a 1e-7 relative fault into one public function, in every
-``pairspec`` namespace that holds it, runs one ``verify`` suite at seed 0, and
-names the checks that must fail.  A check edit that lets one of them pass
+Each row patches a 1e-7 relative fault into one function, public or a private
+kernel behind one, in every ``pairspec`` namespace that holds it, runs the
+``verify`` suites it names at seed 0, and names the checks that must fail.  A check edit that lets one of them pass
 under the fault blinds the suite to it, and fails this table.  The first table
 is the ladder layer: the three operators and the two-mode block built on them.
 The second holds the closed forms, kernels and referees above it, each faulted
