@@ -61,23 +61,46 @@ def _check_count(name: str, value: int, low: int = 0) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value}")
 
 
-def _finite(values: np.ndarray | float, message: str) -> None:
-    """Raise ValueError(message) unless every entry of values is finite."""
-    if not np.isfinite(values).all():
-        raise ValueError(message)
+def _finite(values, message: str) -> None:
+    """Raise ValueError(message) unless every entry of values is finite.
+
+    values is an array, a scalar, or a tuple of them, checked one by one.  A
+    Python or numpy integer, float or complex takes ``cmath.isfinite`` (0.04 us,
+    where ``np.isfinite`` builds an array for 1.9 us), and an int beyond double
+    range is refused with the same message; anything else, a long double
+    scalar too, takes ``np.isfinite``.
+    """
+    for value in values if type(values) is tuple else (values,):
+        if isinstance(value, np.ndarray) or not isinstance(value, (int, float, complex, np.integer)):
+            ok = np.isfinite(value).all()
+        else:
+            try:
+                ok = cmath.isfinite(value)
+            except OverflowError:  # an int beyond double range
+                ok = False
+        if not ok:
+            raise ValueError(message)
+
+
+# at a norm of at least 2^-480, a square below double's normal range (2^-1022)
+# is off by at most 2^-1075, under 2^-115 of the norm's square; below it the
+# squares may underflow, so the parts are scaled first
+_SMALL_NORM = 2.0**-480
 
 
 def _norm(values: np.ndarray, what: str) -> float:
     """The l2 norm of values (called what), refused with ValueError beyond double range.
 
-    It is ``np.linalg.norm``, bit for bit, unless a square leaves double range;
-    then the finite entries are scaled by the largest magnitude of their parts first.
+    It is ``np.linalg.norm``, bit for bit, unless a square leaves double range
+    or the norm is below ``_SMALL_NORM``, where the squares may underflow; then
+    the finite entries are scaled by the largest magnitude of their parts first.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         norm = float(np.linalg.norm(values))
-        if norm == math.inf and np.isfinite(values).all():
-            big = max(np.abs(values.real).max(), np.abs(values.imag).max())
-            norm = float(big * np.linalg.norm(values / big))
+        if not _SMALL_NORM <= norm < math.inf and np.isfinite(values).all():
+            big = max(np.abs(values.real).max(initial=0.0), np.abs(values.imag).max(initial=0.0))
+            if big > 0.0:
+                norm = float(big * np.linalg.norm(values / big))
     if not math.isfinite(norm):
         raise ValueError(f"{what} is beyond double range")
     return norm

@@ -270,6 +270,9 @@ def _transported_columns(p: int, y: float, ns: np.ndarray, smax: int) -> np.ndar
     z = oracle._twisted_vectors(block.diag, block.super_, lams)[: smax + 1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z /= z[0]
+        cut = pair_transform._zero_cut()
+        if abs(z[-1]).min() <= cut:  # only tails reach it, and the last row is the deepest
+            z[abs(z) <= cut] *= 0  # the signed zeros they round to
         cols = z.T.astype(float)
     _finite(cols, "transported state has coefficients beyond double range")
     return cols

@@ -63,6 +63,14 @@ def _refuse_rows(bad: np.ndarray, message: Callable[..., str], *args) -> None:
         raise ValueError(f"row {', '.join(map(str, index))}: " + message(*row))
 
 
+def _zero_cut():
+    """2^-1075 in ``_EXT``: the largest magnitude that rounds to a zero double
+    (0 where ``_EXT`` is double).  On x86-64 rounding an x87 long double whose
+    double is zero or subnormal takes a microcode assist, about 185 ns against
+    1 ns, so the kernels round only entries above it, or zero the rest first."""
+    return np.ldexp(_EXT(1.0), -1075)
+
+
 def _beyond_ext() -> str:  # the figure is 1e4932 for x87 and 1e308 for double
     return f"beyond extended range (1e{int(np.log10(np.finfo(_EXT).max))})"
 
@@ -114,15 +122,46 @@ def _binomial_columns(num: np.ndarray, leads: np.ndarray):
         yield s, np.multiply.accumulate(col, out=col)
 
 
+def _live_length(col: np.ndarray, floor) -> int:
+    """The length of col's live prefix along its first axis: the entries before
+    the first whose magnitude (the largest over a batch of rows) is <= floor.
+
+    Only a prefix can be live in a column of :func:`_binomial_columns` whose
+    floor lies below its nonzero leads: each row's magnitudes
+    |lead| C(m, s) |num|^(m-s) are unimodal in m, and the rounded running
+    product keeps that order, so a row that falls to the floor stays there.
+    The last entry is checked first, and the prefix is bisected only when it
+    is dead.  A NaN counts as live.
+    """
+    def dead(i: int) -> bool:  # a scalar's abs costs a tenth of numpy's reduction
+        return (abs(col[i]) if col.ndim == 1 else np.abs(col[i]).max()) <= floor
+
+    lo, hi = 0, len(col) - 1  # the prefix length lies in [lo, hi] once hi is dead
+    if not dead(hi):
+        return len(col)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dead(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _binomial_shift(C: np.ndarray, t) -> np.ndarray:
     """C'_m = sum_{s<=m} C_s C(m, s) t^(m-s), m on the first axis of C and
     rows (a batch) on an optional second, with t a scalar or one per row.
 
     Each column, led by |C_s|, is rounded once to float64 and added times the
-    phase C_s/|C_s|.  The phases are formed once, before the columns: the
-    division multiplies by 1/|C_s|, which overflows for a subnormal |C_s|,
-    so both are first scaled by 2^64 there (exact).  A zero C_s has zero
-    phase, so a row adds nothing in a column where its lead is zero.
+    phase C_s/|C_s|, but only over its live prefix (:func:`_live_length`): the
+    entries past it are at most :func:`_zero_cut` in magnitude and round to a
+    zero double, which could only add +-0 to an accumulator that starts at +0
+    and so is never -0.  The output keeps its bits, and the cost is per live
+    entry, since rounding a dead one would take an x87 underflow assist.  The
+    phases are formed once, before the columns: the division multiplies by
+    1/|C_s|, which overflows for a subnormal |C_s|, so both are first scaled
+    by 2^64 there (exact).  A zero C_s has zero phase, so a row adds nothing
+    in a column where its lead is zero.
     """
     mag = np.abs(C)
     scale = np.where(mag >= _TINY, 1.0, 2.0**64)
@@ -130,8 +169,10 @@ def _binomial_shift(C: np.ndarray, t) -> np.ndarray:
     phase[mag == 0.0] = 0.0
     out = np.zeros(C.shape, dtype=complex)
     num = _taylor_numerators(np.broadcast_to(t, C.shape[1:]), len(C))  # one t per row
+    cut = _zero_cut()
     for s, col in _binomial_columns(num, mag):
-        out[s:] += phase[s] * col.astype(float)
+        col = col[: _live_length(col, cut)]
+        out[s : s + len(col)] += phase[s] * col.astype(float)
     return out
 
 
@@ -165,10 +206,12 @@ def apply_exp_pair(st: LadderState, alpha_signed: float) -> LadderState:
     In rescaled coordinates the map is the Taylor shift of the module
     docstring.  Every nonzero coefficient contributes one column of terms,
     formed as a running product in extended precision and rounded once to
-    double, so the cost is O(n |support|) time and O(n) extra memory, and
-    each output coefficient carries a rounding error of order (m+1) eps times
-    the sum of its terms' magnitudes (cancellation in the alternating sums is
-    not recovered).  This is the batch-1 face of :func:`_exp_pair`.
+    double over its live prefix, the entries that do not round to zero.  So
+    the cost is O(n |support|) time, most of it per live entry, and O(n)
+    extra memory: on x86-64 rounding a dead entry would cost an x87 underflow
+    assist, about 185 ns.  Each output coefficient carries a rounding error
+    of order (m+1) eps times the sum of its terms' magnitudes (cancellation
+    in the alternating sums is not recovered).  This is the batch-1 face of :func:`_exp_pair`.
 
     Raises ValueError when a transformed coefficient (or one of its terms) is
     not representable in double precision, e.g. a unit coefficient at
@@ -199,17 +242,19 @@ def domain_check(
     zero), so a state may be given far beyond double range.  A coefficient
     below double's subnormal range counts as zero.  The transformed rescaled
     coefficients are formed up to the horizon from the binomial columns of
-    the Taylor shift in ``_EXT``; a state whose terms leave that range
-    (1e4932 for x87) is refused with ``ValueError``.  Because the convolutions
-    alternate in sign, every coefficient carries a noise ceiling set by its
-    largest term; only coefficients safely above that ceiling are treated as
-    known, the rest only as bounded by it.  The verdict is ``NOT_IN_DOMAIN``
-    when the certified tail grows geometrically, ``IN_DOMAIN`` when the
-    partial norms of the certified-or-bounded sequence are Cauchy (the last
-    window adds under 1e-10 of the head), and ``INCONCLUSIVE`` otherwise --
-    including when the arithmetic genuinely cannot tell, e.g. for strongly
-    cancelling states whose noise ceiling itself diverges.  Evidence, not
-    proof.
+    the Taylor shift in ``_EXT``, each added only up to the exact-zero tail
+    it reaches when its running product underflows even there, so the
+    accumulation costs per live entry (at horizon 10^4 a third of the entries
+    are such zeros); a state whose terms leave that range (1e4932 for x87) is
+    refused with ``ValueError``.  Because the convolutions alternate in sign,
+    every coefficient carries a noise ceiling set by its largest term; only
+    coefficients safely above that ceiling are treated as known, the rest
+    only as bounded by it.  The verdict is ``NOT_IN_DOMAIN`` when the
+    certified tail grows geometrically, ``IN_DOMAIN`` when the partial norms
+    of the certified-or-bounded sequence are Cauchy (the last window adds
+    under 1e-10 of the head), and ``INCONCLUSIVE`` otherwise -- including
+    when the arithmetic genuinely cannot tell, e.g. for strongly cancelling
+    states whose noise ceiling itself diverges.  Evidence, not proof.
     """
     _check_count("horizon", horizon, low=100)
     _check_count("p", p)
@@ -232,9 +277,11 @@ def domain_check(
         w_re, w_im = weight.real.astype(_EXT), weight.imag.astype(_EXT)
         re, im, top = np.zeros((3, horizon + 1), dtype=_EXT)
         for s, col in _binomial_columns(_taylor_numerators(alpha, horizon + 1), leads):
-            re[s:] += w_re[s] * col
-            im[s:] += w_im[s] * col
-            np.maximum(top[s:], col, out=top[s:])
+            col = col[: _live_length(col, 0.0)]  # past it an exact-zero tail adds nothing
+            end = s + len(col)
+            re[s:end] += w_re[s] * col
+            im[s:end] += w_im[s] * col
+            np.maximum(top[s:end], col, out=top[s:end])
         out = np.hypot(re, im)
     for values in (out, top):  # one at a time: no stacked copy
         _finite(values, f"terms of the transformed state are {_beyond_ext()}")

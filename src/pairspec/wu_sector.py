@@ -115,9 +115,13 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
         c_j / c_{j-1} = (2/ytilde) (n+1-j) / sqrt(j (p+j) (N0_j+2) (N0_j+1)),
 
     N0_j = Ntot - p - 2j.  No factorial is formed, and the vector stays finite
-    for sectors whose factorials exceed double range.  Where ytilde is 0 (the
-    free limit, or a coupling that underflows) the eigenvectors are the basis
-    vectors themselves.  This is the batch-1 face of :func:`_wu_eigenvectors`.
+    for sectors whose factorials exceed double range.  Only entries whose log
+    is at least ``_LOG_ZERO`` are exponentiated, since the rest round to a
+    zero double, and on x86-64 rounding an x87 long double to a zero or
+    subnormal double costs a microcode assist (about 185 ns): the cost is per
+    live entry, and at N = 10^4 about 60% of the entries are not live.  Where
+    ytilde is 0 (the free limit, or a coupling that underflows) the
+    eigenvectors are the basis vectors themselves.  This is the batch-1 face of :func:`_wu_eigenvectors`.
     """
     dim = sector.dim
     _check_count("n_index", n_index)
@@ -126,6 +130,9 @@ def wu_eigenstate(sector: WuSector, mp: ModelParams, n_index: int) -> np.ndarray
     [(_, block)] = _wu_eigenvectors(sector, mp, [n_index])
     return block[0]
 
+
+# below this log an entry's exp is under 2^-1075 and rounds to a zero double
+_LOG_ZERO = -745.2
 
 # entries (rows x dim) of one block of eigenvectors: about 64 bytes each in
 # flight, so a block stays near half a MB at any sector size
@@ -165,7 +172,9 @@ def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
             log_w[:, 1:] = (0.5 * np.log(ratio_sq, dtype=pair_transform._EXT)
                             - np.log(pair_transform._EXT(ytil) / 2))
         np.add.accumulate(log_w, axis=-1, out=log_w)
-        v[:, : top + 1] = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+        log_w -= log_w.max(axis=-1, keepdims=True)
+        # v already holds the zero doubles that the other entries round to
+        np.exp(log_w, out=v[:, : top + 1], where=log_w >= _LOG_ZERO)
         yield n, v / _row_norms(v)[:, None]
 
 

@@ -223,9 +223,14 @@ HUGE = LadderState(0, [1e308] * 3)
     (lambda: apply_halfnumber(HUGE), "the image under (a*a + b*b)/2 is beyond double range"),
     (lambda: apply_hab_alpha(LadderState(0, [1e307, 1e307]), 1e300, 0.0),
      "the image under (a*a + b*b)/2 + y1*ab + y2*a*b* is beyond double range"),
+    # an int beyond double range: np.isfinite raised TypeError on it
+    (lambda: derivative_residual(-3, 10**400, 2.0), f"b must be finite, got {10**400}"),
+    (lambda: apply_hab_alpha(LadderState(0, [1, 1]), 10**400, 0.1),
+     f"couplings must be finite, got y1={10**400}, y2=0.1"),
 ], ids=["bog_energy_ab-bool", "tail_constant-bool", "lhy_block-bool", "derivative_residual-b",
         "derivative_residual-c", "ode_residual-energy", "ode_residual-y1", "b_from_e", "e_from_b-nan",
-        "e_from_b-inf", "apply_ab", "apply_adbd", "apply_halfnumber", "apply_hab_alpha"])
+        "e_from_b-inf", "apply_ab", "apply_adbd", "apply_halfnumber", "apply_hab_alpha",
+        "derivative_residual-b-big-int", "apply_hab_alpha-y1-big-int"])
 def test_scalar_guard_gaps_refused(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

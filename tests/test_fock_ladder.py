@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -124,11 +127,64 @@ class TestLadderState:
             st.padded(1)
 
     def test_norm_is_numpys_where_finite(self):
-        # the rescaled route runs only where numpy's squares overflow
+        # the rescaled route runs only where numpy's squares overflow or the
+        # norm is below fock_ladder._SMALL_NORM (2^-480, about 3.2e-145)
         rng = np.random.default_rng(3)
-        for scale in (1e-300, 1.0, 1e150):
+        for scale in (1e-140, 1.0, 1e150):
             c = scale * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
             assert LadderState(0, c).norm() == float(np.linalg.norm(c))
+
+    @pytest.mark.parametrize("coeffs", [
+        [1e-200, 1e-200],  # numpy's squares underflow to 0: its norm read 0.0
+        [1e-160, 1e-170],  # subnormal squares: numpy's norm read 9.99994e-161
+        [3e-300 + 4e-300j, -1e-310j, 0.0],
+        [2.0**-481, 2.0**-482],
+    ])
+    def test_norm_where_squares_underflow(self, coeffs):
+        with mpmath.workdps(40):
+            want = float(mpmath.sqrt(sum(abs(mpmath.mpc(c)) ** 2 for c in coeffs)))
+        got = LadderState(0, coeffs).norm()
+        assert abs(got - want) <= 2.3e-16 * want
+        if len(coeffs) == 2 and not isinstance(coeffs[0], complex):
+            assert abs(got - math.hypot(*coeffs)) <= 2.3e-16 * want
+
+    def test_zero_and_empty_norms(self):
+        assert LadderState(0, [0.0, 0.0]).norm() == 0.0
+        assert LadderState(0, []).norm() == 0.0
+
+
+BIG = 10**400  # an int beyond double range: np.isfinite raised TypeError on it
+
+
+# (values, finite): the scalar route must give np.isfinite's verdict wherever
+# np.isfinite has one, and refuse an int beyond double range
+@pytest.mark.parametrize(("values", "finite"), [
+    (0.3, True), (-7, True), (True, True), (np.True_, True), (np.float64(1.5), True),
+    (np.int64(3), True), (np.float32(2.0), True), (1 + 2j, True), (np.complex128(1j), True),
+    (np.longdouble("1e400"), True), ((0.3, 0.2), True), ((1.0, np.ones(3)), True),
+    (math.nan, False), (math.inf, False), (-math.inf, False), (np.float64("nan"), False),
+    (complex(1.0, math.inf), False), (complex(math.nan, 0.0), False), ((0.3, math.nan), False),
+    ((1.0, np.array([1.0, math.inf])), False), (np.array([1.0, math.nan]), False),
+    (BIG, False), (-BIG, False), ((0.1, BIG), False),
+], ids=lambda v: repr(v).replace(str(BIG), "10**400"))
+def test_finite_guard(values, finite):
+    if finite:
+        fock_ladder._finite(values, "bad")
+    else:
+        with pytest.raises(ValueError, match="^bad$"):
+            fock_ladder._finite(values, "bad")
+    parts = values if isinstance(values, tuple) else (values,)
+    if not any(isinstance(v, int) and abs(v) > 1e308 for v in parts):
+        assert finite == all(np.isfinite(v).all() for v in parts)
+
+
+def test_finite_guard_takes_cmath_for_scalars(monkeypatch):
+    # the scalar route never builds an array: np.isfinite is not called
+    calls = []
+    monkeypatch.setattr(fock_ladder.np, "isfinite", lambda v: calls.append(v))
+    for values in (0.3, (0.3, 0.2), 1 + 2j, np.float64(0.5), np.int64(2), True):
+        fock_ladder._finite(values, "bad")
+    assert calls == []
 
 
 # (operator call, finite checks per call): LadderState's guard is the one

@@ -342,6 +342,13 @@ class TestProjectionSweep:
         np.testing.assert_allclose(got, want, rtol=1e-15)
         np.testing.assert_allclose(got, [0.1975, 0.7462, 0.9438], atol=5e-5)
 
+    def test_state_whose_squares_underflow(self):
+        # numpy's norm of [1e-200, 1e-200] is 0: the sweep refused it as a zero state
+        want = projection_sweep(LadderState(0, [1.0, 1.0]), 0.3, 2, 40)
+        got = projection_sweep(LadderState(0, [1e-200, 1e-200]), 0.3, 2, 40)
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+        np.testing.assert_allclose(got, [0.1975, 0.7462, 0.9438], atol=5e-5)
+
     @pytest.mark.parametrize("coeffs", [[1.5e308, 1.5e308], [1.5e308, 1.5e308j]], ids=["real", "complex"])
     def test_norm_beyond_double_range_refused(self, coeffs):
         with pytest.raises(ValueError, match="^the norm of the ladder state is beyond double range$"):

@@ -1,0 +1,275 @@
+"""Rounding extended precision to double only where the double is not zero.
+
+On x86-64, rounding an x87 long double whose double is zero or subnormal
+costs a microcode assist (about 185 ns against 1 ns).  So ``_binomial_shift``
+adds each column only over its live prefix (``_live_length``), ``domain_check``
+stops at each column's exact-zero tail, ``_wu_eigenvectors`` exponentiates
+only logs at or above ``_LOG_ZERO``, and ``_transported_columns`` turns the
+entries that round to zero into signed zeros before its cast.  Each must keep
+the bits of the plain route, written out here as it was before: every column
+rounded whole, every entry exponentiated, every entry cast.  Every test runs
+with ``pair_transform._EXT`` as the host's long double and as float64, where
+2^-1075 rounds to 0 and the live prefix is the nonzero one.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pairspec import hypergeom, oracle, pair_transform, wu_sector
+from pairspec.fock_ladder import LadderState
+from pairspec.hamiltonians import _bog_energies, build_tridiagonal
+from pairspec.lattice import ModelParams, mode_params
+from pairspec.pair_transform import _binomial_columns, _live_length, _taylor_numerators, _zero_cut
+
+
+@pytest.fixture(params=[np.longdouble, np.float64], ids=["longdouble", "float64"], autouse=True)
+def ext(request, monkeypatch):
+    monkeypatch.setattr(pair_transform, "_EXT", request.param)
+    return request.param
+
+
+def shift_reference(C, t):
+    """_binomial_shift with every column rounded to double whole."""
+    mag = np.abs(C)
+    scale = np.where(mag >= pair_transform._TINY, 1.0, 2.0**64)
+    phase = C * scale / (mag * scale)
+    phase[mag == 0.0] = 0.0
+    out = np.zeros(C.shape, dtype=complex)
+    num = _taylor_numerators(np.broadcast_to(t, C.shape[1:]), len(C))
+    for s, col in _binomial_columns(num, mag):
+        out[s:] += phase[s] * col.astype(float)
+    return out
+
+
+def outcome(call):
+    """call()'s result as bytes, or its ValueError message."""
+    try:
+        return call().tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+def exp_pair_both(monkeypatch, coeffs, p, t):
+    """(outcome of _exp_pair, outcome with the reference shift swapped in)."""
+    got = outcome(lambda: pair_transform._exp_pair(coeffs, p, t))
+    with monkeypatch.context() as patch:
+        patch.setattr(pair_transform, "_binomial_shift", shift_reference)
+        want = outcome(lambda: pair_transform._exp_pair(coeffs, p, t))
+    return got, want
+
+
+def random_batch(rng):
+    """rows 1-11, n 2-300, leads log-uniform in [1e-320, 1] with random phases,
+    20% of them zero, and one all-zero row in three batches; t in (-0.95, 0.95),
+    with a row at t = 0 and rows at 1 <= |t| <= 2 mixed in."""
+    rows, n = int(rng.integers(1, 12)), int(rng.integers(2, 301))
+    coeffs = 10.0 ** rng.uniform(-320, 0, (rows, n)) * np.exp(2j * np.pi * rng.random((rows, n)))
+    coeffs[rng.random((rows, n)) < 0.2] = 0.0
+    if rng.random() < 1 / 3:
+        coeffs[rng.integers(rows)] = 0.0
+    t = rng.uniform(-0.95, 0.95, rows)
+    kind = rng.integers(0, 4, rows)
+    t[kind == 0] = 0.0
+    t[kind == 1] = rng.choice([-1.0, 1.0], np.count_nonzero(kind == 1)) * rng.uniform(1, 2, np.count_nonzero(kind == 1))
+    return coeffs, int(rng.integers(0, 3)), t
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exp_pair_batches_keep_their_bits(monkeypatch, seed):
+    coeffs, p, t = random_batch(np.random.default_rng(seed))
+    got, want = exp_pair_both(monkeypatch, coeffs, p, t)
+    assert got == want
+
+
+@pytest.mark.parametrize(("n", "ratio", "t"), [
+    (60, 0.5, -0.5), (60, 0.9, 0.9), (300, 0.7, -0.05), (600, 0.6, 0.1), (2000, 0.7, -0.05),
+])
+def test_apply_exp_pair_single_states_keep_their_bits(monkeypatch, n, ratio, t):
+    rng = np.random.default_rng(n)
+    st = LadderState(1, ratio ** np.arange(n) * np.exp(2j * np.pi * rng.random(n)))
+    got = pair_transform.apply_exp_pair(st, t).coeffs
+    with monkeypatch.context() as patch:
+        patch.setattr(pair_transform, "_binomial_shift", shift_reference)
+        want = pair_transform.apply_exp_pair(st, t).coeffs
+    assert got.tobytes() == want.tobytes()
+
+
+def test_subnormal_leads_keep_their_bits(monkeypatch):
+    # leads at and near the smallest subnormal, where a column starts at most
+    # one step above the cut
+    coeffs = np.zeros((3, 40), dtype=complex)
+    coeffs[0, ::3] = 5e-324
+    coeffs[1, 1::2] = -1e-310j
+    coeffs[2, 5] = 2.5e-320 + 5e-324j
+    for t in (-0.05, 0.5, -1.0, [0.0, 0.3, -0.7]):
+        got, want = exp_pair_both(monkeypatch, coeffs, 0, t)
+        assert got == want
+
+
+def test_overflowing_state_is_still_refused(monkeypatch):
+    # a unit coefficient at s = 1500 with n = 3001 reaches 1e833 at alpha 0.9
+    coeffs = np.zeros(3001, dtype=complex)
+    coeffs[1500] = 1.0
+    got, want = exp_pair_both(monkeypatch, coeffs, 0, -0.9)
+    assert got == want == "exp(-0.9 a*b*) of this length-3001 state has coefficients beyond double range"
+
+
+def check_prefix(col, floor):
+    k = _live_length(col, floor)
+    mags = np.abs(col).reshape(len(col), -1).max(axis=1)
+    assert k == 0 or mags[k - 1] > floor
+    assert k == len(col) or mags[k:].max() <= floor
+    return k
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_live_prefix_on_both_floors(ext, seed):
+    """The shift's columns (leads that are doubles, the cut of a zero double)
+    and domain_check's (positive t, leads down to the type's smallest
+    subnormal, floor 0), 1-D and batched."""
+    rng = np.random.default_rng(seed)
+    fin = np.finfo(ext)
+    deepest = -(fin.minexp - fin.nmant)  # -log2 of the smallest subnormal
+    tails = set()
+    for rows in (None, 3):
+        shape = (int(rng.integers(100, 400)),) + (() if rows is None else (rows,))
+        cases = {  # (leads, t, floor, a first lead whose column dies within 100 steps)
+            "cut": (10.0 ** rng.uniform(-323, 0, shape), rng.uniform(-0.5, 0.5, shape[1:]), _zero_cut(), 1e-300),
+            "zero": (np.ldexp(ext(1.0), -rng.integers(0, deepest, shape)), rng.uniform(0, 0.5, shape[1:]), 0.0,
+                     np.ldexp(ext(1.0), 64 - deepest)),
+        }
+        for name, (leads, t, floor, dying) in cases.items():
+            leads = leads.astype(ext)
+            leads[rng.random(shape) < 0.2] = 0.0
+            leads[0] = dying
+            for s, col in _binomial_columns(_taylor_numerators(t, shape[0]), leads):
+                if 0 < check_prefix(col, floor) < len(col):
+                    tails.add(name)
+    assert tails == {"cut", "zero"}  # both kinds of column have dead tails
+
+
+def test_live_prefix_counts_nan_as_live():
+    assert _live_length(np.array([1.0, 0.0, math.nan]), 0.0) == 3
+    assert _live_length(np.array([1.0, math.nan, 0.0]), 0.0) == 2
+    assert _live_length(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), 0.0) == 1
+
+
+def domain_arrays(monkeypatch, log_c, alpha, p, horizon):
+    """domain_check's verdict and the transformed magnitudes and noise tops it
+    refuses when not finite, captured at its range check."""
+    seen = []
+
+    def spy(values, message):
+        seen.append(np.array(values))
+
+    monkeypatch.setattr(pair_transform, "_finite", spy)
+    verdict = pair_transform.domain_check(log_c, alpha, p, horizon)
+    return verdict, seen
+
+
+def same_bits(a, b):
+    """Bit equality of two arrays of the extended type, whose x87 form pads
+    each number with bytes that carry no value."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# ratio 0 is the vacuum alone: its one column alpha^m passes through the
+# type's subnormals to its exact-zero tail with nothing else added there
+@pytest.mark.parametrize(("ratio", "alpha", "horizon"), [
+    (0.45, 0.02, 2000), (0.9, 0.005, 1500), (0.3, 0.3, 400), (0.0, 0.02, 3000),
+])
+def test_domain_check_keeps_its_bits(monkeypatch, ratio, alpha, horizon):
+    rng = np.random.default_rng(horizon)
+    s = np.arange(horizon + 1)
+    log_c = 1j * 2 * np.pi * rng.random(horizon + 1)
+    if ratio == 0.0:
+        log_c[1:] = -np.inf
+    else:
+        log_c += s * math.log(ratio)
+    verdict, arrays = domain_arrays(monkeypatch, log_c, alpha, 0, horizon)
+    monkeypatch.setattr(pair_transform, "_live_length", lambda col, floor: len(col))
+    want_verdict, want_arrays = domain_arrays(monkeypatch, log_c, alpha, 0, horizon)
+    assert verdict == want_verdict
+    assert len(arrays) == len(want_arrays) == 2
+    assert all(map(same_bits, arrays, want_arrays))
+
+
+MP = ModelParams(a=0.025, rho=1.0, L=2 * math.pi)
+MODE = mode_params(MP, (0, 0, 1))
+ROW_NORMS = wu_sector._row_norms  # the references call it unspied
+
+
+def wu_reference(sector, ns):
+    """_wu_eigenvectors' rows for the indices ns, every entry exponentiated:
+    (the rows before normalization, the rows)."""
+    ns = np.asarray(ns)
+    ext, p = pair_transform._EXT, sector.p
+    j = np.arange(1.0, ns.max() + 1)
+    n0 = sector.Ntot - p - 2 * j
+    ratio_sq = (ns[:, None] + 1 - j) ** 2 / (j * (p + j) * (n0 + 2) * (n0 + 1))
+    log_w = np.zeros((len(ns), len(j) + 1), dtype=ext)
+    with np.errstate(divide="ignore"):
+        log_w[:, 1:] = 0.5 * np.log(ratio_sq, dtype=ext) - np.log(ext(wu_sector.wu_ytilde(MODE, MP)) / 2)
+    np.add.accumulate(log_w, axis=-1, out=log_w)
+    v = np.zeros((len(ns), sector.dim))
+    v[:, : len(j) + 1] = np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+    return v, v / ROW_NORMS(v)[:, None]
+
+
+@pytest.fixture
+def unnormalized(monkeypatch):
+    """The rows _wu_eigenvectors hands to _row_norms, in call order."""
+    seen = []
+
+    def spy(rows):
+        seen.append(rows.copy())
+        return ROW_NORMS(rows)
+
+    monkeypatch.setattr(wu_sector, "_row_norms", spy)
+    return seen
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_wu_eigenvectors_keep_their_bits(unnormalized, p):
+    sector = wu_sector.WuSector(2000, p, MODE)
+    for ns, rows in wu_sector._wu_eigenvectors(sector, MP, range(sector.dim)):
+        want_raw, want = wu_reference(sector, ns)
+        assert unnormalized.pop().tobytes() == want_raw.tobytes()
+        assert rows.tobytes() == want.tobytes()
+
+
+def test_wu_eigenstate_at_ten_thousand_keeps_its_bits(unnormalized):
+    sector = wu_sector.WuSector(10**4, 0, MODE)
+    for n in (0, 1, 700, 2500, 5000):
+        got = wu_sector.wu_eigenstate(sector, MP, n)
+        want_raw, want = wu_reference(sector, [n])
+        assert unnormalized.pop(0).tobytes() == want_raw.tobytes()
+        assert got.tobytes() == want[0].tobytes()
+
+
+def test_exp_below_the_log_floor_rounds_to_zero(ext):
+    logs = np.linspace(wu_sector._LOG_ZERO - 4.0, wu_sector._LOG_ZERO, 400001, dtype=ext)[:-1]
+    assert not np.exp(logs).astype(float).any()
+    assert np.exp(ext(math.log(2.0**-1074))).astype(float) > 0.0  # the floor is not far below
+
+
+def transported_reference(p, y, ns, smax):
+    """_transported_columns with every entry cast."""
+    lams = _bog_energies(y, p, ns, pair_transform._EXT)
+    block = build_tridiagonal(p, y, y, hypergeom._block_rows(p, y, float(np.max(lams)), smax))
+    z = oracle._twisted_vectors(block.diag, block.super_, lams)[: smax + 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z /= z[0]
+        return z.T.astype(float)
+
+
+@pytest.mark.parametrize(("p", "y", "nmax", "smax"), [(0, 0.45, 16, 2000), (1, 0.3, 8, 1200), (2, 0.1, 4, 400)])
+def test_transported_columns_keep_their_bits(p, y, nmax, smax):
+    ns = np.arange(nmax + 1)
+    got = hypergeom._transported_columns(p, y, ns, smax)
+    want = transported_reference(p, y, ns, smax)
+    assert got.tobytes() == want.tobytes()
+    if pair_transform._EXT is np.longdouble and smax >= 1200:
+        assert np.signbit(got[got == 0.0]).any()  # the signed zeros are kept
