@@ -133,15 +133,14 @@ def _live_length(col: np.ndarray, floor) -> int:
     The last entry is checked first, and the prefix is bisected only when it
     is dead.  A NaN counts as live.
     """
-    def dead(i: int) -> bool:  # a scalar's abs costs a tenth of numpy's reduction
-        return (abs(col[i]) if col.ndim == 1 else np.abs(col[i]).max()) <= floor
-
-    lo, hi = 0, len(col) - 1  # the prefix length lies in [lo, hi] once hi is dead
-    if not dead(hi):
+    # a scalar's abs costs a tenth of numpy's reduction over a batch
+    peak = abs if col.ndim == 1 else lambda row: np.abs(row).max()
+    if not peak(col[-1]) <= floor:
         return len(col)
+    lo, hi = 0, len(col) - 1  # the prefix length lies in [lo, hi], and hi is dead
     while lo < hi:
         mid = (lo + hi) // 2
-        if dead(mid):
+        if peak(col[mid]) <= floor:
             hi = mid
         else:
             lo = mid + 1
