@@ -11,8 +11,7 @@ wu         particle-conserving sector spectrum and residuals
 Numbers are always rendered with 17 significant digits, so csv and json
 outputs of the same run carry bitwise-identical decimal values.  Exit codes:
 0 success, 1 invalid input, 2 verification or domain failure, or a
-numerical method that gave up (such as a QL iteration that did not
-converge).  Invalid input and a method that gave up print one ``error:``
+numerical method that gave up.  Invalid input and a method that gave up print one ``error:``
 line on stderr and nothing on stdout.  ``--out FILE`` writes the same bytes
 as stdout; an unwritable ``--out`` path is invalid input (exit 1, nothing on
 stdout).  Each ``cmd_*`` returns its report and exit code, and ``main`` does

@@ -88,29 +88,43 @@ def _finite(values, message: str) -> None:
 _SMALL_NORM = 2.0**-480
 
 
-def _norm(values: np.ndarray, what: str) -> float:
-    """The l2 norm of values (called what), refused with ValueError beyond double range.
+def _norm(values: np.ndarray, what: str, axis=None):
+    """The l2 norm of values (called what), or with ``axis`` the norm of each
+    slice along it as an array, refused with ValueError beyond double range.
 
-    It is ``np.linalg.norm``, bit for bit, unless a square leaves double range
-    or the norm is below ``_SMALL_NORM``, where the squares may underflow; then
-    the finite entries are scaled by the largest magnitude of their parts first.
+    It is ``np.linalg.norm`` at that axis, bit for bit, unless a square leaves
+    double range or the norm is below ``_SMALL_NORM``, where the squares may
+    underflow; then each finite slice is scaled by the largest magnitude of
+    its parts first.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        norm = float(np.linalg.norm(values))
-        if not _SMALL_NORM <= norm < math.inf and np.isfinite(values).all():
-            big = max(np.abs(values.real).max(initial=0.0), np.abs(values.imag).max(initial=0.0))
-            if big > 0.0:
-                norm = float(big * np.linalg.norm(values / big))
-    if not math.isfinite(norm):
-        raise ValueError(f"{what} is beyond double range")
-    return norm
+        norm = np.linalg.norm(values, axis=axis)
+        kept = (_SMALL_NORM <= norm) & (norm < math.inf)
+        if not kept.all():
+            redo = ~kept & np.isfinite(values).all(axis=axis)
+            big = np.maximum(*(np.abs(part).max(axis=axis, initial=0.0, keepdims=True)
+                               for part in (values.real, values.imag)))
+            big[big == 0.0] = 1.0  # a zero slice: its norm is 0 either way
+            scaled = big * np.linalg.norm(values / big, axis=axis, keepdims=True)
+            norm = np.where(redo, scaled.reshape(np.shape(norm)), norm)
+            if not np.isfinite(norm).all():
+                raise ValueError(f"{what} is beyond double range")
+    return float(norm) if axis is None else norm
 
 
 def _check_counts(name: str, values, low: int = 0) -> np.ndarray:
     """The guard for an array of counts: each entry integral and >= low, and no bool
     array, as :func:`_check_count` refuses bools (empty passes).  Returns the entries as
-    integers."""
+    integers, so a finite entry of magnitude 2^63 or more, which that cast would wrap,
+    is refused too; only comparisons run on it, since an int past 64 bits makes an
+    object array."""
     arr = np.asarray(values)
+    if arr.dtype != bool:  # refused below, and 2^63 does not fit its comparison
+        with np.errstate(invalid="ignore"):  # a NaN compares False and is refused below
+            mag = np.abs(arr)
+            wide = np.asarray((mag >= 2**63) & (mag < math.inf))
+        if wide.any():
+            raise ValueError(f"{name} entries must be integers in [{low}, 2^63), got {arr[wide].flat[0]}")
     bad = arr[~((arr.dtype != bool) & np.isfinite(arr) & (arr >= low) & (np.trunc(arr) == arr))]
     if bad.size:
         raise ValueError(f"{name} entries must be integers >= {low}, got {bad.flat[0]}")

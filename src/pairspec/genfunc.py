@@ -79,9 +79,12 @@ def ode_residual(g: GenFn, energy: complex, y1: float, y2: float) -> float:
     if len(C) < 2:
         return 0.0
     m = np.arange(1, len(C), dtype=float)
-    rows = (p / 2.0 - energy + m - 1.0) * C[:-1] + y1 * (m + p) * C[1:]
-    rows[1:] += y2 * (m[1:] - 1.0) * C[:-2]
-    return float(np.max(np.abs(rows)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        rows = (p / 2.0 - energy + m - 1.0) * C[:-1] + y1 * (m + p) * C[1:]
+        rows[1:] += y2 * (m[1:] - 1.0) * C[:-2]
+        worst = float(np.max(np.abs(rows)))
+    _finite(worst, "the ODE residual is beyond double range")  # NaN: an infinite term
+    return worst
 
 
 def roots(y: float, alpha: float) -> tuple[float, float]:

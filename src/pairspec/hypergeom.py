@@ -35,12 +35,15 @@ __all__ = [
 
 def _termination_index(a, b) -> np.ndarray:
     """Smallest m with (a)_m (b)_m = 0, per row of (a, b); every row needs a
-    terminating parameter, and the first that has none is refused."""
+    terminating parameter, and the first that has none, or that terminates only
+    at 2^63 or later, past the integer's range, is refused."""
     tops = [np.where((v <= 0) & (np.floor(v) == v), -v, np.inf)
             for v in (np.asarray(a, dtype=float), np.asarray(b, dtype=float))]
     top = np.minimum(*tops)
     pair_transform._refuse_rows(top == np.inf, lambda a, b: (
         f"series does not terminate: a={a}, b={b}"), a, b)
+    pair_transform._refuse_rows(top >= 2.0**63, lambda a, b: (
+        f"series terminates only after 2^63 terms: a={a}, b={b}"), a, b)
     return top.astype(int)
 
 
@@ -179,7 +182,10 @@ def f_family(N: int, p: int, ytilde: float, d: np.ndarray, z: complex) -> comple
     if z == 0:
         raise ValueError("z = 0 is outside the family's domain (argument 1/z)")
     _finite(d, "d must be finite")
-    return _polyval(_f_family_poly(N, p, ytilde, d), z)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        value = _polyval(_f_family_poly(N, p, ytilde, d), z)
+    _finite(value, f"f_{N}(z) is beyond double range")
+    return value
 
 
 def _f_family_poly(N: int, p: int, ytilde: float, d: np.ndarray) -> np.ndarray:
@@ -217,10 +223,12 @@ def f_recurrence_residual(N: int, p: int, ytilde: float, d: np.ndarray, z: compl
         + (p + 1 + N) * f_family(N + 1, p, ytilde, d, z)
         + (N * f_family(N - 1, p, ytilde, d, z) if N > 0 else 0.0)
     )
-    coeffs_n = _f_family_poly(N, p, ytilde, d)
-    dcoeffs = coeffs_n[1:] * np.arange(1, len(coeffs_n))
-    deriv = _polyval(dcoeffs, z)
-    return abs(deriv - rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        coeffs_n = _f_family_poly(N, p, ytilde, d)
+        dcoeffs = coeffs_n[1:] * np.arange(1, len(coeffs_n))
+        residual = abs(_polyval(dcoeffs, z) - rhs)
+    _finite(residual, f"the f_{N} recurrence residual is beyond double range")
+    return residual
 
 
 def _polyval(coeffs: np.ndarray, z: complex) -> complex:
@@ -320,7 +328,7 @@ def gram_witness(p: int, y: float, Nmax: int, smax: int) -> np.ndarray:
     if smax < 10 * Nmax:
         raise ValueError(f"smax must be >= 10*Nmax for a trustworthy Gram, got {smax}")
     V = _transported_columns(p, y, np.arange(Nmax + 1), smax)
-    V /= np.linalg.norm(V, axis=1)[:, None]
+    V /= _norm(V, "the norm of a transported state", axis=1)[:, None]
     return oracle.svd_small(V @ V.T)
 
 
@@ -349,6 +357,6 @@ def projection_sweep(
     V = _transported_columns(state.p, y, np.arange(Nmax + 1), smax)  # guards smax first
     if len(re) > smax + 1:
         raise ValueError(f"state has {len(re)} coefficients, more than smax + 1 = {smax + 1}")
-    V /= np.linalg.norm(V, axis=1)[:, None]
+    V /= _norm(V, "the norm of a transported state", axis=1)[:, None]
     V = V[:, : len(re)]
     return np.cumsum((V @ re) ** 2 + (V @ im) ** 2)

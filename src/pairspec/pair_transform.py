@@ -97,8 +97,9 @@ def _taylor_numerators(t, n: int) -> np.ndarray:
     return np.multiply.outer(np.arange(n, dtype=_EXT), np.asarray(t, dtype=_EXT))
 
 
-def _binomial_columns(num: np.ndarray, leads: np.ndarray):
-    """Yield (s, lead_s prod_{j=s+1}^{m} num_j / (j-s), m = s..n-1) per nonzero lead_s.
+def _binomial_columns(num: np.ndarray, leads: np.ndarray, floor=0.0):
+    """Yield (s, lead_s prod_{j=s+1}^{m} num_j / (j-s), m = s..n-1) per nonzero
+    lead_s, each column cut to its live prefix.
 
     Each column is one running product of the ratios num_m / (m - s) in
     ``_EXT``, started at lead_s, so every entry is only as large as the
@@ -110,6 +111,17 @@ def _binomial_columns(num: np.ndarray, leads: np.ndarray):
     whose lead_s is.  The loop over s runs over the first axis, so a 1-D
     call makes the same numpy calls per column as a batch does.  Every column
     is written into one buffer: a column is valid until the next is drawn.
+
+    Each column yielded stops before its first entry whose magnitude (the
+    largest over a batch of rows) is at most ``floor`` (:func:`_live_length`);
+    a NaN counts as live, so an overflowing column is yielded whole.  The
+    dead entries form a suffix.  At floor 0 they are exact zeros, since a
+    running product that reaches zero stays there.  At a floor below every
+    nonzero lead (:func:`_zero_cut` for double leads), a Taylor column's
+    magnitudes |lead| C(m, s) |t|^(m-s) are unimodal in m, as the ratios
+    |t| m / (m - s) decrease, and the rounded running product keeps that
+    order.  Either way the dropped entries round to +-0, which adds nothing
+    to an accumulator that starts at +0: it is never -0.
     """
     n = len(leads)
     m = np.arange(n, dtype=_EXT).reshape((n,) + (1,) * (leads.ndim - 1))
@@ -119,17 +131,15 @@ def _binomial_columns(num: np.ndarray, leads: np.ndarray):
         col = buffer[: n - s]
         col[0] = leads[s]
         np.divide(num[s + 1 :], m[1 : n - s], out=col[1:])
-        yield s, np.multiply.accumulate(col, out=col)
+        np.multiply.accumulate(col, out=col)
+        yield s, col[: _live_length(col, floor)]
 
 
 def _live_length(col: np.ndarray, floor) -> int:
     """The length of col's live prefix along its first axis: the entries before
-    the first whose magnitude (the largest over a batch of rows) is <= floor.
+    the first whose magnitude (the largest over a batch of rows) is <= floor,
+    for a column whose dead entries form a suffix (see :func:`_binomial_columns`).
 
-    Only a prefix can be live in a column of :func:`_binomial_columns` whose
-    floor lies below its nonzero leads: each row's magnitudes
-    |lead| C(m, s) |num|^(m-s) are unimodal in m, and the rounded running
-    product keeps that order, so a row that falls to the floor stays there.
     The last entry is checked first, and the prefix is bisected only when it
     is dead.  A NaN counts as live.
     """
@@ -168,9 +178,7 @@ def _binomial_shift(C: np.ndarray, t) -> np.ndarray:
     phase[mag == 0.0] = 0.0
     out = np.zeros(C.shape, dtype=complex)
     num = _taylor_numerators(np.broadcast_to(t, C.shape[1:]), len(C))  # one t per row
-    cut = _zero_cut()
-    for s, col in _binomial_columns(num, mag):
-        col = col[: _live_length(col, cut)]
+    for s, col in _binomial_columns(num, mag, _zero_cut()):
         out[s : s + len(col)] += phase[s] * col.astype(float)
     return out
 
@@ -241,10 +249,10 @@ def domain_check(
     zero), so a state may be given far beyond double range.  A coefficient
     below double's subnormal range counts as zero.  The transformed rescaled
     coefficients are formed up to the horizon from the binomial columns of
-    the Taylor shift in ``_EXT``, each added only up to the exact-zero tail
-    it reaches when its running product underflows even there, so the
-    accumulation costs per live entry (at horizon 10^4 a third of the entries
-    are such zeros); a state whose terms leave that range (1e4932 for x87) is
+    the Taylor shift in ``_EXT``, each cut at the exact-zero tail it reaches
+    when its running product underflows even there (floor 0 of
+    :func:`_binomial_columns`), so the accumulation costs per live entry (at
+    horizon 10^4 a third of the entries are such zeros); a state whose terms leave that range (1e4932 for x87) is
     refused with ``ValueError``.  Because the convolutions alternate in sign,
     every coefficient carries a noise ceiling set by its largest term; only
     coefficients safely above that ceiling are treated as known, the rest
@@ -276,7 +284,6 @@ def domain_check(
         w_re, w_im = weight.real.astype(_EXT), weight.imag.astype(_EXT)
         re, im, top = np.zeros((3, horizon + 1), dtype=_EXT)
         for s, col in _binomial_columns(_taylor_numerators(alpha, horizon + 1), leads):
-            col = col[: _live_length(col, 0.0)]  # past it an exact-zero tail adds nothing
             end = s + len(col)
             re[s:end] += w_re[s] * col
             im[s:end] += w_im[s] * col
@@ -325,7 +332,7 @@ def conjugation_check(alpha: float, smax: int) -> float:
     kern = np.zeros((n, n + 1), dtype=_EXT)  # column 0 holds E[m, -1] = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for s, col in _binomial_columns(_taylor_numerators(-alpha, n), np.ones(n)):
-            kern[s:, s + 1] = col
+            kern[s : s + len(col), s + 1] = col
         e, m_minus_s = kern[:, 1:], np.subtract.outer(np.arange(n), np.arange(n - 1))
         worst = float(np.max([_mismatch(terms, _EXT) for terms in (
             (e[1:], -kern[:-1, :-1], alpha * e[:-1]),

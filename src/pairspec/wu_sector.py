@@ -54,9 +54,6 @@ class WuSector:
     def dim(self) -> int:
         return (self.Ntot - self.p) // 2 + 1
 
-    def occupations(self, s: int) -> tuple[int, int, int]:
-        return (self.p + s, s, self.Ntot - self.p - 2 * s)
-
 
 def wu_ytilde(mode: ModeParams, mp: ModelParams) -> float:
     """Sector coupling 8 pi a / (|B| eps_k); 0 in the free limit a = 0.
@@ -219,7 +216,7 @@ def apply_exp_w(state: np.ndarray, sector: WuSector, sign: float = 1.0) -> np.nd
     # overflow becomes inf or nan here and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for s, col in pair_transform._binomial_columns(num, state):
-            out[s:] += col
+            out[s : s + len(col)] += col
         image = out.astype(float)
     _finite(image, f"exp({sign!r} W) of this length-{sector.dim} sector "
                    "vector has entries beyond double range")

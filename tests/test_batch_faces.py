@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from pairspec import genfunc, hypergeom, pair_transform, wu_sector
+from pairspec import fock_ladder, genfunc, hypergeom, pair_transform, wu_sector
 from pairspec.fock_ladder import LadderState
 from pairspec.lattice import ModelParams, mode_params
 
@@ -172,6 +172,23 @@ def test_wu_blocks_are_wu_eigenstate(ntot, p, a, ns):
 def test_row_norms_are_linalg_norm():
     rows = np.random.default_rng(6).standard_normal((40, 77)) * 10.0 ** np.arange(-20, 20)[:, None]
     assert np.array_equal(wu_sector._row_norms(rows), [np.linalg.norm(r) for r in rows])
+
+
+def test_norm_rows_keep_numpys_bits_and_rescale_the_rest():
+    # rows whose squares overflow or underflow, a zero row, and rows numpy gets right
+    scales = 10.0 ** np.array([-300, -200, 0, 100, 150, 200, 300])
+    rows = np.random.default_rng(7).standard_normal((7, 50)) * scales[:, None]
+    rows[0] = 0.0
+    got = fock_ladder._norm(rows, "a row's norm", axis=1)
+    with np.errstate(over="ignore", under="ignore"):
+        numpy = np.linalg.norm(rows, axis=1)
+    kept = (fock_ladder._SMALL_NORM <= numpy) & (numpy < math.inf)
+    assert kept.tolist() == [False, False, True, True, True, False, False]
+    assert np.array_equal(got[kept], numpy[kept])
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got[1:], [fock_ladder._norm(r, "a row's norm") for r in rows[1:]], rtol=1e-15)
+    with pytest.raises(ValueError, match="^a row's norm is beyond double range$"):
+        fock_ladder._norm(np.array([[1.0, 1.0], [1.5e308, 1.5e308]]), "a row's norm", axis=1)
 
 
 # each refusal names the first failing row and then reads as the face's message

@@ -365,6 +365,12 @@ class TestGram:
         ratio = float(out.strip().splitlines()[-1].split(",")[1])
         assert ratio >= 1 - 1e-10
 
+    def test_tiny_coupling_keeps_both_states(self, capsys):
+        # the row norms overflowed here: a zero singular value and a RuntimeWarning
+        code, out = run(capsys, ["gram", "--y", "1e-160", "--nmax", "1", "--smax", "20"])
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "# smallest_over_largest,1"
+
     def test_beyond_64_states_is_one_line_error(self, capsys):
         code = main(["gram", "--nmax", "64", "--smax", "640"])
         captured = capsys.readouterr()

@@ -38,6 +38,7 @@ from pairspec.hypergeom import (
     f_family,
     f_recurrence_residual,
     gram_witness,
+    hyp_f,
     projection_sweep,
     transported_state,
 )
@@ -227,10 +228,22 @@ HUGE = LadderState(0, [1e308] * 3)
     (lambda: derivative_residual(-3, 10**400, 2.0), f"b must be finite, got {10**400}"),
     (lambda: apply_hab_alpha(LadderState(0, [1, 1]), 10**400, 0.1),
      f"couplings must be finite, got y1={10**400}, y2=0.1"),
+    # a count of 2^63 or more wrapped in the cast to int, and an int past 64 bits
+    # made an object array, on which numpy raised TypeError
+    (lambda: bog_energy_ab(0.3, 0, 2**63), f"n entries must be integers in [0, 2^63), got {2**63}"),
+    (lambda: bog_energy_ab(0.3, 0, 1e30), "n entries must be integers in [0, 2^63), got 1e+30"),
+    (lambda: bog_energy_ab(0.3, 0, 10**30), f"n entries must be integers in [0, 2^63), got {10**30}"),
+    (lambda: lhy_block(MODE, 0, 10**30), f"n entries must be integers in [0, 2^63), got {10**30}"),
+    (lambda: tail_constant(1.0, 0.5, 0, [5, 10**30]), f"srange entries must be integers in [1, 2^63), got {10**30}"),
+    (lambda: contiguous_residual(2, 2**63, 0, 0.5), f"N entries must be integers in [0, 2^63), got {2**63}"),
+    (lambda: contiguous_residual(2, 10**30, 0, 0.5), f"N entries must be integers in [0, 2^63), got {10**30}"),
+    (lambda: hyp_f(-1e30, 1.0, 1.0, 0.5), "series terminates only after 2^63 terms: a=-1e+30, b=1.0"),
 ], ids=["bog_energy_ab-bool", "tail_constant-bool", "lhy_block-bool", "derivative_residual-b",
         "derivative_residual-c", "ode_residual-energy", "ode_residual-y1", "b_from_e", "e_from_b-nan",
         "e_from_b-inf", "apply_ab", "apply_adbd", "apply_halfnumber", "apply_hab_alpha",
-        "derivative_residual-b-big-int", "apply_hab_alpha-y1-big-int"])
+        "derivative_residual-b-big-int", "apply_hab_alpha-y1-big-int", "bog_energy_ab-2^63",
+        "bog_energy_ab-1e30", "bog_energy_ab-big-int", "lhy_block-big-int", "tail_constant-big-int",
+        "contiguous_residual-2^63", "contiguous_residual-big-int", "hyp_f-termination-past-2^63"])
 def test_scalar_guard_gaps_refused(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -251,6 +264,12 @@ RANGE_REFUSALS = [
                  "the pairing <x, y> is beyond double range", id="inner-range"),
     pytest.param(lambda: LadderState(0, [1.5e308, 1.5e308j]).norm(),
                  "the norm of the ladder state is beyond double range", id="norm-range"),
+    pytest.param(lambda: ode_residual(GenFn(0, np.full(3, 1e300)), 1.0, 1e10, 1e10),
+                 "the ODE residual is beyond double range", id="ode_residual-range"),
+    pytest.param(lambda: f_family(3, 0, 1e-300, np.ones(5), 1.0),
+                 "f_3(z) is beyond double range", id="f_family-range"),
+    pytest.param(lambda: f_recurrence_residual(3, 0, 1e-300, np.ones(5), 1.0),
+                 "f_3(z) is beyond double range", id="f_recurrence_residual-range"),
 ]
 
 

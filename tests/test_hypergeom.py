@@ -242,6 +242,12 @@ class TestGramWitness:
         sv160 = gram_witness(1, 0.45, 4, 160)
         assert abs(sv80[-1] - sv160[-1]) < 0.01 * sv80[-1]
 
+    @pytest.mark.parametrize("y", [1e-200, 1e-100])
+    def test_tiny_coupling_whose_squares_overflow(self, y):
+        # the N = 1 state's entries pass 1e154 here: numpy's row norms overflowed, the
+        # witness read [1, 0] at y = 1e-200 with a warning, and its Gram is the identity
+        np.testing.assert_allclose(gram_witness(0, y, 1, 20), [1.0, 1.0], rtol=1e-12)
+
 
 def meixner_reference(p, N, y, smax, dps=40):
     """(-alpha_c)^m sqrt((p+1)_m / m!) F(-N, -m; p+1; 1 - 1/alpha_c^2) in mpmath.
@@ -348,6 +354,11 @@ class TestProjectionSweep:
         got = projection_sweep(LadderState(0, [1e-200, 1e-200]), 0.3, 2, 40)
         np.testing.assert_allclose(got, want, rtol=1e-15)
         np.testing.assert_allclose(got, [0.1975, 0.7462, 0.9438], atol=5e-5)
+
+    @pytest.mark.parametrize("y", [1e-160, 1e-150])
+    def test_tiny_coupling_whose_squares_overflow(self, y):
+        # the transported states' row norms overflowed at y = 1e-160, which read [0.5, 0.5]
+        np.testing.assert_allclose(projection_sweep(LadderState(0, [1.0, 1.0]), y, 1, 20), [0.5, 1.0], rtol=1e-12)
 
     @pytest.mark.parametrize("coeffs", [[1.5e308, 1.5e308], [1.5e308, 1.5e308j]], ids=["real", "complex"])
     def test_norm_beyond_double_range_refused(self, coeffs):

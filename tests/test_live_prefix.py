@@ -1,13 +1,15 @@
 """Rounding extended precision to double only where the double is not zero.
 
 On x86-64, rounding an x87 long double whose double is zero or subnormal
-costs a microcode assist (about 185 ns against 1 ns).  So ``_binomial_shift``
-adds each column only over its live prefix (``_live_length``), ``domain_check``
-stops at each column's exact-zero tail, ``_wu_eigenvectors`` exponentiates
-only logs at or above ``_LOG_ZERO``, and ``_transported_columns`` turns the
-entries that round to zero into signed zeros before its cast.  Each must keep
-the bits of the plain route, written out here as it was before: every column
-rounded whole, every entry exponentiated, every entry cast.  Every test runs
+costs a microcode assist (about 185 ns against 1 ns).  So ``_binomial_columns``
+yields each column only over its live prefix (``_live_length``), cut for the
+shift where the entries round to a zero double and for its other consumers
+(``domain_check``, ``conjugation_check``, ``apply_exp_w``) at the exact-zero
+tail; ``_wu_eigenvectors`` exponentiates only logs at or above ``_LOG_ZERO``,
+and ``_transported_columns`` turns the entries that round to zero into signed
+zeros before its cast.  Each must keep the bits of the plain route, written
+out here as it was before: every column whole (the kernel at floor -inf),
+every entry exponentiated, every entry cast.  Every test runs
 with ``pair_transform._EXT`` as the host's long double and as float64, where
 2^-1075 rounds to 0 and the live prefix is the nonzero one.
 """
@@ -38,7 +40,7 @@ def shift_reference(C, t):
     phase[mag == 0.0] = 0.0
     out = np.zeros(C.shape, dtype=complex)
     num = _taylor_numerators(np.broadcast_to(t, C.shape[1:]), len(C))
-    for s, col in _binomial_columns(num, mag):
+    for s, col in _binomial_columns(num, mag, -np.inf):  # no entry is at most -inf
         out[s:] += phase[s] * col.astype(float)
     return out
 
@@ -144,7 +146,7 @@ def test_live_prefix_on_both_floors(ext, seed):
             leads = leads.astype(ext)
             leads[rng.random(shape) < 0.2] = 0.0
             leads[0] = dying
-            for s, col in _binomial_columns(_taylor_numerators(t, shape[0]), leads):
+            for s, col in _binomial_columns(_taylor_numerators(t, shape[0]), leads, -np.inf):
                 if 0 < check_prefix(col, floor) < len(col):
                     tails.add(name)
     assert tails == {"cut", "zero"}  # both kinds of column have dead tails
@@ -273,3 +275,83 @@ def test_transported_columns_keep_their_bits(p, y, nmax, smax):
     assert got.tobytes() == want.tobytes()
     if pair_transform._EXT is np.longdouble and smax >= 1200:
         assert np.signbit(got[got == 0.0]).any()  # the signed zeros are kept
+
+
+def watched_columns(monkeypatch):
+    """Install a spy on the column kernel that checks every column it yields
+    against the same column formed whole, and return the list of
+    (floor, the yielded length, the whole length) it records."""
+    columns, seen = pair_transform._binomial_columns, []
+
+    def spy(num, leads, floor=0.0):
+        whole = columns(num, leads, -np.inf)  # a generator of its own, with its own buffer
+        for (s, col), (s_whole, full) in zip(columns(num, leads, floor), whole, strict=True):
+            assert s == s_whole and same_bits(col, full[: len(col)])
+            mags = np.abs(full).reshape(len(full), -1).max(axis=1)
+            assert not (mags[: len(col)] <= floor).any()  # live up to the last entry; NaN is live
+            assert (mags[len(col) :] <= floor).all()  # nothing dropped above the floor
+            seen.append((floor, len(col), len(full)))
+            yield s, col
+
+    monkeypatch.setattr(pair_transform, "_binomial_columns", spy)
+    return seen
+
+
+FREE = ModelParams(a=0.0, rho=1.0, L=2 * math.pi)  # W = 0: every column dies after its lead
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_consumer_reads_only_live_columns(monkeypatch, seed):
+    """The shift (1-D and batched), domain_check, conjugation_check and
+    apply_exp_w: each column the kernel yields is live to its last entry,
+    and what it drops is at most the floor."""
+    rng = np.random.default_rng(seed)
+    seen = watched_columns(monkeypatch)
+    coeffs, p, t = random_batch(rng)
+    outcome(lambda: pair_transform._exp_pair(coeffs, p, t))
+    outcome(lambda: pair_transform._exp_pair(coeffs[0], p, t[0]))
+    horizon = int(rng.integers(100, 800))
+    log_c = np.arange(horizon + 1) * math.log(rng.uniform(0.05, 0.95)) + 2j * np.pi * rng.random(horizon + 1)
+    pair_transform.domain_check(log_c, rng.uniform(0.001, 0.5), int(rng.integers(0, 3)), horizon)
+    pair_transform.conjugation_check(rng.choice([1e-300, rng.uniform(-0.95, 0.95)]), int(rng.integers(4, 60)))
+    for mp in (MP, FREE):
+        sector = wu_sector.WuSector(int(rng.integers(2, 400)), int(rng.integers(0, 2)), mode_params(mp, (0, 0, 1)))
+        state = rng.standard_normal(sector.dim)
+        state[rng.random(sector.dim) < 0.3] = 0.0
+        outcome(lambda: wu_sector.apply_exp_w(state, sector, rng.choice([-1.0, 1.0])))
+    floors = {floor for floor, *_ in seen}
+    assert floors == {0.0, _zero_cut()} or (_zero_cut() == 0.0 and floors == {0.0})
+    assert any(k < n for _, k, n in seen)  # some column is cut
+
+
+def full_columns(monkeypatch):
+    """Patch the live prefix to the whole column: the route before the cut."""
+    monkeypatch.setattr(pair_transform, "_live_length", lambda col, floor: len(col))
+
+
+def test_underflowing_conjugation_kernel_keeps_its_bits(monkeypatch):
+    # at alpha = 1e-300 the columns of E underflow to exact zeros: every long
+    # column is cut, 17 entries in (1e-4951 for x87) or 2 (1e-324 for double)
+    with monkeypatch.context() as patch:
+        seen = watched_columns(patch)
+        got = pair_transform.conjugation_check(1e-300, 40)
+    assert all(k < n for _, k, n in seen if n > 17)
+    full_columns(monkeypatch)
+    want = pair_transform.conjugation_check(1e-300, 40)
+    assert got == want
+    if pair_transform._EXT is np.longdouble:
+        assert got == 1.659993092070237e-19
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_free_gas_exp_w_keeps_its_bits(monkeypatch, sign):
+    # a = 0 makes W = 0: each column is its lead, and exp(W) is the identity
+    sector = wu_sector.WuSector(300, 1, mode_params(FREE, (0, 0, 1)))
+    state = np.random.default_rng(5).standard_normal(sector.dim)
+    with monkeypatch.context() as patch:
+        seen = watched_columns(patch)
+        got = wu_sector.apply_exp_w(state, sector, sign)
+    assert all(k == 1 for _, k, _ in seen) and len(seen) == sector.dim
+    full_columns(monkeypatch)
+    want = wu_sector.apply_exp_w(state, sector, sign)
+    assert got.tobytes() == want.tobytes() == state.tobytes()

@@ -550,3 +550,35 @@ class TestSvdSmall:
     def test_non_finite_entries_refused(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
             svd_small(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def _graded(c, n, reverse):
+    """a_i = 10^(-c i), b_i = 10^(-c (i + 1/2)), i from 0, in that order or reversed."""
+    i = np.arange(n)
+    a, b = 10.0 ** (-c * i), 10.0 ** (-c * (i[:-1] + 0.5))
+    return (a[::-1].copy(), b[::-1].copy()) if reverse else (a, b)
+
+
+# QL's local test held a coupling of each of these blocks above it for 50
+# sweeps, in at least one direction, before the normwise cut (c, n, reversed)
+GRADED = [(c, n, reverse) for c, n in [(5, 40), (3, 60), (1, 100), (1.5, 160)] for reverse in (False, True)]
+
+
+def test_graded_blocks_converge_within_the_normwise_bound():
+    t0 = time.process_time()  # CPU time: other processes on the host do not count
+    values = [sym_tridiag_eig(*_graded(*case)) for case in GRADED]
+    elapsed = time.process_time() - t0
+    assert elapsed < 3.0  # 0.3 s on the reference host, most of it c = 1.5 at n = 160
+    for (c, n, reverse), vals in zip(GRADED, values):
+        a, b = _graded(c, n, reverse)
+        # 40 digits at n <= 60; above it LAPACK's dense eigensolver, itself normwise accurate
+        ref = _mp_eigvals(a, b) if n <= 60 else np.linalg.eigvalsh(dense_tridiag(a, b))
+        assert np.max(np.abs(vals - ref)) <= n * oracle._EPS * oracle._norm_one(a, b), (c, n, reverse)
+
+
+def test_ql_without_a_normwise_cut_is_refused(monkeypatch):
+    # no coupling of [[1, 1], [1, 1]] is negligible, so a cut after no sweeps has nowhere to go
+    monkeypatch.setattr(oracle, "_MAX_QL_SWEEPS", 0)
+    message = "QL iteration failed to converge: no coupling is below eps ||T||_1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sym_tridiag_eig([1.0, 1.0], [1.0])

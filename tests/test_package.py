@@ -113,9 +113,20 @@ def test_orphan_check_sees_each_kind():
     assert orphaned_private_names(sources) == ["a._DEAD", "a._Dead", "a._self_only"]
 
 
+def public_members(module: str) -> list[str]:
+    """The module's __all__, and Class.member for each public method and property
+    that a class in it defines."""
+    mod = importlib.import_module(f"pairspec.{module}")
+    members = [f"{name}.{attr}" for name in mod.__all__ if inspect.isclass(cls := getattr(mod, name))
+               for attr, member in vars(cls).items() if not attr.startswith("_")
+               and (inspect.isfunction(member) or isinstance(member, (property, staticmethod, classmethod)))]
+    return [*mod.__all__, *members]
+
+
 def unconsumed_public_names(sources: dict[str, str], public: dict[str, list[str]]) -> list[str]:
-    """Every name in a module's public list (module -> names) that no code of the
-    other given modules (name -> source) reads, by name or as an attribute."""
+    """Every name in a module's public list (module -> names, a member as
+    Class.member) that no code of the other given modules (name -> source)
+    reads, by name or as an attribute; a member is read by its own name."""
     readers = {}  # name -> the modules that read it
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
@@ -124,7 +135,7 @@ def unconsumed_public_names(sources: dict[str, str], public: dict[str, list[str]
             elif isinstance(node, ast.Attribute):
                 readers.setdefault(node.attr, set()).add(module)
     return sorted(f"{module}.{name}" for module, names in public.items() for name in names
-                  if not readers.get(name, set()) - {module})
+                  if not readers.get(name.rsplit(".", 1)[-1], set()) - {module})
 
 
 # The public names that nothing else in the package reads, each with the reason
@@ -138,21 +149,29 @@ UNCONSUMED = {
     "hypergeom.hyp_f": "the batch-1 face of _hyp_f, which verify calls",
     "hypergeom.contiguous_residual": "the batch-1 face of _contiguous_residual, which verify calls",
     "wu_sector.wu_eigenstate": "the batch-1 face of _wu_eigenvectors, which verify calls",
+    "hamiltonians.HabMatrix.dense": "the dense reference that the tests compare the bands against",
 }
 
 
 def test_every_public_name_has_a_consumer():
     # a new public function that no command, check or other module calls fails here
     sources = {path.stem: path.read_text() for path in Path(pairspec.__file__).parent.glob("*.py")}
-    public = {m: importlib.import_module(f"pairspec.{m}").__all__ for m in MODULES}
+    public = {m: public_members(m) for m in MODULES}
     assert unconsumed_public_names(sources, public) == sorted(UNCONSUMED)
 
 
 def test_consumer_scan_sees_each_kind():
     sources = {
-        "a": "X = 1\n\nclass K:\n    pass\n\ndef f():\n    return X\n\ndef g():\n    return f()\n\n"
+        "a": "X = 1\n\nclass K:\n    def m(self):\n        return self.q\n\n    @property\n"
+             "    def q(self):\n        return X\n\ndef f():\n    return X\n\ndef g():\n    return f()\n\n"
              "def h():\n    pass\n",
-        "b": "from . import a\nfrom .a import h\n\ndef use():\n    return a.g(), h()\n",
+        "b": "from . import a\nfrom .a import h\n\ndef use(k):\n    return a.g(), h(), k.m()\n",
     }
-    public = {"a": ["X", "K", "f", "g", "h"]}
-    assert unconsumed_public_names(sources, public) == ["a.K", "a.X", "a.f"]
+    public = {"a": ["X", "K", "f", "g", "h", "K.m", "K.q"]}
+    assert unconsumed_public_names(sources, public) == ["a.K", "a.K.q", "a.X", "a.f"]
+
+
+def test_member_list_sees_methods_and_properties():
+    members = public_members("fock_ladder")
+    assert {"LadderState", "LadderState.norm", "LadderState.padded", "LadderState.smax"} <= set(members)
+    assert "LadderState.coeffs" not in members  # a dataclass field, not a method

@@ -38,13 +38,6 @@ class TestSector:
         sector, *_ = make(9, 1)
         assert sector.dim == 5
 
-    def test_occupations_conserve_total(self):
-        sector, *_ = make(11, 3)
-        for s in range(sector.dim):
-            occ = sector.occupations(s)
-            assert all(v >= 0 for v in occ)
-            assert sum(occ) == 11
-
     def test_invalid_inputs(self):
         mode = make(4, 0)[2]
         with pytest.raises(ValueError):
