@@ -100,13 +100,14 @@ def _norm(values: np.ndarray, what: str, axis=None):
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         norm = np.linalg.norm(values, axis=axis)
         kept = (_SMALL_NORM <= norm) & (norm < math.inf)
-        if not kept.all():
-            redo = ~kept & np.isfinite(values).all(axis=axis)
+        if not (kept if axis is None else kept.all()):  # a scalar's truth costs a tenth of all()
             big = np.maximum(*(np.abs(part).max(axis=axis, initial=0.0, keepdims=True)
                                for part in (values.real, values.imag)))
-            big[big == 0.0] = 1.0  # a zero slice: its norm is 0 either way
-            scaled = big * np.linalg.norm(values / big, axis=axis, keepdims=True)
-            norm = np.where(redo, scaled.reshape(np.shape(norm)), norm)
+            # a zero slice keeps its norm, 0
+            redo = ~kept & np.isfinite(values).all(axis=axis) & (big > 0.0).reshape(np.shape(norm))
+            if redo.any():
+                scaled = big * np.linalg.norm(values / np.where(big > 0.0, big, 1.0), axis=axis, keepdims=True)
+                norm = np.where(redo, scaled.reshape(np.shape(norm)), norm)
             if not np.isfinite(norm).all():
                 raise ValueError(f"{what} is beyond double range")
     return float(norm) if axis is None else norm
@@ -119,7 +120,7 @@ def _check_counts(name: str, values, low: int = 0) -> np.ndarray:
     is refused too; only comparisons run on it, since an int past 64 bits makes an
     object array."""
     arr = np.asarray(values)
-    if arr.dtype != bool:  # refused below, and 2^63 does not fit its comparison
+    if arr.dtype.kind in "ufO":  # an int64 stays below 2^63, and a bool is refused below
         with np.errstate(invalid="ignore"):  # a NaN compares False and is refused below
             mag = np.abs(arr)
             wide = np.asarray((mag >= 2**63) & (mag < math.inf))

@@ -162,11 +162,10 @@ def _binomial_shift(C: np.ndarray, t) -> np.ndarray:
     rows (a batch) on an optional second, with t a scalar or one per row.
 
     Each column, led by |C_s|, is rounded once to float64 and added times the
-    phase C_s/|C_s|, but only over its live prefix (:func:`_live_length`): the
-    entries past it are at most :func:`_zero_cut` in magnitude and round to a
-    zero double, which could only add +-0 to an accumulator that starts at +0
-    and so is never -0.  The output keeps its bits, and the cost is per live
-    entry, since rounding a dead one would take an x87 underflow assist.  The
+    phase C_s/|C_s|, but only over its live prefix at floor :func:`_zero_cut`
+    (see :func:`_binomial_columns`): the entries past it round to a zero
+    double, so the output keeps its bits, and the cost is per live entry,
+    since rounding a dead one would take an x87 underflow assist.  The
     phases are formed once, before the columns: the division multiplies by
     1/|C_s|, which overflows for a subnormal |C_s|, so both are first scaled
     by 2^64 there (exact).  A zero C_s has zero phase, so a row adds nothing
@@ -252,9 +251,10 @@ def domain_check(
     the Taylor shift in ``_EXT``, each cut at the exact-zero tail it reaches
     when its running product underflows even there (floor 0 of
     :func:`_binomial_columns`), so the accumulation costs per live entry (at
-    horizon 10^4 a third of the entries are such zeros); a state whose terms leave that range (1e4932 for x87) is
-    refused with ``ValueError``.  Because the convolutions alternate in sign,
-    every coefficient carries a noise ceiling set by its largest term; only
+    horizon 10^4 a third of the entries are such zeros); a state whose terms
+    leave that range (1e4932 for x87) is refused with ``ValueError``.
+    Because the convolutions alternate in sign, every coefficient carries a
+    noise ceiling set by its largest term; only
     coefficients safely above that ceiling are treated as known, the rest
     only as bounded by it.  The verdict is ``NOT_IN_DOMAIN`` when the
     certified tail grows geometrically, ``IN_DOMAIN`` when the partial norms
