@@ -568,7 +568,7 @@ def test_graded_blocks_converge_within_the_normwise_bound():
     t0 = time.process_time()  # CPU time: other processes on the host do not count
     values = [sym_tridiag_eig(*_graded(*case)) for case in GRADED]
     elapsed = time.process_time() - t0
-    assert elapsed < 3.0  # 0.3 s on the reference host, most of it c = 1.5 at n = 160
+    assert elapsed < 3.0  # 0.3 s on a 2-vCPU x86-64 VM, most of it c = 1.5 at n = 160
     for (c, n, reverse), vals in zip(GRADED, values):
         a, b = _graded(c, n, reverse)
         # 40 digits at n <= 60; above it LAPACK's dense eigensolver, itself normwise accurate
