@@ -130,13 +130,18 @@ def _contiguous_residual(m, N, p, z) -> tuple[np.ndarray, np.ndarray]:
     and z, which broadcast together; one :func:`_hyp_f` call per term, over all rows.
 
     A row with N = 0 evaluates its absent raising term as F(-m, 0, p+1; z) = 1
-    times N = 0, which adds nothing.  Its refusals are :func:`_hyp_f`'s.
+    times N = 0, which adds nothing.  The sums p+1, p+1+N and p+1+2N are formed
+    exactly (p+1 in uint64, the others in Python ints) and rounded to double
+    once, as CPython's int times complex rounds them: in int64 they wrap once N
+    nears 2^62 or p reaches 2^63 - 1.  Its refusals are :func:`_hyp_f`'s.
     """
     m, N, p = (_check_counts(name, v) for name, v in (("m", m), ("N", N), ("p", p)))
-    f_up, f_0, f_down, f_raise = (_hyp_f(a, b, p + 1, z) for a, b in (
+    c = p.astype(np.uint64) + np.uint64(1)  # p + 1 <= 2^63: no wrap
+    c_down, c_0 = (np.asarray(c.astype(object) + k * N.astype(object), dtype=float) for k in (1, 2))
+    f_up, f_0, f_down, f_raise = (_hyp_f(a, b, c, z) for a, b in (
         (-m + 1, -N), (-m, -N), (-m, -N - 1), (-m, np.where(N > 0, -N + 1, 0))))
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's complex arithmetic
-        rhs = _cmul(-(p + 1 + 2 * N), f_0) + _cmul(p + 1 + N, f_down)
+        rhs = _cmul(-c_0, f_0) + _cmul(c_down, f_down)
         rhs += _cmul(N, f_raise)
         return _cmul(m * np.asarray(z), f_up), rhs
 

@@ -137,19 +137,23 @@ def _divide_and_conquer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     every coupling: leaf i is the value a_i - b_{i-1} - b_i, and both of its
     rows are 1.  The merges then run bottom up, all those of one tree height
     as one batch (:func:`_merge`), each keeping its values and its first and
-    last rows in place over the rows it covers.
+    last rows in place over the rows it covers.  Only the next merge up reads
+    those rows, so the root merge returns its values alone.
     """
     values = a.copy()
     values[:-1] -= b
     values[1:] -= b
     first, last = np.ones(len(a)), np.ones(len(a))
-    for lo, mid, hi in _merge_levels(len(a)):
+    levels = _merge_levels(len(a))
+    for height, (lo, mid, hi) in enumerate(levels, 1):
         sizes = hi - lo
         edges = np.append(0, np.cumsum(sizes))
         seg = np.repeat(np.arange(len(lo)), sizes)
         pos = np.arange(edges[-1]) + (lo - edges[:-1])[seg]  # the rows the merges cover
         upper = pos >= mid[seg]
         z = np.where(upper, first[pos], last[pos]) / math.sqrt(2.0)
+        if height == len(levels):  # the root, one merge over every row
+            return _merge(values, z, 2.0 * b[mid - 1], None, edges)[0]
         rows = np.stack([np.where(upper, 0.0, first[pos]), np.where(upper, last[pos], 0.0)])
         values[pos], (first[pos], last[pos]) = _merge(values[pos], z, 2.0 * b[mid - 1], rows, edges)
     return values
@@ -171,10 +175,11 @@ def _merge_levels(n: int) -> list[np.ndarray]:
     return [np.array(sorted(levels[h])).T for h in sorted(levels)]
 
 
-def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray,
-           edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray | None,
+           edges: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues of diag(d) + rho z z^T for a batch of merges, and ``rows`` times
-    its eigenvectors.
+    its eigenvectors; with ``rows`` None, the values and None, the work stopping
+    after :func:`_secular_roots` (the values do not depend on the rows).
 
     Merge s owns the entries edges[s]:edges[s+1] of d and z and those columns
     of ``rows``, with its own rho[s] >= 0 and |z| = 1 over them; its values
@@ -193,7 +198,9 @@ def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray,
     """
     seg = np.repeat(np.arange(len(rho)), np.diff(edges))
     order = np.lexsort((d, seg))
-    d, z, rows = d[order], z[order], rows[:, order]
+    d, z = d[order], z[order]
+    if rows is not None:
+        rows = rows[:, order]
     tol = 8.0 * _EPS * np.maximum(np.maximum.reduceat(np.abs(d), edges[:-1]), rho)[seg]
     keep = rho[seg] * np.abs(z) > tol
     idx = np.flatnonzero(keep)
@@ -207,7 +214,8 @@ def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray,
         c, s = z[j] / r, -z[i] / r
         if abs((d[j] - d[i]) * c * s) <= tol[i]:
             z[i], z[j] = 0.0, r
-            rows[:, i], rows[:, j] = c * rows[:, i] + s * rows[:, j], c * rows[:, j] - s * rows[:, i]
+            if rows is not None:
+                rows[:, i], rows[:, j] = c * rows[:, i] + s * rows[:, j], c * rows[:, j] - s * rows[:, i]
             d[i], d[j] = d[i] * c * c + d[j] * s * s, d[i] * s * s + d[j] * c * c
             keep[i] = False
     idx = np.flatnonzero(keep)
@@ -216,6 +224,10 @@ def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray,
     kedges = np.append(0, np.cumsum(np.bincount(kseg, minlength=len(rho))))
     org, tau = _secular_roots(dk, zk, rho, kedges)
     dorg = dk[org]  # root j is dorg[j] + tau[j]
+    d[idx] = dorg + tau
+    order = np.lexsort((d, seg))
+    if rows is None:
+        return d[order], None
     # each merge's poles and roots as a row of (merges, widest) tables; a pad
     # below every pole, with zero weight, adds nothing and divides by no zero
     pad = float(np.min(dk, initial=0.0)) - 1.0
@@ -241,8 +253,6 @@ def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray,
         u -= tau[j, None]
         np.divide(ztab[s], u, out=u)  # (roots, poles)
         rows[:, idx[j]] = np.einsum("kij,ij->ki", carried[:, s], u) / np.sqrt(np.einsum("ij,ij->i", u, u))
-    d[idx] = dorg + tau
-    order = np.lexsort((d, seg))
     return d[order], rows[:, order]
 
 
@@ -580,7 +590,9 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
     """Singular values (descending) of a small real matrix, one-sided Jacobi.
 
     Columns are rotated pairwise until mutually orthogonal; the singular
-    values are then the column norms.  Intended for matrices up to 64x64
+    values are then the column norms.  Each column's squared norm is taken
+    once and retaken only after that column rotates, so a pair that needs no
+    rotation costs one dot product.  Intended for matrices up to 64x64
     (Gram matrices of the completeness witness); accuracy ~1e-10 relative
     for well-conditioned inputs.
     """
@@ -596,12 +608,12 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
     e = math.frexp(float(np.max(np.abs(a))))[1]
     u = np.ldexp(a, -e)
     n = u.shape[1]
+    sq = [float(u[:, i] @ u[:, i]) for i in range(n)]  # retaken only where a column rotates
     for _ in range(60):
         off = 0.0
         for i in range(n - 1):
             for j in range(i + 1, n):
-                aii = float(u[:, i] @ u[:, i])
-                ajj = float(u[:, j] @ u[:, j])
+                aii, ajj = sq[i], sq[j]
                 aij = float(u[:, i] @ u[:, j])
                 den = math.sqrt(aii) * math.sqrt(ajj)  # sqrt first: no underflow
                 if den == 0.0 or aij == 0.0:
@@ -617,6 +629,7 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
                 col_i = u[:, i].copy()
                 u[:, i] = c * col_i - s * u[:, j]
                 u[:, j] = s * col_i + c * u[:, j]
+                sq[i], sq[j] = float(u[:, i] @ u[:, i]), float(u[:, j] @ u[:, j])
         if off <= 1e-15:
             break
     sv = _unscaled(np.sqrt(np.sum(u * u, axis=0)), e, "singular values")

@@ -141,10 +141,14 @@ def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
     (integers in [0, dim), not checked here), in blocks of consecutive
     entries of ``ns`` that hold at most ``_BLOCK_ENTRIES`` numbers.
 
-    Row r of a block carries the running log sum of index n_r, formed over
-    j = 1..max(n) with the ratio of j = n_r + 1 exactly zero: its log is
-    -inf, so every later entry of the row is 0, and the entries j <= n_r
-    have the bits of a single index.  The norms are :func:`_row_norms`.
+    Row r of a block carries the running log sum of index n_r over
+    j = 1..max(n).  The ratio of j = n_r + 1 is exactly zero, so the logs
+    are taken only for j <= n_r and the steps past n_r are 0: no entry is
+    -inf (x87 arithmetic on an infinite operand takes a microcode assist, see
+    ``pair_transform._EXT``), the sum past n_r keeps its finite value at n_r,
+    which the row maximum already counts, and the entries j <= n_r have the
+    bits of a single index.  Only those are exponentiated; the rest stay
+    exact zeros.  The norms are :func:`_row_norms`.
     """
     ns = np.asarray(ns, dtype=int)
     dim, p = sector.dim, sector.p
@@ -163,15 +167,19 @@ def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
         # (c_j / c_{j-1})^2 (ytilde/2)^2, within a few roundings of double; its
         # log is taken in _EXT, so a large |log| adds no rounding of its own
         ratio_sq = (n[:, None] + 1 - j) ** 2 / (j * (p + j) * (n0 + 2) * (n0 + 1))
-        # log c_s for s = 0..top up to s-independent terms, which the normalization drops
-        log_w = np.zeros((len(n), top + 1), dtype=pair_transform._EXT)
-        with np.errstate(divide="ignore"):  # log 0 = -inf past each row's n
-            log_w[:, 1:] = (0.5 * np.log(ratio_sq, dtype=pair_transform._EXT)
-                            - np.log(pair_transform._EXT(ytil) / 2))
+        # log c_s for s = 0..top up to s-independent terms, which the normalization
+        # drops; past each row's n the steps stay 0, so no entry is -inf
+        ext = pair_transform._EXT
+        log_w = np.zeros((len(n), top + 1), dtype=ext)
+        live = np.arange(top + 1) <= n[:, None]
+        steps = log_w[:, 1:]
+        np.log(ratio_sq, out=steps, where=live[:, 1:], dtype=ext)
+        steps *= 0.5
+        np.subtract(steps, np.log(ext(ytil) / 2), out=steps, where=live[:, 1:])
         np.add.accumulate(log_w, axis=-1, out=log_w)
         log_w -= log_w.max(axis=-1, keepdims=True)
         # v already holds the zero doubles that the other entries round to
-        np.exp(log_w, out=v[:, : top + 1], where=log_w >= _LOG_ZERO)
+        np.exp(log_w, out=v[:, : top + 1], where=live & (log_w >= _LOG_ZERO))
         yield n, v / _row_norms(v)[:, None]
 
 
