@@ -178,8 +178,8 @@ def _merge_levels(n: int) -> list[np.ndarray]:
 def _merge(d: np.ndarray, z: np.ndarray, rho: np.ndarray, rows: np.ndarray | None,
            edges: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues of diag(d) + rho z z^T for a batch of merges, and ``rows`` times
-    its eigenvectors; with ``rows`` None, the values and None, the work stopping
-    after :func:`_secular_roots` (the values do not depend on the rows).
+    its eigenvectors.  With ``rows`` None it returns (values, None) and stops
+    after :func:`_secular_roots`: the values do not depend on the rows.
 
     Merge s owns the entries edges[s]:edges[s+1] of d and z and those columns
     of ``rows``, with its own rho[s] >= 0 and |z| = 1 over them; its values

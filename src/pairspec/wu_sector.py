@@ -153,6 +153,9 @@ def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
     ns = np.asarray(ns, dtype=int)
     dim, p = sector.dim, sector.p
     ytil = wu_ytilde(sector.mode, mp)
+    ext = pair_transform._EXT
+    log_half = np.log(ext(ytil) / 2) if ytil else None
+    cols = np.arange(dim)
     step = max(1, _BLOCK_ENTRIES // dim)
     for lo in range(0, len(ns), step):
         n = ns[lo : lo + step]
@@ -169,13 +172,12 @@ def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
         ratio_sq = (n[:, None] + 1 - j) ** 2 / (j * (p + j) * (n0 + 2) * (n0 + 1))
         # log c_s for s = 0..top up to s-independent terms, which the normalization
         # drops; past each row's n the steps stay 0, so no entry is -inf
-        ext = pair_transform._EXT
         log_w = np.zeros((len(n), top + 1), dtype=ext)
-        live = np.arange(top + 1) <= n[:, None]
-        steps = log_w[:, 1:]
-        np.log(ratio_sq, out=steps, where=live[:, 1:], dtype=ext)
+        live = cols[: top + 1] <= n[:, None]
+        steps, live_steps = log_w[:, 1:], live[:, 1:]
+        np.log(ratio_sq, out=steps, where=live_steps, dtype=ext)
         steps *= 0.5
-        np.subtract(steps, np.log(ext(ytil) / 2), out=steps, where=live[:, 1:])
+        np.subtract(steps, log_half, out=steps, where=live_steps)
         np.add.accumulate(log_w, axis=-1, out=log_w)
         log_w -= log_w.max(axis=-1, keepdims=True)
         # v already holds the zero doubles that the other entries round to

@@ -1,11 +1,13 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pairspec.fock_ladder import LadderState, inner
 from pairspec.hypergeom import (
+    _contiguous_residual,
     _shifted_state,
     contiguous_residual,
     derivative_residual,
@@ -83,6 +85,29 @@ class TestContiguous:
 
     def test_exceptional_case(self):
         assert contiguous_residual(2, 0, 1, 0.3) == pytest.approx(0.0, abs=1e-14)
+
+    # in int64, p+1+2N wraps at N = 2^62; at N = 2^63 - 1 the wraps of -(p+1+2N)
+    # and p+1+N cancel, since F at b = -N and -N-1 is one double, so that row
+    # also takes p = 2^63 - 1, where c = p+1 wraps
+    @pytest.mark.parametrize("m, N, p, z", [(2, 2**62, 0, 0.5), (2, 2**63 - 1, 2**63 - 1, 0.5)],
+                             ids=["N-2^62", "N-and-p-2^63-1"])
+    def test_counts_near_2_63_against_fractions(self, m, N, p, z):
+        def exact_f(a, b, c):  # a = -m or 1-m terminates the sum first
+            total, term = Fraction(0), Fraction(1)
+            for k in range(-a + 1):
+                total += term
+                term *= Fraction((a + k) * (b + k), (c + k) * (k + 1)) * Fraction(z)
+            return total
+
+        lhs = m * Fraction(z) * exact_f(-m + 1, -N, p + 1)
+        terms = [-(p + 1 + 2 * N) * exact_f(-m, -N, p + 1), (p + 1 + N) * exact_f(-m, -N - 1, p + 1),
+                 N * exact_f(-m, -N + 1, p + 1)]
+        assert sum(terms) == lhs
+        scale = float(abs(lhs) + sum(map(abs, terms)))
+        got_lhs, got_rhs = map(complex, _contiguous_residual(m, N, p, z))
+        assert abs(got_lhs - float(lhs)) <= 1e-15 * float(lhs)  # one product of a positive sum
+        assert abs(got_rhs - float(lhs)) <= 1e-15 * scale
+        assert abs(contiguous_residual(m, N, p, z)) <= 1e-15 * scale
 
 
 class TestDerivative:

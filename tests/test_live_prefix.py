@@ -7,10 +7,12 @@ shift where the entries round to a zero double and for its other consumers
 (``domain_check``, ``conjugation_check``, ``apply_exp_w``) at the exact-zero
 tail; ``_wu_eigenvectors`` exponentiates only logs at or above ``_LOG_ZERO``,
 and ``_transported_columns`` turns the entries that round to zero into signed
-zeros before its cast.  Each must keep the bits of the plain route, written
-out here as it was before: every column whole (the kernel at floor -inf),
-every entry exponentiated, every entry cast.  Every test runs
-with ``pair_transform._EXT`` as the host's long double and as float64, where
+zeros before its cast.  x87 arithmetic on an infinite operand takes an assist
+too, so ``_wu_eigenvectors`` takes no log past each row's index, where the
+ratio is 0.  Each must keep the bits of the plain route, written out here as
+it was before: every column whole (the kernel at floor -inf), every log taken
+and every entry exponentiated, every entry cast.  Every test runs with
+``pair_transform._EXT`` as the host's long double and as float64, where
 2^-1075 rounds to 0 and the live prefix is the nonzero one.
 """
 
@@ -240,6 +242,19 @@ def test_wu_eigenvectors_keep_their_bits(unnormalized, p):
         want_raw, want = wu_reference(sector, ns)
         assert unnormalized.pop().tobytes() == want_raw.tobytes()
         assert rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ntot", [16, 50, 170])
+@pytest.mark.parametrize("p", [0, 1])
+def test_wu_eigenvectors_of_small_sectors_keep_their_bits(unnormalized, ntot, p):
+    # one block holds every row: row r's logs stop at n_r, where the reference
+    # takes them on through max(n), -inf from n_r + 1 on
+    sector = wu_sector.WuSector(ntot, p, MODE)
+    [(ns, rows)] = wu_sector._wu_eigenvectors(sector, MP, range(sector.dim))
+    assert len(ns) == sector.dim
+    want_raw, want = wu_reference(sector, ns)
+    assert unnormalized.pop().tobytes() == want_raw.tobytes()
+    assert rows.tobytes() == want.tobytes()
 
 
 def test_wu_eigenstate_at_ten_thousand_keeps_its_bits(unnormalized):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from pairspec.cli import main
 from pairspec.lattice import ModelParams, mode_params
 from pairspec.wu_sector import (
+    _RESIDUAL_TOL,
     WuSector,
+    _wu_residuals,
     apply_exp_w,
     build_transformed_wu,
     wu_eigenstate,
@@ -92,6 +95,25 @@ class TestBuildTransformedWu:
 
 
 class TestWuEigenstate:
+    def test_small_sectors_within_budget(self):
+        # the benchmark's N = 170 wu sectors, one block of 85 or 86 rows each;
+        # with logs taken past each row's index, half the x87 entries were -inf
+        # and the six took 10.7-12 ms CPU on a shared 2-vCPU VM (best of 5),
+        # about 3.9 ms without
+        mp = ModelParams(a=0.025, rho=1.0, L=2.0 * math.pi)
+        sectors = [WuSector(170, p, mode_params(mp, kn)) for kn in ((0, 0, 1), (0, 1, 1), (1, 1, 1))
+                   for p in (0, 1)]
+
+        def run():
+            t0 = time.process_time()  # CPU time: other processes on the host do not count
+            worst = max(float(np.max(res)) for sector in sectors for _, _, res in _wu_residuals(sector, mp))
+            elapsed = time.process_time() - t0
+            assert worst <= _RESIDUAL_TOL
+            return elapsed
+
+        run()
+        assert min(run() for _ in range(5)) < 0.008
+
     def test_top_of_triangle(self):
         sector, mp, _ = make(5, 3)
         v = wu_eigenstate(sector, mp, 0)
