@@ -46,8 +46,9 @@ _LOG_SUBNORMAL = math.log(np.finfo(float).smallest_subnormal)
 # 80-bit on Linux x86-64 and plain double under MSVC and on macOS arm64.
 # On x86-64 two kinds of x87 operation take a microcode assist: rounding to a
 # zero or subnormal double (about 185 ns against 1 ns, :func:`_zero_cut`), and
-# any arithmetic with a +-inf or NaN operand (an add about 108 ns against 5.7 ns
-# on finite data); the kernels keep both out of their _EXT loops.
+# any arithmetic with a +-inf or NaN operand (an add with half its operands -inf
+# took 78 ns per element against 4.1 ns on finite data, on a shared 2-vCPU
+# AVX-512 VM); the kernels keep both out of their _EXT loops.
 _EXT = np.longdouble
 
 

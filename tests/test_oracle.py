@@ -14,6 +14,7 @@ from pairspec import oracle
 from pairspec.hamiltonians import bog_energy_ab, build_tridiagonal
 from pairspec.hypergeom import gram_witness
 from pairspec.oracle import svd_small, sym_tridiag_eig, symmetrize_tridiag
+from test_dead_arithmetic import svd_reference
 
 
 def dense_tridiag(diag, off):
@@ -537,20 +538,21 @@ class TestSvdSmall:
 
     def test_gram_63_within_budget(self):
         # gram --nmax 63 --smax 640: a 64 x 64 Gram, the identity to rounding, 2
-        # sweeps of 2016 pairs with 9 rotations.  Three dot products per pair took
-        # 14.8-15.3 ms CPU on a shared 2-vCPU VM (best of 5), one about 6.2 ms
+        # sweeps of 2016 pairs with 9 rotations.  Three dot products per pair
+        # (svd_reference) took 15-16 ms CPU on a shared 2-vCPU VM, one 6.2-6.6 ms.
+        # That host's speed drifts by up to 2x for seconds at a time, so the
+        # budget is a share of the reference's time, each the best of 5, interleaved
         with mock.patch.object(oracle, "svd_small", lambda m: m):
             gram = gram_witness(0, 0.45, 63, 640)
-
-        def run():
-            t0 = time.process_time()  # CPU time: other processes on the host do not count
-            sv = svd_small(gram)
-            elapsed = time.process_time() - t0
-            assert np.all(np.abs(sv - 1.0) <= 1e-8)
-            return elapsed
-
-        run()
-        assert min(run() for _ in range(5)) < 0.011
+        assert np.all(np.abs(svd_small(gram) - 1.0) <= 1e-8)
+        routes = {"kernel": svd_small, "reference": svd_reference}
+        best = dict.fromkeys(routes, math.inf)
+        for _ in range(5):
+            for name, route in routes.items():
+                t0 = time.thread_time()  # this thread: BLAS workers and other processes do not count
+                route(gram)
+                best[name] = min(best[name], time.thread_time() - t0)
+        assert best["kernel"] < 0.7 * best["reference"]  # 0.40-0.41 here, 1.00 for the old route
 
     def test_singular_values_beyond_double_range_refused(self):
         with pytest.raises(ValueError, match="^singular values of this matrix lie beyond double range$"):

@@ -8,14 +8,15 @@ import pytest
 from pairspec.cli import main
 from pairspec.lattice import ModelParams, mode_params
 from pairspec.wu_sector import (
-    _RESIDUAL_TOL,
     WuSector,
-    _wu_residuals,
+    _wu_eigenvectors,
     apply_exp_w,
     build_transformed_wu,
     wu_eigenstate,
     wu_ytilde,
 )
+from test_live_prefix import MODE, MP, wu_reference
+from test_pair_transform import needs_x87
 
 REF = dict(a=1.0 / (16.0 * math.pi), rho=1.0, L=2.0 * math.pi)
 
@@ -95,24 +96,26 @@ class TestBuildTransformedWu:
 
 
 class TestWuEigenstate:
+    @needs_x87
     def test_small_sectors_within_budget(self):
-        # the benchmark's N = 170 wu sectors, one block of 85 or 86 rows each;
-        # with logs taken past each row's index, half the x87 entries were -inf
-        # and the six took 10.7-12 ms CPU on a shared 2-vCPU VM (best of 5),
-        # about 3.9 ms without
-        mp = ModelParams(a=0.025, rho=1.0, L=2.0 * math.pi)
-        sectors = [WuSector(170, p, mode_params(mp, kn)) for kn in ((0, 0, 1), (0, 1, 1), (1, 1, 1))
-                   for p in (0, 1)]
-
-        def run():
-            t0 = time.process_time()  # CPU time: other processes on the host do not count
-            worst = max(float(np.max(res)) for sector in sectors for _, _, res in _wu_residuals(sector, mp))
-            elapsed = time.process_time() - t0
-            assert worst <= _RESIDUAL_TOL
-            return elapsed
-
-        run()
-        assert min(run() for _ in range(5)) < 0.008
+        # two of the benchmark's N = 170 sectors, one block of 85 or 86 rows each.
+        # Taking the logs out to the block's last index (wu_reference) makes half
+        # the x87 entries -inf, each an assist: 3.5-4.9 ms CPU for the two on a
+        # shared 2-vCPU VM, against 1.2-1.8 ms.  That host's speed drifts by up to
+        # 2x for seconds at a time, so the budget is a share of the reference's
+        # time, each the best of 5, interleaved
+        sectors = [WuSector(170, p, MODE) for p in (0, 1)]
+        routes = {
+            "kernel": lambda: [list(_wu_eigenvectors(s, MP, range(s.dim))) for s in sectors],
+            "reference": lambda: [wu_reference(s, range(s.dim)) for s in sectors],
+        }
+        best = dict.fromkeys(routes, math.inf)
+        for _ in range(5):
+            for name, route in routes.items():
+                t0 = time.thread_time()  # this thread: BLAS workers and other processes do not count
+                route()
+                best[name] = min(best[name], time.thread_time() - t0)
+        assert best["kernel"] < 0.7 * best["reference"]  # 0.35-0.38 here, 1.00 for the old route
 
     def test_top_of_triangle(self):
         sector, mp, _ = make(5, 3)
