@@ -170,8 +170,7 @@ def _wu_eigenvectors(sector: WuSector, mp: ModelParams, ns):
         # (c_j / c_{j-1})^2 (ytilde/2)^2, within a few roundings of double; its
         # log is taken in _EXT, so a large |log| adds no rounding of its own
         ratio_sq = (n[:, None] + 1 - j) ** 2 / (j * (p + j) * (n0 + 2) * (n0 + 1))
-        # log c_s for s = 0..top up to s-independent terms, which the normalization
-        # drops; past each row's n the steps stay 0, so no entry is -inf
+        # log c_s for s = 0..top up to s-independent terms, which the normalization drops
         log_w = np.zeros((len(n), top + 1), dtype=ext)
         live = cols[: top + 1] <= n[:, None]
         steps, live_steps = log_w[:, 1:], live[:, 1:]
