@@ -320,7 +320,9 @@ def _singularity_transport(rng):
         radius, _ = genfunc.singularity_radius(moved)
         target = abs(z0 / (1.0 - alpha * z0))
         dev = _worst(dev, abs(radius - target) / target)
-    return [_result("genfunc", "Moebius maps singularities as z -> z/(1 - alpha z)", dev, 0.05)]
+    # the worst of these five fixed pairs reads 6.7e-11 in both _EXT lanes; the
+    # tolerance is about ten times that, so a 1e-7 fault in the radius fails
+    return [_result("genfunc", "Moebius maps singularities as z -> z/(1 - alpha z)", dev, 7e-10)]
 
 
 def _root_exclusions(rng):

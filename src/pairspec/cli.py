@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__, checks, hypergeom, wu_sector
-from .eigenstates import EigenstateSpec, _log_coeffs, classify_normalizable, psi_p_theta
+from .eigenstates import EigenstateSpec, _transform_in_domain, classify_normalizable, psi_p_theta
 from .lattice import (
     AlphaSum,
     ModelParams,
@@ -39,7 +39,7 @@ from .lattice import (
     mode_params,
     ytilde_from_y,
 )
-from .pair_transform import DomainVerdict, _transported_energy, apply_exp_pair, domain_check
+from .pair_transform import _transported_energy, apply_exp_pair
 
 __all__ = ["main"]
 
@@ -162,10 +162,9 @@ def cmd_eigenstate(args: argparse.Namespace) -> tuple[str, int]:
     code = 0
     if args.transform is not None:
         alpha = args.transform
-        horizon = max(200, args.smax)
-        dverdict = domain_check(_log_coeffs(ytil, theta, args.p, horizon), alpha, args.p, horizon)
-        lines.append(f"transform_domain = {dverdict.value}")
-        if dverdict is DomainVerdict.NOT_IN_DOMAIN:
+        in_domain = _transform_in_domain(ytil, theta, args.p, alpha)
+        lines.append(f"transform_domain = {'InDomain' if in_domain else 'NotInDomain'}")
+        if not in_domain:
             code = 2
         else:
             moved = apply_exp_pair(st, -alpha)

@@ -171,6 +171,34 @@ def classify_normalizable(ytilde: float, theta: complex, p: int) -> Normalizabil
     return Normalizability.NOT_NORMALIZABLE
 
 
+def _transform_in_domain(ytilde: float, theta: complex, p: int, alpha: float) -> bool:
+    """Whether exp(-alpha a*b*), alpha in (0, 1), keeps the (p, theta) state at
+    coupling ytilde square-summable: the state's own verdict
+    (:func:`classify_normalizable`) at the mapped coupling ytilde / (1 + alpha ytilde).
+
+    In rescaled coordinates C_s = sqrt(s!/(p+s)!) c_s the state's generating
+    function G(z) = sum C_s z^s is proportional to 2F1(-theta, 1; p+1; -z/ytilde),
+    and the transform's Taylor shift (``pair_transform``) maps it to
+    (1 + alpha z)^(-1) G(z / (1 + alpha z)).  A terminating theta makes G a
+    polynomial, whose image is analytic out to the pole at -1/alpha, beyond
+    the unit disk: always in the domain.  Otherwise G's one singularity is the
+    branch point -ytilde, where G ~ (1 + z/ytilde)^(p+theta) (times a log
+    where p+theta is a nonnegative integer), so that
+    |c_s|^2 ~ ytilde^(-2s) s^-(2 Re theta + 2 + p).  The image's branch point
+    is the point that z -> z / (1 + alpha z) sends to -ytilde, namely
+    -ytilde / (1 + alpha ytilde); the pole at -1/alpha lies farther out, and
+    the map is conformal there, so the local exponent stays p+theta and only
+    the coupling moves.  So the image grows
+    geometrically where ytilde (1 - alpha) < 1 and decays where it is > 1,
+    and at a mapped coupling of 1 the exponent 2 Re theta + 2 + p decides, as
+    for the state itself.
+    """
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    mapped = ytilde / (1.0 + alpha * ytilde)
+    return classify_normalizable(mapped, theta, p) is not Normalizability.NOT_NORMALIZABLE
+
+
 def coeff_log_magnitudes(ytilde: float, theta: float, p: int, smax: int) -> np.ndarray:
     """log |c_s| for s = 0..smax, computed entirely in log space.
 
@@ -180,19 +208,7 @@ def coeff_log_magnitudes(ytilde: float, theta: float, p: int, smax: int) -> np.n
     """
     _check_label(p, theta, ytilde, smax)
     _check_tail_theta(theta)
-    return _log_coeffs(ytilde, theta, p, smax).real
-
-
-def _log_coeffs(ytilde: float, theta: complex, p: int, smax: int) -> np.ndarray:
-    """log c_s = log|c_s| + i arg c_s for s = 0..smax, from :func:`_log_terms`.
-
-    The real part is -inf past a terminating theta; arg c_s lies in (-pi, pi]
-    and is exactly 0 or pi for real theta.
-    """
-    log_mag, phase = _log_terms(ytilde, theta, p, smax)
-    out = np.full(smax + 1, -np.inf, dtype=complex)
-    out[: len(phase)] = log_mag.astype(float) + 1j * np.angle(phase)
-    return out
+    return _log_terms(ytilde, theta, p, smax)[0].astype(float)
 
 
 def _log_terms(ytilde: float, theta: complex, p: int, smax: int) -> tuple[np.ndarray, np.ndarray]:

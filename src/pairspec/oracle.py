@@ -592,9 +592,11 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
     Columns are rotated pairwise until mutually orthogonal; the singular
     values are then the column norms.  Each column's squared norm is taken
     once and retaken only after that column rotates, so a pair that needs no
-    rotation costs one dot product.  Intended for matrices up to 64x64
-    (Gram matrices of the completeness witness); accuracy ~1e-10 relative
-    for well-conditioned inputs.
+    rotation costs one dot product.  A wide m x k matrix (k > m) is rotated
+    as its transpose, whose m columns carry every nonzero singular value, and
+    the k - m others are returned as exact zeros.  Intended for matrices up
+    to 64x64 (Gram matrices of the completeness witness); accuracy ~1e-10
+    relative for well-conditioned inputs.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
@@ -603,6 +605,9 @@ def svd_small(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("svd_small is restricted to dimensions <= 64")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
+    m, k = a.shape
+    if k > m:
+        return np.concatenate([svd_small(a.T), np.zeros(k - m)])
     # an exact power of two brings the largest entry near 1, so that the column
     # dot products neither overflow nor underflow at 1e200 or 1e-300 entries
     e = math.frexp(float(np.max(np.abs(a))))[1]

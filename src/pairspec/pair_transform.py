@@ -8,9 +8,10 @@ binomial convolution
 with t = -alpha for the forward map and +alpha for its inverse: a Taylor
 shift, computed as one extended-precision running product per nonzero C_s
 (_binomial_columns with numerators t m, the one kernel behind apply_exp_pair,
-domain_check, conjugation_check and wu_sector.apply_exp_w, whose numerators
-are the subdiagonal of W).  The module also provides a numerical domain test for
-the transform, an operational check of the conjugation identity
+conjugation_check and wu_sector.apply_exp_w, whose numerators are the
+subdiagonal of W).  Whether the transform keeps an eigenstate square-summable
+has a closed form (eigenstates._transform_in_domain).  The module also provides
+an operational check of the conjugation identity
 exp(P) a exp(-P) = a - alpha a*_{-k} (exact because the commutator series
 terminates) in its intertwined form a exp(-P) = exp(-P) (a - alpha a*_{-k}),
 which needs no inverse and reads as two relations between the columns of the
@@ -19,7 +20,6 @@ one kernel at t = -alpha, and the per-mode ground state.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Callable
 
@@ -30,8 +30,6 @@ from .lattice import ModelParams, _mode_table
 
 __all__ = [
     "apply_exp_pair",
-    "DomainVerdict",
-    "domain_check",
     "conjugation_check",
     "mode_ground_state",
     "pair_occupancy",
@@ -40,7 +38,6 @@ __all__ = [
 
 
 _TINY = np.finfo(float).tiny  # smallest normal double
-_LOG_SUBNORMAL = math.log(np.finfo(float).smallest_subnormal)
 # The extended type of every column kernel, here and in wu_sector and
 # hypergeom, which read it as pair_transform._EXT at call time.  It is x87
 # 80-bit on Linux x86-64 and plain double under MSVC and on macOS arm64.
@@ -232,86 +229,6 @@ def apply_exp_pair(st: LadderState, alpha_signed: float) -> LadderState:
     if n == 0 or alpha_signed == 0.0:
         return st
     return LadderState(st.p, _exp_pair(st.coeffs, st.p, alpha_signed))
-
-
-class DomainVerdict(enum.Enum):
-    IN_DOMAIN = "InDomain"
-    NOT_IN_DOMAIN = "NotInDomain"
-    INCONCLUSIVE = "Inconclusive"
-
-
-def domain_check(
-    log_coeffs: np.ndarray,
-    alpha: float,
-    p: int,
-    horizon: int,
-) -> DomainVerdict:
-    """Numerically probe whether exp(-alpha a*b*) keeps a state square-summable.
-
-    ``log_coeffs`` holds the complex logarithms log|c_s| + i arg c_s of the
-    state's coefficients for s = 0..horizon (a real part of -inf marks a
-    zero), so a state may be given far beyond double range.  A coefficient
-    below double's subnormal range counts as zero.  The transformed rescaled
-    coefficients are formed up to the horizon from the binomial columns of
-    the Taylor shift in ``_EXT``, each cut at the exact-zero tail it reaches
-    when its running product underflows even there (floor 0 of
-    :func:`_binomial_columns`), so the accumulation costs per live entry (at
-    horizon 10^4 a third of the entries are such zeros); a state whose terms
-    leave that range (1e4932 for x87) is refused with ``ValueError``.
-    Because the convolutions alternate in sign, every coefficient carries a
-    noise ceiling set by its largest term; only
-    coefficients safely above that ceiling are treated as known, the rest
-    only as bounded by it.  The verdict is ``NOT_IN_DOMAIN`` when the
-    certified tail grows geometrically, ``IN_DOMAIN`` when the partial norms
-    of the certified-or-bounded sequence are Cauchy (the last window adds
-    under 1e-10 of the head), and ``INCONCLUSIVE`` otherwise -- including
-    when the arithmetic genuinely cannot tell, e.g. for strongly cancelling
-    states whose noise ceiling itself diverges.  Evidence, not proof.
-    """
-    _check_count("horizon", horizon, low=100)
-    _check_count("p", p)
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    log_c = np.asarray(log_coeffs, dtype=complex)
-    if log_c.ndim != 1 or len(log_c) <= horizon:
-        raise ValueError(f"log_coeffs must hold c_0..c_{horizon}, got shape {log_c.shape}")
-    log_c = log_c[: horizon + 1]
-    if np.isnan(log_c).any():
-        raise ValueError("log_coeffs contains NaN")
-    live = log_c.real >= _LOG_SUBNORMAL
-    leads = np.zeros(horizon + 1, dtype=_EXT)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_lead = log_c.real[live] + _log_rescale(p, horizon + 1)[live]
-        leads[live] = np.exp(log_lead.astype(_EXT))
-        # the columns C(m, s) alpha^(m-s) are positive: the sign (-1)^(m-s) is
-        # (-1)^s in each column's weight times a (-1)^m that |C'_m| ignores
-        weight = np.exp(1j * log_c.imag) * (-1.0) ** np.arange(horizon + 1)
-        w_re, w_im = weight.real.astype(_EXT), weight.imag.astype(_EXT)
-        re, im, top = np.zeros((3, horizon + 1), dtype=_EXT)
-        for s, col in _binomial_columns(_taylor_numerators(alpha, horizon + 1), leads):
-            end = s + len(col)
-            re[s:end] += w_re[s] * col
-            im[s:end] += w_im[s] * col
-            np.maximum(top[s:end], col, out=top[s:end])
-        out = np.hypot(re, im)
-    for values in (out, top):  # one at a time: no stacked copy
-        _finite(values, f"terms of the transformed state are {_beyond_ext()}")
-    noise = top * (1e-15 * np.maximum(np.cumsum(live), 4))
-    cert_idx = np.flatnonzero(out > 10.0 * noise)
-    if len(cert_idx) >= 16:
-        window = cert_idx[len(cert_idx) // 2 :]
-        slope = np.polyfit(window.astype(float), np.log(out[window]).astype(float), 1)[0]
-        if slope > 5e-3:
-            return DomainVerdict.NOT_IN_DOMAIN
-    # Cauchy probe on partial norms of the known-or-bounded magnitudes, in log space
-    with np.errstate(divide="ignore"):
-        log_sq = 2.0 * np.log(np.maximum(out, noise))
-    half = horizon // 2 + 1
-    head = np.logaddexp.reduce(log_sq[:half], initial=-np.inf)
-    inc = np.logaddexp.reduce(log_sq[half:], initial=-np.inf)
-    if inc <= math.log(1e-10) + max(head, 0.0):
-        return DomainVerdict.IN_DOMAIN
-    return DomainVerdict.INCONCLUSIVE
 
 
 def conjugation_check(alpha: float, smax: int) -> float:

@@ -92,15 +92,15 @@ COMMAND_SHA256 = {
     ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
-        "4d9500d849d964b88f40a0cbd9d0f38a4811c35bd31973f5c4248a34b72f66f5",
+        "158fe1de035c13d867e5e90ad78027c537f7d108b6ae5a966e6afe7d50d7b2c0",
     ),
     "verify-seed-3": (
         ["verify", "--suite", "all", "--seed", "3"], 0,
-        "0b2c3921244286086d14eb38d18c1902031f27f142a05c8149e2a6c2389668a0",
+        "d702c9ba3b2ec682dc99c6a5571b2ded1a867cf46297dae1a2adb9d662eb3373",
     ),
     "verify-seed-77": (
         ["verify", "--suite", "all", "--seed", "77"], 0,
-        "02f12455bdedc98e16e35ebf78aec0d5f4510ebbf5cddb1cb86622b87d332fa8",
+        "7a488c4d6bfb865dd9458becd07bf6d5923efaa64f4286d0ed0b60be879b0ea5",
     ),
 }
 
@@ -282,7 +282,7 @@ class TestEigenstate:
         assert len(block) == 801 and all(map(math.isfinite, values))
 
     def test_domain_verdict_beyond_double_range(self, capsys):
-        # c_200 of this state is beyond double range; only smax = 100 is printed
+        # c_200 of this state is beyond double range; the verdict forms no coefficient
         argv = ["eigenstate", "--y", "0.01", "--theta", "0.5", "--smax", "100", "--transform", "0.001"]
         code = main(argv)
         captured = capsys.readouterr()
@@ -478,6 +478,8 @@ MODEL_ERRORS = [
         (["eigenstate", "--y", "0.3", "--theta", "1,2,3"], "complex values are 're' or 're,im'"),
         (["eigenstate", "--k-mode", "0,0,1", "--theta", "1"], "--k-mode requires --a, --rho and --L"),
         (["eigenstate", "--k-mode", "0,1", *REF_ARGS, "--theta", "1"], "--k-mode wants three"),
+        *((["eigenstate", "--y", "0.3", "--theta", "0.5", "--transform", alpha],
+           f"alpha must lie in (0, 1), got {float(alpha)}") for alpha in ("0", "1", "-0.1", "nan")),
         (["gram", "--nmax", "-1"], "Nmax"),
         *(
             ([command, *args, *extra], topic)
@@ -503,7 +505,8 @@ MODEL_ERRORS = [
     ],
     ids=[
         "smax-negative", "p-negative", "theta-inf", "theta-nan", "theta-three-parts",
-        "k-mode-without-model", "k-mode-two-indices", "gram-nmax-negative",
+        "k-mode-without-model", "k-mode-two-indices",
+        *(f"transform-{alpha}" for alpha in ("0", "1", "-0.1", "nan")), "gram-nmax-negative",
         *(f"{command}-{name}" for command in ("spectrum", "wu") for name, _, _ in MODEL_ERRORS),
         "spectrum-N-nan", "spectrum-N-inf",
         "spectrum-nmax-1e5", "spectrum-nmax-1e7", "spectrum-nmax-1e19",

@@ -47,7 +47,6 @@ from pairspec.pair_transform import (
     apply_exp_pair,
     conjugation_check,
     depletion_report,
-    domain_check,
     mode_ground_state,
     pair_occupancy,
 )
@@ -81,8 +80,6 @@ ROWS = [
     (coeff_log_magnitudes, "smax", 0, lambda v: coeff_log_magnitudes(1.0, 0.5, 0, v), 2),
     (partial_norms, "p", 0, lambda v: partial_norms(1.0, 0.5, v, 4), 2),
     (partial_norms, "smax", 0, lambda v: partial_norms(1.0, 0.5, 0, v), 2),
-    (domain_check, "p", 0, lambda v: domain_check(np.zeros(201, complex), 0.3, v, 200), 2),
-    (domain_check, "horizon", 100, lambda v: domain_check(np.zeros(201, complex), 0.3, 0, v), 150),
     (conjugation_check, "smax", 4, lambda v: conjugation_check(0.3, v), 6),
     (mode_ground_state, "smax", 0, lambda v: mode_ground_state(0.3, v), 2),
     (GenFn, "p", 0, lambda v: GenFn(v, [1.0]), 2),

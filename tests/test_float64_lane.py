@@ -17,10 +17,9 @@ import pytest
 
 from pairspec import hypergeom, oracle, pair_transform, wu_sector
 from pairspec.cli import main
-from pairspec.eigenstates import _log_coeffs
 from pairspec.fock_ladder import LadderState
-from pairspec.lattice import ModelParams, mode_params, ytilde_from_y
-from pairspec.pair_transform import apply_exp_pair, conjugation_check, domain_check
+from pairspec.lattice import ModelParams, mode_params
+from pairspec.pair_transform import apply_exp_pair, conjugation_check
 
 # the ladder range edges (a complex theta of modulus beyond double range, norms
 # whose squares overflow, the residual and pairing refusals) collected here
@@ -74,22 +73,47 @@ def test_unrepresentable_image_refused():
         apply_exp_pair(LadderState(0, c), -0.9)
 
 
-@pytest.mark.parametrize("theta, alpha, horizon",
-                         [(-0.5, 0.02, 600), (0.5, 0.05, 400), (3.0, 0.3, 800), (-0.5, 0.3, 10**4)])
-def test_domain_check(theta, alpha, horizon):
-    log_c = _log_coeffs(ytilde_from_y(0.45), theta, 0, horizon)
-    try:
-        verdict = domain_check(log_c, alpha, 0, horizon)
-    except ValueError as exc:
-        assert "beyond extended range (1e308)" in str(exc)
-    else:
-        assert isinstance(verdict, pair_transform.DomainVerdict)
+def check_verdict_in_both_lanes(monkeypatch, capsys, argv, want):
+    """`eigenstate`'s (transform_domain line, exit code) is want with _EXT float64 and long double."""
+    for ext in (np.float64, np.longdouble):
+        monkeypatch.setattr(pair_transform, "_EXT", ext)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        line = next(line for line in captured.out.splitlines() if line.startswith("transform_domain"))
+        assert (line, code) == want, ext
+
+
+# the benchmark's three dense-transform commands, and smax 10^4
+@pytest.mark.parametrize("theta, alpha, smax, domain, code", [
+    (-0.5, 0.02, 600, "InDomain", 0), (0.5, 0.05, 400, "NotInDomain", 2),
+    (3.0, 0.3, 800, "InDomain", 0), (-0.5, 0.3, 10**4, "NotInDomain", 2),
+], ids=["-0.5-0.02-600", "0.5-0.05-400", "3.0-0.3-800", "-0.5-0.3-10000"])
+def test_domain_check(monkeypatch, capsys, theta, alpha, smax, domain, code):
+    argv = ["eigenstate", "--y", "0.45", "--theta", repr(theta), "--smax", str(smax),
+            "--transform", repr(alpha)]
+    check_verdict_in_both_lanes(monkeypatch, capsys, argv, (f"transform_domain = {domain}", code))
+
+
+# two labels at ytilde (1 - alpha) = 0.968, where the verdict once changed with
+# smax, and a state whose coefficients leave double range past smax 100
+BOUNDARY_LABELS = {
+    "first": ["--y", "0.46766844082778625", "--p", "2", "--theta", "5.93", "--transform", "0.268"],
+    "second": ["--y", "0.4961062937431326", "--p", "1", "--theta", "1.864", "--transform", "0.757"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *([*label, "--smax", smax] for label in BOUNDARY_LABELS.values() for smax in ("200", "600", "2000")),
+    ["--y", "0.01", "--theta", "0.5", "--smax", "100", "--transform", "0.001"],
+], ids=[*(f"{name}-smax-{smax}" for name in BOUNDARY_LABELS for smax in ("200", "600", "2000")),
+        "beyond-double-range"])
+def test_domain_check_is_exact(monkeypatch, capsys, argv):
+    check_verdict_in_both_lanes(monkeypatch, capsys, ["eigenstate", *argv], ("transform_domain = NotInDomain", 2))
 
 
 def test_range_figure_is_the_types():
-    # e^800 has no double; the message must not claim the x87 range 1e4932
-    with pytest.raises(ValueError, match=r"beyond extended range \(1e308\)$"):
-        domain_check(np.full(201, 800.0), 0.5, 0, 200)
+    # terms beyond double range: the message must not claim the x87 range 1e4932
     with pytest.raises(ValueError, match=r"beyond extended range \(1e308\)$"):
         conjugation_check(1e300, 20)
 

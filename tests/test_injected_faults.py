@@ -13,8 +13,7 @@ No check catches these at 1e-7, so they have no row: ``_hyp_f``'s output under
 any per-row scale (the contiguous relation is homogeneous in F; its parameter c
 has a row), ``svd_small`` and ``_transported_columns`` (the witness floor is
 1e-8 of the largest singular value and the drift tolerance 1e-2),
-``tail_constant`` and ``stirling_tail_limit`` (tolerance 2e-3) and
-``singularity_radius`` (tolerance 0.05).
+and ``tail_constant`` and ``stirling_tail_limit`` (tolerance 2e-3).
 """
 
 import sys
@@ -25,7 +24,7 @@ import pytest
 from pairspec.checks import run_suite
 from pairspec.eigenstates import partial_norms, psi_p_theta, recurrence_coeffs
 from pairspec.fock_ladder import LadderState, apply_ab, apply_adbd, apply_halfnumber
-from pairspec.genfunc import _mobius, e_from_b, q_invariant, roots
+from pairspec.genfunc import _mobius, e_from_b, q_invariant, roots, singularity_radius
 from pairspec.hamiltonians import apply_hab_alpha, bog_energy_ab, lhy_block
 from pairspec.hypergeom import _hyp_f, f_family
 from pairspec.lattice import alpha_c
@@ -55,6 +54,7 @@ ENERGIES = "transported energies equal the closed spectrum"
 SETTLE = "partial norms settle for ytilde = 3/2"
 SYMMETRIZED = "symmetrized transformed block reproduces e_from_b"
 MOBIUS = "Moebius series equals the exponential transform"
+SINGULARITY = "Moebius maps singularities as z -> z/(1 - alpha z)"
 ROOT_PRODUCT = "root product is y1/y2 (1 at alpha = 0)"
 Q = "Q is independent of the amplitude"
 MAPS = "exponent and energy maps invert each other"
@@ -123,6 +123,14 @@ def _alternating_blocks(func):
     return lambda *args: ((ns, _scaled(rows, True)) for ns, rows in func(*args))
 
 
+def _on_radius(func):
+    # singularity_radius returns (radius, DiskClass): the fault is on the radius
+    def broken(g):
+        radius, disk = func(g)
+        return radius * (1.0 + FAULT), disk
+    return broken
+
+
 def _on_c(func):
     # a scale on F's output cancels in the homogeneous contiguous relation
     return lambda a, b, c, z: func(a, b, c * (1.0 + FAULT), z)
@@ -139,6 +147,7 @@ OUTPUT_FAULTS = [
     (roots, _uniform, ("genfunc",), {MAPS, ROOT_PRODUCT}),
     (_log_rescale, _uniform, ("eigen", "genfunc"), {TRANSPORTED, ODE}),
     (_mobius, _uniform, ("genfunc",), {MOBIUS}),
+    (singularity_radius, _on_radius, ("genfunc",), {SINGULARITY}),
     (psi_p_theta, _uniform, ("eigen",), {RECURRENCE}),
     (recurrence_coeffs, _uniform, ("eigen",), {RECURRENCE}),
     (lhy_block, _uniform, ("wu",), {WU_DIAGONAL}),

@@ -4,9 +4,9 @@ On x86-64, rounding an x87 long double whose double is zero or subnormal
 costs a microcode assist (about 185 ns against 1 ns).  So ``_binomial_columns``
 yields each column only over its live prefix (``_live_length``), cut for the
 shift where the entries round to a zero double and for its other consumers
-(``domain_check``, ``conjugation_check``, ``apply_exp_w``) at the exact-zero
-tail; ``_wu_eigenvectors`` exponentiates only logs at or above ``_LOG_ZERO``,
-and ``_transported_columns`` turns the entries that round to zero into signed
+(``conjugation_check``, ``apply_exp_w``) at the exact-zero tail;
+``_wu_eigenvectors`` exponentiates only logs at or above ``_LOG_ZERO``, and
+``_transported_columns`` turns the entries that round to zero into signed
 zeros before its cast.  x87 arithmetic on an infinite operand takes an assist
 too, so ``_wu_eigenvectors`` takes no log past each row's index, where the
 ratio is 0.  Each must keep the bits of the plain route, written out here as
@@ -131,8 +131,8 @@ def check_prefix(col, floor):
 @pytest.mark.parametrize("seed", range(20))
 def test_live_prefix_on_both_floors(ext, seed):
     """The shift's columns (leads that are doubles, the cut of a zero double)
-    and domain_check's (positive t, leads down to the type's smallest
-    subnormal, floor 0), 1-D and batched."""
+    and columns at floor 0 (positive t, leads down to the type's smallest
+    subnormal), 1-D and batched."""
     rng = np.random.default_rng(seed)
     fin = np.finfo(ext)
     deepest = -(fin.minexp - fin.nmant)  # -log2 of the smallest subnormal
@@ -160,44 +160,10 @@ def test_live_prefix_counts_nan_as_live():
     assert _live_length(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), 0.0) == 1
 
 
-def domain_arrays(monkeypatch, log_c, alpha, p, horizon):
-    """domain_check's verdict and the transformed magnitudes and noise tops it
-    refuses when not finite, captured at its range check."""
-    seen = []
-
-    def spy(values, message):
-        seen.append(np.array(values))
-
-    monkeypatch.setattr(pair_transform, "_finite", spy)
-    verdict = pair_transform.domain_check(log_c, alpha, p, horizon)
-    return verdict, seen
-
-
 def same_bits(a, b):
     """Bit equality of two arrays of the extended type, whose x87 form pads
     each number with bytes that carry no value."""
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-# ratio 0 is the vacuum alone: its one column alpha^m passes through the
-# type's subnormals to its exact-zero tail with nothing else added there
-@pytest.mark.parametrize(("ratio", "alpha", "horizon"), [
-    (0.45, 0.02, 2000), (0.9, 0.005, 1500), (0.3, 0.3, 400), (0.0, 0.02, 3000),
-])
-def test_domain_check_keeps_its_bits(monkeypatch, ratio, alpha, horizon):
-    rng = np.random.default_rng(horizon)
-    s = np.arange(horizon + 1)
-    log_c = 1j * 2 * np.pi * rng.random(horizon + 1)
-    if ratio == 0.0:
-        log_c[1:] = -np.inf
-    else:
-        log_c += s * math.log(ratio)
-    verdict, arrays = domain_arrays(monkeypatch, log_c, alpha, 0, horizon)
-    monkeypatch.setattr(pair_transform, "_live_length", lambda col, floor: len(col))
-    want_verdict, want_arrays = domain_arrays(monkeypatch, log_c, alpha, 0, horizon)
-    assert verdict == want_verdict
-    assert len(arrays) == len(want_arrays) == 2
-    assert all(map(same_bits, arrays, want_arrays))
 
 
 MP = ModelParams(a=0.025, rho=1.0, L=2 * math.pi)
@@ -317,17 +283,14 @@ FREE = ModelParams(a=0.0, rho=1.0, L=2 * math.pi)  # W = 0: every column dies af
 
 @pytest.mark.parametrize("seed", range(12))
 def test_every_consumer_reads_only_live_columns(monkeypatch, seed):
-    """The shift (1-D and batched), domain_check, conjugation_check and
-    apply_exp_w: each column the kernel yields is live to its last entry,
-    and what it drops is at most the floor."""
+    """The shift (1-D and batched), conjugation_check and apply_exp_w: each
+    column the kernel yields is live to its last entry, and what it drops is
+    at most the floor."""
     rng = np.random.default_rng(seed)
     seen = watched_columns(monkeypatch)
     coeffs, p, t = random_batch(rng)
     outcome(lambda: pair_transform._exp_pair(coeffs, p, t))
     outcome(lambda: pair_transform._exp_pair(coeffs[0], p, t[0]))
-    horizon = int(rng.integers(100, 800))
-    log_c = np.arange(horizon + 1) * math.log(rng.uniform(0.05, 0.95)) + 2j * np.pi * rng.random(horizon + 1)
-    pair_transform.domain_check(log_c, rng.uniform(0.001, 0.5), int(rng.integers(0, 3)), horizon)
     pair_transform.conjugation_check(rng.choice([1e-300, rng.uniform(-0.95, 0.95)]), int(rng.integers(4, 60)))
     for mp in (MP, FREE):
         sector = wu_sector.WuSector(int(rng.integers(2, 400)), int(rng.integers(0, 2)), mode_params(mp, (0, 0, 1)))

@@ -554,6 +554,23 @@ class TestSvdSmall:
                 best[name] = min(best[name], time.thread_time() - t0)
         assert best["kernel"] < 0.7 * best["reference"]  # 0.40-0.41 here, 1.00 for the old route
 
+    def test_wide_matrix_is_its_transpose_within_budget(self):
+        # rotating all 64 columns of a 20 x 64 matrix took 0.3-0.6 s CPU, its
+        # 64 x 20 transpose 18 ms; the budget is a share of the transpose's
+        # time, each the best of 5, interleaved
+        a = np.random.default_rng(20).standard_normal((20, 64))
+        sv = svd_small(a)
+        assert sv.tobytes() == np.concatenate([svd_small(a.T), np.zeros(44)]).tobytes()
+        np.testing.assert_allclose(sv[:20], np.linalg.svd(a, compute_uv=False), rtol=1e-13)
+        routes = {"wide": a, "transpose": a.T}
+        best = dict.fromkeys(routes, math.inf)
+        for _ in range(5):
+            for name, matrix in routes.items():
+                t0 = time.thread_time()
+                svd_small(matrix)
+                best[name] = min(best[name], time.thread_time() - t0)
+        assert best["wide"] < 2.0 * best["transpose"]
+
     def test_singular_values_beyond_double_range_refused(self):
         with pytest.raises(ValueError, match="^singular values of this matrix lie beyond double range$"):
             svd_small(np.full((2, 2), 1e308))

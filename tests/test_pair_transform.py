@@ -8,15 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from pairspec import pair_transform
-from pairspec.eigenstates import EigenstateSpec, psi_p_theta, residual
+from pairspec.eigenstates import (
+    EigenstateSpec,
+    Normalizability,
+    _transform_in_domain,
+    classify_normalizable,
+    psi_p_theta,
+    residual,
+)
 from pairspec.fock_ladder import LadderState
+from pairspec.genfunc import DiskClass, from_state, mobius, singularity_radius
 from pairspec.lattice import ModelParams, alpha_c, ytilde_from_y
 from pairspec.pair_transform import (
-    DomainVerdict,
     apply_exp_pair,
     conjugation_check,
     depletion_report,
-    domain_check,
     mode_ground_state,
     pair_occupancy,
 )
@@ -213,14 +219,6 @@ class TestBinomialShiftReferees:
             apply_exp_pair(LadderState(0, c), -0.9)
 
 
-def log_coeffs(coeffs, n):
-    """Complex logs of coeffs padded with zeros (real part -inf) to n entries."""
-    out = np.full(n, -np.inf, dtype=complex)
-    with np.errstate(divide="ignore"):
-        out[: len(coeffs)] = np.log(np.asarray(coeffs, dtype=complex))
-    return out
-
-
 @pytest.mark.parametrize("p", [1, 3, 10])
 def test_mpmath_log_rescale(p):
     # log sqrt(s!/(p+s)!) from 40-digit log-Gammas; two logs near s log s may
@@ -231,88 +229,98 @@ def test_mpmath_log_rescale(p):
     assert np.max(np.abs(pair_transform._log_rescale(p, 4000) - want)) <= 1e-13
 
 
+def mapped_coupling_slope(ytil, theta, p, alpha, orders):
+    """Slope of log|c'_m|^2 against log m over the given orders, c' = exp(-alpha a*b*) c
+    for the (p, theta) state at coupling ytil, each c'_m summed in 50-digit mpmath
+    as C'_m = sum_s C_s C(m, s) (-alpha)^(m-s), C_s = sqrt(s!/(p+s)!) c_s (up to
+    a constant factor, which the slope ignores)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        theta, ytil, alpha = mpmath.mpc(theta), mpmath.mpf(ytil), mpmath.mpf(alpha)
+        C = [mpmath.mpc(1)]
+        for s in range(1, max(orders) + 1):  # C_s / C_{s-1} = (theta + 1 - s) / ((p + s) ytilde)
+            C.append(C[-1] * (theta + 1 - s) / ((p + s) * ytil))
+        logs = []
+        for m in orders:
+            term, total = mpmath.mpf(1), mpmath.mpc(0)  # term = C(m, s) (-alpha)^(m-s), from s = m down
+            for s in range(m, -1, -1):
+                total += C[s] * term
+                term *= -alpha * s / (m - s + 1)
+            log_rescale = mpmath.loggamma(p + m + 1) - mpmath.loggamma(m + 1)
+            logs.append(float(log_rescale + 2 * mpmath.log(abs(total))))
+    return np.polyfit(np.log(orders), logs, 1)[0]
+
+
 class TestDomainCheck:
+    """The transform-domain verdict eigenstate --transform prints: the
+    closed form eigenstates._transform_in_domain."""
+
     def test_finite_states_in_domain(self):
-        coeffs = psi_p_theta(EigenstateSpec(0, 3, 1.0, 3)).coeffs
-        assert domain_check(log_coeffs(coeffs, 201), 0.7, 0, 200) is DomainVerdict.IN_DOMAIN
+        for ytil in (1e-3, 1.0, 5.0):
+            assert _transform_in_domain(ytil, 3, 0, 0.7)
+            assert _transform_in_domain(ytil, 3.0, 2, 0.999)
 
     def test_geometric_growth_rejected(self):
-        for phase in (0.0, math.pi / 2):  # a global phase leaves the verdict alone
-            log_c = np.arange(201) * math.log(2.0) + 1j * phase
-            assert domain_check(log_c, 0.9, 0, 200) is DomainVerdict.NOT_IN_DOMAIN
+        for theta in (0.5, 0.5 + 3j):  # away from ytilde' = 1 the imaginary part plays no role
+            assert not _transform_in_domain(0.5, theta, 0, 0.9)  # c_s ~ 2^s
 
     def test_geometric_decay_accepted(self):
-        log_c = np.arange(201) * math.log(0.5)
-        assert domain_check(log_c, 0.3, 0, 200) is DomainVerdict.IN_DOMAIN
-
-    def test_deep_cancellation_is_inconclusive(self):
-        # true transform decays, but the alternating sums cancel far below
-        # double precision; the honest verdict is "cannot certify"
-        log_c = np.arange(201) * math.log(0.5)
-        assert domain_check(log_c, 0.9, 0, 200) is DomainVerdict.INCONCLUSIVE
-
-    @pytest.mark.parametrize("ratio, alpha, horizon", [(0.7, 0.9, 400), (0.7, 0.9, 2000), (0.6, 0.95, 1800)])
-    def test_cancellation_stays_inconclusive_at_long_horizons(self, ratio, alpha, horizon):
-        # at the two long horizons the noise ceiling passes 1e154, so the
-        # squared partial norms must be summed in log space
-        log_c = np.arange(horizon + 1) * math.log(ratio)
-        assert domain_check(log_c, alpha, 0, horizon) is DomainVerdict.INCONCLUSIVE
+        for theta in (0.5, -2.5 + 1j):
+            assert _transform_in_domain(2.0, theta, 1, 0.3)  # ytilde (1 - alpha) = 1.4
 
     def test_zero_state_in_domain(self):
-        assert domain_check(log_coeffs([1.0], 151), 0.5, 0, 150) is DomainVerdict.IN_DOMAIN
+        # theta = 0 is the vacuum, c_s = 0 past s = 0, at every coupling
+        assert _transform_in_domain(1e-300, 0.0, 0, 0.5)
 
     def test_normalizable_noninteger_label_still_excluded(self):
         # above unit coupling the state is square-summable, yet its branch
         # point maps inside the unit disk, so the transform must reject it
         ytil = 1.5
         y = math.sqrt(ytil**2 / (1.0 + 4.0 * ytil**2))
-        coeffs = psi_p_theta(EigenstateSpec(0, 0.5, ytil, 400)).coeffs
-        verdict = domain_check(np.log(coeffs), alpha_c(y), 0, 400)
-        assert verdict is DomainVerdict.NOT_IN_DOMAIN
-
-    @pytest.mark.parametrize("horizon", [300, 400])
-    def test_undone_pair_transform_never_rejected(self, horizon):
-        # c_s = alpha^s is exp(alpha a*b*)|vac>, so exp(-alpha a*b*) maps it
-        # back to the vacuum; every transformed c_m (m > 0) is pure
-        # cancellation noise, and a noise ceiling set too low would read that
-        # noise as geometric growth
-        for alpha in [i / 100 for i in range(55, 71)]:
-            log_c = np.arange(horizon + 1) * math.log(alpha)
-            verdict = domain_check(log_c, alpha, 0, horizon)
-            assert verdict is not DomainVerdict.NOT_IN_DOMAIN, alpha
+        assert classify_normalizable(ytil, 0.5, 0) is Normalizability.NORMALIZABLE
+        assert not _transform_in_domain(ytil, 0.5, 0, alpha_c(y))
 
     def test_growth_beyond_double_range_rejected(self):
-        # c_200 = 1e400 has no double, its logarithm does
-        log_c = np.arange(201) * math.log(100.0)
-        assert domain_check(log_c, 0.5, 0, 200) is DomainVerdict.NOT_IN_DOMAIN
-
-    def test_beyond_extended_range_refused(self):
-        log_c = np.arange(201) * math.log(1e30)  # c_200 = 1e6000
-        with pytest.raises(ValueError, match="beyond extended range"):
-            domain_check(log_c, 0.5, 0, 200)
-
-    def test_short_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            domain_check(np.full(51, -np.inf), 0.5, 0, 50)
-
-    def test_short_input_rejected(self):
-        with pytest.raises(ValueError, match="c_0..c_150"):
-            domain_check(np.zeros(150), 0.5, 0, 150)
+        # c_200 of this state is about 1e400: no coefficient is formed
+        assert not _transform_in_domain(0.01, 0.5, 0, 0.5)
 
     def test_alpha_range_enforced(self):
-        with pytest.raises(ValueError):
-            domain_check(np.full(151, -np.inf), 0.0, 0, 150)
-        with pytest.raises(ValueError):
-            domain_check(np.full(151, -np.inf), 1.0, 0, 150)
+        for alpha in (0.0, 1.0, -0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^alpha must lie in \\(0, 1\\), got {alpha}$"):
+                _transform_in_domain(2.0, 0.5, 0, alpha)
 
     def test_nan_refused(self):
-        log_c = np.zeros(151, dtype=complex)
-        log_c[7] = complex(math.nan, 0.0)
-        with pytest.raises(ValueError, match="NaN"):
-            domain_check(log_c, 0.5, 0, 150)
+        with pytest.raises(ValueError, match="^theta must be finite, got"):
+            _transform_in_domain(2.0, complex(math.nan, 0.0), 0, 0.5)
 
-    def test_all_zero_state_in_domain(self):
-        assert domain_check(np.full(151, -np.inf), 0.5, 0, 150) is DomainVerdict.IN_DOMAIN
+    def test_grid_against_the_moebius_series(self):
+        # the referees: mobius transports the state's series, singularity_radius
+        # classifies the image's radius; the band |ytilde' - 1| < 0.1 is left
+        # out, and classes are compared, not radii, since the estimate is
+        # biased on fast-decaying tails
+        rng = np.random.default_rng(31)
+        labels = []
+        while len(labels) < 60:
+            ytil, alpha = rng.uniform(0.5, 4.0), rng.uniform(0.02, 0.9)
+            if abs(ytil / (1.0 + alpha * ytil) - 1.0) >= 0.1:
+                labels.append((ytil, alpha, int(rng.integers(0, 4)), rng.uniform(-3.0, 6.0)))
+        sides = set()
+        for ytil, alpha, p, theta in labels:
+            g = from_state(psi_p_theta(EigenstateSpec(p, theta, ytil, 400)))
+            _, disk = singularity_radius(mobius(g, alpha))
+            in_domain = _transform_in_domain(ytil, theta, p, alpha)
+            assert disk is (DiskClass.ANALYTIC_IN_DISK if in_domain else DiskClass.SINGULAR_IN_DISK), (
+                ytil, alpha, p, theta)
+            sides.add(in_domain)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("theta, p", [(-0.8, 0), (0.3, 0), (-0.6, 1), (0.5 + 0.4j, 2)])
+    def test_exponent_decides_at_unit_mapped_coupling(self, theta, p):
+        # ytilde = 2, alpha = 1/2: ytilde' = 1 exactly, where |c'_m|^2 ~ m^-(2 Re theta + 2 + p)
+        exponent = 2.0 * complex(theta).real + 2.0 + p
+        slope = mapped_coupling_slope(2.0, theta, p, 0.5, [200, 250, 300, 350, 400])
+        assert slope == pytest.approx(-exponent, abs=0.05)
+        assert _transform_in_domain(2.0, theta, p, 0.5) is (exponent > 1.0)
 
 
 class TestConjugation:
