@@ -135,19 +135,21 @@ def _coeff_block(header: str, coeffs: np.ndarray) -> list[str]:
 
 
 def cmd_eigenstate(args: argparse.Namespace) -> tuple[str, int]:
-    if args.y is not None:
-        y = args.y
-    elif args.k_mode is not None:
+    if (args.y is None) == (args.k_mode is None):
+        raise ValueError("give exactly one of --y and --k-mode")
+    y = args.y
+    if y is None:
         if args.a is None or args.rho is None or args.L is None:
             raise ValueError("--k-mode requires --a, --rho and --L")
         mp = ModelParams(a=args.a, rho=args.rho, L=args.L)
         y = _mode_at(mp, args.k_mode, "--k-mode").y
-    else:
-        raise ValueError("one of --y or --k-mode is required")
     theta = _parse_complex(args.theta)
     ytil = ytilde_from_y(y)
     spec = EigenstateSpec(p=args.p, theta=theta, ytilde=ytil, smax=args.smax)
     verdict = classify_normalizable(ytil, theta, args.p)
+    alpha = args.transform
+    # an alpha outside (0, 1) is refused here, before the state is formed
+    in_domain = alpha is None or _transform_in_domain(ytil, theta, args.p, alpha)
     st = psi_p_theta(spec)
     energy = args.p / 2.0 + theta
 
@@ -160,9 +162,7 @@ def cmd_eigenstate(args: argparse.Namespace) -> tuple[str, int]:
     ]
 
     code = 0
-    if args.transform is not None:
-        alpha = args.transform
-        in_domain = _transform_in_domain(ytil, theta, args.p, alpha)
+    if alpha is not None:
         lines.append(f"transform_domain = {'InDomain' if in_domain else 'NotInDomain'}")
         if not in_domain:
             code = 2

@@ -7,7 +7,7 @@ rho, box side L); per-mode derived quantities are collected in ``ModeParams``,
 an immutable named tuple built once per half-lattice mode by ``mode_params``,
 or holding numpy columns over the whole half lattice, built by ``_mode_table``.
 Both evaluate the one statement of the formulas, ``_mode_formulas``, and give
-the same bits.
+the same bits.  Lattice sums are correctly rounded, independent of mode order.
 """
 
 from __future__ import annotations
@@ -281,18 +281,16 @@ def _mode_table(mp: ModelParams, nmax: int) -> ModeParams:
 
 
 def _alpha_total(mp: ModelParams, alphas: Iterable[float]) -> AlphaSum:
-    """4*pi*a*rho * sum of 2*alpha over half-lattice amplitudes, in their order."""
-    # np.add.accumulate adds one at a time in order; np.sum adds pairwise, other bits
-    total = float(np.add.accumulate(2.0 * np.fromiter(alphas, dtype=float))[-1])
+    """4*pi*a*rho * 2 * (correctly rounded sum of the half-lattice amplitudes)."""
     # a > 0 whose 8*pi*a*rho underflows has every alpha = 0, like the free gas
-    return AlphaSum(value=4.0 * math.pi * mp.a * mp.rho * total,
+    return AlphaSum(value=4.0 * math.pi * mp.a * mp.rho * (2.0 * math.fsum(alphas)),
                     grows_with_cutoff=mp.gas_scale != 0.0)
 
 
 def alpha_sum(mp: ModelParams, nmax: int) -> AlphaSum:
     """4*pi*a*rho * sum of alpha(k) over the full truncated lattice.
 
-    The sum is taken in the deterministic half-lattice order (each term
-    counted twice, alpha(-k) = alpha(k)) so repeated runs are bit-identical.
+    Each half-lattice term is counted twice (alpha(-k) = alpha(k)), and the
+    sum is correctly rounded.
     """
     return _alpha_total(mp, (mode_params(mp, k).alpha for k in half_lattice(mp.L, nmax)))

@@ -302,14 +302,14 @@ def pair_occupancy(st: LadderState) -> float:
 def depletion_report(mp: ModelParams, nmax: int) -> dict:
     """Half-lattice condensate depletion of the ground state vs the nominal N.
 
-    Each (k, -k) pair contributes 2 alpha(k)^2 / (1 - alpha(k)^2) expected
-    particles outside the condensate.  The ratio to N is the self-consistency
-    figure for the average-particle constraint; it is reported, not asserted.
+    Each (k, -k) pair adds 2 alpha(k)^2 / (1 - alpha(k)^2) expected particles
+    outside the condensate, to a correctly rounded total.  Its ratio to N is the
+    average-particle constraint's self-consistency figure: reported, not asserted.
     """
     table = _mode_table(mp, nmax)
     alpha2 = table.alpha * table.alpha
     occ = 2.0 * alpha2 / (1.0 - alpha2)
-    total = float(np.add.accumulate(occ)[-1])  # in half-lattice order, as lattice._alpha_total
+    total = math.fsum(occ.tolist())
     return {
         "depletion": total,
         "N": mp.N,

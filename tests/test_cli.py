@@ -25,15 +25,15 @@ from pairspec.lattice import ModelParams, _alpha_total, half_lattice, mode_param
 REF_ARGS = ["--a", str(1.0 / (16.0 * math.pi)), "--rho", "1", "--L", str(2.0 * math.pi)]
 FREE_ARGS = ["--a", "0", *REF_ARGS[2:]]
 
-# SHA-256 of `spectrum` stdout, recorded from the json.dumps / fmt writer that
-# the row templates replaced: (model, nmax, format) -> digest.
+# SHA-256 of `spectrum` stdout: (model, nmax, format) -> digest.  The stdlib
+# encoder referees the json row template in test_json_rows_match_stdlib_encoder.
 SPECTRUM_SHA256 = {
-    ("ref", 1, "csv"): "1d6183b89d598d6356bf49c99ca094a7989ad121c355a4b110e2e43395fb0068",
-    ("ref", 1, "json"): "aa8916f88e6ae75126761917b10b0179aa0ead80f4f22384042c229e5efb1587",
-    ("ref", 2, "csv"): "85cca8ce9d1c7229e5977a24ae04749bf84f9b2645323ef3166fe203f7b1d3c7",
-    ("ref", 2, "json"): "705c1da9cac6592b470c8dde81b38027a12c12525feb37661aba4cd232724e58",
-    ("ref", 5, "csv"): "4d51e881def3b8465aac308eca3b2586f22ebe5cef0a19dc45ce3d862fe5a588",
-    ("ref", 5, "json"): "d290f92313fdfdcfd343ee866e272b59fa707f39c8f2103f149068a223489126",
+    ("ref", 1, "csv"): "e9045e2e755ead6806af340b3c591e4cabff7efffdaef9f301496435e377f8ed",
+    ("ref", 1, "json"): "7ca6db2e248c4ba140decbeac293c7ca879e7e2925584b21cee73aaf3170bebf",
+    ("ref", 2, "csv"): "5120be2f76eaf7ace8939aaa76c74c2e9cce25c62b30d0cc1bda3dc4603150f1",
+    ("ref", 2, "json"): "3e1f6d888e245677ea31b9ac13df2abcbd9e1906849ed6253a32d196ef3be3eb",
+    ("ref", 5, "csv"): "5053db704cd1dcaaa8b0469dd8dcf2c15a92b10fb11a42d23732be024699b4b1",
+    ("ref", 5, "json"): "b1917fa3f647b3703902df9060e6ab62518776e9900a719701f2343fe6653fd0",
     ("free", 1, "csv"): "5f561417f6d49bade3870af6f69169c5907cc79fec8371448140261273f411a1",
     ("free", 1, "json"): "c2ffc696fd680573939c97de4fb2b05c5fe97ff5c78b3511f2ed02d0c06cba78",
     ("free", 2, "csv"): "5383cb2486fc487793ff5eacb53d0446ca8dd9aea6dff9b58f94e20a9213c836",
@@ -92,15 +92,15 @@ COMMAND_SHA256 = {
     ),
     "verify-seed-0": (
         ["verify", "--suite", "all", "--seed", "0"], 0,
-        "158fe1de035c13d867e5e90ad78027c537f7d108b6ae5a966e6afe7d50d7b2c0",
+        "87c2937522a73938a4df6e896d061514d477cd0499659c32f12e985231d30f3a",
     ),
     "verify-seed-3": (
         ["verify", "--suite", "all", "--seed", "3"], 0,
-        "d702c9ba3b2ec682dc99c6a5571b2ded1a867cf46297dae1a2adb9d662eb3373",
+        "b3d4da29b6b8cf8cfdedc5f82ba15ec6659232cc3959f4d52e2eb7c89b9fba4b",
     ),
     "verify-seed-77": (
         ["verify", "--suite", "all", "--seed", "77"], 0,
-        "7a488c4d6bfb865dd9458becd07bf6d5923efaa64f4286d0ed0b60be879b0ea5",
+        "6ae989ec0600e82dd7f2267445b3cd6619800b3cd8baadb3da3279cdf285743e",
     ),
 }
 
@@ -288,6 +288,18 @@ class TestEigenstate:
         captured = capsys.readouterr()
         assert code == 2 and captured.err == ""
         assert "transform_domain = NotInDomain" in captured.out
+
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_transform_refused_before_the_state_is_formed(self, capsys, monkeypatch, alpha):
+        def formed(spec):
+            raise AssertionError("the state was formed before alpha was checked")
+
+        monkeypatch.setattr(pairspec.cli, "psi_p_theta", formed)
+        argv = ["eigenstate", "--y", "0.45", "--theta", "-0.5", "--smax", "2000000", "--transform", alpha]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
 
     def test_k_mode_source(self, capsys):
         code, out = run(
@@ -477,6 +489,8 @@ MODEL_ERRORS = [
         (["eigenstate", "--y", "0.3", "--theta", "nan"], "theta"),
         (["eigenstate", "--y", "0.3", "--theta", "1,2,3"], "complex values are 're' or 're,im'"),
         (["eigenstate", "--k-mode", "0,0,1", "--theta", "1"], "--k-mode requires --a, --rho and --L"),
+        (["eigenstate", "--y", "0.3", "--k-mode", "0,0,1", *REF_ARGS, "--theta", "1"],
+         "exactly one of --y and --k-mode"),
         (["eigenstate", "--k-mode", "0,1", *REF_ARGS, "--theta", "1"], "--k-mode wants three"),
         *((["eigenstate", "--y", "0.3", "--theta", "0.5", "--transform", alpha],
            f"alpha must lie in (0, 1), got {float(alpha)}") for alpha in ("0", "1", "-0.1", "nan")),
@@ -505,7 +519,7 @@ MODEL_ERRORS = [
     ],
     ids=[
         "smax-negative", "p-negative", "theta-inf", "theta-nan", "theta-three-parts",
-        "k-mode-without-model", "k-mode-two-indices",
+        "k-mode-without-model", "y-with-k-mode", "k-mode-two-indices",
         *(f"transform-{alpha}" for alpha in ("0", "1", "-0.1", "nan")), "gram-nmax-negative",
         *(f"{command}-{name}" for command in ("spectrum", "wu") for name, _, _ in MODEL_ERRORS),
         "spectrum-N-nan", "spectrum-N-inf",

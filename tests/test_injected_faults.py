@@ -13,7 +13,9 @@ No check catches these at 1e-7, so they have no row: ``_hyp_f``'s output under
 any per-row scale (the contiguous relation is homogeneous in F; its parameter c
 has a row), ``svd_small`` and ``_transported_columns`` (the witness floor is
 1e-8 of the largest singular value and the drift tolerance 1e-2),
-and ``tail_constant`` and ``stirling_tail_limit`` (tolerance 2e-3).
+``tail_constant`` and ``stirling_tail_limit`` (tolerance 2e-3), and the
+lattice totals ``_alpha_total`` and ``depletion_report`` (the growth row checks
+a sign, the depletion row a range; ``test_lattice``'s exact-sum test pins both).
 """
 
 import sys

@@ -1,16 +1,21 @@
+import json
 import math
+import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from pairspec.cli import fmt, main
 from pairspec.hamiltonians import bog_energy_ab
 from pairspec.hypergeom import transported_state
 from pairspec.lattice import (
     AlphaSum,
     ModelParams,
+    _alpha_total,
     _mode_table,
     alpha_c,
     alpha_sum,
@@ -20,9 +25,11 @@ from pairspec.lattice import (
     y12,
     ytilde_from_y,
 )
+from pairspec.pair_transform import depletion_report
 from pairspec.wu_sector import WuSector
 
 REF = dict(a=1.0 / (16.0 * math.pi), rho=1.0, L=2.0 * math.pi)
+README_MODEL = dict(a=0.0198944, rho=1.0, L=6.2831853)  # the README's `spectrum` example
 
 
 class TestModelParams:
@@ -267,6 +274,29 @@ class TestAlphaSum:
         v3 = alpha_sum(mp, 3)
         assert v1.grows_with_cutoff
         assert 0 < v1.value < v2.value < v3.value
+
+    @pytest.mark.parametrize("nmax", [8, 16])
+    def test_totals_are_correctly_rounded(self, capsys, nmax):
+        # the exact rational sum of the same doubles, rounded once
+        mp = ModelParams(**README_MODEL)
+        alphas = [mode_params(mp, k).alpha for k in half_lattice(mp.L, nmax)]
+        want = 4.0 * math.pi * mp.a * mp.rho * float(2 * sum(map(Fraction, alphas)))
+        assert alpha_sum(mp, nmax).value == want
+        model = [f"--{key}={value!r}" for key, value in README_MODEL.items()]
+        assert main(["spectrum", *model, "--nmax", str(nmax)]) == 0
+        footer = capsys.readouterr().out.splitlines()[-1]
+        assert footer == f"# alpha_sum,{fmt(want)},grows_with_cutoff=True"
+        assert main(["spectrum", *model, "--nmax", str(nmax), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["footer"]["alpha_sum"] == fmt(want)
+        report = depletion_report(mp, nmax)
+        assert report["depletion"] == float(sum(Fraction(occ) for _, occ in report["per_mode"]))
+
+    def test_total_does_not_depend_on_mode_order(self):
+        mp = ModelParams(**README_MODEL)
+        alphas = [mode_params(mp, k).alpha for k in half_lattice(mp.L, 8)]
+        total = _alpha_total(mp, alphas)
+        shuffled = random.Random(0).sample(alphas, len(alphas))
+        assert _alpha_total(mp, alphas[::-1]) == total == _alpha_total(mp, shuffled)
 
 
 _LOG_UNIFORM = hs.floats(-300.0, 300.0).map(lambda e: 10.0**e)
