@@ -20,14 +20,15 @@ import numpy as np
 from . import genfunc, hypergeom, oracle, pair_transform, wu_sector
 from .eigenstates import (
     EigenstateSpec,
+    _psi_rows,
+    _recurrence_rows,
     partial_norms,
     psi_p_theta,
-    recurrence_coeffs,
     residual,
     stirling_tail_limit,
     tail_constant,
 )
-from .fock_ladder import LadderState, apply_ab, apply_adbd, inner
+from .fock_ladder import LadderState, _check_count, apply_ab, apply_adbd, inner
 from .hamiltonians import apply_hab_alpha, bog_energy_ab, build_tridiagonal, lhy_block
 from .lattice import (
     ModelParams,
@@ -163,27 +164,26 @@ def _matrix_vs_operator(rng):
     return [_result("eigen", "tridiagonal matrix matches the operator action", dev, 1e-13)]
 
 
-def _product_vs_recurrence(rng):
-    dev = 0.0
-    for _ in range(200):
-        p = int(rng.integers(0, 6))
-        theta = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        ytil = rng.uniform(0.2, 3.0)
-        smax = 30
-        a = psi_p_theta(EigenstateSpec(p, theta, ytil, smax)).coeffs
-        b = recurrence_coeffs(p / 2.0 + theta, p, ytil, smax).coeffs
-        scale = np.maximum(np.abs(a), 1e-300)
-        dev = _worst(dev, float(np.max(np.abs(a - b) / scale)))
+def _product_vs_recurrence(rng, rows=200, smax=30):
+    p, theta, ytil = np.empty(rows, dtype=int), np.empty(rows, dtype=complex), np.empty(rows)
+    for i in range(rows):  # the draws of a loop of single states, in its order
+        p[i] = rng.integers(0, 6)
+        theta[i] = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+        ytil[i] = rng.uniform(0.2, 3.0)
+    a = _psi_rows(p, theta, ytil, smax)
+    b = _recurrence_rows(p / 2.0 + theta, p, ytil, smax)
+    scale = np.maximum(np.abs(a), 1e-300)
+    dev = _worst(0.0, *np.max(np.abs(a - b) / scale, axis=1))
     return [_result("eigen", "binomial formula equals the energy recurrence", dev, 1e-12)]
 
 
 def _finite_eigenstates(rng, ps=range(0, 21, 4), ns=range(0, 21, 4)):
+    ytil, p, n = (grid.ravel() for grid in np.meshgrid((0.5, 1.0, 2.0), ps, ns, indexing="ij"))
+    rows = _psi_rows(p, n, ytil, n + 2)
     dev = 0.0
-    for ytil in (0.5, 1.0, 2.0):
-        for p in ps:
-            for n in ns:
-                st = psi_p_theta(EigenstateSpec(p, n, ytil, n + 2))
-                dev = _worst(dev, residual(st, ytil, 0.0, p / 2.0 + n) / st.norm())
+    for c, y, q, m in zip(rows, ytil.tolist(), p.tolist(), n.tolist()):
+        st = LadderState(q, c[: m + 3])
+        dev = _worst(dev, residual(st, y, 0.0, q / 2.0 + m) / st.norm())
     return [_result("eigen", "finite eigenstates have zero residual", dev, 1e-12)]
 
 
@@ -459,7 +459,8 @@ def _gram_drift(rng, ps=(0, 1), y=0.45, nmax=2, smax=20):
 
 def _wu_sector(rng, ntots=(2, 7, 16), ps=range(0, 5, 2)):
     mp = _REFERENCE
-    dev_tri = dev_diag = dev_res = dev_inv = 0.0
+    dev_tri = dev_diag = dev_res = 0.0
+    sectors, draws = [], []
     for k in half_lattice(mp.L, 1)[:3]:
         mode = mode_params(mp, k)
         for ntot in ntots:
@@ -471,9 +472,13 @@ def _wu_sector(rng, ntots=(2, 7, 16), ps=range(0, 5, 2)):
                 dev_diag = _worst(dev_diag, float(np.max(np.abs(np.diag(m) - want))))
                 for _, _, res in wu_sector._wu_residuals(sector, mp):
                     dev_res = _worst(dev_res, *res)
-                x = rng.standard_normal(sector.dim)
-                y_ = wu_sector.apply_exp_w(wu_sector.apply_exp_w(x, sector, 1.0), sector, -1.0)
-                dev_inv = _worst(dev_inv, float(np.max(np.abs(y_ - x))) / float(np.max(np.abs(x))))
+                sectors.append(sector)
+                draws.append(rng.standard_normal(sector.dim))
+    x = np.zeros((len(draws), max(map(len, draws))))
+    for row, draw in zip(x, draws):
+        row[: len(draw)] = draw
+    back = wu_sector._exp_w_rows(wu_sector._exp_w_rows(x, sectors, 1.0), sectors, -1.0)
+    dev_inv = _worst(0.0, *(np.max(np.abs(back - x), axis=1) / np.max(np.abs(x), axis=1)))
     return [
         _result("wu", "sector matrix is strictly upper triangular", dev_tri, 0.0),
         _result("wu", "spectrum reads off the diagonal", dev_diag, 1e-12),
@@ -551,6 +556,7 @@ def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     """Run one named invariant suite (or ``all``) with a reproducible seed."""
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    _check_count("seed", seed)
     results = []
     for key in _SUITES if name == "all" else (name,):
         rng = np.random.default_rng(seed)

@@ -138,6 +138,8 @@ def cmd_eigenstate(args: argparse.Namespace) -> tuple[str, int]:
     if (args.y is None) == (args.k_mode is None):
         raise ValueError("give exactly one of --y and --k-mode")
     y = args.y
+    if y is not None and (args.a, args.rho, args.L) != (None, None, None):
+        raise ValueError("--a, --rho and --L apply only with --k-mode")
     if y is None:
         if args.a is None or args.rho is None or args.L is None:
             raise ValueError("--k-mode requires --a, --rho and --L")

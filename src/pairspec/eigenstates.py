@@ -81,14 +81,15 @@ def _check_tail_theta(theta: float) -> None:
     theta = complex(theta)
     if theta.imag != 0.0:
         raise ValueError(f"theta must be real, got {theta}")
-    if _integer_theta(theta) is not None:
+    if _terminates(theta):
         raise ValueError("theta is a nonnegative integer; the expansion terminates")
 
 
-def _integer_theta(theta: complex) -> int | None:
-    """The nonnegative integer value of theta, or None."""
+def _terminates(theta):
+    """Whether theta, a complex number or array, is a nonnegative integer, where
+    the expansion stops at s = theta."""
     r = theta.real
-    return int(r) if theta.imag == 0.0 and r >= 0 and r.is_integer() else None
+    return (theta.imag == 0.0) & (r >= 0) & (np.floor(r) == r)
 
 
 def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:
@@ -104,33 +105,45 @@ def psi_p_theta(spec: EigenstateSpec, normalize: bool = False) -> LadderState:
     precision, and near 1e-12 where it is double.  The internal convention is
     c_0 = 1; ``normalize`` rescales to unit norm and is refused for
     non-square-summable labels.  A coefficient beyond double range raises
-    ``ValueError`` naming the largest representable ``smax``.
+    ``ValueError`` naming the largest representable ``smax``.  This is the
+    batch-1 face of :func:`_psi_rows`.
     """
-    log_mag, phase = _log_terms(spec.ytilde, complex(spec.theta), spec.p, spec.smax)
-    with np.errstate(over="ignore"):  # refused below
-        mag = np.exp(log_mag).astype(float)
-    label = f"p={spec.p}, theta={spec.theta}, ytilde={spec.ytilde}"
-    _refuse_beyond_range(mag, "eigenstate coefficient", label)
-    c = np.zeros(spec.smax + 1, dtype=complex)
-    np.multiply(phase, mag, out=c[: len(mag)])
-    st = LadderState(spec.p, c)
+    st = LadderState(spec.p, _psi_rows(spec.p, spec.theta, spec.ytilde, spec.smax))
     if normalize:
         if classify_normalizable(spec.ytilde, spec.theta, spec.p) is Normalizability.NOT_NORMALIZABLE:
             raise ValueError("state is not square-summable; refusing to normalize")
-        st = LadderState(spec.p, c / st.norm())
+        st = LadderState(spec.p, st.coeffs / st.norm())
     return st
 
 
-def _refuse_beyond_range(values: np.ndarray, what: str, label: str) -> None:
-    """Raise ValueError at the first s with values[s] beyond double range,
-    naming that index and the largest representable smax."""
+def _psi_rows(p, theta, ytilde, smax) -> np.ndarray:
+    """The coefficients of :func:`psi_p_theta` over rows of labels (p, theta,
+    ytilde, smax), which broadcast together and are valid labels (not checked
+    here): shape (max smax + 1,) with a leading batch axis where they have one,
+    each row zero past its own smax.  A row has the bits of its single state.
+    The first row with a coefficient beyond double range is refused with
+    ``ValueError`` naming the row.
+    """
+    log_mag, phase = _log_terms(ytilde, theta, p, smax)
+    with np.errstate(over="ignore"):  # refused below
+        mag = np.exp(log_mag).astype(float)
+    _refuse_beyond_range(mag, "eigenstate coefficient", lambda p, theta, ytilde: (
+        f"p={p}, theta={theta}, ytilde={ytilde}"), p, theta, ytilde)
+    c = np.zeros(mag.shape[:-1] + (int(np.max(smax)) + 1,), dtype=complex)
+    np.multiply(phase, mag, out=c[..., : mag.shape[-1]])  # +0 past a row's top, where the phase is 0
+    return c
+
+
+def _refuse_beyond_range(values: np.ndarray, what: str, label, *args) -> None:
+    """Raise ValueError at the first row (leading axes) of values with an entry
+    beyond double range, at that row's first such index s along the last axis,
+    naming s and the largest representable smax; ``label(*args at the row)``
+    describes the row, as ``pair_transform._refuse_rows`` reads its arguments."""
     finite = np.isfinite(values)
     if not finite.all():
-        s = int(np.argmin(finite))
-        raise ValueError(
-            f"{what} c_{s} ({label}) is beyond double range; "
-            f"the largest representable smax is {s - 1}"
-        )
+        pair_transform._refuse_rows(~finite.all(axis=-1), lambda s, *row: (
+            f"{what} c_{s} ({label(*row)}) is beyond double range; "
+            f"the largest representable smax is {s - 1}"), np.argmin(finite, axis=-1), *args)
 
 
 def recurrence_coeffs(energy: complex, p: int, ytilde: float, smax: int) -> LadderState:
@@ -138,16 +151,50 @@ def recurrence_coeffs(energy: complex, p: int, ytilde: float, smax: int) -> Ladd
 
     c_{s+1} = (E - p/2 - s) c_s / (ytilde sqrt((p+s+1)(s+1))).  Coefficient-
     wise this must reproduce :func:`psi_p_theta` with theta = E - p/2.  A
-    coefficient beyond double range raises ``ValueError`` naming it.
+    coefficient beyond double range raises ``ValueError`` naming it.  This is
+    the batch-1 face of :func:`_recurrence_rows`.
     """
     _check_label(p, energy, ytilde, smax, "energy")
-    c = np.zeros(smax + 1, dtype=complex)
+    return LadderState(p, _recurrence_rows(energy, p, ytilde, smax))
+
+
+def _recurrence_rows(energy, p, ytilde, smax) -> np.ndarray:
+    """The coefficients of :func:`recurrence_coeffs` over rows of (energy, p,
+    ytilde, smax), which broadcast together and are valid (not checked here):
+    shape (max smax + 1,) with a leading batch axis where they have one, each
+    row zero past its own smax.
+
+    Step s forms (E - p/2 - s) c_s in CPython's complex arithmetic: the factor
+    E - p/2 - s as CPython subtracts a float and then an int, and the product
+    by ``pair_transform._cmul``, whose formulas are those of numpy's scalar
+    complex multiply (its array loop may fuse multiply-adds).  The quotient by
+    ytilde sqrt((p+s+1)(s+1)) is numpy's complex-by-real division, the loop its
+    scalar division runs.  So a row has the bits of the scalar iteration in
+    CPython's ints while p + smax < 2^53, where p+s+1 is exact in a double and
+    (p+s+1)(s+1) is rounded once, as CPython rounds the exact int.  The first
+    row with a coefficient beyond double range is refused with ``ValueError``
+    naming the row.
+    """
+    shown = energy, p, ytilde
+    energy, p, ytilde, smax = np.broadcast_arrays(
+        np.asarray(energy, dtype=complex), np.asarray(p, dtype=float),
+        np.asarray(ytilde, dtype=float), np.asarray(smax))
+    # step s on the first axis: for a single row, c[s] is a numpy scalar
+    s = np.arange(float(smax.max(initial=0))).reshape((-1,) + (1,) * energy.ndim)
+    factor = np.empty(s.shape[:1] + energy.shape, dtype=complex)
+    factor.real = energy.real - p / 2.0 - s
+    factor.imag = energy.imag
+    den = ytilde * np.sqrt((p + (s + 1.0)) * (s + 1.0))
+    c = np.zeros((len(s) + 1,) + energy.shape, dtype=complex)
     c[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for s in range(smax):
-            c[s + 1] = (energy - p / 2.0 - s) * c[s] / (ytilde * math.sqrt((p + s + 1) * (s + 1)))
-    _refuse_beyond_range(c, "recurrence coefficient", f"energy={energy}, p={p}, ytilde={ytilde}")
-    return LadderState(p, c)
+        for j in range(len(s)):
+            c[j + 1] = pair_transform._cmul(factor[j], c[j]) / den[j]
+    c = np.moveaxis(c, 0, -1)
+    c[np.arange(c.shape[-1]) > smax[..., None]] = 0.0  # each row stops at its own smax
+    _refuse_beyond_range(c, "recurrence coefficient", lambda energy, p, ytilde: (
+        f"energy={energy}, p={p}, ytilde={ytilde}"), *shown)
+    return c
 
 
 def classify_normalizable(ytilde: float, theta: complex, p: int) -> Normalizability:
@@ -159,7 +206,7 @@ def classify_normalizable(ytilde: float, theta: complex, p: int) -> Normalizabil
     """
     _check_label(p, theta, ytilde)
     theta = complex(theta)
-    if _integer_theta(theta) is not None:
+    if _terminates(theta):
         return Normalizability.FINITE_SUM
     if ytilde < 1.0:
         return Normalizability.NOT_NORMALIZABLE
@@ -211,7 +258,7 @@ def coeff_log_magnitudes(ytilde: float, theta: float, p: int, smax: int) -> np.n
     return _log_terms(ytilde, theta, p, smax)[0].astype(float)
 
 
-def _log_terms(ytilde: float, theta: complex, p: int, smax: int) -> tuple[np.ndarray, np.ndarray]:
+def _log_terms(ytilde, theta, p, smax) -> tuple[np.ndarray, np.ndarray]:
     """log|c_s| in ``pair_transform._EXT`` and the unit phase c_s / |c_s|, for
     s = 0 up to smax or a terminating theta, whichever comes first: log|c_s|
     is a running sum, in ``_EXT``, of the logs of the term ratios
@@ -220,32 +267,47 @@ def _log_terms(ytilde: float, theta: complex, p: int, smax: int) -> tuple[np.nda
     running product of the unit factors (theta+1-j) / |theta+1-j|, exactly
     +-1 for real theta.  An underflowed term ratio gives log|c_s| = -inf.  A step
     theta+1-j whose modulus is beyond double range is halved (exactly) first.
+
+    The labels broadcast together, and a leading batch axis, where they have
+    one, is a batch of rows along the last axis, up to the largest row's top.
+    Past its own top a row's steps are 1 and its log ratios 0, so the sum keeps
+    its value at the top (no 0/0 phase, no log of 0), and its phases are 0.
+    A row has the bits of the single label: the sums run along the last axis.
     """
-    n_int = _integer_theta(theta)
-    top = smax if n_int is None else min(smax, n_int)
-    j = np.arange(1.0, top + 1)
-    step = theta - (j - 1)  # nonzero up to top
+    ytilde, theta, p, smax = np.broadcast_arrays(
+        np.asarray(ytilde, dtype=float), np.asarray(theta, dtype=complex),
+        np.asarray(p, dtype=float), np.asarray(smax))
+    stops = _terminates(theta) & (theta.real < smax)
+    top = np.array(smax)
+    top[stops] = theta.real[stops]  # an integer below smax: exact
+    j = np.arange(1.0, top.max(initial=0) + 1)
+    dead = j > top[..., None]
+    step = theta[..., None] - (j - 1)  # nonzero up to top
+    step[dead] = 1.0
     size = np.abs(step)
-    # |step| <= |theta.real| + |theta.imag| + j - 1, so only a theta past this bound
+    # |step| <= |theta.real| + |theta.imag| + j - 1, so only a theta past 1e308
     # can overflow |step|; such steps are halved (the phase keeps) and log 2 is
     # added back to their log ratios
-    huge = abs(theta.real) + abs(theta.imag) > 1e308
+    halved = np.isinf(size)
+    huge = halved.any()
     if huge:
-        halved = np.isinf(size)
         step[halved] *= 0.5
         size[halved] = np.abs(step[halved])
-    log_mag = np.zeros(top + 1, dtype=pair_transform._EXT)
+    log_mag = np.zeros(dead.shape[:-1] + (len(j) + 1,), dtype=pair_transform._EXT)
+    steps = log_mag[..., 1:]
     with np.errstate(divide="ignore"):  # an underflowed ratio: log|c_s| = -inf
-        np.log(size / np.sqrt(j * (j + p)), out=log_mag[1:])
-    log_mag[1:] -= np.log(pair_transform._EXT(ytilde))
+        np.log(size / np.sqrt(j * (j + p[..., None])), out=steps)
+    steps -= np.log(ytilde.astype(pair_transform._EXT))[..., None]
     if huge:
-        log_mag[1:][halved] += np.log(pair_transform._EXT(2.0))
-    np.add.accumulate(log_mag, out=log_mag)
-    phase = np.empty(top + 1, dtype=complex)
-    phase[0] = 1.0
-    np.divide(step.real, size, out=phase.real[1:])  # part by part, as CPython divides by a float
-    np.divide(step.imag, size, out=phase.imag[1:])
-    np.multiply.accumulate(phase, out=phase)
+        steps[halved] += np.log(pair_transform._EXT(2.0))
+    steps[dead] = 0.0
+    np.add.accumulate(log_mag, axis=-1, out=log_mag)
+    phase = np.empty(log_mag.shape, dtype=complex)
+    phase[..., 0] = 1.0
+    np.divide(step.real, size, out=phase.real[..., 1:])  # part by part, as CPython divides by a float
+    np.divide(step.imag, size, out=phase.imag[..., 1:])
+    np.multiply.accumulate(phase, axis=-1, out=phase)
+    phase[..., 1:][dead] = 0.0
     return log_mag, phase
 
 
@@ -258,7 +320,7 @@ def partial_norms(ytilde: float, theta: float, p: int, smax: int) -> np.ndarray:
     # a running log-sum-exp keeps the divergent case finite in log space
     with np.errstate(over="ignore"):
         norms = np.exp(np.logaddexp.accumulate(2.0 * logc))
-    _refuse_beyond_range(norms, "partial norm through", f"p={p}, theta={theta}, ytilde={ytilde}")
+    _refuse_beyond_range(norms, "partial norm through", lambda: f"p={p}, theta={theta}, ytilde={ytilde}")
     return norms
 
 

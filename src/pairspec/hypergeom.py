@@ -47,18 +47,6 @@ def _termination_index(a, b) -> np.ndarray:
     return top.astype(int)
 
 
-def _cmul(x, y) -> np.ndarray:
-    """x * y for complex arrays, each part a sum of two rounded float products,
-    a*c - b*d and a*d + b*c, as CPython forms a complex product.  numpy's
-    complex multiply loop may fuse multiply-adds (it does on AVX-512 hosts),
-    which changes last bits; a real times a complex number is exact either way."""
-    xr, xi, yr, yi = np.real(x), np.imag(x), np.real(y), np.imag(y)
-    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(y)), dtype=complex)
-    out.real = xr * yr - xi * yi
-    out.imag = xr * yi + xi * yr
-    return out
-
-
 def hyp_f(a: float, b: float, c: float, z: complex) -> complex:
     """Terminating Gauss series F(a, b, c; z) = sum_m (a)_m (b)_m / ((c)_m m!) z^m.
 
@@ -76,7 +64,7 @@ def _hyp_f(a, b, c, z) -> np.ndarray:
     Each row stops at its own termination index: the term ratios past it are
     zero, so the running term stays zero there and the sum keeps its bits.
     The parameters are taken as doubles.  The running term and sum are kept
-    as float pairs and every complex product takes :func:`_cmul`'s formulas,
+    as float pairs and every complex product takes :func:`pair_transform._cmul`'s formulas,
     so a row's sum has the bits of the same loop in CPython's float and
     complex arithmetic.  The first row that does not terminate,
     whose (c)_m vanishes first, or whose z or sum is not finite is refused
@@ -141,9 +129,9 @@ def _contiguous_residual(m, N, p, z) -> tuple[np.ndarray, np.ndarray]:
     f_up, f_0, f_down, f_raise = (_hyp_f(a, b, c, z) for a, b in (
         (-m + 1, -N), (-m, -N), (-m, -N - 1), (-m, np.where(N > 0, -N + 1, 0))))
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's complex arithmetic
-        rhs = _cmul(-c_0, f_0) + _cmul(c_down, f_down)
-        rhs += _cmul(N, f_raise)
-        return _cmul(m * np.asarray(z), f_up), rhs
+        rhs = pair_transform._cmul(-c_0, f_0) + pair_transform._cmul(c_down, f_down)
+        rhs += pair_transform._cmul(N, f_raise)
+        return pair_transform._cmul(m * np.asarray(z), f_up), rhs
 
 
 def derivative_residual(a: int, b: float, c: float) -> float:

@@ -65,6 +65,19 @@ def _refuse_rows(bad: np.ndarray, message: Callable[..., str], *args) -> None:
         raise ValueError(f"row {', '.join(map(str, index))}: " + message(*row))
 
 
+def _cmul(x, y) -> np.ndarray:
+    """x * y for complex arrays, each part a sum of two rounded float products,
+    a*c - b*d and a*d + b*c, as CPython forms a complex product.  numpy's
+    complex multiply loop may fuse multiply-adds (it does on AVX-512 hosts),
+    which changes last bits; a real times a complex number is exact either way.
+    The parts are read as attributes: ``np.real`` costs about 1 us a call, more
+    than a step of a single-row recurrence on numpy scalars."""
+    re, im = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _zero_cut():
     """2^-1075 in ``_EXT``: the largest magnitude that rounds to a zero double
     (0 where ``_EXT`` is double).  On x86-64 rounding an x87 long double whose

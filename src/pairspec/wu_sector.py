@@ -211,22 +211,43 @@ def apply_exp_w(state: np.ndarray, sector: WuSector, sign: float = 1.0) -> np.nd
     (m-s)! with w_j its subdiagonal.  Each nonzero input entry leads one such
     column, a running product summed in ``pair_transform._EXT`` and rounded to
     double once: O(dim |support|) time, O(dim) memory.  Raises ValueError when an
-    entry of the image is beyond double range.
+    entry of the image is beyond double range.  This is the batch-1 face of
+    :func:`_exp_w_rows`.
     """
     state = np.asarray(state, dtype=float)
     if state.shape != (sector.dim,):
         raise ValueError(f"state must have shape ({sector.dim},)")
     _finite(state, "state must be finite")
+    return _exp_w_rows(state, sector, sign)
+
+
+def _exp_w_rows(states: np.ndarray, sectors, sign) -> np.ndarray:
+    """:func:`apply_exp_w` over rows: ``states`` of shape (n,) with one sector,
+    or (rows, n) with one sector per row, each row finite and zero past its
+    sector's dim (not checked here), and ``sign`` a scalar or one per row.
+
+    The rows ride on the batch axis of ``pair_transform._binomial_columns``.
+    A row's numerators are zero past its dim, so its columns are exact zeros
+    there, and each of its entries is the same running product in ``_EXT``,
+    summed over the same columns in the same order, as for the single vector:
+    a row has its bits.  The first row with an image entry beyond double range
+    is refused with ``ValueError`` naming the row.
+    """
+    sectors = [sectors] if states.ndim == 1 else sectors
+    leads = states.T  # m on the kernel's first axis, rows on its second
     # the entry (s, s-1) of sign * W with W = P a_0^2 / Ntot is the kernel's
     # numerator of row s
-    num = np.zeros(sector.dim, dtype=pair_transform._EXT)
-    num[1:] = _pair_amplitude(sector, -sign * sector.mode.alpha / sector.Ntot)
-    out = np.zeros(sector.dim, dtype=pair_transform._EXT)
+    num = np.zeros((len(leads), len(sectors)), dtype=pair_transform._EXT)
+    for r, (sector, sg) in enumerate(zip(sectors, np.broadcast_to(sign, len(sectors)))):
+        num[1 : sector.dim, r] = _pair_amplitude(sector, -sg * sector.mode.alpha / sector.Ntot)
+    out = np.zeros(leads.shape, dtype=pair_transform._EXT)
     # overflow becomes inf or nan here and is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, col in pair_transform._binomial_columns(num, state):
+        for s, col in pair_transform._binomial_columns(num.reshape(leads.shape), leads):
             out[s : s + len(col)] += col
-        image = out.astype(float)
-    _finite(image, f"exp({sign!r} W) of this length-{sector.dim} sector "
-                   "vector has entries beyond double range")
+        image = out.T.astype(float)
+    dims = np.reshape([sector.dim for sector in sectors], image.shape[:-1])
+    pair_transform._refuse_rows(~np.isfinite(image).all(axis=-1), lambda sign, dim: (
+        f"exp({sign!r} W) of this length-{dim} sector vector has entries beyond double range"),
+        sign, dims)
     return image

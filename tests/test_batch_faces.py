@@ -1,7 +1,8 @@
 """Every batched kernel against a loop of its scalar face: the same bits.
 
 Each public scalar function (``apply_exp_pair``, ``mobius``, ``hyp_f``,
-``contiguous_residual``, ``wu_eigenstate``) is the batch-1 face of one array
+``contiguous_residual``, ``wu_eigenstate``, ``psi_p_theta``,
+``recurrence_coeffs``, ``apply_exp_w``) is the batch-1 face of one array
 form with a leading batch axis, which ``verify`` calls once per check.  The
 comparisons use ``np.array_equal``, not a tolerance: a batch that moved one
 bit of one row would move ``verify``'s deviations.
@@ -13,9 +14,9 @@ import re
 import numpy as np
 import pytest
 
-from pairspec import fock_ladder, genfunc, hypergeom, pair_transform, wu_sector
+from pairspec import checks, eigenstates, fock_ladder, genfunc, hypergeom, pair_transform, wu_sector
 from pairspec.fock_ladder import LadderState
-from pairspec.lattice import ModelParams, mode_params
+from pairspec.lattice import ModelParams, half_lattice, mode_params
 
 README_MODEL = ModelParams(a=0.0198944, rho=1.0, L=6.2831853)
 
@@ -226,3 +227,100 @@ def test_hyp_f_refusal_names_first_row(a, b, c, z, row):
     want = _face_message(lambda: hypergeom.hyp_f(*at))
     with pytest.raises(ValueError, match=f"^row {row}: {re.escape(want)}$"):
         hypergeom._hyp_f(np.array(a), np.array(b), np.array(c), np.array(z))
+
+
+def _labels(seed: int, rows: int, terminating: bool) -> tuple:
+    """(p, theta, ytilde, smax) rows: mixed p and complex theta, or real theta
+    with nonnegative integers among them, each row with its own smax."""
+    rng = np.random.default_rng(seed)
+    p = rng.integers(0, 8, rows)
+    if terminating:
+        theta = np.where(rng.random(rows) < 0.6, rng.integers(-3, 25, rows), rng.uniform(-6, 6, rows)) + 0j
+    else:
+        theta = rng.uniform(-4, 4, rows) + 1j * rng.uniform(-4, 4, rows)
+    return p, theta, rng.uniform(0.1, 3.0, rows), rng.integers(0, 31, rows)
+
+
+@pytest.mark.parametrize("terminating", [False, True], ids=["complex-theta", "terminating-theta"])
+def test_psi_rows_are_psi_p_theta(terminating):
+    p, theta, ytil, smax = _labels(21, 150, terminating)
+    rows = eigenstates._psi_rows(p, theta, ytil, smax)
+    assert rows.shape == (150, smax.max() + 1)
+    for row, label in zip(rows, zip(p.tolist(), theta.tolist(), ytil.tolist(), smax.tolist())):
+        c = eigenstates.psi_p_theta(eigenstates.EigenstateSpec(*label)).coeffs
+        assert np.array_equal(row[: len(c)], c)
+        assert not np.any(row[len(c):]) and not np.signbit(row[len(c):].real).any()
+    if terminating:  # rows that stop at their theta inside a wider batch
+        assert np.any((theta.real >= 0) & (theta.real < smax) & (theta.real == np.floor(theta.real)))
+
+
+def _scalar_recurrence(energy, p, ytilde, smax):
+    """The energy recurrence as a loop of CPython and numpy scalar arithmetic."""
+    c = np.zeros(smax + 1, dtype=complex)
+    c[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(smax):
+            c[s + 1] = (energy - p / 2.0 - s) * c[s] / (ytilde * math.sqrt((p + s + 1) * (s + 1)))
+    return c
+
+
+@pytest.mark.parametrize("terminating", [False, True], ids=["complex-theta", "terminating-theta"])
+def test_recurrence_rows_have_the_bits_of_the_scalar_loop(terminating):
+    p, theta, ytil, smax = _labels(22, 150, terminating)
+    energy = p / 2.0 + theta
+    rows = eigenstates._recurrence_rows(energy, p, ytil, smax)
+    for row, label in zip(rows, zip(energy.tolist(), p.tolist(), ytil.tolist(), smax.tolist())):
+        c = eigenstates.recurrence_coeffs(*label).coeffs
+        assert row[: len(c)].tobytes() == c.tobytes() == _scalar_recurrence(*label).tobytes()
+        assert not np.any(row[len(c):])
+
+
+def _verify_sectors():
+    """The 24 sectors of checks._wu_sector, in its order."""
+    mp = checks._REFERENCE
+    return [wu_sector.WuSector(ntot, p, mode_params(mp, k)) for k in half_lattice(mp.L, 1)[:3]
+            for ntot in (2, 7, 16) for p in range(0, 5, 2) if p <= ntot]
+
+
+def test_exp_w_rows_are_apply_exp_w():
+    sectors = _verify_sectors()
+    assert len(sectors) == 24
+    rng = np.random.default_rng(23)
+    x = np.zeros((len(sectors), max(sector.dim for sector in sectors)))
+    for row, sector in zip(x, sectors):
+        row[: sector.dim] = rng.standard_normal(sector.dim) * (rng.random(sector.dim) < 0.7)
+    forward = wu_sector._exp_w_rows(x, sectors, 1.0)
+    back = wu_sector._exp_w_rows(forward, sectors, -1.0)
+    for row, fwd, bwd, sector in zip(x, forward, back, sectors):
+        face = wu_sector.apply_exp_w(row[: sector.dim], sector, 1.0)
+        assert np.array_equal(fwd[: sector.dim], face)
+        assert np.array_equal(bwd[: sector.dim], wu_sector.apply_exp_w(face, sector, -1.0))
+        assert not np.any(fwd[sector.dim:]) and not np.any(bwd[sector.dim:])
+    signs = rng.choice([-1.0, 1.0], len(sectors))
+    loop = [wu_sector.apply_exp_w(row[: sector.dim], sector, sign) for row, sector, sign in zip(x, sectors, signs)]
+    mixed = wu_sector._exp_w_rows(x, sectors, signs)
+    assert all(np.array_equal(row[: len(want)], want) for row, want in zip(mixed, loop))
+
+
+def test_psi_refusal_names_first_row():
+    p, theta, ytil, smax = np.zeros(3, dtype=int), np.full(3, 0.5 + 0j), np.array([1.0, 1e-3, 1e-4]), 300
+    want = _face_message(lambda: eigenstates.psi_p_theta(eigenstates.EigenstateSpec(0, 0.5 + 0j, 1e-3, 300)))
+    with pytest.raises(ValueError, match=f"^row 1: {re.escape(want)}$"):
+        eigenstates._psi_rows(p, theta, ytil, smax)
+
+
+def test_recurrence_refusal_names_first_row():
+    ytil = np.array([1.0, 1e-3, 1e-4])
+    want = _face_message(lambda: eigenstates.recurrence_coeffs(0.5 + 0j, 0, 1e-3, 300))
+    with pytest.raises(ValueError, match=f"^row 1: {re.escape(want)}$"):
+        eigenstates._recurrence_rows(np.full(3, 0.5 + 0j), np.zeros(3, dtype=int), ytil, 300)
+
+
+def test_exp_w_refusal_names_first_row():
+    sectors = _verify_sectors()[5:8]  # N = 16 at p = 0, 2, 4: dims 9, 8, 7
+    x = np.zeros((3, 9))
+    for row, sector, lead in zip(x, sectors, (1.0, 1.5e308, 1.5e308)):
+        row[: sector.dim] = lead
+    want = _face_message(lambda: wu_sector.apply_exp_w(x[1, :8], sectors[1], -1.0))
+    with pytest.raises(ValueError, match=f"^row 1: {re.escape(want)}$"):
+        wu_sector._exp_w_rows(x, sectors, -1.0)

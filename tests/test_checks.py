@@ -1,16 +1,24 @@
 import math
 import sys
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from pairspec import checks, genfunc, hypergeom, pair_transform, wu_sector
+from pairspec import checks, eigenstates, genfunc, hypergeom, pair_transform, wu_sector
 
 
 def test_unknown_suite_refused():
     with pytest.raises(ValueError, match="unknown suite 'bogus'"):
         checks.run_suite("bogus")
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True], ids=["negative", "float", "None", "True"])
+def test_seed_refused(seed):
+    # None would run unseeded and True as seed 1: neither gives "same seed, same bits"
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed}$"):
+        checks.run_suite("lattice", seed)
 
 
 @pytest.mark.parametrize("deviations, want", [((0.0, 2.0, 1.0), 2.0), ((-math.inf, -3.0), -3.0),
@@ -44,13 +52,20 @@ BATCHED_KERNELS = (
     (hypergeom, "contiguous_residual"),
     (wu_sector, "wu_eigenstate"),
 )
+# and the faces of the eigenstate and exp(W) row forms, which a verify run
+# called 585 times, 337 of them psi_p_theta
+ROW_KERNELS = (
+    (eigenstates, "psi_p_theta"),
+    (eigenstates, "recurrence_coeffs"),
+    (wu_sector, "apply_exp_w"),
+)
 
 
 def test_verify_calls_its_kernels_in_batches(monkeypatch):
     # a call-count gate: deterministic, unlike a wall-time budget.  Every
     # module namespace that bound a kernel (from .x import y) is patched too.
     calls = Counter()
-    for module, name in BATCHED_KERNELS:
+    for module, name in BATCHED_KERNELS + ROW_KERNELS:
         kernel = getattr(module, name)
 
         def counted(*args, _kernel=kernel, _name=name, **kwargs):
@@ -62,4 +77,51 @@ def test_verify_calls_its_kernels_in_batches(monkeypatch):
                 if value is kernel:
                     monkeypatch.setattr(namespace, attr, counted)
     checks.run_suite("all", 0)
-    assert sum(calls.values()) <= 50, dict(calls)
+    assert sum(calls[name] for _, name in BATCHED_KERNELS) <= 50, dict(calls)
+    # what is left are single states: _collapse, _ode_eigen_series,
+    # _ladder_orthogonality and the transported states under gram_witness
+    assert sum(calls[name] for _, name in ROW_KERNELS) <= 30, dict(calls)
+
+
+def _labels(*args) -> list[tuple]:
+    """The rows of a row form's broadcast arguments as Python numbers."""
+    return list(zip(*(v.tolist() for v in np.broadcast_arrays(*args))))
+
+
+# each row form with a loop of its scalar face over the same arguments
+FACE_LOOPS = {
+    "_psi_rows": lambda *args: [eigenstates.psi_p_theta(eigenstates.EigenstateSpec(*label))
+                                for label in _labels(*args)],
+    "_recurrence_rows": lambda *args: [eigenstates.recurrence_coeffs(*label) for label in _labels(*args)],
+    "_exp_w_rows": lambda x, sectors, sign: [wu_sector.apply_exp_w(row[: sector.dim], sector, sign)
+                                             for row, sector in zip(x, sectors)],
+}
+
+
+@pytest.mark.parametrize("check", [checks._product_vs_recurrence, checks._finite_eigenstates,
+                                   checks._wu_sector], ids=lambda check: check.__name__)
+def test_row_calls_within_budget_of_their_faces(monkeypatch, check):
+    # the row calls a check makes at seed 0, against a loop of their faces over
+    # the same arguments, each the best of 5, interleaved: a share of the loop's
+    # time, since a shared host's speed drifts for seconds at a time
+    calls = []
+    for module, name in ((checks, "_psi_rows"), (checks, "_recurrence_rows"), (wu_sector, "_exp_w_rows")):
+        def record(*args, _kernel=getattr(module, name), _name=name):
+            calls.append((_kernel, _name, args))
+            return _kernel(*args)
+
+        monkeypatch.setattr(module, name, record)
+    check(np.random.default_rng(0))
+    monkeypatch.undo()
+    assert calls
+    routes = {
+        "rows": lambda: [kernel(*args) for kernel, _, args in calls],
+        "faces": lambda: [FACE_LOOPS[name](*args) for _, name, args in calls],
+    }
+    best = dict.fromkeys(routes, math.inf)
+    for _ in range(5):
+        for name, route in routes.items():
+            t0 = time.thread_time()  # this thread: BLAS workers and other processes do not count
+            route()
+            best[name] = min(best[name], time.thread_time() - t0)
+    assert best["rows"] <= 0.5 * best["faces"], best

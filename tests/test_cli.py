@@ -492,9 +492,14 @@ MODEL_ERRORS = [
         (["eigenstate", "--y", "0.3", "--k-mode", "0,0,1", *REF_ARGS, "--theta", "1"],
          "exactly one of --y and --k-mode"),
         (["eigenstate", "--k-mode", "0,1", *REF_ARGS, "--theta", "1"], "--k-mode wants three"),
+        *((["eigenstate", "--y", "0.3", *flags, "--theta", "1", "--smax", "2"],
+           "--a, --rho and --L apply only with --k-mode")
+          for flags in (["--a", "0.01", "--rho", "1", "--L", "7"], ["--a", "0.01"], ["--rho", "1"],
+                        ["--L", "7"])),
         *((["eigenstate", "--y", "0.3", "--theta", "0.5", "--transform", alpha],
            f"alpha must lie in (0, 1), got {float(alpha)}") for alpha in ("0", "1", "-0.1", "nan")),
         (["gram", "--nmax", "-1"], "Nmax"),
+        (["verify", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         *(
             ([command, *args, *extra], topic)
             for command, extra in (("spectrum", []), ("wu", ["--N", "4", "--kn", "0,0,1"]))
@@ -520,7 +525,8 @@ MODEL_ERRORS = [
     ids=[
         "smax-negative", "p-negative", "theta-inf", "theta-nan", "theta-three-parts",
         "k-mode-without-model", "y-with-k-mode", "k-mode-two-indices",
-        *(f"transform-{alpha}" for alpha in ("0", "1", "-0.1", "nan")), "gram-nmax-negative",
+        *(f"y-with-{flags}" for flags in ("model", "a", "rho", "L")),
+        *(f"transform-{alpha}" for alpha in ("0", "1", "-0.1", "nan")), "gram-nmax-negative", "verify-seed-negative",
         *(f"{command}-{name}" for command in ("spectrum", "wu") for name, _, _ in MODEL_ERRORS),
         "spectrum-N-nan", "spectrum-N-inf",
         "spectrum-nmax-1e5", "spectrum-nmax-1e7", "spectrum-nmax-1e19",

@@ -149,6 +149,8 @@ UNCONSUMED = {
     "hypergeom.hyp_f": "the batch-1 face of _hyp_f, which verify calls",
     "hypergeom.contiguous_residual": "the batch-1 face of _contiguous_residual, which verify calls",
     "wu_sector.wu_eigenstate": "the batch-1 face of _wu_eigenvectors, which verify calls",
+    "eigenstates.recurrence_coeffs": "the batch-1 face of _recurrence_rows, which verify calls",
+    "wu_sector.apply_exp_w": "the batch-1 face of _exp_w_rows, which verify calls",
     "hamiltonians.HabMatrix.dense": "the dense reference that the tests compare the bands against",
 }
 
