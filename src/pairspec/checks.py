@@ -8,6 +8,14 @@ calls the same functions on its own strict grids, so every tolerance and
 every deviation is defined here once.  The CLI ``verify`` command serializes
 the reports and fails the process when any check fails.  Random sweeps draw
 from a seeded generator so a report is reproducible from its seed.
+
+A check over many states draws them in the order a loop of single states
+would, then makes one call of each row form it needs (the array forms with
+a leading batch axis behind ``psi_p_theta``, ``recurrence_coeffs``, the
+ladder operators, ``apply_hab_alpha``, ``residual``, ``apply_exp_pair``,
+``mobius``, ``hyp_f`` and ``apply_exp_w``), whose rows have the bits of the
+single calls: the deviations are those of the loop, at a fraction of its
+per-call cost.
 """
 
 from __future__ import annotations
@@ -22,14 +30,14 @@ from .eigenstates import (
     EigenstateSpec,
     _psi_rows,
     _recurrence_rows,
+    _residual_rows,
     partial_norms,
     psi_p_theta,
-    residual,
     stirling_tail_limit,
     tail_constant,
 )
-from .fock_ladder import LadderState, _check_count, apply_ab, apply_adbd, inner
-from .hamiltonians import apply_hab_alpha, bog_energy_ab, build_tridiagonal, lhy_block
+from .fock_ladder import LadderState, _ab_rows, _adbd_rows, _check_count, _norm, inner
+from .hamiltonians import _hab_rows, bog_energy_ab, build_tridiagonal, lhy_block
 from .lattice import (
     ModelParams,
     alpha_c,
@@ -70,16 +78,27 @@ def _random_state(rng: np.random.Generator, p: int, n: int) -> LadderState:
     return LadderState(p, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def _padded(rows: list, n: int) -> np.ndarray:
+    """The coefficient arrays ``rows`` as the rows of one array, zero past each."""
+    out = np.zeros((len(rows), n), dtype=complex)
+    for row, c in zip(out, rows):
+        row[: len(c)] = c
+    return out
+
+
+def _state_norms(coeffs: np.ndarray) -> np.ndarray:
+    return _norm(coeffs, "the norm of the ladder state", axis=1)
+
+
 def _random_rows(rng: np.random.Generator, rows: int, n: int, draw) -> tuple:
     """Imbalances, amplitudes and zero-padded length-n coefficient rows of
     ``rows`` random states: ``draw()`` gives each row's (p, alpha, length)
     and the state is drawn after it, as a loop of single states would."""
-    ps, alphas = np.empty(rows, dtype=int), np.empty(rows)
-    coeffs = np.zeros((rows, n), dtype=complex)
+    ps, alphas, states = np.empty(rows, dtype=int), np.empty(rows), []
     for i in range(rows):
         ps[i], alphas[i], length = draw()
-        coeffs[i, :length] = _random_state(rng, int(ps[i]), length).coeffs
-    return ps, alphas, coeffs
+        states.append(_random_state(rng, int(ps[i]), length).coeffs)
+    return ps, alphas, _padded(states, n)
 
 
 # ----------------------------------------------------------------- lattice
@@ -126,41 +145,44 @@ def _alpha_sum_growth(rng):
 
 # -------------------------------------------------------------------- eigen
 
-def _ladder_adjoint(rng):
+def _ladder_adjoint(rng, rows=50, n=11):
+    ps, xs, ys = np.empty(rows, dtype=int), [], []
+    for i in range(rows):  # the draws of a loop of single pairs, in its order
+        ps[i] = rng.integers(0, 4)
+        xs.append(_random_state(rng, int(ps[i]), int(rng.integers(1, n + 1))).coeffs)
+        ys.append(_random_state(rng, int(ps[i]), int(rng.integers(1, n + 1))).coeffs)
+    up, down = _adbd_rows(_padded(xs, n), ps), _ab_rows(_padded(ys, n), ps)
     dev = 0.0
-    for _ in range(50):
-        p = int(rng.integers(0, 4))
-        x = _random_state(rng, p, int(rng.integers(1, 12)))
-        y = _random_state(rng, p, int(rng.integers(1, 12)))
-        dev = _worst(dev, abs(inner(apply_adbd(x), y) - inner(x, apply_ab(y))))
+    for x, y, u, d in zip(xs, ys, up, down):
+        # <a*b* x, y> and <x, ab y> over the lengths inner takes for the single
+        # images: BLAS may sum a zero-padded pairing in another order
+        k, j = min(len(x) + 1, len(y)), min(len(x), len(y) - 1)
+        dev = _worst(dev, abs(complex(np.vdot(u[:k], y[:k])) - complex(np.vdot(x[:j], d[:j]))))
     return [_result("eigen", "pair raising/lowering are mutually adjoint", dev, 1e-12)]
 
 
-def _ladder_commutator(rng):
-    dev = 0.0
-    for p in range(4):
-        n = 14
-        c = np.zeros(n)
-        for s in range(n - 1):
-            c[:] = 0.0
-            c[s] = 1.0
-            st = LadderState(p, c.copy())
-            comm = apply_ab(apply_adbd(st)).coeffs[s] - apply_adbd(apply_ab(st)).coeffs[s]
-            dev = _worst(dev, abs(comm - (p + 2 * s + 1)))
+def _ladder_commutator(rng, n=14):
+    p, s = (grid.ravel() for grid in np.meshgrid(range(4), range(n - 1), indexing="ij"))
+    at = np.arange(len(s))
+    e = np.zeros((len(s), n), dtype=complex)
+    e[at, s] = 1.0  # the basis state |p+s, s> on each row
+    comm = _ab_rows(_adbd_rows(e, p), p)[at, s] - _adbd_rows(_ab_rows(e, p), p)[at, s]
+    dev = _worst(0.0, *np.abs(comm - (p + 2 * s + 1)))
     return [_result("eigen", "[ab, a*b*] acts as p + 2s + 1", dev, 1e-10)]
 
 
-def _matrix_vs_operator(rng):
-    dev = 0.0
-    for _ in range(25):
-        p = int(rng.integers(0, 4))
-        smax = int(rng.integers(4, 20))
-        y1, y2 = rng.uniform(0.05, 0.6, 2)
-        st = _random_state(rng, p, smax + 1)
-        mat = build_tridiagonal(p, y1, y2, smax)
-        via_matrix = mat.matvec(st.coeffs)
-        via_operator = apply_hab_alpha(st, y1, y2).coeffs[: smax + 1]
-        dev = _worst(dev, float(np.max(np.abs(via_matrix - via_operator))))
+def _matrix_vs_operator(rng, rows=25, n=20):
+    p, smax, y1, y2 = np.empty(rows, dtype=int), np.empty(rows, dtype=int), np.empty(rows), np.empty(rows)
+    states = []
+    for i in range(rows):  # the draws of a loop of single states, in its order
+        p[i] = rng.integers(0, 4)
+        smax[i] = rng.integers(4, n)
+        y1[i], y2[i] = rng.uniform(0.05, 0.6, 2)
+        states.append(_random_state(rng, int(p[i]), int(smax[i]) + 1).coeffs)
+    via_operator = _hab_rows(_padded(states, n), p, y1, y2)
+    dev = _worst(0.0, *(
+        float(np.max(np.abs(build_tridiagonal(int(q), a, b, int(m)).matvec(c) - row[: m + 1])))
+        for q, m, a, b, c, row in zip(p, smax, y1, y2, states, via_operator)))
     return [_result("eigen", "tridiagonal matrix matches the operator action", dev, 1e-13)]
 
 
@@ -180,10 +202,8 @@ def _product_vs_recurrence(rng, rows=200, smax=30):
 def _finite_eigenstates(rng, ps=range(0, 21, 4), ns=range(0, 21, 4)):
     ytil, p, n = (grid.ravel() for grid in np.meshgrid((0.5, 1.0, 2.0), ps, ns, indexing="ij"))
     rows = _psi_rows(p, n, ytil, n + 2)
-    dev = 0.0
-    for c, y, q, m in zip(rows, ytil.tolist(), p.tolist(), n.tolist()):
-        st = LadderState(q, c[: m + 3])
-        dev = _worst(dev, residual(st, y, 0.0, q / 2.0 + m) / st.norm())
+    res = _residual_rows(rows, p, ytil, 0.0, p / 2.0 + n, n + 2)
+    dev = _worst(0.0, *(res / _state_norms(rows)))
     return [_result("eigen", "finite eigenstates have zero residual", dev, 1e-12)]
 
 
@@ -211,13 +231,10 @@ def _oracle_spectrum(rng, smax=80, levels=3):
 
 
 def _transport(rng, ps=range(3), ns=range(3), pad=200):
-    dev = 0.0
-    for y in (0.3, 0.45):
-        for p in ps:
-            for n in ns:
-                moved = hypergeom._shifted_state(p, n, y, pad)
-                energy = pair_transform._transported_energy(p / 2.0 + n, y, alpha_c(y))
-                dev = _worst(dev, residual(moved, y, y, energy) / moved.norm())
+    y, p, n = (grid.ravel() for grid in np.meshgrid((0.3, 0.45), ps, ns, indexing="ij"))
+    moved = hypergeom._shifted_rows(p, n, y, pad)
+    energy = pair_transform._transported_energy(p / 2.0 + n, y, np.array([alpha_c(v) for v in y.tolist()]))
+    dev = _worst(0.0, *(_residual_rows(moved, p, y, y, energy, pad) / _state_norms(moved)))
     return [_result("eigen", "transported states solve the Hermitian block", dev, 1e-8)]
 
 

@@ -285,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # inputs that ask numpy for an array beyond memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except (RuntimeError, ArithmeticError) as exc:  # a numerical method gave up
         print(f"error: {exc}", file=sys.stderr)
         return 2

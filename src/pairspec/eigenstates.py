@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pair_transform
-from .fock_ladder import LadderState, _check_count, _check_counts, _norm
-from .hamiltonians import apply_hab_alpha
+from .fock_ladder import LadderState, _check_count, _check_counts, _norm, _per_row, _refuse_rows
+from .hamiltonians import _check_couplings, _hab_rows
 
 __all__ = [
     "EigenstateSpec",
@@ -138,10 +138,10 @@ def _refuse_beyond_range(values: np.ndarray, what: str, label, *args) -> None:
     """Raise ValueError at the first row (leading axes) of values with an entry
     beyond double range, at that row's first such index s along the last axis,
     naming s and the largest representable smax; ``label(*args at the row)``
-    describes the row, as ``pair_transform._refuse_rows`` reads its arguments."""
+    describes the row, as ``fock_ladder._refuse_rows`` reads its arguments."""
     finite = np.isfinite(values)
     if not finite.all():
-        pair_transform._refuse_rows(~finite.all(axis=-1), lambda s, *row: (
+        _refuse_rows(~finite.all(axis=-1), lambda s, *row: (
             f"{what} c_{s} ({label(*row)}) is beyond double range; "
             f"the largest representable smax is {s - 1}"), np.argmin(finite, axis=-1), *args)
 
@@ -376,11 +376,39 @@ def residual(st: LadderState, y1: float, y2: float, energy: complex) -> float:
     Row smax of the operator image needs the missing coefficient c_{smax+1},
     so it (and any spillover row) is dropped from the norm; exact finite
     eigenstates stored with at least one trailing zero give ~1e-16 * ||st||.
-    A non-finite energy, and a residual beyond double range, raise ``ValueError``.
+    A non-finite energy or coupling, and a residual beyond double range, raise
+    ``ValueError``.  This is the batch-1 face of :func:`_residual_rows`.
     """
     _check_label(st.p, energy, name="energy")
-    image = apply_hab_alpha(st, y1, y2)
-    top = st.smax  # rows 0 .. smax-1 are fully determined by the stored data
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _norm
-        diff = image.coeffs[:top] - energy * st.coeffs[:top]
-    return _norm(diff, "the residual")
+    _check_couplings(y1, y2)
+    return float(_residual_rows(st.coeffs, st.p, y1, y2, energy, st.smax))
+
+
+def _residual_rows(coeffs: np.ndarray, p, y1, y2, energy, smax) -> np.ndarray:
+    """:func:`residual` over coefficient rows (the last axis) with a leading
+    batch axis where they have one; p, the couplings, the energy and smax are
+    scalars or one per row, and valid (not checked here), and a row is zero
+    past its own smax.
+
+    Each row drops its own top row, smax, and every row after it.  Its norm is
+    ``fock_ladder._norm(..., axis=-1)`` over its rows 0..smax-1 alone, the rows
+    of one smax at a time: zero padding would move numpy's pairwise sum, so a
+    row has the bits of its single call.  The first row with an entry of
+    (H - E) c beyond double range is refused with ``ValueError`` naming the
+    row; a norm beyond double range from finite entries, which needs entries
+    near 1e308, is refused by ``_norm`` without a row.
+    """
+    n = coeffs.shape[-1]
+    tops = np.maximum(np.broadcast_to(smax, coeffs.shape[:-1]), 0)  # the empty state's smax is -1
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        diff = _hab_rows(coeffs, p, y1, y2)[..., :n] - _per_row(energy) * coeffs
+    finite = np.isfinite(diff)
+    if not finite.all():  # entries past a row's top do not count
+        kept = np.arange(n) < tops[..., None]
+        _refuse_rows(~(finite | ~kept).all(axis=-1), lambda: "the residual is beyond double range")
+    flat, flat_tops = diff.reshape(tops.size, n), tops.reshape(-1)
+    norms = np.empty(len(flat))
+    for top in set(flat_tops.tolist()):
+        at = flat_tops == top
+        norms[at] = _norm(flat[at, :top], "the residual", axis=-1)
+    return norms.reshape(tops.shape)

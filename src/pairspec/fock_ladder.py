@@ -5,6 +5,11 @@ A ladder state is a finite coefficient sequence c_s over the occupation pairs
 the same ladder with k and -k relabelled, and the half lattice keeps one k
 per (k, -k) pair, so the imbalance p is the only label a state carries.
 Operators never mix ladders with different p.
+
+Each operator (``apply_ab``, ``apply_adbd``, ``apply_halfnumber``) is the
+batch-1 face of a row form (``_ab_rows``, ``_adbd_rows``, ``_halfnumber_rows``)
+that takes coefficient rows with a leading batch axis, each on the ladder of
+its own p, and gives every row the bits of its single call.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -132,41 +138,94 @@ def _check_counts(name: str, values, low: int = 0) -> np.ndarray:
     return arr.astype(int)
 
 
-def _image(st: LadderState, coeffs: np.ndarray, what: str) -> LadderState:
-    """st's image coeffs under what, refused by name where LadderState's guard refuses it."""
-    try:
-        return LadderState(st.p, coeffs)
-    except ValueError:
-        raise ValueError(f"the image under {what} is beyond double range") from None
+def _refuse_rows(bad: np.ndarray, message: Callable[..., str], *args) -> None:
+    """Raise ValueError at the first index i where ``bad`` is set.
+
+    A batched kernel passes one flag per row; the message is
+    message(*entries of args at row i), each arg broadcast against ``bad``,
+    led by "row i: ".  A 0-d ``bad`` is a scalar face: its message gets the
+    args as the caller gave them and names no row.
+    """
+    if bad.any():
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        if not index:
+            raise ValueError(message(*args))
+        row = (np.broadcast_to(v, bad.shape)[index].item() for v in args)
+        raise ValueError(f"row {', '.join(map(str, index))}: " + message(*row))
+
+
+def _per_row(value):
+    """value (a scalar or an array) with a trailing axis, so that one entry
+    per row of a batch broadcasts along the coefficients; a scalar stays as it
+    is, so a face does the arithmetic of its single call."""
+    return value[..., None] if getattr(value, "ndim", 0) else value  # np.ndim costs 1 us on a scalar
+
+
+def _image_rows(coeffs: np.ndarray, what: str) -> np.ndarray:
+    """coeffs, the image rows under what, refused at the first row with an
+    entry beyond double range."""
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        _refuse_rows(~finite.all(axis=-1), lambda: f"the image under {what} is beyond double range")
+    return coeffs
 
 
 def apply_ab(st: LadderState) -> LadderState:
     """Annihilate one quantum from each mode: c'_s = sqrt((p+s+1)(s+1)) c_{s+1}.
 
     The truncation index shrinks by one; the vacuum row is dropped exactly.
+    This is the batch-1 face of :func:`_ab_rows`.
     """
-    s = np.arange(len(st.coeffs) - 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image
-        return _image(st, np.sqrt((st.p + s + 1.0) * (s + 1.0)) * st.coeffs[1:], "ab")
+    return LadderState(st.p, _ab_rows(st.coeffs, st.p))
+
+
+def _ab_rows(coeffs: np.ndarray, p) -> np.ndarray:
+    """:func:`apply_ab` on coefficient rows (the last axis) with a leading
+    batch axis where they have one, each on the ladder of its p (a scalar, or
+    one per row): one entry shorter, and zero where a zero-padded row is.  A
+    row has the bits of its single call.  The first row with an entry beyond
+    double range is refused with ``ValueError`` naming the row.
+    """
+    s = np.arange(coeffs.shape[-1] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image_rows
+        return _image_rows(np.sqrt((_per_row(p) + s + 1.0) * (s + 1.0)) * coeffs[..., 1:], "ab")
 
 
 def apply_adbd(st: LadderState) -> LadderState:
-    """Create one quantum in each mode: c'_s = sqrt((p+s) s) c_{s-1}."""
-    c = st.coeffs
-    if len(c) == 0:
+    """Create one quantum in each mode: c'_s = sqrt((p+s) s) c_{s-1}.
+
+    This is the batch-1 face of :func:`_adbd_rows`; the empty state maps to itself.
+    """
+    if len(st.coeffs) == 0:
         return st
-    s = np.arange(1, len(c) + 1)
-    out = np.zeros(len(c) + 1, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image
-        out[1:] = np.sqrt((st.p + s) * s.astype(float)) * c
-    return _image(st, out, "a*b*")
+    return LadderState(st.p, _adbd_rows(st.coeffs, st.p))
+
+
+def _adbd_rows(coeffs: np.ndarray, p) -> np.ndarray:
+    """:func:`apply_adbd` on coefficient rows, as :func:`_ab_rows` takes
+    them: one entry longer, led by an exact zero."""
+    n = coeffs.shape[-1]
+    s = np.arange(1, n + 1)
+    out = np.zeros(coeffs.shape[:-1] + (n + 1,), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image_rows
+        out[..., 1:] = np.sqrt((_per_row(p) + s) * s.astype(float)) * coeffs
+    return _image_rows(out, "a*b*")
 
 
 def apply_halfnumber(st: LadderState) -> LadderState:
-    """Half total number operator: c'_s = (p/2 + s) c_s."""
-    s = np.arange(len(st.coeffs))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image
-        return _image(st, (st.p / 2.0 + s) * st.coeffs, "(a*a + b*b)/2")
+    """Half total number operator: c'_s = (p/2 + s) c_s.
+
+    This is the batch-1 face of :func:`_halfnumber_rows`.
+    """
+    return LadderState(st.p, _halfnumber_rows(st.coeffs, st.p))
+
+
+def _halfnumber_rows(coeffs: np.ndarray, p) -> np.ndarray:
+    """:func:`apply_halfnumber` on coefficient rows, as :func:`_ab_rows`
+    takes them: the same length."""
+    s = np.arange(coeffs.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image_rows
+        return _image_rows((_per_row(p) / 2.0 + s) * coeffs, "(a*a + b*b)/2")
 
 
 def inner(x: LadderState, y: LadderState) -> complex:

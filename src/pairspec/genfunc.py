@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigenstates import _check_label
-from .fock_ladder import LadderState, _check_count, _finite
+from .fock_ladder import LadderState, _check_count, _finite, _refuse_rows
+from .hamiltonians import _check_couplings
 from .lattice import alpha_c, y12
 from . import pair_transform
 from .pair_transform import _log_rescale
@@ -73,7 +74,7 @@ def ode_residual(g: GenFn, energy: complex, y1: float, y2: float) -> float:
     looks backward, so every stored order is meaningful for truncated data.
     """
     _check_label(g.p, energy, name="energy")
-    _finite((y1, y2), f"couplings must be finite, got y1={y1}, y2={y2}")
+    _check_couplings(y1, y2)
     C = g.C
     p = g.p
     if len(C) < 2:
@@ -183,7 +184,7 @@ def _mobius(C: np.ndarray, alpha) -> np.ndarray:
             col = col[:-1]
             out[k] = col[-1]
     out = out.T
-    pair_transform._refuse_rows(~np.isfinite(out).all(axis=-1), lambda a: (
+    _refuse_rows(~np.isfinite(out).all(axis=-1), lambda a: (
         f"Moebius image at alpha={a!r} of this length-{n} series has coefficients "
         "beyond double range"), alpha)
     return out

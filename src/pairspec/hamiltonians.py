@@ -2,8 +2,9 @@
 
 The block H(y1, y2) = (a*a + b*b)/2 + y1*ab + y2*a*b* acts tridiagonally on
 each fixed-p ladder; ``build_tridiagonal`` materializes that matrix row
-scheme, ``apply_hab_alpha`` applies it as an operator, and ``bog_energy_ab``
-gives the closed-form spectrum of the Hermitian y1 = y2 = y case.
+scheme, ``apply_hab_alpha`` applies it as an operator (the batch-1 face of
+``_hab_rows``), and ``bog_energy_ab`` gives the closed-form spectrum of the
+Hermitian y1 = y2 = y case.
 """
 
 from __future__ import annotations
@@ -12,7 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count, _check_counts, _finite, _image, apply_ab, apply_adbd, apply_halfnumber
+from .fock_ladder import (
+    LadderState,
+    _ab_rows,
+    _adbd_rows,
+    _check_count,
+    _check_counts,
+    _finite,
+    _halfnumber_rows,
+    _image_rows,
+    _per_row,
+)
 from .lattice import ModeParams, _check_coupling
 
 __all__ = [
@@ -61,26 +72,58 @@ def apply_hab_alpha(st: LadderState, y1: float, y2: float) -> LadderState:
 
     The result gains one truncation slot whenever the pair-creation coupling
     y2 is nonzero; nothing is silently wrapped or dropped.  Non-finite
-    couplings are refused, as by :func:`build_tridiagonal`.
+    couplings are refused, as by :func:`build_tridiagonal`.  This is the
+    batch-1 face of :func:`_hab_rows`.
     """
+    _check_couplings(y1, y2)
+    return LadderState(st.p, _hab_rows(st.coeffs, st.p, y1, y2))
+
+
+def _check_couplings(y1: float, y2: float) -> None:
+    """The one guard for the block's couplings: both finite."""
     _finite((y1, y2), f"couplings must be finite, got y1={y1}, y2={y2}")
-    out = np.zeros(len(st.coeffs) + (1 if y2 != 0.0 else 0), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image
-        out[: len(st.coeffs)] += apply_halfnumber(st).coeffs
-        if y1 != 0.0:
-            down = apply_ab(st).coeffs
-            out[: len(down)] += y1 * down
-        if y2 != 0.0:
-            up = apply_adbd(st).coeffs
-            out[: len(up)] += y2 * up
-    return _image(st, out, "(a*a + b*b)/2 + y1*ab + y2*a*b*")
+
+
+def _hab_rows(coeffs: np.ndarray, p, y1, y2) -> np.ndarray:
+    """:func:`apply_hab_alpha` on coefficient rows (the last axis) with a
+    leading batch axis where they have one, each on the ladder of its p at its
+    couplings (scalars, or one per row; finite, not checked here).
+
+    It is built from the row forms of the three operators, as the face is
+    from the operators: the half number, then y1 ab where y1 is nonzero, then
+    y2 a*b* where y2 is nonzero, added in that order.  The image is one slot
+    longer where any row's y2 is nonzero (that slot stays zero in a row whose
+    y2 is zero).  A row whose coupling is zero passes a zero row to that
+    operator, as its face skips it, and adds only zeros, so a row has the bits
+    of its single call.  Refusals come in the face's order, each at its first
+    row beyond double range: an operator's image, then the sum.
+    """
+    n = coeffs.shape[-1]
+    down, up = _coupled(coeffs, y1), _coupled(coeffs, y2)
+    out = np.zeros(coeffs.shape[:-1] + (n + (up is not None),), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _image_rows
+        out[..., :n] += _halfnumber_rows(coeffs, p)
+        for y, rows, part in ((y1, down, _ab_rows), (y2, up, _adbd_rows)):
+            if rows is not None:
+                image = part(rows, p)
+                out[..., : image.shape[-1]] += _per_row(y) * image
+    return _image_rows(out, "(a*a + b*b)/2 + y1*ab + y2*a*b*")
+
+
+def _coupled(coeffs: np.ndarray, y):
+    """The rows that a coupling y (a scalar, or one per row) acts on: coeffs,
+    with a row zeroed where its y is zero, or None where every y is zero."""
+    if not getattr(y, "ndim", 0):
+        return coeffs if y != 0.0 else None
+    on = y != 0.0
+    return None if not on.any() else coeffs if on.all() else np.where(on[..., None], coeffs, 0.0)
 
 
 def build_tridiagonal(p: int, y1: float, y2: float, smax: int) -> HabMatrix:
     """Explicit (smax+1) x (smax+1) matrix of the block on the p-ladder."""
     _check_count("smax", smax, low=1)
     _check_count("p", p)
-    _finite((y1, y2), f"couplings must be finite, got y1={y1}, y2={y2}")
+    _check_couplings(y1, y2)
     s = np.arange(smax + 1, dtype=float)
     diag = p / 2.0 + s
     sup = y1 * np.sqrt((p + s[:-1] + 1.0) * (s[:-1] + 1.0))

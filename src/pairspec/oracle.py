@@ -425,53 +425,82 @@ def _ql_values(d: list[float], e: list[float], z: np.ndarray | None = None) -> n
     rotation is also applied to its columns; the values do not depend on it.
     A block that the local deflation test holds for ``_MAX_QL_SWEEPS`` sweeps
     is cut normwise (:func:`_normwise_cut`), and its sweep count restarts.
+
+    The deflation test |e_j| + (|d_j| + |d_j+1|) == |d_j| + |d_j+1| looks for
+    the first negligible coupling from ``low`` on.  A sweep from m down to low
+    leaves each coupling j < m final once it has rotated rows j and j+1, so
+    the sweep tests each there, low last, with the same arithmetic on the same
+    values, and keeps the first it found from low on and from low + 1 on (or
+    m, whose coupling it zeroes; d and e are finite, as sym_tridiag_eig
+    refuses others).  The next sweep, or the next ``low``, starts there: the
+    scan runs only at the first ``low``, after a ``low`` that converged
+    without a sweep, after a cut, and after a sweep that stopped at an
+    underflowed rotation.  Values and rotations keep their bits.
     """
     n = len(d)
+    # the first negligible coupling from low on, and from low + 1 on, where a sweep found them
+    m = after = None
     for low in range(n):
         sweeps = 0
         while True:
-            for m in range(low, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) + dd == dd:
-                    break
-            else:
-                m = n - 1
+            if m is None:
+                for m in range(low, n - 1):
+                    dd = abs(d[m]) + abs(d[m + 1])
+                    if abs(e[m]) + dd == dd:
+                        break
+                else:
+                    m = n - 1
+                after = None
             if m == low:
+                m, after = after, None
                 break
             sweeps += 1
             if sweeps > _MAX_QL_SWEEPS:  # graded blocks can hold every coupling above the local test
                 _normwise_cut(d, e, low, m)
                 sweeps = 0
+                m = None
                 continue
             g = (d[low + 1] - d[low]) / (2.0 * e[low])
             r = math.hypot(g, 1.0)
             g = d[m] - d[low] + e[low] / (g + math.copysign(r, g))
             s = c = 1.0
             p = 0.0
+            found = None
+            below = math.nan  # |d[i+2]| once final; NaN fails the test at i = m-1, whose e[m] is zeroed below
             for i in range(m - 1, low - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
                 r = math.hypot(f, g)
-                e[i + 1] = r
+                e[i + 1] = coupling = r
                 if r == 0.0:
                     d[i + 1] -= p
                     e[m] = 0.0
+                    m = None  # d[i+1] moved after its coupling was tested: scan again
                     break
                 s = f / r
                 c = g / r
                 g = d[i + 1] - p
                 r = (d[i] - g) * s + 2.0 * c * b
                 p = s * r
-                d[i + 1] = g + p
+                d[i + 1] = top = g + p
                 g = c * r - b
                 if z is not None:
                     col = z[:, i + 1].copy()
                     z[:, i + 1] = s * z[:, i] + c * col
                     z[:, i] = c * z[:, i] - s * col
+                # coupling i+1 is final: the scan's test on its values
+                mag = abs(top)
+                dd = mag + below
+                if abs(coupling) + dd == dd:
+                    found = i + 1
+                below = mag
             else:
                 d[low] -= p
                 e[low] = g
                 e[m] = 0.0
+                after = m if found is None else found  # e[m] is zero now
+                dd = abs(d[low]) + abs(d[low + 1])
+                m = low if abs(e[low]) + dd == dd else after
     return np.array(d)
 
 

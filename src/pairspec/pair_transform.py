@@ -21,11 +21,10 @@ one kernel at t = -alpha, and the per-mode ground state.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .fock_ladder import LadderState, _check_count, _finite
+from .fock_ladder import LadderState, _check_count, _finite, _refuse_rows
 from .lattice import ModelParams, _mode_table
 
 __all__ = [
@@ -47,22 +46,6 @@ _TINY = np.finfo(float).tiny  # smallest normal double
 # took 78 ns per element against 4.1 ns on finite data, on a shared 2-vCPU
 # AVX-512 VM); the kernels keep both out of their _EXT loops.
 _EXT = np.longdouble
-
-
-def _refuse_rows(bad: np.ndarray, message: Callable[..., str], *args) -> None:
-    """Raise ValueError at the first index i where ``bad`` is set.
-
-    A batched kernel passes one flag per row; the message is
-    message(*entries of args at row i), each arg broadcast against ``bad``,
-    led by "row i: ".  A 0-d ``bad`` is a scalar face: its message gets the
-    args as the caller gave them and names no row.
-    """
-    if bad.any():
-        index = np.unravel_index(np.argmax(bad), bad.shape)
-        if not index:
-            raise ValueError(message(*args))
-        row = (np.broadcast_to(v, bad.shape)[index].item() for v in args)
-        raise ValueError(f"row {', '.join(map(str, index))}: " + message(*row))
 
 
 def _cmul(x, y) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pair_transform
-from .fock_ladder import _check_count, _finite
+from .fock_ladder import _check_count, _finite, _refuse_rows
 from .lattice import ModelParams, ModeParams
 
 __all__ = [
@@ -247,7 +247,7 @@ def _exp_w_rows(states: np.ndarray, sectors, sign) -> np.ndarray:
             out[s : s + len(col)] += col
         image = out.T.astype(float)
     dims = np.reshape([sector.dim for sector in sectors], image.shape[:-1])
-    pair_transform._refuse_rows(~np.isfinite(image).all(axis=-1), lambda sign, dim: (
+    _refuse_rows(~np.isfinite(image).all(axis=-1), lambda sign, dim: (
         f"exp({sign!r} W) of this length-{dim} sector vector has entries beyond double range"),
         sign, dims)
     return image

@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from pairspec import checks, eigenstates, fock_ladder, genfunc, hypergeom, pair_transform, wu_sector
+from pairspec import checks, eigenstates, fock_ladder, genfunc, hamiltonians, hypergeom, pair_transform, wu_sector
 from pairspec.fock_ladder import LadderState
 from pairspec.lattice import ModelParams, half_lattice, mode_params
 
@@ -324,3 +324,159 @@ def test_exp_w_refusal_names_first_row():
     want = _face_message(lambda: wu_sector.apply_exp_w(x[1, :8], sectors[1], -1.0))
     with pytest.raises(ValueError, match=f"^row 1: {re.escape(want)}$"):
         wu_sector._exp_w_rows(x, sectors, -1.0)
+
+
+def _ragged(seed: int, rows: int, n: int) -> tuple:
+    """Zero-padded rows of random lengths 0..n (dense, zero and subnormal
+    entries), their lengths, and mixed p."""
+    rng = np.random.default_rng(seed + 200)
+    C = _rows(seed, rows, n, "zero-and-subnormal")
+    lengths = rng.integers(0, n + 1, rows)
+    lengths[:3] = n, 0, 1
+    C[np.arange(n) >= lengths[:, None]] = 0.0
+    return C, lengths, rng.integers(0, 7, rows)
+
+
+LADDER_FACES = [
+    (fock_ladder._ab_rows, fock_ladder.apply_ab, -1),
+    (fock_ladder._adbd_rows, fock_ladder.apply_adbd, 1),
+    (fock_ladder._halfnumber_rows, fock_ladder.apply_halfnumber, 0),
+]
+
+
+@pytest.mark.parametrize("rows, face, grow", LADDER_FACES, ids=[f[1].__name__ for f in LADDER_FACES])
+@pytest.mark.parametrize("seed, batch, n, leads, p_range, t_range",
+                         [case[1:] for case in STATE_BATCHES], ids=[case[0] for case in STATE_BATCHES])
+def test_ladder_rows_are_their_faces(rows, face, grow, seed, batch, n, leads, p_range, t_range):
+    C, ps, _ = _state_batch(seed, batch, n, leads, p_range, t_range)
+    got = rows(C, ps)
+    assert got.shape == (batch, n + grow)
+    assert np.array_equal(got, [face(LadderState(int(p), c)).coeffs for c, p in zip(C, ps)])
+    assert np.array_equal(rows(C, 3), [face(LadderState(3, c)).coeffs for c in C])  # one p for all rows
+
+
+@pytest.mark.parametrize("rows, face, grow", LADDER_FACES, ids=[f[1].__name__ for f in LADDER_FACES])
+def test_ladder_rows_of_zero_padded_states(rows, face, grow):
+    # a row's image begins with the image of its own length, then zeros
+    C, lengths, ps = _ragged(8, 40, 17)
+    got = rows(C, ps)
+    for row, c, length, p in zip(got, C, lengths, ps):
+        want = face(LadderState(int(p), c[:length])).coeffs
+        assert np.array_equal(row[: len(want)], want)
+        assert not np.any(row[len(want):]) and not np.signbit(row[len(want):].real).any()
+
+
+def _couplings(seed: int, rows: int) -> tuple:
+    """Per-row couplings y1, y2 with zeros, negatives and repeats among them."""
+    rng = np.random.default_rng(seed + 300)
+    y1, y2 = rng.uniform(-0.6, 0.6, (2, rows))
+    y1[rng.random(rows) < 0.25] = 0.0
+    y2[rng.random(rows) < 0.25] = 0.0
+    return y1, y2
+
+
+def _hab_face(c, p, y1, y2):
+    return hamiltonians.apply_hab_alpha(LadderState(int(p), c), float(y1), float(y2)).coeffs
+
+
+@pytest.mark.parametrize("seed, batch, n, leads, p_range, t_range",
+                         [case[1:] for case in STATE_BATCHES], ids=[case[0] for case in STATE_BATCHES])
+def test_hab_rows_are_apply_hab_alpha(seed, batch, n, leads, p_range, t_range):
+    C, ps, _ = _state_batch(seed, batch, n, leads, p_range, t_range)
+    y1, y2 = _couplings(seed, batch)
+    got = hamiltonians._hab_rows(C, ps, y1, y2)
+    assert got.shape == (batch, n + bool(np.any(y2)))
+    for row, c, p, a, b in zip(got, C, ps, y1, y2):
+        want = _hab_face(c, p, a, b)
+        assert np.array_equal(row[: len(want)], want) and not np.any(row[len(want):])
+    for a, b in ((0.3, 0.0), (0.0, -0.2), (0.25, 0.25)):  # couplings shared by all rows
+        assert np.array_equal(hamiltonians._hab_rows(C, ps, a, b), [_hab_face(c, p, a, b) for c, p in zip(C, ps)])
+
+
+def test_hab_rows_of_zero_padded_states():
+    C, lengths, ps = _ragged(9, 40, 17)
+    y1, y2 = _couplings(9, 40)
+    for row, c, length, p, a, b in zip(hamiltonians._hab_rows(C, ps, y1, y2), C, lengths, ps, y1, y2):
+        want = _hab_face(c[:length], p, a, b)
+        assert np.array_equal(row[: len(want)], want) and not np.any(row[len(want):])
+
+
+def test_hab_row_whose_coupling_is_zero_is_not_refused_for_its_operator():
+    # a*b* of [0, 1e308] overflows, so a face with y2 = 0 skips it; the row does too
+    C = np.array([[0.0, 1e308], [1.0, 0.5]], dtype=complex)
+    got = hamiltonians._hab_rows(C, 0, 0.1, np.array([0.0, 0.2]))
+    assert np.array_equal(got[0, :2], _hab_face(C[0], 0, 0.1, 0.0)) and got[0, 2] == 0
+    assert np.array_equal(got[1], _hab_face(C[1], 0, 0.1, 0.2))
+
+
+def _residual_face(c, p, y1, y2, energy, smax):
+    return eigenstates.residual(LadderState(int(p), c[: smax + 1]), float(y1), float(y2), complex(energy))
+
+
+@pytest.mark.parametrize("energies", ["real", "complex"])
+def test_residual_rows_are_residual(energies):
+    # rows of their own smax and p, padded past it; couplings with zeros; an
+    # energy per row
+    C, lengths, ps = _ragged(10, 60, 25)
+    # a row whose largest entry is subnormal has no norm (_norm refuses it): zero rows instead
+    C[np.abs(C).max(axis=1) < np.finfo(float).tiny] = 0.0
+    assert np.any((np.abs(C) < np.finfo(float).tiny) & (C != 0)) and not np.any(C[0])
+    smax = np.maximum(lengths - 1, 0)
+    y1, y2 = _couplings(10, 60)
+    rng = np.random.default_rng(11)
+    energy = rng.uniform(-3, 9, 60) + (1j * rng.uniform(-2, 2, 60) if energies == "complex" else 0.0)
+    got = eigenstates._residual_rows(C, ps, y1, y2, energy, smax)
+    want = [_residual_face(*row) for row in zip(C, ps, y1, y2, energy, smax)]
+    assert np.array_equal(got, want)
+    # the face's own bits: its norm is over rows 0..smax-1, not the padded ones
+    short = smax < smax.max()
+    assert np.any(short & (smax >= 9))
+    assert np.array_equal(eigenstates._residual_rows(C, ps, 0.3, 0.0, 1.5, smax),
+                          [_residual_face(c, p, 0.3, 0.0, 1.5, m) for c, p, m in zip(C, ps, smax)])
+
+
+@pytest.mark.parametrize("coeffs", [[], [2.0]], ids=["empty", "one-entry"])
+@pytest.mark.parametrize("y2", [0.0, 0.1])
+def test_residual_without_rows_is_zero(coeffs, y2):
+    # smax = -1 and 0 leave no row below the top one
+    assert eigenstates.residual(LadderState(1, coeffs), 0.3, y2, 1.5) == 0.0
+    assert np.array_equal(eigenstates._residual_rows(np.array([[2.0, 0.0], [0.0, 0.0]]), 1, 0.3, y2, 1.5, [0, -1]),
+                          [0.0, 0.0])
+
+
+def test_residual_rows_of_eigenstates_are_small():
+    # verify's grid: finite eigenstates with their own smax in one batch
+    ytil, p, n = (g.ravel() for g in np.meshgrid((0.5, 2.0), range(0, 9, 4), range(0, 13, 4), indexing="ij"))
+    rows = eigenstates._psi_rows(p, n, ytil, n + 2)
+    res = eigenstates._residual_rows(rows, p, ytil, 0.0, p / 2.0 + n, n + 2)
+    assert np.all(res <= 1e-12 * fock_ladder._norm(rows, "norm", axis=1))
+
+
+@pytest.mark.parametrize("rows, face, what", [
+    (fock_ladder._ab_rows, fock_ladder.apply_ab, "ab"),
+    (fock_ladder._adbd_rows, fock_ladder.apply_adbd, "a*b*"),
+    (fock_ladder._halfnumber_rows, fock_ladder.apply_halfnumber, "(a*a + b*b)/2"),
+], ids=["ab", "adbd", "halfnumber"])
+def test_ladder_refusal_names_first_row(rows, face, what):
+    C = np.array([[1.0, 2.0, 3.0], [1.0, 1e308, 1e308], [1e308, 1e308, 1e308]], dtype=complex)
+    want = _face_message(lambda: face(LadderState(0, C[1])))
+    assert want == f"the image under {what} is beyond double range"
+    with pytest.raises(ValueError, match=f"^row 1: {re.escape(want)}$"):
+        rows(C, 0)
+
+
+def test_hab_refusal_names_first_row():
+    C = np.array([[1.0, 0.5], [1e307, 1e307], [1e307, 1e307]], dtype=complex)
+    y1 = np.array([1e300, 1e300, 1e300])
+    want = _face_message(lambda: hamiltonians.apply_hab_alpha(LadderState(0, C[1]), 1e300, 0.0))
+    with pytest.raises(ValueError, match=f"^row 1: {re.escape(want)}$"):
+        hamiltonians._hab_rows(C, 0, y1, 0.0)
+
+
+def test_residual_refusal_names_first_row():
+    C = np.array([[1.0, 0.5, 0.0], [1.0, 1e300, 0.0], [1.0, 0.5, 0.0]], dtype=complex)
+    energy = np.array([0.3, 1e10, 1e309 / 1e300])
+    want = _face_message(lambda: eigenstates.residual(LadderState(0, C[1]), 0.3, 0.1, 1e10))
+    assert want == "the residual is beyond double range"
+    with pytest.raises(ValueError, match=f"^row 1: {re.escape(want)}$"):
+        eigenstates._residual_rows(C, 0, 0.3, 0.1, energy, 2)

@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pairspec import checks, eigenstates, genfunc, hypergeom, pair_transform, wu_sector
+from pairspec import checks, eigenstates, fock_ladder, genfunc, hamiltonians, hypergeom, pair_transform, wu_sector
+from pairspec.fock_ladder import LadderState
 
 
 def test_unknown_suite_refused():
@@ -31,16 +32,14 @@ def test_worst_keeps_nan(deviations, want):
 
 def test_nan_measurement_fails_its_check(monkeypatch):
     # a NaN residual after a finite one: max(dev, nan) would keep dev and pass
-    calls = []
+    def residual_rows(*args):
+        res = checks_residual_rows(*args)
+        res[1] = math.nan
+        return res
 
-    def residual(*args):
-        calls.append(None)
-        return math.nan if len(calls) == 2 else checks_residual(*args)
-
-    checks_residual = checks.residual
-    monkeypatch.setattr(checks, "residual", residual)
+    checks_residual_rows = checks._residual_rows
+    monkeypatch.setattr(checks, "_residual_rows", residual_rows)
     [result] = checks._finite_eigenstates(np.random.default_rng(0))
-    assert len(calls) > 2
     assert math.isnan(result.deviation) and not result.passed
 
 
@@ -53,11 +52,17 @@ BATCHED_KERNELS = (
     (wu_sector, "wu_eigenstate"),
 )
 # and the faces of the eigenstate and exp(W) row forms, which a verify run
-# called 585 times, 337 of them psi_p_theta
+# called 585 times, 337 of them psi_p_theta, and of the ladder-operator and
+# residual row forms, which it called 930 times
 ROW_KERNELS = (
     (eigenstates, "psi_p_theta"),
     (eigenstates, "recurrence_coeffs"),
     (wu_sector, "apply_exp_w"),
+    (fock_ladder, "apply_ab"),
+    (fock_ladder, "apply_adbd"),
+    (fock_ladder, "apply_halfnumber"),
+    (hamiltonians, "apply_hab_alpha"),
+    (eigenstates, "residual"),
 )
 
 
@@ -78,14 +83,21 @@ def test_verify_calls_its_kernels_in_batches(monkeypatch):
                     monkeypatch.setattr(namespace, attr, counted)
     checks.run_suite("all", 0)
     assert sum(calls[name] for _, name in BATCHED_KERNELS) <= 50, dict(calls)
-    # what is left are single states: _collapse, _ode_eigen_series,
-    # _ladder_orthogonality and the transported states under gram_witness
-    assert sum(calls[name] for _, name in ROW_KERNELS) <= 30, dict(calls)
+    # what is left are 11 single psi_p_theta states: _collapse, _ode_eigen_series
+    # and _ladder_orthogonality
+    assert sum(calls[name] for _, name in ROW_KERNELS) <= 11, dict(calls)
 
 
 def _labels(*args) -> list[tuple]:
     """The rows of a row form's broadcast arguments as Python numbers."""
     return list(zip(*(v.tolist() for v in np.broadcast_arrays(*args))))
+
+
+def _states(coeffs, p, *args) -> list:
+    """The rows of coefficients as states, each on the ladder of its p, with
+    the rows of the other arguments as Python numbers."""
+    labels = _labels(p, *args) if args else [(q,) for q in np.broadcast_to(p, len(coeffs)).tolist()]
+    return [(LadderState(label[0], c), *label[1:]) for c, label in zip(coeffs, labels)]
 
 
 # each row form with a loop of its scalar face over the same arguments
@@ -95,17 +107,28 @@ FACE_LOOPS = {
     "_recurrence_rows": lambda *args: [eigenstates.recurrence_coeffs(*label) for label in _labels(*args)],
     "_exp_w_rows": lambda x, sectors, sign: [wu_sector.apply_exp_w(row[: sector.dim], sector, sign)
                                              for row, sector in zip(x, sectors)],
+    "_ab_rows": lambda coeffs, p: [fock_ladder.apply_ab(st) for st, in _states(coeffs, p)],
+    "_adbd_rows": lambda coeffs, p: [fock_ladder.apply_adbd(st) for st, in _states(coeffs, p)],
+    "_hab_rows": lambda coeffs, *args: [hamiltonians.apply_hab_alpha(*row) for row in _states(coeffs, *args)],
+    "_residual_rows": lambda coeffs, p, y1, y2, energy, smax: [
+        eigenstates.residual(LadderState(st.p, st.coeffs[: m + 1]), *row)
+        for st, *row, m in _states(coeffs, p, y1, y2, energy, smax)],
+    "_exp_pair": lambda coeffs, p, t: [pair_transform.apply_exp_pair(*row) for row in _states(coeffs, p, t)],
 }
 
 
-@pytest.mark.parametrize("check", [checks._product_vs_recurrence, checks._finite_eigenstates,
-                                   checks._wu_sector], ids=lambda check: check.__name__)
+@pytest.mark.parametrize("check", [
+    checks._ladder_adjoint, checks._ladder_commutator, checks._matrix_vs_operator, checks._product_vs_recurrence,
+    checks._finite_eigenstates, checks._transport, checks._wu_sector,
+], ids=lambda check: check.__name__)
 def test_row_calls_within_budget_of_their_faces(monkeypatch, check):
     # the row calls a check makes at seed 0, against a loop of their faces over
     # the same arguments, each the best of 5, interleaved: a share of the loop's
     # time, since a shared host's speed drifts for seconds at a time
     calls = []
-    for module, name in ((checks, "_psi_rows"), (checks, "_recurrence_rows"), (wu_sector, "_exp_w_rows")):
+    for module, name in ((checks, "_psi_rows"), (checks, "_recurrence_rows"), (wu_sector, "_exp_w_rows"),
+                         (checks, "_ab_rows"), (checks, "_adbd_rows"), (checks, "_hab_rows"),
+                         (checks, "_residual_rows"), (hypergeom, "_psi_rows"), (pair_transform, "_exp_pair")):
         def record(*args, _kernel=getattr(module, name), _name=name):
             calls.append((_kernel, _name, args))
             return _kernel(*args)

@@ -14,6 +14,8 @@ import pytest
 
 import pairspec.checks
 import pairspec.cli
+import pairspec.eigenstates
+import pairspec.hypergeom
 import pairspec.pair_transform
 import pairspec.wu_sector
 import test_acceptance
@@ -572,6 +574,29 @@ def test_numerical_failure_is_one_line_exit_2(capsys, monkeypatch, exc):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {exc}\n"
+
+
+# inputs whose arrays numpy cannot allocate: each printed a numpy._ArrayMemoryError
+# traceback.  The kernel that would allocate raises here, so nothing large is asked for.
+NUMPY_MEMORY = "Unable to allocate 1.46 TiB for an array with shape (100000000001,) and data type complex128"
+
+
+@pytest.mark.parametrize(("argv", "kernel"), [
+    (["wu", "--a", "0.02", "--rho", "1", "--L", "6.28", "--N", "100000000000", "--kn", "0,0,1"],
+     (pairspec.wu_sector, "_wu_residuals")),
+    (["eigenstate", "--y", "0.3", "--theta", "0.5", "--smax", "100000000000"], (pairspec.eigenstates, "_psi_rows")),
+    (["gram", "--nmax", "3", "--smax", "100000000000"], (pairspec.hypergeom, "_transported_columns")),
+], ids=["wu", "eigenstate", "gram"])
+@pytest.mark.parametrize("message", [NUMPY_MEMORY, ""], ids=["numpy", "bare"])
+def test_memory_error_is_one_line_exit_1(capsys, monkeypatch, argv, kernel, message):
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(*kernel, allocate)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {message or 'out of memory'}\n"
 
 
 def test_repeated_main_calls_give_the_same_bytes(capsys):

@@ -187,14 +187,14 @@ def test_finite_guard_takes_cmath_for_scalars(monkeypatch):
     assert calls == []
 
 
-# (operator call, finite checks per call): LadderState's guard is the one
-# check of an image; apply_hab_alpha adds its couplings' check to those of its
-# three parts and of its own image
+# (operator call, _finite calls per call): LadderState's guard is the one
+# _finite call of an image (a row form scans its batch once, to name a row);
+# apply_hab_alpha adds its couplings' check, and its parts are rows, not states
 @pytest.mark.parametrize(("call", "checks"), [
     (apply_ab, 1),
     (apply_adbd, 1),
     (apply_halfnumber, 1),
-    (lambda st: apply_hab_alpha(st, 0.3, 0.1), 5),
+    (lambda st: apply_hab_alpha(st, 0.3, 0.1), 2),
 ], ids=["apply_ab", "apply_adbd", "apply_halfnumber", "apply_hab_alpha"])
 def test_one_finite_check_per_image(monkeypatch, call, checks):
     st = state(1, [1.0, 0.5, 0.25])

@@ -8,7 +8,7 @@ import pytest
 from pairspec.fock_ladder import LadderState, inner
 from pairspec.hypergeom import (
     _contiguous_residual,
-    _shifted_state,
+    _shifted_rows,
     contiguous_residual,
     derivative_residual,
     f_family,
@@ -321,7 +321,7 @@ class TestTransportedState:
         for y in (0.1, 0.2, 0.25):
             for p in range(3):
                 for N in range(17):
-                    want = _shifted_state(p, N, y, 200).coeffs
+                    want = _shifted_rows(p, N, y, 200)
                     got = transported_state(p, N, y, 200).coeffs
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (y, p, N)
 

@@ -7,7 +7,9 @@ under the fault blinds the suite to it, and fails this table.  The first table
 is the ladder layer: the three operators and the two-mode block built on them.
 The second holds the closed forms, kernels and referees above it, each faulted
 on its output; a uniform scale is invisible where a check divides it out, and
-those rows take an alternating one.
+those rows take an alternating one.  A row named by a face whose row form the
+checks call (``ROW_FORMS``) faults the row form, which the face and the checks
+both call.
 
 No check catches these at 1e-7, so they have no row: ``_hyp_f``'s output under
 any per-row scale (the contiguous relation is homogeneous in F; its parameter c
@@ -25,9 +27,17 @@ import pytest
 
 from pairspec.checks import run_suite
 from pairspec.eigenstates import _psi_rows, _recurrence_rows, partial_norms
-from pairspec.fock_ladder import LadderState, apply_ab, apply_adbd, apply_halfnumber
+from pairspec.fock_ladder import (
+    LadderState,
+    _ab_rows,
+    _adbd_rows,
+    _halfnumber_rows,
+    apply_ab,
+    apply_adbd,
+    apply_halfnumber,
+)
 from pairspec.genfunc import _mobius, e_from_b, q_invariant, roots, singularity_radius
-from pairspec.hamiltonians import apply_hab_alpha, bog_energy_ab, lhy_block
+from pairspec.hamiltonians import _hab_rows, apply_hab_alpha, bog_energy_ab, lhy_block
 from pairspec.hypergeom import _hyp_f, f_family
 from pairspec.lattice import alpha_c
 from pairspec.oracle import sym_tridiag_eig
@@ -74,14 +84,12 @@ def _holders(func):
             if name.split(".")[0] == "pairspec" and getattr(module, func.__name__, None) is func]
 
 
-def _faulty(func):
-    def broken(*args):
-        out = func(*args)
-        return LadderState(out.p, out.coeffs * (1.0 + FAULT))
-    return broken
+# each face and the row form it is the batch-1 face of, where the checks call the row form
+ROW_FORMS = {apply_ab: _ab_rows, apply_adbd: _adbd_rows, apply_halfnumber: _halfnumber_rows,
+             apply_hab_alpha: _hab_rows, apply_exp_pair: _exp_pair}
 
 
-# (function, suite, checks that must fail under the fault)
+# (operator, suite, checks that must fail under a uniform fault in its row form)
 @pytest.mark.parametrize(("func", "suite", "must_fail"), [
     (apply_ab, "eigen", {ADJOINT, COMMUTATOR, MATRIX, RESIDUAL, TRANSPORTED}),
     (apply_adbd, "eigen", {ADJOINT, COMMUTATOR, MATRIX, TRANSPORTED}),
@@ -89,10 +97,11 @@ def _faulty(func):
     (apply_hab_alpha, "eigen", {MATRIX, RESIDUAL, TRANSPORTED}),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_fault_fails_its_checks(monkeypatch, func, suite, must_fail):
-    holders = _holders(func)
-    assert len(holders) >= 2  # the defining module and the package namespace at least
+    kernel = ROW_FORMS[func]
+    holders = _holders(kernel)
+    assert len(holders) >= 2  # the defining module and a caller at least
     for module in holders:
-        monkeypatch.setattr(module, func.__name__, _faulty(func))
+        monkeypatch.setattr(module, kernel.__name__, _uniform(kernel))
     failed = {r.name for r in run_suite(suite, 0) if not r.passed}
     assert must_fail <= failed
 
@@ -167,6 +176,7 @@ OUTPUT_FAULTS = [
 @pytest.mark.parametrize(("func", "fault", "suites", "must_fail"), OUTPUT_FAULTS,
                          ids=[row[0].__name__ for row in OUTPUT_FAULTS])
 def test_output_fault_fails_its_checks(monkeypatch, func, fault, suites, must_fail):
+    func = ROW_FORMS.get(func, func)
     holders = _holders(func)
     assert sys.modules[func.__module__] in holders
     for module in holders:

@@ -619,3 +619,90 @@ def test_ql_without_a_normwise_cut_is_refused(monkeypatch):
     message = "QL iteration failed to converge: no coupling is below eps ||T||_1"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sym_tridiag_eig([1.0, 1.0], [1.0])
+
+
+def ql_two_loops(d, e, z=None):
+    """oracle._ql_values as it was before its deflation test moved into the
+    sweep: a scan from low for the first negligible coupling before every sweep."""
+    n = len(d)
+    for low in range(n):
+        sweeps = 0
+        while True:
+            for m in range(low, n - 1):
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+            else:
+                m = n - 1
+            if m == low:
+                break
+            sweeps += 1
+            if sweeps > oracle._MAX_QL_SWEEPS:
+                oracle._normwise_cut(d, e, low, m)
+                sweeps = 0
+                continue
+            g = (d[low + 1] - d[low]) / (2.0 * e[low])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[low] + e[low] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, low - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if z is not None:
+                    col = z[:, i + 1].copy()
+                    z[:, i + 1] = s * z[:, i] + c * col
+                    z[:, i] = c * z[:, i] - s * col
+            else:
+                d[low] -= p
+                e[low] = g
+                e[m] = 0.0
+    return np.array(d)
+
+
+def _ql_blocks():
+    """(id, diag, off): ladder blocks up to verify's 81 rows and beyond, random
+    ones, Wilkinson's W21+, the graded blocks that take the normwise cut, split
+    blocks and underflowing couplings; sym_tridiag_eig refuses non-finite ones."""
+    rng = np.random.default_rng(34)
+    blocks = [(f"ladder-{p}-{y}-{n}", *_ladder_block(p, y, n))
+              for p, y, n in [(0, 0.3, 81), (1, 0.45, 61), (2, 0.1, 20), (0, 0.3, 160), (0, 0.49, 81)]]
+    blocks += [(f"random-{n}", rng.standard_normal(n) * 3, rng.standard_normal(n - 1)) for n in (1, 2, 3, 9, 40, 81)]
+    blocks.append(("wilkinson-21", np.abs(np.arange(21) - 10.0), np.ones(20)))
+    blocks += [(f"graded-{c}-{n}-{reverse}", *_graded(c, n, reverse)) for c, n, reverse in GRADED[:4]]
+    blocks.append(("split", np.arange(8.0), np.array([1.0, 0.0, 2.0, 1e-300, 0.5, 0.0, 3.0])))
+    blocks.append(("underflow", np.zeros(6), np.array([1e-300, 0.0, 1e-320, 1.0, 5e-324])))
+    return blocks
+
+
+def _ql_outcome(ql, d, e, z=None):
+    """The bytes of QL's values and of z after it."""
+    return ql(d.tolist(), e.tolist() + [0.0], z).tobytes(), None if z is None else z.tobytes()
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+@pytest.mark.parametrize("d, e", [b[1:] for b in _ql_blocks()], ids=[b[0] for b in _ql_blocks()])
+def test_ql_sweep_keeps_the_bits_of_the_two_loop_form(d, e, vectors):
+    # the in-sweep deflation test makes the same comparisons on the same values
+    # as the scan it replaces: the same values and rotations, bit for bit
+    got, want = (_ql_outcome(ql, d, e, np.eye(len(d)) if vectors else None) for ql in (oracle._ql_values, ql_two_loops))
+    assert got == want
+
+
+@pytest.mark.parametrize("d, e", [b[1:] for b in _ql_blocks()], ids=[b[0] for b in _ql_blocks()])
+def test_ql_values_do_not_depend_on_the_rotations_kept(d, e):
+    plain, rotated = _ql_outcome(oracle._ql_values, d, e), _ql_outcome(oracle._ql_values, d, e, np.eye(len(d)))
+    assert plain[0] == rotated[0]

@@ -151,6 +151,12 @@ UNCONSUMED = {
     "wu_sector.wu_eigenstate": "the batch-1 face of _wu_eigenvectors, which verify calls",
     "eigenstates.recurrence_coeffs": "the batch-1 face of _recurrence_rows, which verify calls",
     "wu_sector.apply_exp_w": "the batch-1 face of _exp_w_rows, which verify calls",
+    "fock_ladder.apply_ab": "the batch-1 face of _ab_rows, which verify and _hab_rows call",
+    "fock_ladder.apply_adbd": "the batch-1 face of _adbd_rows, which verify and _hab_rows call",
+    "fock_ladder.apply_halfnumber": "the batch-1 face of _halfnumber_rows, which _hab_rows calls",
+    "hamiltonians.apply_hab_alpha": "the batch-1 face of _hab_rows, which verify and _residual_rows call",
+    "eigenstates.residual": "the batch-1 face of _residual_rows, which verify calls",
+    "fock_ladder.LadderState.padded": "pads a state for residual, which drops its top row (README conventions)",
     "hamiltonians.HabMatrix.dense": "the dense reference that the tests compare the bands against",
 }
 
